@@ -596,14 +596,10 @@ fn main() {
             format!("uncertainty/source_mc_256/sampled_10000/{label}"),
             median_ns(heavy_iters, || {
                 black_box(
-                    monte_carlo_source_tcdp_sampled_with_threads(
-                        black_box(&point),
-                        &sources,
-                        &spec,
-                        10_000,
-                        cordoba_par::effective_threads(),
-                    )
-                    .unwrap(),
+                    McRun::source_sampled(black_box(&point), &sources, &spec, 10_000)
+                        .expect("valid sampled spec")
+                        .advance(&Supervisor::unbounded(), cordoba_par::effective_threads())
+                        .expect("no block panics"),
                 );
             }),
         ));

@@ -113,7 +113,9 @@ impl BetaSweep {
     /// together) and the midpoint argmins of one wave are evaluated in
     /// parallel. Budget truncation is left-to-right within a wave, so the
     /// outcome — transitions, evaluation count, convergence — is identical
-    /// at every thread count.
+    /// at every thread count. This is
+    /// [`BetaSweep::solve_transitions_supervised`] under a supervisor that
+    /// never trips, at [`cordoba_par::effective_threads`] workers.
     ///
     /// # Errors
     ///
@@ -126,40 +128,27 @@ impl BetaSweep {
         tol: f64,
         budget: usize,
     ) -> Result<BetaSolve, CarbonError> {
-        self.solve_transitions_with_threads(
+        self.solve_transitions_supervised(
             beta_lo,
             beta_hi,
             tol,
             budget,
+            &Supervisor::unbounded(),
             cordoba_par::effective_threads(),
         )
     }
 
-    /// [`BetaSweep::solve_transitions`] with an explicit worker-thread
-    /// count (1 = fully sequential). Results are identical at every thread
-    /// count.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for an empty candidate set, non-finite or negative
-    /// `beta_lo`, `beta_hi <= beta_lo`, or a non-positive `tol`.
-    pub fn solve_transitions_with_threads(
-        &self,
-        beta_lo: f64,
-        beta_hi: f64,
-        tol: f64,
-        budget: usize,
-        threads: usize,
-    ) -> Result<BetaSolve, CarbonError> {
-        self.solve_inner(beta_lo, beta_hi, tol, budget, threads, None)
-    }
-
-    /// [`BetaSweep::solve_transitions`] under a [`Supervisor`]: the solver
+    /// [`BetaSweep::solve_transitions`] under a [`Supervisor`] with an
+    /// explicit worker-thread count (1 = fully sequential): the solver
     /// checks for cancellation or deadline exhaustion at every wave
     /// boundary and, when stopped, returns the transitions found so far as
     /// [`BetaSolve::NotConverged`] — exactly the shape budget exhaustion
     /// produces, so callers need no new handling. Each argmin evaluation
     /// counts one unit of supervised progress.
+    ///
+    /// Results are identical at every thread count for a deterministic
+    /// supervisor (unbounded or count-tripped); a wall-clock deadline
+    /// stops at a hardware-dependent wave, but always on a wave boundary.
     ///
     /// # Errors
     ///
@@ -172,47 +161,7 @@ impl BetaSweep {
         tol: f64,
         budget: usize,
         sup: &Supervisor,
-    ) -> Result<BetaSolve, CarbonError> {
-        self.solve_transitions_supervised_with_threads(
-            beta_lo,
-            beta_hi,
-            tol,
-            budget,
-            sup,
-            cordoba_par::effective_threads(),
-        )
-    }
-
-    /// [`BetaSweep::solve_transitions_supervised`] with an explicit
-    /// worker-thread count (1 = fully sequential). Results are identical at
-    /// every thread count for a deterministic supervisor (unbounded or
-    /// count-tripped); a wall-clock deadline stops at a
-    /// hardware-dependent wave, but always on a wave boundary.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for an empty candidate set, non-finite or negative
-    /// `beta_lo`, `beta_hi <= beta_lo`, or a non-positive `tol`.
-    pub fn solve_transitions_supervised_with_threads(
-        &self,
-        beta_lo: f64,
-        beta_hi: f64,
-        tol: f64,
-        budget: usize,
-        sup: &Supervisor,
         threads: usize,
-    ) -> Result<BetaSolve, CarbonError> {
-        self.solve_inner(beta_lo, beta_hi, tol, budget, threads, Some(sup))
-    }
-
-    fn solve_inner(
-        &self,
-        beta_lo: f64,
-        beta_hi: f64,
-        tol: f64,
-        budget: usize,
-        threads: usize,
-        sup: Option<&Supervisor>,
     ) -> Result<BetaSolve, CarbonError> {
         let _span = cordoba_obs::span_with(
             "core/beta_solve",
@@ -260,23 +209,19 @@ impl BetaSweep {
         // Supervision: a stop observed at a wave boundary ends the solve
         // with the transitions found so far, shaped exactly like budget
         // exhaustion.
-        let stopped = |sup: Option<&Supervisor>| {
-            sup.and_then(|s| s.should_stop().map(|reason| s.record_stop(reason)))
-        };
-        if stopped(sup).is_some() {
+        let stopped = || sup.should_stop().map(|reason| sup.record_stop(reason));
+        if stopped().is_some() {
             return not_converged(transitions, 0);
         }
         let lo_arg = argmin(beta_lo);
         let hi_arg = argmin(beta_hi);
         let mut evaluations = 2usize;
-        if let Some(s) = sup {
-            s.note_completed(2);
-        }
+        sup.note_completed(2);
 
         // Disputed intervals of the current wave, ascending in β.
         let mut pending = vec![(beta_lo, lo_arg, beta_hi, hi_arg)];
         while !pending.is_empty() {
-            if stopped(sup).is_some() {
+            if stopped().is_some() {
                 transitions.sort_by(|a, b| a.beta.total_cmp(&b.beta));
                 return not_converged(transitions, evaluations);
             }
@@ -307,9 +252,7 @@ impl BetaSweep {
                 .collect();
             let mid_args = cordoba_par::par_map_with(&mids, threads, |&beta| argmin(beta));
             evaluations += k;
-            if let Some(s) = sup {
-                s.note_completed(u64::try_from(k).unwrap_or(u64::MAX));
-            }
+            sup.note_completed(u64::try_from(k).unwrap_or(u64::MAX));
             if k < bisect.len() {
                 transitions.sort_by(|a, b| a.beta.total_cmp(&b.beta));
                 return not_converged(transitions, evaluations);
@@ -616,12 +559,10 @@ mod tests {
     #[test]
     fn supervised_solver_matches_unsupervised_when_unbounded() {
         let sweep = BetaSweep::run(&candidates());
-        let direct = sweep
-            .solve_transitions_with_threads(0.0, 1e4, 1e-6, 10_000, 2)
-            .unwrap();
+        let direct = sweep.solve_transitions(0.0, 1e4, 1e-6, 10_000).unwrap();
         let sup = Supervisor::unbounded();
         let supervised = sweep
-            .solve_transitions_supervised_with_threads(0.0, 1e4, 1e-6, 10_000, &sup, 2)
+            .solve_transitions_supervised(0.0, 1e4, 1e-6, 10_000, &sup, 2)
             .unwrap();
         assert_eq!(supervised, direct);
         assert!(sup.progress().completed >= 2);
@@ -635,7 +576,7 @@ mod tests {
         let sup = Supervisor::unbounded();
         sup.cancel();
         let stopped = sweep
-            .solve_transitions_supervised_with_threads(0.0, 1e4, 1e-6, 10_000, &sup, 1)
+            .solve_transitions_supervised(0.0, 1e4, 1e-6, 10_000, &sup, 1)
             .unwrap();
         assert!(!stopped.converged());
         assert!(stopped.transitions().is_empty());
@@ -643,7 +584,7 @@ mod tests {
         // boundary with the evaluations spent so far.
         let trip = Supervisor::tripping_after(2);
         let partial = sweep
-            .solve_transitions_supervised_with_threads(0.0, 1e4, 1e-6, 10_000, &trip, 1)
+            .solve_transitions_supervised(0.0, 1e4, 1e-6, 10_000, &trip, 1)
             .unwrap();
         match partial {
             BetaSolve::NotConverged { evaluations, .. } => assert_eq!(evaluations, 2),

@@ -109,12 +109,9 @@ pub mod prelude {
         SupervisedEval, SupervisedSweep, SweepCheckpoint,
     };
     pub use crate::uncertainty::{
-        context_for_embodied_share, domain_analysis, monte_carlo_regret,
-        monte_carlo_regret_supervised, monte_carlo_source_tcdp,
-        monte_carlo_source_tcdp_sampled_with_threads, monte_carlo_source_tcdp_supervised,
-        monte_carlo_source_tcdp_with_threads, monte_carlo_tcdp, monte_carlo_tcdp_supervised,
-        scenario_regret, tcdp_under_source, tcdp_under_source_sampled, DomainAnalysis, DomainClass,
-        MonteCarloSpec, MonteCarloSummary, SourceMonteCarloSpec, SupervisedMonteCarlo,
-        SupervisedRegret,
+        context_for_embodied_share, domain_analysis, monte_carlo_regret, monte_carlo_source_tcdp,
+        monte_carlo_tcdp, scenario_regret, tcdp_under_source, tcdp_under_source_sampled,
+        DomainAnalysis, DomainClass, McRun, MonteCarloSpec, MonteCarloSummary,
+        SourceMonteCarloSpec,
     };
 }

@@ -12,6 +12,7 @@ use cordoba_par::supervise::{Outcome, StopReason, Supervisor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::fmt;
 
 /// The computing domains of Fig. 6, distinguished by how much of their
 /// total carbon is embodied.
@@ -250,6 +251,19 @@ pub fn scenario_regret(
 /// matter which worker thread evaluates it.
 const MC_BLOCK: usize = 64;
 
+/// The generator and length of RNG block `block` of a `samples`-long
+/// stream seeded with `seed` (the last block may be short). The generator
+/// is a pure function of `(seed, block)`, which is what makes both Monte
+/// Carlo specs thread-agnostic.
+fn block_stream(seed: u64, samples: usize, block: u64) -> (StdRng, usize) {
+    let rng = StdRng::seed_from_u64(
+        seed ^ block
+            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            .wrapping_add(0x2545_f491_4f6c_dd1d),
+    );
+    (rng, MC_BLOCK.min(samples - block as usize * MC_BLOCK))
+}
+
 /// A reproducible Monte Carlo experiment over unknown `(N, CI_use)`
 /// scenarios (§VI-C's uncertainty, sampled instead of enumerated).
 ///
@@ -308,22 +322,9 @@ impl MonteCarloSpec {
         Ok(())
     }
 
-    /// The generator for RNG block `block` — a pure function of
-    /// `(seed, block)`, which is what makes the stream thread-agnostic.
-    fn block_rng(&self, block: u64) -> StdRng {
-        StdRng::seed_from_u64(
-            self.seed
-                ^ block
-                    .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-                    .wrapping_add(0x2545_f491_4f6c_dd1d),
-        )
-    }
-
-    /// The scenarios of block `block` (the last block may be short).
+    /// The scenarios of block `block`.
     fn block_scenarios(&self, block: u64) -> Vec<OperationalContext> {
-        let start = block as usize * MC_BLOCK;
-        let len = MC_BLOCK.min(self.samples - start);
-        let mut rng = self.block_rng(block);
+        let (mut rng, len) = block_stream(self.seed, self.samples, block);
         (0..len)
             .map(|_| {
                 let u: f64 = rng.gen();
@@ -337,10 +338,6 @@ impl MonteCarloSpec {
                 }
             })
             .collect()
-    }
-
-    fn blocks(&self) -> Vec<u64> {
-        (0..self.samples.div_ceil(MC_BLOCK) as u64).collect()
     }
 }
 
@@ -359,45 +356,29 @@ pub struct MonteCarloSummary {
     pub max: f64,
 }
 
-/// Per-block partial moments, combined sequentially in block order so the
-/// final statistics are bit-identical at every thread count.
-#[derive(Debug, Clone, PartialEq)]
-struct McPartial {
-    sum: f64,
-    sum_sq: f64,
-    min: f64,
-    max: f64,
+/// One block's partial moments `[sum, sum of squares, min, max]`.
+fn moments(values: impl Iterator<Item = f64>) -> Vec<f64> {
+    let (mut sum, mut sum_sq) = (0.0f64, 0.0f64);
+    let (mut min, mut max) = (f64::INFINITY, f64::NEG_INFINITY);
+    for value in values {
+        sum += value;
+        sum_sq += value * value;
+        min = min.min(value);
+        max = max.max(value);
+    }
+    vec![sum, sum_sq, min, max]
 }
 
-impl McPartial {
-    fn empty() -> Self {
-        Self {
-            sum: 0.0,
-            sum_sq: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    fn push(&mut self, value: f64) {
-        self.sum += value;
-        self.sum_sq += value * value;
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-    }
-}
-
-/// Folds per-block partials (in block order) into summary statistics.
-fn summarize(partials: Vec<McPartial>, samples: usize) -> MonteCarloSummary {
-    let mut sum = 0.0f64;
-    let mut sum_sq = 0.0f64;
-    let mut min = f64::INFINITY;
-    let mut max = f64::NEG_INFINITY;
-    for p in partials {
-        sum += p.sum;
-        sum_sq += p.sum_sq;
-        min = min.min(p.min);
-        max = max.max(p.max);
+/// Folds per-block [`moments`] sequentially in block order, so the final
+/// statistics are bit-identical at every thread count.
+fn fold_summary(partials: &[Option<Vec<f64>>], samples: usize) -> MonteCarloSummary {
+    let (mut sum, mut sum_sq) = (0.0f64, 0.0f64);
+    let (mut min, mut max) = (f64::INFINITY, f64::NEG_INFINITY);
+    for p in partials.iter().flatten() {
+        sum += p[0];
+        sum_sq += p[1];
+        min = min.min(p[2]);
+        max = max.max(p[3]);
     }
     let n = samples as f64;
     let mean = sum / n;
@@ -411,44 +392,35 @@ fn summarize(partials: Vec<McPartial>, samples: usize) -> MonteCarloSummary {
     }
 }
 
+/// Folds per-block regret sums in block order into per-design means.
+fn fold_regret(partials: &[Option<Vec<f64>>], samples: usize) -> Vec<f64> {
+    let width = partials.iter().flatten().next().map_or(0, Vec::len);
+    let mut totals = vec![0.0f64; width];
+    for sums in partials.iter().flatten() {
+        for (total, sum) in totals.iter_mut().zip(sums) {
+            *total += sum;
+        }
+    }
+    let n = samples as f64;
+    totals.iter_mut().for_each(|t| *t /= n);
+    totals
+}
+
 /// Samples the tCDP distribution of one design across the spec's scenario
 /// envelope.
 ///
 /// # Errors
 ///
 /// Returns an error for a zero-sample spec or invalid scenario bounds.
+///
+/// # Panics
+///
+/// Re-raises a panic from a block evaluation on the caller.
 pub fn monte_carlo_tcdp(
     point: &DesignPoint,
     spec: &MonteCarloSpec,
 ) -> Result<MonteCarloSummary, CarbonError> {
-    monte_carlo_tcdp_with_threads(point, spec, cordoba_par::effective_threads())
-}
-
-/// [`monte_carlo_tcdp`] with an explicit worker-thread count (1 = fully
-/// sequential). Results are bit-identical at every thread count.
-///
-/// # Errors
-///
-/// Returns an error for a zero-sample spec or invalid scenario bounds.
-pub fn monte_carlo_tcdp_with_threads(
-    point: &DesignPoint,
-    spec: &MonteCarloSpec,
-    threads: usize,
-) -> Result<MonteCarloSummary, CarbonError> {
-    let _span = cordoba_obs::span_with(
-        "core/monte_carlo_tcdp",
-        "samples",
-        u64::try_from(spec.samples).unwrap_or(u64::MAX),
-    );
-    spec.validate()?;
-    let partials = cordoba_par::par_map_with(&spec.blocks(), threads, |&block| {
-        let mut partial = McPartial::empty();
-        for ctx in spec.block_scenarios(block) {
-            partial.push(point.tcdp(&ctx).value());
-        }
-        partial
-    });
-    Ok(summarize(partials, spec.samples))
+    Ok(McRun::tcdp(point, spec)?.finish())
 }
 
 /// A reproducible Monte Carlo experiment over *time-varying* intensity
@@ -520,21 +492,9 @@ impl SourceMonteCarloSpec {
         Ok(())
     }
 
-    /// Same `(seed, block)` hashing as [`MonteCarloSpec::block_rng`].
-    fn block_rng(&self, block: u64) -> StdRng {
-        StdRng::seed_from_u64(
-            self.seed
-                ^ block
-                    .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-                    .wrapping_add(0x2545_f491_4f6c_dd1d),
-        )
-    }
-
     /// The `(source index, tasks, lifetime)` draws of block `block`.
     fn block_draws(&self, block: u64, n_sources: usize) -> Vec<(usize, f64, Seconds)> {
-        let start = block as usize * MC_BLOCK;
-        let len = MC_BLOCK.min(self.samples - start);
-        let mut rng = self.block_rng(block);
+        let (mut rng, len) = block_stream(self.seed, self.samples, block);
         (0..len)
             .map(|_| {
                 let u: f64 = rng.gen();
@@ -549,10 +509,6 @@ impl SourceMonteCarloSpec {
             })
             .collect()
     }
-
-    fn blocks(&self) -> Vec<u64> {
-        (0..self.samples.div_ceil(MC_BLOCK) as u64).collect()
-    }
 }
 
 /// Samples the tCDP distribution of one design across time-varying
@@ -563,86 +519,16 @@ impl SourceMonteCarloSpec {
 ///
 /// Returns an error for a zero-sample spec, an empty source set, or
 /// invalid scenario bounds.
+///
+/// # Panics
+///
+/// Re-raises a panic from a block evaluation on the caller.
 pub fn monte_carlo_source_tcdp(
     point: &DesignPoint,
     sources: &[&dyn CiIntegral],
     spec: &SourceMonteCarloSpec,
 ) -> Result<MonteCarloSummary, CarbonError> {
-    monte_carlo_source_tcdp_with_threads(point, sources, spec, cordoba_par::effective_threads())
-}
-
-/// [`monte_carlo_source_tcdp`] with an explicit worker-thread count (1 =
-/// fully sequential). Results are bit-identical at every thread count.
-///
-/// # Errors
-///
-/// Returns an error for a zero-sample spec, an empty source set, or
-/// invalid scenario bounds.
-pub fn monte_carlo_source_tcdp_with_threads(
-    point: &DesignPoint,
-    sources: &[&dyn CiIntegral],
-    spec: &SourceMonteCarloSpec,
-    threads: usize,
-) -> Result<MonteCarloSummary, CarbonError> {
-    let _span = cordoba_obs::span_with(
-        "core/monte_carlo_source_tcdp",
-        "samples",
-        u64::try_from(spec.samples).unwrap_or(u64::MAX),
-    );
-    spec.validate(sources.len())?;
-    let partials = cordoba_par::par_map_with(&spec.blocks(), threads, |&block| {
-        let mut partial = McPartial::empty();
-        for (idx, tasks, lifetime) in spec.block_draws(block, sources.len()) {
-            partial.push(tcdp_under_source(point, sources[idx], tasks, lifetime));
-        }
-        partial
-    });
-    Ok(summarize(partials, spec.samples))
-}
-
-/// The sampled executable spec of [`monte_carlo_source_tcdp_with_threads`]:
-/// identical draw stream, but each draw's lifetime mean is estimated with
-/// `samples_per_draw` midpoint lookups instead of the exact kernel.
-///
-/// Exists for convergence property tests and as the benchmark baseline; new
-/// code should use the exact variant.
-///
-/// # Errors
-///
-/// Returns an error for a zero-sample spec, an empty source set, invalid
-/// scenario bounds, or `samples_per_draw == 0`.
-pub fn monte_carlo_source_tcdp_sampled_with_threads(
-    point: &DesignPoint,
-    sources: &[&dyn CiIntegral],
-    spec: &SourceMonteCarloSpec,
-    samples_per_draw: usize,
-    threads: usize,
-) -> Result<MonteCarloSummary, CarbonError> {
-    let _span = cordoba_obs::span_with(
-        "core/monte_carlo_source_tcdp_sampled",
-        "samples",
-        u64::try_from(spec.samples).unwrap_or(u64::MAX),
-    );
-    spec.validate(sources.len())?;
-    if samples_per_draw == 0 {
-        return Err(CarbonError::Empty {
-            what: "integration samples per draw",
-        });
-    }
-    let partials = cordoba_par::par_map_with(&spec.blocks(), threads, |&block| {
-        let mut partial = McPartial::empty();
-        for (idx, tasks, lifetime) in spec.block_draws(block, sources.len()) {
-            partial.push(tcdp_under_source_sampled(
-                point,
-                sources[idx],
-                tasks,
-                lifetime,
-                samples_per_draw,
-            ));
-        }
-        partial
-    });
-    Ok(summarize(partials, spec.samples))
+    Ok(McRun::source(point, sources, spec)?.finish())
 }
 
 /// Mean tCDP regret of each design across sampled scenarios:
@@ -657,411 +543,225 @@ pub fn monte_carlo_source_tcdp_sampled_with_threads(
 ///
 /// Returns an error for an empty point list, a zero-sample spec, or
 /// invalid scenario bounds.
+///
+/// # Panics
+///
+/// Re-raises a panic from a block evaluation on the caller.
 pub fn monte_carlo_regret(
     points: &[DesignPoint],
     spec: &MonteCarloSpec,
 ) -> Result<Vec<f64>, CarbonError> {
-    monte_carlo_regret_with_threads(points, spec, cordoba_par::effective_threads())
+    Ok(McRun::regret(points, spec)?.finish())
 }
 
-/// [`monte_carlo_regret`] with an explicit worker-thread count (1 = fully
-/// sequential). Results are bit-identical at every thread count.
-///
-/// # Errors
-///
-/// Returns an error for an empty point list, a zero-sample spec, or
-/// invalid scenario bounds.
-pub fn monte_carlo_regret_with_threads(
-    points: &[DesignPoint],
-    spec: &MonteCarloSpec,
-    threads: usize,
-) -> Result<Vec<f64>, CarbonError> {
-    let _span = cordoba_obs::span_with(
-        "core/monte_carlo_regret",
-        "samples",
-        u64::try_from(spec.samples).unwrap_or(u64::MAX),
-    );
-    if points.is_empty() {
-        return Err(CarbonError::Empty {
-            what: "design points",
-        });
-    }
-    spec.validate()?;
-    let partials = cordoba_par::par_map_with(&spec.blocks(), threads, |&block| {
-        let mut regret_sums = vec![0.0f64; points.len()];
-        for ctx in spec.block_scenarios(block) {
-            let tcdps: Vec<f64> = points.iter().map(|p| p.tcdp(&ctx).value()).collect();
-            let best = tcdps.iter().copied().fold(f64::INFINITY, f64::min);
-            for (sum, tcdp) in regret_sums.iter_mut().zip(&tcdps) {
-                *sum += tcdp / best;
-            }
-        }
-        regret_sums
-    });
-    let mut totals = vec![0.0f64; points.len()];
-    for partial in partials {
-        for (total, sum) in totals.iter_mut().zip(partial) {
-            *total += sum;
-        }
-    }
-    let n = spec.samples as f64;
-    totals.iter_mut().for_each(|t| *t /= n);
-    Ok(totals)
-}
-
-/// Computes the still-pending RNG blocks of a supervised Monte Carlo run
-/// under `sup`, filling `slots` by block index. Returns the stop reason
-/// when interrupted; a panicking block becomes [`CoreError::Panicked`]
-/// (first panicking block in block order).
-fn advance_blocks<P, F>(
-    slots: &mut [Option<P>],
-    sup: &Supervisor,
-    threads: usize,
-    eval: F,
-) -> Result<Option<StopReason>, CoreError>
-where
-    P: Send,
-    F: Fn(u64) -> P + Sync,
-{
-    let pending: Vec<u64> = slots
-        .iter()
-        .enumerate()
-        .filter_map(|(i, s)| s.is_none().then_some(i as u64))
-        .collect();
-    if pending.is_empty() {
-        return Ok(None);
-    }
-    let run = cordoba_par::par_map_supervised_with(&pending, threads, sup, |_, &block| eval(block));
-    let mut first_panic: Option<String> = None;
-    for (&block, outcome) in pending.iter().zip(run.outcomes) {
-        match outcome {
-            Outcome::Done(partial) => slots[block as usize] = Some(partial),
-            Outcome::Panicked(message) => {
-                if first_panic.is_none() {
-                    first_panic = Some(message);
-                }
-            }
-            Outcome::Skipped => {}
-        }
-    }
-    if let Some(message) = first_panic {
-        return Err(CoreError::Panicked(message));
-    }
-    Ok(run.stop)
-}
-
-/// A supervised Monte Carlo experiment in flight: per-RNG-block partial
-/// moments keyed by block index, resumable until every block is computed.
+/// A Monte Carlo experiment in flight: per-RNG-block partials keyed by
+/// block index, computed under a [`Supervisor`] by [`McRun::advance`],
+/// which both starts and resumes the run. `O` is the folded result:
+/// [`MonteCarloSummary`] for the tCDP experiments, per-design mean regrets
+/// for [`McRun::regret`].
 ///
 /// Blocks are the experiment's unit of supervision *and* of determinism
 /// (each block's scenarios are a pure function of `(seed, block)`), so a
-/// run interrupted at any block boundary and resumed — even at a different
-/// thread count — folds to the same [`MonteCarloSummary`] bits as an
-/// uninterrupted run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SupervisedMonteCarlo {
+/// run interrupted at any block boundary and advanced again — even at a
+/// different thread count — folds to the same bits as an uninterrupted
+/// run. The run borrows its inputs at construction, so an advance cannot
+/// mix blocks of different designs, sources, specs, or experiments.
+///
+/// The plain functions ([`monte_carlo_tcdp`], [`monte_carlo_source_tcdp`],
+/// [`monte_carlo_regret`]) are this run advanced once under a supervisor
+/// that never trips.
+pub struct McRun<'a, O> {
+    span: &'static str,
     samples: usize,
-    partials: Vec<Option<McPartial>>,
-    stop: Option<StopReason>,
-}
-
-impl SupervisedMonteCarlo {
-    fn fresh(samples: usize, blocks: usize) -> Self {
-        Self {
-            samples,
-            partials: vec![None; blocks],
-            stop: None,
-        }
-    }
-
-    fn check_spec(&self, samples: usize, blocks: usize) -> Result<(), CoreError> {
-        if samples != self.samples || blocks != self.partials.len() {
-            return Err(CoreError::Supervision(format!(
-                "resume spec has {samples} samples / {blocks} blocks but the run was started \
-                 with {} samples / {} blocks",
-                self.samples,
-                self.partials.len()
-            )));
-        }
-        Ok(())
-    }
-
-    /// Why the last run/resume stopped early, or `None` when complete.
-    #[must_use]
-    pub fn stop(&self) -> Option<StopReason> {
-        self.stop
-    }
-
-    /// `true` when every RNG block has been computed.
-    #[must_use]
-    pub fn is_complete(&self) -> bool {
-        self.stop.is_none()
-    }
-
-    /// RNG blocks computed so far.
-    #[must_use]
-    pub fn completed_blocks(&self) -> usize {
-        self.partials.iter().filter(|p| p.is_some()).count()
-    }
-
-    /// Total RNG blocks in the experiment.
-    #[must_use]
-    pub fn total_blocks(&self) -> usize {
-        self.partials.len()
-    }
-
-    /// Completed fraction in `[0, 1]`.
-    #[must_use]
-    pub fn coverage(&self) -> f64 {
-        if self.partials.is_empty() {
-            return 1.0;
-        }
-        self.completed_blocks() as f64 / self.partials.len() as f64
-    }
-
-    /// The folded summary statistics, or `None` while blocks are pending.
-    #[must_use]
-    pub fn summary(&self) -> Option<MonteCarloSummary> {
-        if !self.is_complete() {
-            return None;
-        }
-        let partials: Option<Vec<McPartial>> = self.partials.iter().cloned().collect();
-        Some(summarize(partials?, self.samples))
-    }
-
-    /// Computes the still-pending blocks of a constant-CI experiment
-    /// ([`monte_carlo_tcdp_supervised`]) under `sup`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Supervision`] when `spec` does not match the
-    /// run this state came from, and [`CoreError::Panicked`] when a block
-    /// evaluation panics.
-    pub fn resume_tcdp_with_threads(
-        &mut self,
-        point: &DesignPoint,
-        spec: &MonteCarloSpec,
-        sup: &Supervisor,
-        threads: usize,
-    ) -> Result<(), CoreError> {
-        self.check_spec(spec.samples, spec.blocks().len())?;
-        self.stop = advance_blocks(&mut self.partials, sup, threads, |block| {
-            let mut partial = McPartial::empty();
-            for ctx in spec.block_scenarios(block) {
-                partial.push(point.tcdp(&ctx).value());
-            }
-            partial
-        })?;
-        Ok(())
-    }
-
-    /// Computes the still-pending blocks of a time-varying-source
-    /// experiment ([`monte_carlo_source_tcdp_supervised`]) under `sup`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Supervision`] when `spec` does not match the
-    /// run this state came from, and [`CoreError::Panicked`] when a block
-    /// evaluation panics.
-    pub fn resume_source_with_threads(
-        &mut self,
-        point: &DesignPoint,
-        sources: &[&dyn CiIntegral],
-        spec: &SourceMonteCarloSpec,
-        sup: &Supervisor,
-        threads: usize,
-    ) -> Result<(), CoreError> {
-        self.check_spec(spec.samples, spec.blocks().len())?;
-        self.stop = advance_blocks(&mut self.partials, sup, threads, |block| {
-            let mut partial = McPartial::empty();
-            for (idx, tasks, lifetime) in spec.block_draws(block, sources.len()) {
-                partial.push(tcdp_under_source(point, sources[idx], tasks, lifetime));
-            }
-            partial
-        })?;
-        Ok(())
-    }
-
-    /// Computes the still-pending blocks of a sampled-integration
-    /// experiment ([`monte_carlo_source_tcdp_sampled_supervised_with_threads`])
-    /// under `sup`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Supervision`] when `spec` does not match the
-    /// run this state came from, and [`CoreError::Panicked`] when a block
-    /// evaluation panics.
-    pub fn resume_source_sampled_with_threads(
-        &mut self,
-        point: &DesignPoint,
-        sources: &[&dyn CiIntegral],
-        spec: &SourceMonteCarloSpec,
-        samples_per_draw: usize,
-        sup: &Supervisor,
-        threads: usize,
-    ) -> Result<(), CoreError> {
-        self.check_spec(spec.samples, spec.blocks().len())?;
-        self.stop = advance_blocks(&mut self.partials, sup, threads, |block| {
-            let mut partial = McPartial::empty();
-            for (idx, tasks, lifetime) in spec.block_draws(block, sources.len()) {
-                partial.push(tcdp_under_source_sampled(
-                    point,
-                    sources[idx],
-                    tasks,
-                    lifetime,
-                    samples_per_draw,
-                ));
-            }
-            partial
-        })?;
-        Ok(())
-    }
-}
-
-/// [`monte_carlo_tcdp`] under a [`Supervisor`]: evaluation stops on
-/// cancellation or deadline exhaustion at an RNG-block boundary and the
-/// returned state resumes via
-/// [`SupervisedMonteCarlo::resume_tcdp_with_threads`]. A worker panic is
-/// isolated per block and surfaced as [`CoreError::Panicked`].
-///
-/// # Errors
-///
-/// Returns an error for a zero-sample spec, invalid scenario bounds, or a
-/// panicking block evaluation.
-pub fn monte_carlo_tcdp_supervised(
-    point: &DesignPoint,
-    spec: &MonteCarloSpec,
-    sup: &Supervisor,
-) -> Result<SupervisedMonteCarlo, CoreError> {
-    monte_carlo_tcdp_supervised_with_threads(point, spec, sup, cordoba_par::effective_threads())
-}
-
-/// [`monte_carlo_tcdp_supervised`] with an explicit worker-thread count
-/// (1 = fully sequential). Completed blocks are bit-identical at every
-/// thread count.
-///
-/// # Errors
-///
-/// See [`monte_carlo_tcdp_supervised`].
-pub fn monte_carlo_tcdp_supervised_with_threads(
-    point: &DesignPoint,
-    spec: &MonteCarloSpec,
-    sup: &Supervisor,
-    threads: usize,
-) -> Result<SupervisedMonteCarlo, CoreError> {
-    let _span = cordoba_obs::span_with(
-        "core/monte_carlo_tcdp_supervised",
-        "samples",
-        u64::try_from(spec.samples).unwrap_or(u64::MAX),
-    );
-    spec.validate()?;
-    let mut mc = SupervisedMonteCarlo::fresh(spec.samples, spec.blocks().len());
-    mc.resume_tcdp_with_threads(point, spec, sup, threads)?;
-    Ok(mc)
-}
-
-/// [`monte_carlo_source_tcdp`] under a [`Supervisor`]; resumes via
-/// [`SupervisedMonteCarlo::resume_source_with_threads`].
-///
-/// # Errors
-///
-/// Returns an error for a zero-sample spec, an empty source set, invalid
-/// scenario bounds, or a panicking block evaluation.
-pub fn monte_carlo_source_tcdp_supervised(
-    point: &DesignPoint,
-    sources: &[&dyn CiIntegral],
-    spec: &SourceMonteCarloSpec,
-    sup: &Supervisor,
-) -> Result<SupervisedMonteCarlo, CoreError> {
-    monte_carlo_source_tcdp_supervised_with_threads(
-        point,
-        sources,
-        spec,
-        sup,
-        cordoba_par::effective_threads(),
-    )
-}
-
-/// [`monte_carlo_source_tcdp_supervised`] with an explicit worker-thread
-/// count (1 = fully sequential). Completed blocks are bit-identical at
-/// every thread count.
-///
-/// # Errors
-///
-/// See [`monte_carlo_source_tcdp_supervised`].
-pub fn monte_carlo_source_tcdp_supervised_with_threads(
-    point: &DesignPoint,
-    sources: &[&dyn CiIntegral],
-    spec: &SourceMonteCarloSpec,
-    sup: &Supervisor,
-    threads: usize,
-) -> Result<SupervisedMonteCarlo, CoreError> {
-    let _span = cordoba_obs::span_with(
-        "core/monte_carlo_source_tcdp_supervised",
-        "samples",
-        u64::try_from(spec.samples).unwrap_or(u64::MAX),
-    );
-    spec.validate(sources.len())?;
-    let mut mc = SupervisedMonteCarlo::fresh(spec.samples, spec.blocks().len());
-    mc.resume_source_with_threads(point, sources, spec, sup, threads)?;
-    Ok(mc)
-}
-
-/// [`monte_carlo_source_tcdp_sampled_with_threads`] under a [`Supervisor`];
-/// resumes via
-/// [`SupervisedMonteCarlo::resume_source_sampled_with_threads`].
-///
-/// # Errors
-///
-/// Returns an error for a zero-sample spec, an empty source set, invalid
-/// scenario bounds, `samples_per_draw == 0`, or a panicking block
-/// evaluation.
-pub fn monte_carlo_source_tcdp_sampled_supervised_with_threads(
-    point: &DesignPoint,
-    sources: &[&dyn CiIntegral],
-    spec: &SourceMonteCarloSpec,
-    samples_per_draw: usize,
-    sup: &Supervisor,
-    threads: usize,
-) -> Result<SupervisedMonteCarlo, CoreError> {
-    let _span = cordoba_obs::span_with(
-        "core/monte_carlo_source_tcdp_sampled_supervised",
-        "samples",
-        u64::try_from(spec.samples).unwrap_or(u64::MAX),
-    );
-    spec.validate(sources.len())?;
-    if samples_per_draw == 0 {
-        return Err(CoreError::Carbon(CarbonError::Empty {
-            what: "integration samples per draw",
-        }));
-    }
-    let mut mc = SupervisedMonteCarlo::fresh(spec.samples, spec.blocks().len());
-    mc.resume_source_sampled_with_threads(point, sources, spec, samples_per_draw, sup, threads)?;
-    Ok(mc)
-}
-
-/// A supervised regret experiment in flight: per-RNG-block regret sums
-/// keyed by block index, resumable until every block is computed. Folds to
-/// bits identical to [`monte_carlo_regret_with_threads`] once complete.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SupervisedRegret {
-    n_points: usize,
-    samples: usize,
+    block: Box<dyn Fn(u64) -> Vec<f64> + Sync + 'a>,
+    fold: fn(&[Option<Vec<f64>>], usize) -> O,
     partials: Vec<Option<Vec<f64>>>,
     stop: Option<StopReason>,
 }
 
-impl SupervisedRegret {
-    /// Why the last run/resume stopped early, or `None` when complete.
+impl<O> fmt::Debug for McRun<'_, O> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("McRun")
+            .field("span", &self.span)
+            .field("samples", &self.samples)
+            .field("completed_blocks", &self.completed_blocks())
+            .field("total_blocks", &self.total_blocks())
+            .field("stop", &self.stop)
+            .finish_non_exhaustive()
+    }
+}
+
+impl<'a> McRun<'a, MonteCarloSummary> {
+    /// The tCDP distribution of `point` across the spec's constant-CI
+    /// scenarios.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error for a zero-sample spec or invalid scenario bounds.
+    pub fn tcdp(point: &'a DesignPoint, spec: &MonteCarloSpec) -> Result<Self, CarbonError> {
+        spec.validate()?;
+        let spec = *spec;
+        Ok(Self::new(
+            "core/monte_carlo_tcdp",
+            spec.samples,
+            fold_summary,
+            move |block| {
+                moments(
+                    spec.block_scenarios(block)
+                        .iter()
+                        .map(|ctx| point.tcdp(ctx).value()),
+                )
+            },
+        ))
+    }
+
+    /// The tCDP distribution of `point` across time-varying `sources`,
+    /// each draw's lifetime mean from the exact integration kernel.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error for a zero-sample spec, an empty source set, or
+    /// invalid scenario bounds.
+    pub fn source(
+        point: &'a DesignPoint,
+        sources: &'a [&'a dyn CiIntegral],
+        spec: &SourceMonteCarloSpec,
+    ) -> Result<Self, CarbonError> {
+        spec.validate(sources.len())?;
+        let spec = *spec;
+        Ok(Self::new(
+            "core/monte_carlo_source_tcdp",
+            spec.samples,
+            fold_summary,
+            move |block| {
+                moments(
+                    spec.block_draws(block, sources.len())
+                        .into_iter()
+                        .map(|(idx, tasks, life)| {
+                            tcdp_under_source(point, sources[idx], tasks, life)
+                        }),
+                )
+            },
+        ))
+    }
+
+    /// The sampled executable spec of [`McRun::source`]: identical draw
+    /// stream, but each draw's lifetime mean is estimated with
+    /// `samples_per_draw` midpoint lookups instead of the exact kernel.
+    ///
+    /// Exists for convergence property tests and as the benchmark
+    /// baseline; new code should use the exact variant.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error for a zero-sample spec, an empty source set,
+    /// invalid scenario bounds, or `samples_per_draw == 0`.
+    pub fn source_sampled(
+        point: &'a DesignPoint,
+        sources: &'a [&'a dyn CiIntegral],
+        spec: &SourceMonteCarloSpec,
+        samples_per_draw: usize,
+    ) -> Result<Self, CarbonError> {
+        spec.validate(sources.len())?;
+        if samples_per_draw == 0 {
+            return Err(CarbonError::Empty {
+                what: "integration samples per draw",
+            });
+        }
+        let spec = *spec;
+        let span = "core/monte_carlo_source_tcdp_sampled";
+        Ok(Self::new(span, spec.samples, fold_summary, move |block| {
+            moments(
+                spec.block_draws(block, sources.len())
+                    .into_iter()
+                    .map(|(idx, tasks, life)| {
+                        tcdp_under_source_sampled(
+                            point,
+                            sources[idx],
+                            tasks,
+                            life,
+                            samples_per_draw,
+                        )
+                    }),
+            )
+        }))
+    }
+}
+
+impl<'a> McRun<'a, Vec<f64>> {
+    /// The mean tCDP regret of each of `points` across the spec's
+    /// scenarios (see [`monte_carlo_regret`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns an error for an empty point list, a zero-sample spec, or
+    /// invalid scenario bounds.
+    pub fn regret(points: &'a [DesignPoint], spec: &MonteCarloSpec) -> Result<Self, CarbonError> {
+        if points.is_empty() {
+            return Err(CarbonError::Empty {
+                what: "design points",
+            });
+        }
+        spec.validate()?;
+        let spec = *spec;
+        Ok(Self::new(
+            "core/monte_carlo_regret",
+            spec.samples,
+            fold_regret,
+            move |block| {
+                let mut regret_sums = vec![0.0f64; points.len()];
+                for ctx in spec.block_scenarios(block) {
+                    let tcdps: Vec<f64> = points.iter().map(|p| p.tcdp(&ctx).value()).collect();
+                    let best = tcdps.iter().copied().fold(f64::INFINITY, f64::min);
+                    for (sum, tcdp) in regret_sums.iter_mut().zip(&tcdps) {
+                        *sum += tcdp / best;
+                    }
+                }
+                regret_sums
+            },
+        ))
+    }
+}
+
+impl<'a, O> McRun<'a, O> {
+    fn new(
+        span: &'static str,
+        samples: usize,
+        fold: fn(&[Option<Vec<f64>>], usize) -> O,
+        block: impl Fn(u64) -> Vec<f64> + Sync + 'a,
+    ) -> Self {
+        Self {
+            span,
+            samples,
+            block: Box::new(block),
+            fold,
+            partials: vec![None; samples.div_ceil(MC_BLOCK)],
+            stop: None,
+        }
+    }
+
+    /// Computes the still-pending RNG blocks under `sup` and returns the
+    /// folded result once every block is done (`None` while the run is
+    /// interrupted). Completed blocks are bit-identical at every thread
+    /// count (1 = fully sequential).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::Panicked`] with the first (in block order)
+    /// panicking block's message; that block stays pending.
+    pub fn advance(&mut self, sup: &Supervisor, threads: usize) -> Result<Option<O>, CoreError> {
+        if let Some(message) = self.run_pending(sup, threads) {
+            return Err(CoreError::Panicked(message));
+        }
+        Ok((self.completed_blocks() == self.total_blocks())
+            .then(|| (self.fold)(&self.partials, self.samples)))
+    }
+
+    /// Why the last advance stopped early, or `None` if it was not
+    /// interrupted.
     #[must_use]
     pub fn stop(&self) -> Option<StopReason> {
         self.stop
-    }
-
-    /// `true` when every RNG block has been computed.
-    #[must_use]
-    pub fn is_complete(&self) -> bool {
-        self.stop.is_none()
     }
 
     /// RNG blocks computed so far.
@@ -1076,113 +776,45 @@ impl SupervisedRegret {
         self.partials.len()
     }
 
-    /// The per-design mean regrets, or `None` while blocks are pending.
-    #[must_use]
-    pub fn regrets(&self) -> Option<Vec<f64>> {
-        if !self.is_complete() {
-            return None;
-        }
-        let mut totals = vec![0.0f64; self.n_points];
-        for partial in &self.partials {
-            let sums = partial.as_ref()?;
-            for (total, sum) in totals.iter_mut().zip(sums) {
-                *total += sum;
-            }
-        }
-        let n = self.samples as f64;
-        totals.iter_mut().for_each(|t| *t /= n);
-        Some(totals)
-    }
-
-    /// Computes the still-pending blocks under `sup`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Supervision`] when `points`/`spec` do not match
-    /// the run this state came from, and [`CoreError::Panicked`] when a
-    /// block evaluation panics.
-    pub fn resume_with_threads(
-        &mut self,
-        points: &[DesignPoint],
-        spec: &MonteCarloSpec,
-        sup: &Supervisor,
-        threads: usize,
-    ) -> Result<(), CoreError> {
-        if points.len() != self.n_points
-            || spec.samples != self.samples
-            || spec.blocks().len() != self.partials.len()
+    /// Runs every block under a supervisor that never trips at
+    /// [`cordoba_par::effective_threads`]; a panicking block re-raises on
+    /// the caller, as an unsupervised map would.
+    fn finish(mut self) -> O {
+        if let Some(message) =
+            self.run_pending(&Supervisor::unbounded(), cordoba_par::effective_threads())
         {
-            return Err(CoreError::Supervision(format!(
-                "resume got {} points / {} samples but the run was started with {} points / {} \
-                 samples",
-                points.len(),
-                spec.samples,
-                self.n_points,
-                self.samples
-            )));
+            std::panic::resume_unwind(Box::new(message));
         }
-        self.stop = advance_blocks(&mut self.partials, sup, threads, |block| {
-            let mut regret_sums = vec![0.0f64; points.len()];
-            for ctx in spec.block_scenarios(block) {
-                let tcdps: Vec<f64> = points.iter().map(|p| p.tcdp(&ctx).value()).collect();
-                let best = tcdps.iter().copied().fold(f64::INFINITY, f64::min);
-                for (sum, tcdp) in regret_sums.iter_mut().zip(&tcdps) {
-                    *sum += tcdp / best;
+        (self.fold)(&self.partials, self.samples)
+    }
+
+    /// Computes the pending blocks under `sup`, filling slots by block
+    /// index; returns the first panicking block's message in block order.
+    fn run_pending(&mut self, sup: &Supervisor, threads: usize) -> Option<String> {
+        let _span = cordoba_obs::span_with(
+            self.span,
+            "samples",
+            u64::try_from(self.samples).unwrap_or(u64::MAX),
+        );
+        let pending: Vec<u64> = (0u64..)
+            .zip(&self.partials)
+            .filter_map(|(block, p)| p.is_none().then_some(block))
+            .collect();
+        let block = &self.block;
+        let run = cordoba_par::par_map_supervised_with(&pending, threads, sup, |_, &b| block(b));
+        self.stop = run.stop;
+        let mut first_panic = None;
+        for (&b, outcome) in pending.iter().zip(run.outcomes) {
+            match outcome {
+                Outcome::Done(partial) => self.partials[b as usize] = Some(partial),
+                Outcome::Panicked(message) => {
+                    first_panic.get_or_insert(message);
                 }
+                Outcome::Skipped => {}
             }
-            regret_sums
-        })?;
-        Ok(())
+        }
+        first_panic
     }
-}
-
-/// [`monte_carlo_regret`] under a [`Supervisor`]; resumes via
-/// [`SupervisedRegret::resume_with_threads`].
-///
-/// # Errors
-///
-/// Returns an error for an empty point list, a zero-sample spec, invalid
-/// scenario bounds, or a panicking block evaluation.
-pub fn monte_carlo_regret_supervised(
-    points: &[DesignPoint],
-    spec: &MonteCarloSpec,
-    sup: &Supervisor,
-) -> Result<SupervisedRegret, CoreError> {
-    monte_carlo_regret_supervised_with_threads(points, spec, sup, cordoba_par::effective_threads())
-}
-
-/// [`monte_carlo_regret_supervised`] with an explicit worker-thread count
-/// (1 = fully sequential). Completed blocks are bit-identical at every
-/// thread count.
-///
-/// # Errors
-///
-/// See [`monte_carlo_regret_supervised`].
-pub fn monte_carlo_regret_supervised_with_threads(
-    points: &[DesignPoint],
-    spec: &MonteCarloSpec,
-    sup: &Supervisor,
-    threads: usize,
-) -> Result<SupervisedRegret, CoreError> {
-    let _span = cordoba_obs::span_with(
-        "core/monte_carlo_regret_supervised",
-        "samples",
-        u64::try_from(spec.samples).unwrap_or(u64::MAX),
-    );
-    if points.is_empty() {
-        return Err(CoreError::Carbon(CarbonError::Empty {
-            what: "design points",
-        }));
-    }
-    spec.validate()?;
-    let mut regret = SupervisedRegret {
-        n_points: points.len(),
-        samples: spec.samples,
-        partials: vec![None; spec.blocks().len()],
-        stop: None,
-    };
-    regret.resume_with_threads(points, spec, sup, threads)?;
-    Ok(regret)
 }
 
 #[cfg(test)]
@@ -1301,18 +933,25 @@ mod tests {
         );
     }
 
+    /// Advances `run` to completion under a supervisor that never trips.
+    fn complete<O>(mut run: McRun<'_, O>, threads: usize) -> O {
+        run.advance(&Supervisor::unbounded(), threads)
+            .unwrap()
+            .expect("an unbounded supervisor completes the run")
+    }
+
     #[test]
     fn monte_carlo_is_bit_identical_across_thread_counts() {
         let p = point("x", 1.0, 2.0, 500.0);
-        // 200 samples spans four RNG blocks, so multi-thread runs really
-        // do split the work.
-        let spec = MonteCarloSpec::new(200, 42);
-        let base = monte_carlo_tcdp_with_threads(&p, &spec, 1).unwrap();
+        // 1,300 samples span 21 RNG blocks, past the parallel cutoff, so
+        // multi-thread runs really do split the work.
+        let spec = MonteCarloSpec::new(1_300, 42);
+        let base = complete(McRun::tcdp(&p, &spec).unwrap(), 1);
         for threads in [2, 4, 16] {
-            let par = monte_carlo_tcdp_with_threads(&p, &spec, threads).unwrap();
+            let par = complete(McRun::tcdp(&p, &spec).unwrap(), threads);
             assert_eq!(base, par, "threads = {threads}");
         }
-        assert_eq!(base.samples, 200);
+        assert_eq!(base.samples, 1_300);
         assert!(base.min > 0.0);
         assert!(base.min <= base.mean && base.mean <= base.max);
         assert!(base.std_dev > 0.0);
@@ -1345,7 +984,7 @@ mod tests {
         let best = regret.iter().copied().fold(f64::INFINITY, f64::min);
         assert!(regret[4] > best, "huge should not be the robust choice");
         // And parallel evaluation changes nothing.
-        let seq = monte_carlo_regret_with_threads(&pts, &spec, 1).unwrap();
+        let seq = complete(McRun::regret(&pts, &spec).unwrap(), 1);
         assert_eq!(regret, seq);
     }
 
@@ -1392,14 +1031,14 @@ mod tests {
         let p = point("x", 1.0, 2.0, 500.0);
         let (coal, trend) = source_set();
         let sources: [&dyn CiIntegral; 2] = [&coal, &trend];
-        // 200 samples spans four RNG blocks.
-        let spec = SourceMonteCarloSpec::new(200, 42);
-        let base = monte_carlo_source_tcdp_with_threads(&p, &sources, &spec, 1).unwrap();
+        // 1,300 samples span 21 RNG blocks.
+        let spec = SourceMonteCarloSpec::new(1_300, 42);
+        let base = complete(McRun::source(&p, &sources, &spec).unwrap(), 1);
         for threads in [2, 4, 16] {
-            let par = monte_carlo_source_tcdp_with_threads(&p, &sources, &spec, threads).unwrap();
+            let par = complete(McRun::source(&p, &sources, &spec).unwrap(), threads);
             assert_eq!(base, par, "threads = {threads}");
         }
-        assert_eq!(base.samples, 200);
+        assert_eq!(base.samples, 1_300);
         assert!(base.min > 0.0);
         assert!(base.min <= base.mean && base.mean <= base.max);
         assert!(base.std_dev > 0.0);
@@ -1428,10 +1067,11 @@ mod tests {
         let spec = SourceMonteCarloSpec::new(128, 9);
         let exact = monte_carlo_source_tcdp(&p, &sources, &spec).unwrap();
         // Same draw stream, so the only difference is integration error.
-        let coarse =
-            monte_carlo_source_tcdp_sampled_with_threads(&p, &sources, &spec, 16, 1).unwrap();
-        let fine =
-            monte_carlo_source_tcdp_sampled_with_threads(&p, &sources, &spec, 4_096, 1).unwrap();
+        let coarse = complete(McRun::source_sampled(&p, &sources, &spec, 16).unwrap(), 1);
+        let fine = complete(
+            McRun::source_sampled(&p, &sources, &spec, 4_096).unwrap(),
+            1,
+        );
         let coarse_err = (coarse.mean - exact.mean).abs() / exact.mean;
         let fine_err = (fine.mean - exact.mean).abs() / exact.mean;
         assert!(fine_err <= coarse_err);
@@ -1451,25 +1091,18 @@ mod tests {
         let mut bad = SourceMonteCarloSpec::new(10, 1);
         bad.tasks_log10_hi = bad.tasks_log10_lo - 1.0;
         assert!(monte_carlo_source_tcdp(&p, &sources, &bad).is_err());
-        assert!(monte_carlo_source_tcdp_sampled_with_threads(
-            &p,
-            &sources,
-            &SourceMonteCarloSpec::new(10, 1),
-            0,
-            1
-        )
-        .is_err());
+        assert!(McRun::source_sampled(&p, &sources, &SourceMonteCarloSpec::new(10, 1), 0).is_err());
     }
 
     #[test]
     fn supervised_monte_carlo_matches_unsupervised_when_unbounded() {
         let p = point("x", 1.0, 2.0, 500.0);
         let spec = MonteCarloSpec::new(300, 11);
-        let direct = monte_carlo_tcdp_with_threads(&p, &spec, 2).unwrap();
-        let sup = Supervisor::unbounded();
-        let mc = monte_carlo_tcdp_supervised_with_threads(&p, &spec, &sup, 2).unwrap();
-        assert!(mc.is_complete());
-        assert_eq!(mc.summary().unwrap(), direct);
+        let direct = monte_carlo_tcdp(&p, &spec).unwrap();
+        let mut run = McRun::tcdp(&p, &spec).unwrap();
+        let summary = run.advance(&Supervisor::unbounded(), 2).unwrap();
+        assert_eq!(run.stop(), None);
+        assert_eq!(summary, Some(direct));
     }
 
     #[test]
@@ -1477,17 +1110,16 @@ mod tests {
         let p = point("x", 1.0, 2.0, 500.0);
         // 300 samples = 5 blocks of 64 (last short).
         let spec = MonteCarloSpec::new(300, 11);
-        let direct = monte_carlo_tcdp_with_threads(&p, &spec, 1).unwrap();
+        let direct = monte_carlo_tcdp(&p, &spec).unwrap();
         for trip in [0u64, 1, 3] {
-            let sup = Supervisor::tripping_after(trip);
-            let mut mc = monte_carlo_tcdp_supervised_with_threads(&p, &spec, &sup, 1).unwrap();
+            let mut mc = McRun::tcdp(&p, &spec).unwrap();
+            let partial = mc.advance(&Supervisor::tripping_after(trip), 1).unwrap();
             assert_eq!(mc.stop(), Some(StopReason::Cancelled), "trip {trip}");
             assert_eq!(mc.completed_blocks(), trip as usize);
-            assert!(mc.summary().is_none());
-            mc.resume_tcdp_with_threads(&p, &spec, &Supervisor::unbounded(), 2)
-                .unwrap();
-            assert!(mc.is_complete());
-            assert_eq!(mc.summary().unwrap(), direct, "trip {trip}");
+            assert!(partial.is_none());
+            let resumed = mc.advance(&Supervisor::unbounded(), 2).unwrap();
+            assert_eq!(mc.stop(), None);
+            assert_eq!(resumed, Some(direct), "trip {trip}");
         }
     }
 
@@ -1497,66 +1129,83 @@ mod tests {
         let (coal, trend) = source_set();
         let sources: [&dyn CiIntegral; 2] = [&coal, &trend];
         let spec = SourceMonteCarloSpec::new(200, 7);
-        let exact = monte_carlo_source_tcdp_with_threads(&p, &sources, &spec, 1).unwrap();
-        let sup = Supervisor::tripping_after(1);
-        let mut mc =
-            monte_carlo_source_tcdp_supervised_with_threads(&p, &sources, &spec, &sup, 1).unwrap();
-        assert!(!mc.is_complete());
-        mc.resume_source_with_threads(&p, &sources, &spec, &Supervisor::unbounded(), 2)
-            .unwrap();
-        assert_eq!(mc.summary().unwrap(), exact);
+        let exact = monte_carlo_source_tcdp(&p, &sources, &spec).unwrap();
+        let mut mc = McRun::source(&p, &sources, &spec).unwrap();
+        assert!(mc
+            .advance(&Supervisor::tripping_after(1), 1)
+            .unwrap()
+            .is_none());
+        let resumed = mc.advance(&Supervisor::unbounded(), 2).unwrap();
+        assert_eq!(resumed, Some(exact));
         // Sampled-integration path, same shape.
-        let sampled =
-            monte_carlo_source_tcdp_sampled_with_threads(&p, &sources, &spec, 16, 1).unwrap();
-        let sup = Supervisor::tripping_after(2);
-        let mut mc = monte_carlo_source_tcdp_sampled_supervised_with_threads(
-            &p, &sources, &spec, 16, &sup, 1,
-        )
-        .unwrap();
-        mc.resume_source_sampled_with_threads(&p, &sources, &spec, 16, &Supervisor::unbounded(), 1)
-            .unwrap();
-        assert_eq!(mc.summary().unwrap(), sampled);
+        let sampled = complete(McRun::source_sampled(&p, &sources, &spec, 16).unwrap(), 1);
+        let mut mc = McRun::source_sampled(&p, &sources, &spec, 16).unwrap();
+        assert!(mc
+            .advance(&Supervisor::tripping_after(2), 1)
+            .unwrap()
+            .is_none());
+        let resumed = mc.advance(&Supervisor::unbounded(), 1).unwrap();
+        assert_eq!(resumed, Some(sampled));
     }
 
     #[test]
     fn supervised_regret_resumes_exactly() {
         let pts = space();
         let spec = MonteCarloSpec::new(256, 3);
-        let direct = monte_carlo_regret_with_threads(&pts, &spec, 1).unwrap();
-        let sup = Supervisor::tripping_after(2);
-        let mut regret = monte_carlo_regret_supervised_with_threads(&pts, &spec, &sup, 1).unwrap();
+        let direct = monte_carlo_regret(&pts, &spec).unwrap();
+        let mut regret = McRun::regret(&pts, &spec).unwrap();
+        let partial = regret.advance(&Supervisor::tripping_after(2), 1).unwrap();
         assert_eq!(regret.stop(), Some(StopReason::Cancelled));
         assert_eq!(regret.completed_blocks(), 2);
         assert_eq!(regret.total_blocks(), 4);
-        assert!(regret.regrets().is_none());
-        regret
-            .resume_with_threads(&pts, &spec, &Supervisor::unbounded(), 2)
-            .unwrap();
-        assert_eq!(regret.regrets().unwrap(), direct);
+        assert!(partial.is_none());
+        let resumed = regret.advance(&Supervisor::unbounded(), 2).unwrap();
+        assert_eq!(resumed, Some(direct));
+    }
+
+    /// A source whose every lookup panics, standing in for a faulty
+    /// integration kernel.
+    #[derive(Debug)]
+    struct PanickingSource;
+
+    impl CiSource for PanickingSource {
+        fn at(&self, _t: Seconds) -> CarbonIntensity {
+            panic!("poisoned source");
+        }
+    }
+
+    impl CiIntegral for PanickingSource {
+        fn integral_over(
+            &self,
+            _t0: Seconds,
+            _t1: Seconds,
+        ) -> cordoba_carbon::units::CarbonIntensitySeconds {
+            panic!("poisoned source");
+        }
     }
 
     #[test]
-    fn supervised_monte_carlo_rejects_mismatched_resume() {
+    fn panicking_block_reaches_the_caller_of_either_form() {
         let p = point("x", 1.0, 2.0, 500.0);
-        let spec = MonteCarloSpec::new(300, 11);
-        let sup = Supervisor::tripping_after(1);
-        let mut mc = monte_carlo_tcdp_supervised_with_threads(&p, &spec, &sup, 1).unwrap();
-        let other = MonteCarloSpec::new(301, 11);
-        assert!(mc
-            .resume_tcdp_with_threads(&p, &other, &Supervisor::unbounded(), 1)
-            .is_err());
-        let pts = space();
-        let sup = Supervisor::tripping_after(1);
-        let mut regret =
-            monte_carlo_regret_supervised_with_threads(&pts, &MonteCarloSpec::new(256, 3), &sup, 1)
-                .unwrap();
-        assert!(regret
-            .resume_with_threads(
-                &pts[..2],
-                &MonteCarloSpec::new(256, 3),
-                &Supervisor::unbounded(),
-                1
-            )
-            .is_err());
+        let poisoned = PanickingSource;
+        let sources: [&dyn CiIntegral; 1] = [&poisoned];
+        // One block, so each form reports one panic.
+        let spec = SourceMonteCarloSpec::new(64, 7);
+        // The plain form re-raises the panic, as an unsupervised map would.
+        let raised = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            monte_carlo_source_tcdp(&p, &sources, &spec)
+        }));
+        let payload = raised.expect_err("a panicking block must panic the caller");
+        assert_eq!(
+            payload.downcast_ref::<String>().map(String::as_str),
+            Some("poisoned source")
+        );
+        // The supervised form isolates it into an error.
+        let mut run = McRun::source(&p, &sources, &spec).unwrap();
+        match run.advance(&Supervisor::unbounded(), 2) {
+            Err(CoreError::Panicked(message)) => assert_eq!(message, "poisoned source"),
+            other => panic!("expected a quarantined panic, got {:?}", other.map(|_| ())),
+        }
+        assert_eq!(run.completed_blocks(), 0);
     }
 }

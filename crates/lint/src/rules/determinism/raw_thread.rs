@@ -5,9 +5,10 @@
 //! concurrency through `cordoba_par`'s deterministic, order-preserving
 //! chunked map. A stray `thread::spawn` or `mpsc::channel` reintroduces
 //! scheduling-order dependence that no property suite can exhaustively
-//! test. Library code must express parallelism as `par_map`/`try_par_map`
-//! over pure closures; only the `par` crate itself may touch the std
-//! primitives.
+//! test. Library code must express parallelism as one of `cordoba_par`'s
+//! maps (`par_map_with`, `try_par_map_indexed_hinted`,
+//! `par_map_supervised_with`, `par_map_supervised_hinted`) over pure
+//! closures; only the `par` crate itself may touch the std primitives.
 
 use crate::diagnostics::Diagnostic;
 use crate::rules::determinism::{in_scope, path_ending_at};
@@ -29,7 +30,7 @@ impl Rule for RawThread {
     }
 
     fn description(&self) -> &'static str {
-        "std::thread spawn/scope or mpsc channels outside cordoba-par — use par_map"
+        "std::thread spawn/scope or mpsc channels outside cordoba-par — use a cordoba_par map"
     }
 
     fn check(&self, inputs: &RuleInputs<'_>) -> Vec<Diagnostic> {
@@ -65,8 +66,9 @@ impl Rule for RawThread {
                     self.name(),
                     format!(
                         "`{}` creates raw threads/channels whose scheduling order is \
-                         nondeterministic; route parallelism through `cordoba_par::par_map` \
-                         (only crates/par may use std::thread directly)",
+                         nondeterministic; route parallelism through a `cordoba_par` map such \
+                         as `par_map_with` or `par_map_supervised_with` (only crates/par may use \
+                         std::thread directly)",
                         resolved.join("::"),
                     ),
                 ));

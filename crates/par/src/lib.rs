@@ -7,8 +7,8 @@
 //! (`std::thread::scope` + `std::thread::available_parallelism`) under a
 //! strict determinism contract:
 //!
-//! * **Order-preserving**: [`par_map`] returns results in input order; for
-//!   a pure closure the output `Vec` is *byte-identical* to
+//! * **Order-preserving**: [`par_map_with`] returns results in input
+//!   order; for a pure closure the output `Vec` is *byte-identical* to
 //!   `items.iter().map(f).collect()` at every thread count.
 //! * **Sequential fallback**: inputs shorter than [`MIN_PARALLEL_LEN`] (or
 //!   an effective thread count of 1) run inline on the calling thread with
@@ -16,9 +16,10 @@
 //! * **Panic-safe**: a panicking worker is re-raised on the calling thread
 //!   via [`std::panic::resume_unwind`], so panics neither deadlock the
 //!   scope nor change observable behavior versus the sequential path.
-//!   Fallible work should instead return `Result` and use [`try_par_map`],
-//!   which preserves the sequential "first error in input order" contract.
-//! * **Supervisable**: [`par_map_supervised`] threads a
+//!   Fallible work should instead return `Result` and use
+//!   [`try_par_map_indexed_hinted`], which preserves the sequential "first
+//!   error in input order" contract.
+//! * **Supervisable**: [`par_map_supervised_with`] threads a
 //!   [`supervise::Supervisor`] (cooperative cancellation + deadline budget)
 //!   through the same chunked map and isolates per-item panics instead of
 //!   re-raising them — the substrate for the workspace's checkpoint/resume
@@ -26,31 +27,32 @@
 //!
 //! # Thread-count resolution
 //!
-//! Explicit `*_with` variants take a thread count directly. The plain
-//! variants consult the process-wide setting ([`set_threads`], wired to the
-//! CLI's `--threads N`) and fall back to
+//! Every map takes its worker count explicitly. Pipelines pass
+//! [`effective_threads`]: the process-wide setting ([`set_threads`], wired
+//! to the CLI's `--threads N`), falling back to
 //! [`std::thread::available_parallelism`]. A count of 1 is exactly the
 //! sequential path.
 //!
 //! # Examples
 //!
 //! ```
-//! let squares = cordoba_par::par_map(&[1u64, 2, 3, 4], |x| x * x);
+//! use cordoba_par::{par_map_with, try_par_map_indexed_hinted, CostHint};
+//!
+//! let squares = par_map_with(&[1u64, 2, 3, 4], 2, |x| x * x);
 //! assert_eq!(squares, vec![1, 4, 9, 16]);
 //!
-//! let sums = cordoba_par::par_map_indexed(&["a", "bb"], |i, s| s.len() + i);
-//! assert_eq!(sums, vec![1, 3]);
-//!
 //! let parsed: Result<Vec<i32>, _> =
-//!     cordoba_par::try_par_map(&["1", "2"], |s| s.parse::<i32>());
+//!     try_par_map_indexed_hinted(&["1", "2"], 2, CostHint::per_item_ns(1), |_, s| {
+//!         s.parse::<i32>()
+//!     });
 //! assert_eq!(parsed.unwrap(), vec![1, 2]);
 //! ```
 
 pub mod supervise;
 
 pub use supervise::{
-    par_map_supervised, par_map_supervised_hinted, par_map_supervised_with, Outcome, StopReason,
-    SupervisedMap, Supervisor,
+    par_map_supervised_hinted, par_map_supervised_with, Outcome, StopReason, SupervisedMap,
+    Supervisor,
 };
 
 use std::num::NonZeroUsize;
@@ -142,8 +144,8 @@ static CONFIGURED_THREADS: AtomicUsize = AtomicUsize::new(0);
 // cordoba-lint: allow(global-state) — memoized hardware probe, perf-only; cannot affect results
 static AUTO_THREADS: AtomicUsize = AtomicUsize::new(0);
 
-/// Overrides the process-wide worker-thread count used by the non-`_with`
-/// entry points. `None` restores the default (all available cores).
+/// Overrides the process-wide worker-thread count returned by
+/// [`effective_threads`]. `None` restores the default (all available cores).
 ///
 /// The CLI's `--threads N` flag calls this once at startup. Because every
 /// map is order-preserving, changing the count never changes results —
@@ -158,7 +160,7 @@ pub fn configured_threads() -> Option<NonZeroUsize> {
     NonZeroUsize::new(CONFIGURED_THREADS.load(Ordering::Relaxed))
 }
 
-/// The worker-thread count the non-`_with` entry points will use: the
+/// The worker-thread count the workspace's pipelines pass to the maps: the
 /// [`set_threads`] override if present, otherwise
 /// [`std::thread::available_parallelism`], otherwise 1.
 #[must_use]
@@ -176,71 +178,31 @@ pub fn effective_threads() -> usize {
     }
 }
 
-/// Maps `f` over `items` in parallel, preserving input order.
+/// Maps `f` over `items` with `threads` workers (1 = sequential),
+/// preserving input order.
 ///
-/// Equivalent to `items.iter().map(f).collect()` for any pure `f`; uses
-/// [`effective_threads`] workers.
-pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    par_map_indexed_with(items, effective_threads(), |_, item| f(item))
-}
-
-/// [`par_map`] with an explicit thread count (1 = sequential).
+/// The input is split into at most `threads` contiguous chunks; each worker
+/// maps its chunk front to back and the chunk results are concatenated in
+/// chunk order, so the output order (and, for a pure `f`, every bit of the
+/// output) is independent of the thread count.
 pub fn par_map_with<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    par_map_indexed_with(items, threads, |_, item| f(item))
+    chunked_map(items, length_workers(items.len(), threads), |_, item| {
+        f(item)
+    })
 }
 
-/// Maps `f(index, item)` over `items` in parallel, preserving input order.
-pub fn par_map_indexed<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    par_map_indexed_with(items, effective_threads(), f)
-}
-
-/// [`par_map_indexed`] with an explicit thread count (1 = sequential).
+/// Fallible, index-aware parallel map steered by a [`CostHint`] instead of
+/// the length-only [`MIN_PARALLEL_LEN`] cutoff: the map stays sequential
+/// until the estimated total work pays for spawning, and then uses only as
+/// many workers as keep each chunk's work above the spawn cost.
 ///
-/// The input is split into at most `threads` contiguous chunks; each worker
-/// maps its chunk front to back and the chunk results are concatenated in
-/// chunk order, so the output order (and, for a pure `f`, every bit of the
-/// output) is independent of the thread count.
-pub fn par_map_indexed_with<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    chunked_map(items, length_workers(items.len(), threads), f)
-}
-
-/// [`par_map_indexed_with`] steered by a [`CostHint`] instead of the
-/// length-only [`MIN_PARALLEL_LEN`] cutoff: the map stays sequential until
-/// the estimated total work pays for spawning, and then uses only as many
-/// workers as keep each chunk's work above the spawn cost. Output is
-/// bit-identical to [`par_map_indexed_with`] for any pure `f`.
-pub fn par_map_indexed_hinted<T, R, F>(items: &[T], threads: usize, hint: CostHint, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    chunked_map(items, hint.workers(items.len(), threads), f)
-}
-
-/// [`try_par_map_with`] steered by a [`CostHint`] (see
-/// [`par_map_indexed_hinted`]), with the closure also receiving the item
-/// index.
+/// Every item is evaluated before reporting, but the returned value is the
+/// one a sequential early-abort loop would give.
 ///
 /// # Errors
 ///
@@ -258,7 +220,7 @@ where
     E: Send,
     F: Fn(usize, &T) -> Result<R, E> + Sync,
 {
-    par_map_indexed_hinted(items, threads, hint, f)
+    chunked_map(items, hint.workers(items.len(), threads), f)
         .into_iter()
         .collect()
 }
@@ -275,8 +237,8 @@ pub(crate) fn length_workers(len: usize, threads: usize) -> usize {
 }
 
 /// Order-preserving chunked map over exactly `workers` contiguous chunks
-/// (1 = the sequential path); the shared engine behind every unsupervised
-/// map variant.
+/// (1 = the sequential path); the shared engine behind both unsupervised
+/// maps.
 fn chunked_map<T, R, F>(items: &[T], workers: usize, f: F) -> Vec<R>
 where
     T: Sync,
@@ -324,42 +286,6 @@ where
     })
 }
 
-/// Fallible parallel map preserving the sequential error contract: on
-/// failure, returns the error of the *first* failing item in input order.
-///
-/// Unlike a sequential `try` loop this evaluates every item before
-/// reporting, but the returned value is identical.
-///
-/// # Errors
-///
-/// Returns the error produced by the earliest (by input index) failing
-/// invocation of `f`.
-pub fn try_par_map<T, R, E, F>(items: &[T], f: F) -> Result<Vec<R>, E>
-where
-    T: Sync,
-    R: Send,
-    E: Send,
-    F: Fn(&T) -> Result<R, E> + Sync,
-{
-    try_par_map_with(items, effective_threads(), f)
-}
-
-/// [`try_par_map`] with an explicit thread count (1 = sequential).
-///
-/// # Errors
-///
-/// Returns the error produced by the earliest (by input index) failing
-/// invocation of `f`.
-pub fn try_par_map_with<T, R, E, F>(items: &[T], threads: usize, f: F) -> Result<Vec<R>, E>
-where
-    T: Sync,
-    R: Send,
-    E: Send,
-    F: Fn(&T) -> Result<R, E> + Sync,
-{
-    par_map_with(items, threads, f).into_iter().collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -368,11 +294,15 @@ mod tests {
     fn preserves_order_and_values_at_every_thread_count() {
         let items: Vec<u64> = (0..1000).collect();
         let expected: Vec<u64> = items.iter().map(|x| x.wrapping_mul(31) ^ 7).collect();
+        // A heavy hint, so every requested thread count really fans out.
+        let hint = CostHint::per_item_ns(1_000_000);
         for threads in [1, 2, 3, 4, 7, 64, 1000, 5000] {
-            let got = par_map_indexed_with(&items, threads, |i, x| {
+            let got = try_par_map_indexed_hinted(&items, threads, hint, |i, x| {
                 assert_eq!(*x, i as u64);
-                x.wrapping_mul(31) ^ 7
+                Ok::<_, ()>(x.wrapping_mul(31) ^ 7)
             });
+            assert_eq!(got, Ok(expected.clone()), "threads = {threads}");
+            let got = par_map_with(&items, threads, |x| x.wrapping_mul(31) ^ 7);
             assert_eq!(got, expected, "threads = {threads}");
         }
     }
@@ -412,12 +342,16 @@ mod tests {
                 Ok(x * 2)
             }
         };
+        let hint = CostHint::per_item_ns(1_000_000);
         for threads in [1, 2, 4, 16] {
             // 13 and 84 and 155 fail; 13 is first in input order.
-            assert_eq!(try_par_map_with(&items, threads, f), Err(13));
+            assert_eq!(
+                try_par_map_indexed_hinted(&items, threads, hint, |_, x| f(x)),
+                Err(13)
+            );
         }
         let clean: Vec<i64> = (0..100).collect();
-        let ok = try_par_map_with(&clean, 4, |x| Ok::<_, ()>(x + 1)).unwrap();
+        let ok = try_par_map_indexed_hinted(&clean, 4, hint, |_, x| Ok::<_, ()>(x + 1)).unwrap();
         assert_eq!(ok, (1..=100).collect::<Vec<i64>>());
     }
 
@@ -428,6 +362,13 @@ mod tests {
             par_map_with(&items, 4, |x| {
                 assert!(*x != 57, "boom");
                 *x
+            })
+        });
+        assert!(result.is_err());
+        let result = std::panic::catch_unwind(|| {
+            try_par_map_indexed_hinted(&items, 4, CostHint::per_item_ns(1_000_000), |_, x| {
+                assert!(*x != 57, "boom");
+                Ok::<_, ()>(*x)
             })
         });
         assert!(result.is_err());
@@ -470,9 +411,14 @@ mod tests {
         for threads in [1, 2, 8] {
             for hint_ns in [1, 1_000, 10_000_000] {
                 let hint = CostHint::per_item_ns(hint_ns);
-                let got: Vec<u64> =
-                    par_map_indexed_hinted(&items, threads, hint, |_, x| work(x).to_bits());
-                assert_eq!(got, seq, "threads = {threads}, hint = {hint_ns}");
+                let got = try_par_map_indexed_hinted(&items, threads, hint, |_, x| {
+                    Ok::<_, ()>(work(x).to_bits())
+                });
+                assert_eq!(
+                    got,
+                    Ok(seq.clone()),
+                    "threads = {threads}, hint = {hint_ns}"
+                );
             }
         }
     }
@@ -493,9 +439,10 @@ mod tests {
         let caller = std::thread::current().id();
         // 100 items x 1 ns is far below the threshold despite exceeding
         // MIN_PARALLEL_LEN.
-        let ids = par_map_indexed_hinted(&items, 8, CostHint::per_item_ns(1), |_, _| {
-            std::thread::current().id()
-        });
+        let ids = try_par_map_indexed_hinted(&items, 8, CostHint::per_item_ns(1), |_, _| {
+            Ok::<_, ()>(std::thread::current().id())
+        })
+        .unwrap();
         assert!(ids.iter().all(|id| *id == caller));
     }
 

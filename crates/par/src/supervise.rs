@@ -14,7 +14,7 @@
 //!   events recorded through `cordoba-obs`.
 //!
 //! [`par_map_supervised_with`] is the supervised sibling of
-//! [`crate::par_map_indexed_with`]: same contiguous chunking, same
+//! [`crate::par_map_with`]: same contiguous chunking, same
 //! input-order merge, plus per-item panic isolation
 //! (`std::panic::catch_unwind`) and cooperative stop checks before every
 //! item. It returns a [`SupervisedMap`] recording, per input index, whether
@@ -350,22 +350,12 @@ where
     out
 }
 
-/// Supervised sibling of [`crate::par_map_indexed`]: cooperative stop
-/// checks before every item, per-item panic isolation, input-order merge.
-/// Uses [`crate::effective_threads`] workers.
-pub fn par_map_supervised<T, R, F>(items: &[T], sup: &Supervisor, f: F) -> SupervisedMap<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    par_map_supervised_with(items, crate::effective_threads(), sup, f)
-}
-
-/// [`par_map_supervised`] with an explicit thread count (1 = sequential).
+/// Supervised sibling of [`crate::par_map_with`] with `threads` workers
+/// (1 = sequential): cooperative stop checks before every item, per-item
+/// panic isolation, input-order merge.
 ///
-/// Chunking and merge order are identical to
-/// [`crate::par_map_indexed_with`], so for every index whose outcome is
+/// Chunking and merge order are identical to [`crate::par_map_with`], so
+/// for every index whose outcome is
 /// [`Outcome::Done`] the value is bit-identical to the unsupervised map's
 /// at any thread count. When the supervisor stops the run, the stop is
 /// recorded once as a supervision event and returned in
@@ -385,7 +375,7 @@ where
 }
 
 /// [`par_map_supervised_with`] steered by a [`crate::CostHint`] instead of
-/// the length-only cutoff (see [`crate::par_map_indexed_hinted`]): small
+/// the length-only cutoff (see [`crate::try_par_map_indexed_hinted`]): small
 /// estimated workloads run on the calling thread, larger ones use only as
 /// many workers as the estimated work pays for. Chunking and merge order
 /// are otherwise identical, so completed outcomes stay bit-identical to the

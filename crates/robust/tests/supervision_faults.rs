@@ -14,9 +14,13 @@ use cordoba_accel::config::AcceleratorConfig;
 use cordoba_accel::params::TechTuning;
 use cordoba_accel::space::design_space;
 use cordoba_carbon::embodied::EmbodiedModel;
+use cordoba_carbon::integral::CiIntegral;
+use cordoba_carbon::intensity::{ConstantCi, SeasonalCi, TrendCi};
 use cordoba_carbon::prelude::{grids, GramsCo2e, Joules, Seconds, SquareCentimeters};
 use cordoba_robust::prelude::*;
 use cordoba_robust::supervise::{par_map_supervised_with, Outcome};
+use cordoba_soc::apps::VrApp;
+use cordoba_soc::provisioning::{sweep, sweep_supervised, Deployment};
 use cordoba_workloads::task::Task;
 use std::time::Duration;
 
@@ -282,5 +286,126 @@ fn seeded_panic_faults_are_quarantined_in_input_order_at_any_thread_count() {
             classify(cordoba_par::effective_threads()),
             "seed {seed}: auto-thread run diverged"
         );
+    }
+}
+
+/// The resume thread counts every interrupted run is finished at: the
+/// exact sequential path, two workers, and the process default.
+fn resume_thread_counts() -> [usize; 3] {
+    [1, 2, cordoba_par::effective_threads()]
+}
+
+/// Interrupts `run` at a seeded block count, resumes it at `resume_threads`,
+/// and returns the folded result. Even seeds interrupt on the exact
+/// sequential path (the trip point is then exact); odd seeds interrupt
+/// mid-parallel, where workers that checked the trip count before it was
+/// reached may finish more blocks, up to the whole run.
+fn interrupt_and_resume<O>(
+    mut run: McRun<'_, O>,
+    plan: &FaultPlan,
+    seed: u64,
+    resume_threads: usize,
+) -> O {
+    let blocks = run.total_blocks() as u64;
+    let trip = plan.trip_point(blocks);
+    let interrupt_threads = if seed.is_multiple_of(2) { 1 } else { 2 };
+    let partial = run
+        .advance(&Supervisor::tripping_after(trip), interrupt_threads)
+        .expect("no block panics");
+    match partial {
+        None => assert_eq!(run.stop(), Some(StopReason::Cancelled), "seed {seed}"),
+        Some(_) => assert!(
+            interrupt_threads > 1 || trip >= blocks,
+            "seed {seed}: completed despite trip {trip}"
+        ),
+    }
+    if interrupt_threads == 1 {
+        assert_eq!(
+            run.completed_blocks() as u64,
+            trip.min(blocks),
+            "seed {seed}: sequential trip point should be exact"
+        );
+    }
+    run.advance(&Supervisor::unbounded(), resume_threads)
+        .expect("no block panics")
+        .expect("a fresh unbounded supervisor completes the run")
+}
+
+/// Every Monte Carlo experiment (constant-CI, exact-source, sampled-source
+/// tCDP and mean regret), interrupted at a seeded block and resumed at 1,
+/// 2, and auto threads, lands on the bits of the uninterrupted run.
+#[test]
+fn monte_carlo_runs_interrupted_at_seeded_points_resume_bit_identically() {
+    let pts = synthetic_points();
+    let coal = ConstantCi::new(grids::COAL);
+    let trend = TrendCi::new(grids::US_AVERAGE, 0.10).expect("valid trend");
+    let seasonal = SeasonalCi::solar_rich();
+    let sources: [&dyn CiIntegral; 3] = [&coal, &trend, &seasonal];
+    for seed in 0..60u64 {
+        let plan = FaultPlan::new(seed);
+        // 1,300 samples make 21 RNG blocks: enough for a two-worker split.
+        let spec = MonteCarloSpec::new(1_300, seed);
+        let source_spec = SourceMonteCarloSpec::new(1_300, seed);
+        let point = &pts[seed as usize % pts.len()];
+        let tcdp = monte_carlo_tcdp(point, &spec).expect("valid spec");
+        let source = monte_carlo_source_tcdp(point, &sources, &source_spec).expect("valid spec");
+        let regret = monte_carlo_regret(&pts, &spec).expect("valid spec");
+        let mut sampled_run =
+            McRun::source_sampled(point, &sources, &source_spec, 8).expect("valid spec");
+        let sampled = sampled_run
+            .advance(&Supervisor::unbounded(), 1)
+            .expect("no block panics")
+            .expect("an unbounded supervisor completes the run");
+        for threads in resume_thread_counts() {
+            let run = McRun::tcdp(point, &spec).expect("valid spec");
+            let resumed = interrupt_and_resume(run, &plan, seed, threads);
+            assert_eq!(resumed, tcdp, "seed {seed}, {threads} threads: tcdp");
+            let run = McRun::source(point, &sources, &source_spec).expect("valid spec");
+            let resumed = interrupt_and_resume(run, &plan, seed, threads);
+            assert_eq!(resumed, source, "seed {seed}, {threads} threads: source");
+            let run = McRun::source_sampled(point, &sources, &source_spec, 8).expect("valid spec");
+            let resumed = interrupt_and_resume(run, &plan, seed, threads);
+            assert_eq!(resumed, sampled, "seed {seed}, {threads} threads: sampled");
+            let run = McRun::regret(&pts, &spec).expect("valid spec");
+            let resumed = interrupt_and_resume(run, &plan, seed, threads);
+            assert_eq!(resumed, regret, "seed {seed}, {threads} threads: regret");
+        }
+    }
+}
+
+/// The provisioning sweep, interrupted before a seeded core count and
+/// resumed at 1, 2, and auto threads, returns the rows of the
+/// uninterrupted sweep.
+#[test]
+fn provisioning_sweep_interrupted_at_seeded_points_resumes_bit_identically() {
+    let apps = VrApp::studied_tasks();
+    let deployment = Deployment::default();
+    let baselines: Vec<_> = apps
+        .iter()
+        .map(|app| sweep(app, &deployment).expect("default deployment sweeps"))
+        .collect();
+    for seed in 0..40u64 {
+        let plan = FaultPlan::new(seed);
+        let pick = seed as usize % apps.len();
+        let app = &apps[pick];
+        for threads in resume_thread_counts() {
+            let total = 5u64;
+            let trip = plan.trip_point(total);
+            let sup = Supervisor::tripping_after(trip);
+            let mut run = sweep_supervised(app, &deployment, &sup, 1).expect("valid deployment");
+            assert_eq!(run.total() as u64, total);
+            if trip < total {
+                assert_eq!(run.stop(), Some(StopReason::Cancelled), "seed {seed}");
+                assert_eq!(run.completed() as u64, trip, "seed {seed}: exact trip");
+                assert!(run.rows().is_none(), "seed {seed}");
+            }
+            run.resume(&Supervisor::unbounded(), threads)
+                .expect("valid deployment");
+            assert_eq!(
+                run.rows(),
+                Some(baselines[pick].clone()),
+                "seed {seed}, {threads} threads: rows diverged"
+            );
+        }
     }
 }

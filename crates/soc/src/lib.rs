@@ -40,8 +40,8 @@ pub mod prelude {
         simulate_events, simulate_events_supervised, EventSimResult, SupervisedSimResult,
     };
     pub use crate::provisioning::{
-        improvement_over_8core, optimal_cores, sweep, sweep_supervised,
-        sweep_supervised_with_threads, Deployment, ProvisioningRow, SupervisedProvisioning,
+        improvement_over_8core, optimal_cores, sweep, sweep_supervised, Deployment,
+        ProvisioningRow, SupervisedProvisioning,
     };
     pub use crate::scheduler::{schedule, schedule_app, ScheduleResult};
     pub use crate::soc::SocConfig;

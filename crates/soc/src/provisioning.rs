@@ -76,38 +76,60 @@ impl ProvisioningRow {
     }
 }
 
+/// The core counts every provisioning sweep evaluates, in row order.
+const CORE_COUNTS: [u32; 5] = [4, 5, 6, 7, 8];
+
 /// Sweeps core counts 4..=8 for `app` under `deployment`.
 ///
 /// Each core count is an independent trace replay, so the rows are
 /// evaluated in parallel (see [`cordoba_par`]); the returned list is in
 /// ascending core order and identical to the sequential sweep at every
-/// thread count.
+/// thread count. This is [`sweep_supervised`] under a supervisor that never
+/// trips, at [`cordoba_par::effective_threads`] workers.
 ///
 /// # Errors
 ///
 /// Propagates model-construction errors (cannot occur for the default
 /// deployment).
+///
+/// # Panics
+///
+/// Re-raises a panicking trace replay on the caller.
 pub fn sweep(app: &VrApp, deployment: &Deployment) -> Result<Vec<ProvisioningRow>, CarbonError> {
-    let _span = cordoba_obs::span("soc/provisioning_sweep");
-    let usage = UsageProfile::from_daily_hours(deployment.lifetime_years, app.daily_hours)?;
-    let sessions = usage.operational_time().value() / app.session.value();
-    let core_counts: Vec<u32> = (4..=8).collect();
-    cordoba_par::try_par_map(&core_counts, |&cores| {
-        provision_row(cores, app, deployment, sessions)
-    })
+    let mut run = SupervisedProvisioning::new(app, deployment);
+    let result = run.resume(&Supervisor::unbounded(), cordoba_par::effective_threads());
+    if let Some((_, message)) = run.panics.into_iter().next() {
+        std::panic::resume_unwind(Box::new(message));
+    }
+    result?;
+    // A supervisor that never trips attempts every core count, and none
+    // panicked or failed, so every slot is filled.
+    Ok(run.slots.into_iter().flatten().collect())
 }
 
 /// A supervised provisioning sweep in flight: one slot per core count,
-/// resumable until every configuration is evaluated.
+/// resumable until every configuration is evaluated. The sweep borrows its
+/// app and deployment, so a resume cannot mix rows of different inputs.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SupervisedProvisioning {
-    core_counts: Vec<u32>,
+pub struct SupervisedProvisioning<'a> {
+    app: &'a VrApp,
+    deployment: &'a Deployment,
     slots: Vec<Option<ProvisioningRow>>,
     stop: Option<StopReason>,
     panics: Vec<(u32, String)>,
 }
 
-impl SupervisedProvisioning {
+impl<'a> SupervisedProvisioning<'a> {
+    fn new(app: &'a VrApp, deployment: &'a Deployment) -> Self {
+        Self {
+            app,
+            deployment,
+            slots: vec![None; CORE_COUNTS.len()],
+            stop: None,
+            panics: Vec::new(),
+        }
+    }
+
     /// Why the last run/resume stopped early, or `None` when complete.
     #[must_use]
     pub fn stop(&self) -> Option<StopReason> {
@@ -150,37 +172,19 @@ impl SupervisedProvisioning {
         self.slots.iter().cloned().collect()
     }
 
-    /// Evaluates the still-pending core counts under `sup`, merging by
-    /// core-count index. A fresh unbounded supervisor completes the sweep
-    /// with rows bit-identical to [`sweep`].
+    /// Evaluates the still-pending core counts under `sup` with `threads`
+    /// workers (1 = the exact sequential path, where a count-tripped
+    /// supervisor stops at an exact configuration), merging by core-count
+    /// index. A fresh unbounded supervisor completes the sweep with rows
+    /// bit-identical to [`sweep`].
     ///
     /// # Errors
     ///
     /// Propagates model-construction errors for the first (lowest) failing
     /// pending core count.
-    pub fn resume(
-        &mut self,
-        app: &VrApp,
-        deployment: &Deployment,
-        sup: &Supervisor,
-    ) -> Result<(), CarbonError> {
-        self.resume_with_threads(app, deployment, sup, cordoba_par::effective_threads())
-    }
-
-    /// [`resume`](Self::resume) with an explicit worker-thread count (1 =
-    /// the exact sequential path, where a count-tripped supervisor stops at
-    /// an exact configuration).
-    ///
-    /// # Errors
-    ///
-    /// See [`resume`](Self::resume).
-    pub fn resume_with_threads(
-        &mut self,
-        app: &VrApp,
-        deployment: &Deployment,
-        sup: &Supervisor,
-        threads: usize,
-    ) -> Result<(), CarbonError> {
+    pub fn resume(&mut self, sup: &Supervisor, threads: usize) -> Result<(), CarbonError> {
+        let _span = cordoba_obs::span("soc/provisioning_sweep");
+        let (app, deployment) = (self.app, self.deployment);
         let usage = UsageProfile::from_daily_hours(deployment.lifetime_years, app.daily_hours)?;
         let sessions = usage.operational_time().value() / app.session.value();
         let pending: Vec<usize> = self
@@ -189,12 +193,8 @@ impl SupervisedProvisioning {
             .enumerate()
             .filter_map(|(i, s)| s.is_none().then_some(i))
             .collect();
-        if pending.is_empty() {
-            self.stop = None;
-            return Ok(());
-        }
         let run = cordoba_par::par_map_supervised_with(&pending, threads, sup, |_, &idx| {
-            provision_row(self.core_counts[idx], app, deployment, sessions)
+            provision_row(CORE_COUNTS[idx], app, deployment, sessions)
         });
         let mut first_error: Option<CarbonError> = None;
         self.panics.clear();
@@ -210,7 +210,7 @@ impl SupervisedProvisioning {
                 // carry its message; quarantine it here (the process
                 // survives) and leave the slot pending so a resume retries.
                 Outcome::Panicked(message) => {
-                    self.panics.push((self.core_counts[idx], message));
+                    self.panics.push((CORE_COUNTS[idx], message));
                 }
                 Outcome::Skipped => {}
             }
@@ -230,8 +230,7 @@ impl SupervisedProvisioning {
     }
 }
 
-/// One provisioning row for a single core count (shared by [`sweep`] and
-/// the supervised sweep, so both produce identical bits).
+/// One provisioning row for a single core count.
 fn provision_row(
     cores: u32,
     app: &VrApp,
@@ -260,45 +259,25 @@ fn provision_row(
     })
 }
 
-/// [`sweep`] under a [`Supervisor`]: cancellation and deadline are checked
-/// before each core count's trace replay, a panicking replay is isolated
-/// into a structured error instead of aborting, and an interrupted sweep
-/// resumes in place via [`SupervisedProvisioning::resume`].
+/// [`sweep`] under a [`Supervisor`] with `threads` workers (1 = the exact
+/// sequential path): cancellation and deadline are checked before each
+/// core count's trace replay, a panicking replay is isolated into
+/// [`SupervisedProvisioning::panicked`] instead of aborting, and an
+/// interrupted sweep resumes in place via [`SupervisedProvisioning::resume`].
+/// Completed rows are bit-identical at every thread count.
 ///
 /// # Errors
 ///
 /// Propagates model-construction errors (cannot occur for the default
 /// deployment).
-pub fn sweep_supervised(
-    app: &VrApp,
-    deployment: &Deployment,
-    sup: &Supervisor,
-) -> Result<SupervisedProvisioning, CarbonError> {
-    sweep_supervised_with_threads(app, deployment, sup, cordoba_par::effective_threads())
-}
-
-/// [`sweep_supervised`] with an explicit worker-thread count (1 = the
-/// exact sequential path). Completed rows are bit-identical at every
-/// thread count.
-///
-/// # Errors
-///
-/// See [`sweep_supervised`].
-pub fn sweep_supervised_with_threads(
-    app: &VrApp,
-    deployment: &Deployment,
+pub fn sweep_supervised<'a>(
+    app: &'a VrApp,
+    deployment: &'a Deployment,
     sup: &Supervisor,
     threads: usize,
-) -> Result<SupervisedProvisioning, CarbonError> {
-    let _span = cordoba_obs::span("soc/provisioning_sweep_supervised");
-    let core_counts: Vec<u32> = (4..=8).collect();
-    let mut sweep = SupervisedProvisioning {
-        slots: vec![None; core_counts.len()],
-        core_counts,
-        stop: None,
-        panics: Vec::new(),
-    };
-    sweep.resume_with_threads(app, deployment, sup, threads)?;
+) -> Result<SupervisedProvisioning<'a>, CarbonError> {
+    let mut sweep = SupervisedProvisioning::new(app, deployment);
+    sweep.resume(sup, threads)?;
     Ok(sweep)
 }
 
@@ -382,8 +361,8 @@ mod tests {
     #[test]
     fn supervised_sweep_matches_unsupervised_when_unbounded() {
         let direct = sweep(&VrApp::m1(), &Deployment::default()).unwrap();
-        let sup = Supervisor::unbounded();
-        let supervised = sweep_supervised(&VrApp::m1(), &Deployment::default(), &sup).unwrap();
+        let (app, deployment) = (VrApp::m1(), Deployment::default());
+        let supervised = sweep_supervised(&app, &deployment, &Supervisor::unbounded(), 2).unwrap();
         assert!(supervised.is_complete());
         assert!(supervised.panicked().is_empty());
         assert_eq!(supervised.rows().unwrap(), direct);
@@ -391,12 +370,11 @@ mod tests {
 
     #[test]
     fn interrupted_provisioning_resumes_to_identical_rows() {
-        let direct = sweep(&VrApp::b1(), &Deployment::default()).unwrap();
+        let (app, deployment) = (VrApp::b1(), Deployment::default());
+        let direct = sweep(&app, &deployment).unwrap();
         for trip in [0u64, 2, 4] {
             let sup = Supervisor::tripping_after(trip);
-            let mut supervised =
-                sweep_supervised_with_threads(&VrApp::b1(), &Deployment::default(), &sup, 1)
-                    .unwrap();
+            let mut supervised = sweep_supervised(&app, &deployment, &sup, 1).unwrap();
             assert_eq!(
                 supervised.stop(),
                 Some(StopReason::Cancelled),
@@ -404,14 +382,7 @@ mod tests {
             );
             assert!(supervised.rows().is_none());
             assert_eq!(supervised.completed(), trip as usize);
-            supervised
-                .resume_with_threads(
-                    &VrApp::b1(),
-                    &Deployment::default(),
-                    &Supervisor::unbounded(),
-                    2,
-                )
-                .unwrap();
+            supervised.resume(&Supervisor::unbounded(), 2).unwrap();
             assert!(supervised.is_complete());
             assert_eq!(supervised.completed(), supervised.total());
             assert_eq!(supervised.rows().unwrap(), direct, "trip {trip}");

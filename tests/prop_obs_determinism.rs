@@ -8,7 +8,6 @@
 //! the single function keeps the enable/disable toggles race-free.
 
 use cordoba::prelude::*;
-use cordoba::uncertainty::monte_carlo_tcdp_with_threads;
 use cordoba_accel::config::AcceleratorConfig;
 use cordoba_accel::config::MemoryIntegration;
 use cordoba_accel::params::TechTuning;
@@ -16,6 +15,7 @@ use cordoba_accel::space::design_space;
 use cordoba_carbon::embodied::EmbodiedModel;
 use cordoba_carbon::intensity::grids;
 use cordoba_carbon::units::Bytes;
+use cordoba_par::Supervisor;
 use cordoba_workloads::task::Task;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -112,12 +112,16 @@ fn run_case(seed: u64, threads: usize) -> CaseResult {
     let beta = format!(
         "{:?}",
         beta_sweep
-            .solve_transitions_with_threads(0.0, 1e3, 1e-3, 4_000, threads)
+            .solve_transitions_supervised(0.0, 1e3, 1e-3, 4_000, &Supervisor::unbounded(), threads)
             .unwrap()
     );
 
     let spec = MonteCarloSpec::new(64, 0xDE7E ^ seed);
-    let mc = monte_carlo_tcdp_with_threads(&resilient.points[0], &spec, threads).unwrap();
+    let mc = McRun::tcdp(&resilient.points[0], &spec)
+        .unwrap()
+        .advance(&Supervisor::unbounded(), threads)
+        .map(Option::unwrap)
+        .unwrap();
 
     CaseResult {
         points: resilient.points,

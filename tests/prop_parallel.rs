@@ -8,10 +8,6 @@
 //! the suite, and every case compares `threads = 1` against 2, 4, and 16.
 
 use cordoba::prelude::*;
-use cordoba::uncertainty::{
-    monte_carlo_regret_with_threads, monte_carlo_source_tcdp_sampled_with_threads,
-    monte_carlo_source_tcdp_with_threads, monte_carlo_tcdp_with_threads,
-};
 use cordoba_accel::config::{AcceleratorConfig, MemoryIntegration};
 use cordoba_accel::params::TechTuning;
 use cordoba_accel::space::design_space;
@@ -20,6 +16,7 @@ use cordoba_carbon::integral::CiIntegral;
 use cordoba_carbon::intensity::grids;
 use cordoba_carbon::intensity::{ConstantCi, SeasonalCi, TrendCi};
 use cordoba_carbon::units::Bytes;
+use cordoba_par::Supervisor;
 use cordoba_workloads::task::Task;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -122,18 +119,33 @@ fn monte_carlo_is_bit_identical_across_thread_counts() {
         let samples = 1 + index(&mut rng, 300);
         let spec = MonteCarloSpec::new(samples, rng.gen::<u64>());
         let point = &points[index(&mut rng, points.len())];
-        let sequential = monte_carlo_tcdp_with_threads(point, &spec, 1).unwrap();
+        let sequential = McRun::tcdp(point, &spec)
+            .unwrap()
+            .advance(&Supervisor::unbounded(), 1)
+            .map(Option::unwrap)
+            .unwrap();
         assert_eq!(sequential.samples, samples);
         // A handful of candidates for the regret study, sequential baseline.
         let candidates: Vec<DesignPoint> = (0..2 + index(&mut rng, 6))
             .map(|_| points[index(&mut rng, points.len())].clone())
             .collect();
-        let regret_sequential = monte_carlo_regret_with_threads(&candidates, &spec, 1).unwrap();
+        let regret_sequential = McRun::regret(&candidates, &spec)
+            .unwrap()
+            .advance(&Supervisor::unbounded(), 1)
+            .map(Option::unwrap)
+            .unwrap();
         for threads in THREAD_COUNTS {
-            let parallel = monte_carlo_tcdp_with_threads(point, &spec, threads).unwrap();
+            let parallel = McRun::tcdp(point, &spec)
+                .unwrap()
+                .advance(&Supervisor::unbounded(), threads)
+                .map(Option::unwrap)
+                .unwrap();
             assert_eq!(sequential, parallel, "seed {seed}, {threads} threads");
-            let regret_parallel =
-                monte_carlo_regret_with_threads(&candidates, &spec, threads).unwrap();
+            let regret_parallel = McRun::regret(&candidates, &spec)
+                .unwrap()
+                .advance(&Supervisor::unbounded(), threads)
+                .map(Option::unwrap)
+                .unwrap();
             assert_eq!(
                 regret_sequential, regret_parallel,
                 "regret: seed {seed}, {threads} threads"
@@ -157,17 +169,29 @@ fn source_monte_carlo_is_bit_identical_across_thread_counts() {
         let samples = 1 + index(&mut rng, 300);
         let spec = SourceMonteCarloSpec::new(samples, rng.gen::<u64>());
         let point = &points[index(&mut rng, points.len())];
-        let sequential = monte_carlo_source_tcdp_with_threads(point, &sources, &spec, 1).unwrap();
+        let sequential = McRun::source(point, &sources, &spec)
+            .unwrap()
+            .advance(&Supervisor::unbounded(), 1)
+            .map(Option::unwrap)
+            .unwrap();
         assert_eq!(sequential.samples, samples);
-        let sampled_sequential =
-            monte_carlo_source_tcdp_sampled_with_threads(point, &sources, &spec, 32, 1).unwrap();
+        let sampled_sequential = McRun::source_sampled(point, &sources, &spec, 32)
+            .unwrap()
+            .advance(&Supervisor::unbounded(), 1)
+            .map(Option::unwrap)
+            .unwrap();
         for threads in THREAD_COUNTS {
-            let parallel =
-                monte_carlo_source_tcdp_with_threads(point, &sources, &spec, threads).unwrap();
+            let parallel = McRun::source(point, &sources, &spec)
+                .unwrap()
+                .advance(&Supervisor::unbounded(), threads)
+                .map(Option::unwrap)
+                .unwrap();
             assert_eq!(sequential, parallel, "seed {seed}, {threads} threads");
-            let sampled_parallel =
-                monte_carlo_source_tcdp_sampled_with_threads(point, &sources, &spec, 32, threads)
-                    .unwrap();
+            let sampled_parallel = McRun::source_sampled(point, &sources, &spec, 32)
+                .unwrap()
+                .advance(&Supervisor::unbounded(), threads)
+                .map(Option::unwrap)
+                .unwrap();
             assert_eq!(
                 sampled_sequential, sampled_parallel,
                 "sampled: seed {seed}, {threads} threads"
@@ -241,11 +265,25 @@ fn beta_transitions_are_bit_identical_across_thread_counts() {
         let tol = 1e-4 + rng.gen::<f64>();
         let budget = index(&mut rng, 400);
         let sequential = sweep
-            .solve_transitions_with_threads(beta_lo, beta_hi, tol, budget, 1)
+            .solve_transitions_supervised(
+                beta_lo,
+                beta_hi,
+                tol,
+                budget,
+                &Supervisor::unbounded(),
+                1,
+            )
             .unwrap();
         for threads in THREAD_COUNTS {
             let parallel = sweep
-                .solve_transitions_with_threads(beta_lo, beta_hi, tol, budget, threads)
+                .solve_transitions_supervised(
+                    beta_lo,
+                    beta_hi,
+                    tol,
+                    budget,
+                    &Supervisor::unbounded(),
+                    threads,
+                )
                 .unwrap();
             assert_eq!(sequential, parallel, "seed {seed}, {threads} threads");
         }
