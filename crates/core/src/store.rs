@@ -37,7 +37,7 @@ use cordoba_carbon::embodied::EmbodiedModel;
 use cordoba_carbon::units::{CarbonIntensity, GramsCo2e, Joules, Seconds, SquareCentimeters};
 use cordoba_carbon::yield_model::YieldModel;
 use cordoba_carbon::CarbonError;
-use cordoba_store::{hex_f64, parse_hex_f64, KeyBuilder, Store, StoreKey};
+use cordoba_store::{parse_hex_f64_bytes, push_hex_f64, KeyBuilder, Store, StoreKey};
 use cordoba_workloads::task::Task;
 
 /// Store kind for [`evaluate_space_stored`] entries.
@@ -199,18 +199,61 @@ pub fn beta_sweep_key(candidates: &[DesignPoint]) -> StoreKey {
     k.finish()
 }
 
+/// Bytes of one payload cell: a `' '` separator, then 16 hex digits.
+const CELL: usize = 17;
+
+/// Appends one payload cell (`' '` + [`push_hex_f64`] digits) to `line`.
+fn push_cell(line: &mut String, value: f64) {
+    line.push(' ');
+    push_hex_f64(line, value);
+}
+
+/// Parses one [`CELL`]-byte window written by [`push_cell`].
+fn parse_cell(cell: &[u8]) -> Option<f64> {
+    let (&separator, digits) = cell.split_first()?;
+    if separator != b' ' {
+        return None;
+    }
+    parse_hex_f64_bytes(digits.try_into().ok()?)
+}
+
+/// Renders a point line: `'p'`, one cell per value, `' '`, then `name`.
+fn point_line(values: &[f64], name: &str) -> String {
+    let mut line = String::with_capacity(2 + CELL * values.len() + name.len());
+    line.push('p');
+    for &value in values {
+        push_cell(&mut line, value);
+    }
+    line.push(' ');
+    line.push_str(name);
+    line
+}
+
+/// Parses a [`point_line`]: `N` cells at a fixed stride after `'p'`, then
+/// the verbatim rest of the line (after one `' '`) as the name, which may
+/// itself hold spaces.
+fn parse_point_line<const N: usize>(line: &str) -> Option<([f64; N], &str)> {
+    let body = line.strip_prefix('p')?;
+    let cells = body.as_bytes().get(..CELL * N)?;
+    let mut values = [0.0; N];
+    for (value, cell) in values.iter_mut().zip(cells.chunks_exact(CELL)) {
+        *value = parse_cell(cell)?;
+    }
+    let name = body.get(CELL * N..)?.strip_prefix(' ')?;
+    Some((values, name))
+}
+
 fn encode_points(points: &[DesignPoint]) -> Vec<String> {
     let mut lines = Vec::with_capacity(points.len() + 1);
     lines.push(format!("points {}", points.len()));
     for p in points {
-        lines.push(format!(
-            "p {} {} {} {} {}",
-            hex_f64(p.delay.value()),
-            hex_f64(p.energy.value()),
-            hex_f64(p.embodied.value()),
-            hex_f64(p.area.value()),
-            p.name
-        ));
+        let values = [
+            p.delay.value(),
+            p.energy.value(),
+            p.embodied.value(),
+            p.area.value(),
+        ];
+        lines.push(point_line(&values, &p.name));
     }
     lines
 }
@@ -221,12 +264,7 @@ fn decode_points<'a>(lines: &mut impl Iterator<Item = &'a String>) -> Option<Vec
     let count: usize = lines.next()?.strip_prefix("points ")?.parse().ok()?;
     let mut points = Vec::with_capacity(count);
     for _ in 0..count {
-        let mut fields = lines.next()?.strip_prefix("p ")?.splitn(5, ' ');
-        let delay = parse_hex_f64(fields.next()?)?;
-        let energy = parse_hex_f64(fields.next()?)?;
-        let embodied = parse_hex_f64(fields.next()?)?;
-        let area = parse_hex_f64(fields.next()?)?;
-        let name = fields.next()?;
+        let ([delay, energy, embodied, area], name) = parse_point_line(lines.next()?)?;
         points.push(
             DesignPoint::new(
                 name,
@@ -239,6 +277,13 @@ fn decode_points<'a>(lines: &mut impl Iterator<Item = &'a String>) -> Option<Vec
         );
     }
     Some(points)
+}
+
+/// Whether decoded points are one per configuration, in order. A point's
+/// name is the verbatim rest of its line, so this is what catches a line
+/// whose cells were shifted into (or out of) the name.
+fn names_match(points: &[DesignPoint], configs: &[AcceleratorConfig]) -> bool {
+    points.len() == configs.len() && points.iter().zip(configs).all(|(p, c)| p.name == c.name())
 }
 
 /// [`evaluate_space`] with a persistent warm path: a prior result for the
@@ -259,7 +304,7 @@ pub fn evaluate_space_stored(
     if let Some(lines) = store.get(KIND_EVAL_SPACE, key) {
         let mut it = lines.iter();
         if let Some(points) = decode_points(&mut it).filter(|p| {
-            p.len() == configs.len() && it.next().is_none() // fully consumed
+            names_match(p, configs) && it.next().is_none() // fully consumed
         }) {
             return Ok(points);
         }
@@ -283,7 +328,7 @@ pub fn evaluate_space_multi_stored(
 ) -> Result<Vec<Vec<DesignPoint>>, CoreError> {
     let key = evaluate_space_multi_key(configs, tasks, embodied);
     if let Some(lines) = store.get(KIND_EVAL_SPACE_MULTI, key) {
-        if let Some(per_task) = decode_multi(&lines, tasks.len(), configs.len()) {
+        if let Some(per_task) = decode_multi(&lines, tasks.len(), configs) {
             return Ok(per_task);
         }
     }
@@ -299,7 +344,7 @@ pub fn evaluate_space_multi_stored(
 fn decode_multi(
     lines: &[String],
     task_count: usize,
-    config_count: usize,
+    configs: &[AcceleratorConfig],
 ) -> Option<Vec<Vec<DesignPoint>>> {
     let mut it = lines.iter();
     let tasks: usize = it.next()?.strip_prefix("tasks ")?.parse().ok()?;
@@ -309,7 +354,7 @@ fn decode_multi(
     let mut per_task = Vec::with_capacity(tasks);
     for _ in 0..tasks {
         let points = decode_points(&mut it)?;
-        if points.len() != config_count {
+        if !names_match(&points, configs) {
             return None;
         }
         per_task.push(points);
@@ -331,14 +376,18 @@ pub fn op_time_sweep_stored(
     store: &Store,
 ) -> Result<OpTimeSweep, CarbonError> {
     let key = op_time_sweep_key(&points, &task_counts, ci_use);
-    if let Some(lines) = store.get(KIND_OP_TIME_SWEEP, key) {
-        if let Some(matrix) = decode_matrix(&lines, task_counts.len(), points.len()) {
-            if let Some(sweep) =
-                OpTimeSweep::from_flat(points.clone(), task_counts.clone(), ci_use, matrix)
-            {
-                return Ok(sweep);
-            }
-        }
+    let cached = store
+        .get(KIND_OP_TIME_SWEEP, key)
+        .and_then(|lines| decode_matrix(&lines, task_counts.len(), points.len()));
+    if let Some(matrix) = cached {
+        // `decode_matrix` returns exactly rows × points cells, so the size
+        // check cannot fail and the inputs move into the sweep uncloned;
+        // the error arm keeps this total without a panic path.
+        return OpTimeSweep::from_flat(points, task_counts, ci_use, matrix).ok_or(
+            CarbonError::Empty {
+                what: "tcdp matrix",
+            },
+        );
     }
     let sweep = OpTimeSweep::new(points, task_counts, ci_use)?;
     let _ = store.put(KIND_OP_TIME_SWEEP, key, &encode_matrix(&sweep));
@@ -349,32 +398,34 @@ fn encode_matrix(sweep: &OpTimeSweep) -> Vec<String> {
     let width = sweep.points.len();
     let mut lines = vec![format!("rows {} width {}", sweep.task_counts.len(), width)];
     for row in sweep.tcdp_matrix().chunks_exact(width.max(1)) {
-        let mut line = String::with_capacity(2 + 17 * row.len());
+        let mut line = String::with_capacity(1 + CELL * row.len());
         line.push('r');
         for &cell in row {
-            line.push(' ');
-            line.push_str(&hex_f64(cell));
+            push_cell(&mut line, cell);
         }
         lines.push(line);
     }
     lines
 }
 
+/// Decodes [`encode_matrix`] output. Each row is `'r'` followed by exactly
+/// `width` cells, so its length is checked once and the cells are parsed
+/// at a fixed stride instead of being split on separators.
 fn decode_matrix(lines: &[String], rows: usize, width: usize) -> Option<Vec<f64>> {
     let mut it = lines.iter();
     let header = it.next()?;
     if *header != format!("rows {rows} width {width}") {
         return None;
     }
-    let mut matrix = Vec::with_capacity(rows * width);
+    let row_bytes = CELL.checked_mul(width)?;
+    let mut matrix = Vec::with_capacity(rows.checked_mul(width)?);
     for _ in 0..rows {
-        let mut cells = 0usize;
-        for field in it.next()?.strip_prefix("r ")?.split(' ') {
-            matrix.push(parse_hex_f64(field)?);
-            cells += 1;
-        }
-        if cells != width {
+        let cells = it.next()?.as_bytes().strip_prefix(b"r")?;
+        if cells.len() != row_bytes {
             return None;
+        }
+        for cell in cells.chunks_exact(CELL) {
+            matrix.push(parse_cell(cell)?);
         }
     }
     it.next().is_none().then_some(matrix)
@@ -385,7 +436,7 @@ fn decode_matrix(lines: &[String], rows: usize, width: usize) -> Option<Vec<f64>
 pub fn beta_sweep_stored(candidates: &[DesignPoint], store: &Store) -> BetaSweep {
     let key = beta_sweep_key(candidates);
     if let Some(lines) = store.get(KIND_BETA_SWEEP, key) {
-        if let Some(sweep) = decode_beta(&lines, candidates.len()) {
+        if let Some(sweep) = decode_beta(&lines, candidates) {
             return sweep;
         }
     }
@@ -398,7 +449,7 @@ fn encode_beta(sweep: &BetaSweep) -> Vec<String> {
     let mut lines = Vec::with_capacity(sweep.points.len() + 3);
     lines.push(format!("points {}", sweep.points.len()));
     for p in &sweep.points {
-        lines.push(format!("p {} {} {}", hex_f64(p.x), hex_f64(p.y), p.name));
+        lines.push(point_line(&[p.x, p.y], &p.name));
     }
     let render = |tag: &str, indices: &[usize]| {
         let mut line = tag.to_string();
@@ -413,18 +464,18 @@ fn encode_beta(sweep: &BetaSweep) -> Vec<String> {
     lines
 }
 
-fn decode_beta(lines: &[String], candidate_count: usize) -> Option<BetaSweep> {
+fn decode_beta(lines: &[String], candidates: &[DesignPoint]) -> Option<BetaSweep> {
     let mut it = lines.iter();
     let count: usize = it.next()?.strip_prefix("points ")?.parse().ok()?;
-    if count != candidate_count {
+    if count != candidates.len() {
         return None;
     }
     let mut points = Vec::with_capacity(count);
-    for _ in 0..count {
-        let mut fields = it.next()?.strip_prefix("p ")?.splitn(3, ' ');
-        let x = parse_hex_f64(fields.next()?)?;
-        let y = parse_hex_f64(fields.next()?)?;
-        let name = fields.next()?;
+    for candidate in candidates {
+        let ([x, y], name) = parse_point_line(it.next()?)?;
+        if name != candidate.name {
+            return None;
+        }
         points.push(Point2::new(name, x, y));
     }
     let indices = |line: &str, tag: &str| -> Option<Vec<usize>> {
@@ -571,5 +622,196 @@ mod tests {
         // The recompute healed the entry in place.
         let healed = evaluate_space_stored(&configs, &task, &model, &store).unwrap();
         assert_eq!(healed, fresh);
+    }
+
+    /// Byte-level damage to one payload line, keyed by a description.
+    /// `line` must hold at least two cells after its one-letter tag.
+    fn damaged_variants(line: &str) -> Vec<(&'static str, String)> {
+        // Byte offset of the first cell's first digit.
+        let digits = 2;
+        let splice = |at: usize, cut: usize, with: &str| {
+            format!("{}{with}{}", &line[..at], &line[at + cut..])
+        };
+        vec![
+            ("one byte short inside a cell", splice(digits + 3, 1, "")),
+            (
+                "one byte short at the end",
+                line[..line.len() - 1].to_string(),
+            ),
+            ("missing cell", splice(digits - 1, CELL, "")),
+            ("extra cell", splice(digits - 1, 0, " 3ff0000000000000")),
+            ("tab separator", splice(digits - 1, 1, "\t")),
+            ("non-hex ASCII byte", splice(digits + 5, 1, "g")),
+            ("2-byte UTF-8 character", splice(digits + 5, 2, "\u{e9}")),
+        ]
+    }
+
+    /// Uppercases every 16-digit hex token of a payload line, leaving tags
+    /// and names alone.
+    fn uppercase_hex(line: &str) -> String {
+        line.split(' ')
+            .map(|tok| {
+                if tok.len() == 16 && tok.bytes().all(|b| b.is_ascii_hexdigit()) {
+                    tok.to_ascii_uppercase()
+                } else {
+                    tok.to_string()
+                }
+            })
+            .collect::<Vec<_>>()
+            .join(" ")
+    }
+
+    /// Replaces payload line `line` of the entry at `(kind, key)` with each
+    /// damaged variant in turn: `run` must miss, return `fresh`, and heal
+    /// the entry to the byte-identical payload. An uppercase-hex payload
+    /// must instead be served as is.
+    fn assert_damage_misses<T: PartialEq + std::fmt::Debug>(
+        store: &Store,
+        kind: &str,
+        key: StoreKey,
+        line: usize,
+        fresh: &T,
+        run: impl Fn() -> T,
+    ) {
+        let good = store.get(kind, key).expect("entry published");
+        for (what, damaged) in damaged_variants(&good[line]) {
+            let mut lines = good.clone();
+            lines[line] = damaged;
+            store.put(kind, key, &lines).unwrap();
+            assert_eq!(&run(), fresh, "{kind}: {what}");
+            assert_eq!(store.get(kind, key), Some(good.clone()), "{kind}: {what}");
+        }
+        let upper: Vec<String> = good.iter().map(|l| uppercase_hex(l)).collect();
+        assert_ne!(upper, good);
+        store.put(kind, key, &upper).unwrap();
+        assert_eq!(&run(), fresh, "{kind}: uppercase");
+        // Served from the uppercase entry, not recomputed and rewritten.
+        assert_eq!(store.get(kind, key), Some(upper), "{kind}: uppercase hit");
+    }
+
+    /// Result bits of a point list, names included.
+    fn point_bits(points: &[DesignPoint]) -> Vec<(String, [u64; 4])> {
+        points
+            .iter()
+            .map(|p| {
+                let values = [
+                    p.delay.value(),
+                    p.energy.value(),
+                    p.embodied.value(),
+                    p.area.value(),
+                ];
+                (p.name.clone(), values.map(f64::to_bits))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn damaged_payloads_miss_and_recompute() {
+        let store = temp_store("damage");
+        let configs = design_space();
+        let task = Task::xr_5_kernels();
+        let model = EmbodiedModel::default();
+        let fresh = evaluate_space(&configs, &task, &model).unwrap();
+
+        evaluate_space_stored(&configs, &task, &model, &store).unwrap();
+        assert_damage_misses(
+            &store,
+            KIND_EVAL_SPACE,
+            evaluate_space_key(&configs, &task, &model),
+            1,
+            &point_bits(&fresh),
+            || point_bits(&evaluate_space_stored(&configs, &task, &model, &store).unwrap()),
+        );
+
+        let beta_bits = |sweep: &BetaSweep| -> Vec<(String, u64, u64)> {
+            let mut bits: Vec<_> = sweep
+                .points
+                .iter()
+                .map(|p| (p.name.clone(), p.x.to_bits(), p.y.to_bits()))
+                .collect();
+            bits.extend(sweep.pareto.iter().map(|&i| (String::new(), i as u64, 0)));
+            bits.extend(sweep.support.iter().map(|&i| (String::new(), 0, i as u64)));
+            bits
+        };
+        let _ = beta_sweep_stored(&fresh, &store);
+        assert_damage_misses(
+            &store,
+            KIND_BETA_SWEEP,
+            beta_sweep_key(&fresh),
+            1,
+            &beta_bits(&BetaSweep::run(&fresh)),
+            || beta_bits(&beta_sweep_stored(&fresh, &store)),
+        );
+
+        let counts = log_sweep(4, 9, 2);
+        let sweep_bits = |sweep: &OpTimeSweep| -> Vec<u64> {
+            sweep.tcdp_matrix().iter().map(|c| c.to_bits()).collect()
+        };
+        let fresh_sweep =
+            OpTimeSweep::new(fresh.clone(), counts.clone(), grids::US_AVERAGE).unwrap();
+        op_time_sweep_stored(fresh.clone(), counts.clone(), grids::US_AVERAGE, &store).unwrap();
+        assert_damage_misses(
+            &store,
+            KIND_OP_TIME_SWEEP,
+            op_time_sweep_key(&fresh, &counts, grids::US_AVERAGE),
+            1,
+            &sweep_bits(&fresh_sweep),
+            || {
+                let warm =
+                    op_time_sweep_stored(fresh.clone(), counts.clone(), grids::US_AVERAGE, &store);
+                sweep_bits(&warm.unwrap())
+            },
+        );
+    }
+
+    /// The table-driven writers emit exactly what the `format!`-based
+    /// writers they replaced did, so entries stay byte-identical.
+    #[test]
+    fn payload_lines_match_the_formatted_rendering() {
+        let hex = |v: f64| format!("{:016x}", v.to_bits());
+        let points = evaluate_space(
+            &design_space(),
+            &Task::ai_5_kernels(),
+            &EmbodiedModel::default(),
+        )
+        .unwrap();
+        let lines = encode_points(&points);
+        assert_eq!(lines[0], format!("points {}", points.len()));
+        for (line, p) in lines[1..].iter().zip(&points) {
+            let expected = format!(
+                "p {} {} {} {} {}",
+                hex(p.delay.value()),
+                hex(p.energy.value()),
+                hex(p.embodied.value()),
+                hex(p.area.value()),
+                p.name
+            );
+            assert_eq!(*line, expected);
+        }
+
+        let beta = BetaSweep::run(&points);
+        let lines = encode_beta(&beta);
+        for (line, p) in lines[1..].iter().zip(&beta.points) {
+            assert_eq!(*line, format!("p {} {} {}", hex(p.x), hex(p.y), p.name));
+        }
+        let render = |tag: &str, idx: &[usize]| {
+            std::iter::once(tag.to_string())
+                .chain(idx.iter().map(usize::to_string))
+                .collect::<Vec<_>>()
+                .join(" ")
+        };
+        assert_eq!(lines[lines.len() - 2], render("pareto", &beta.pareto));
+        assert_eq!(lines[lines.len() - 1], render("support", &beta.support));
+
+        let sweep = OpTimeSweep::new(points, log_sweep(4, 9, 2), grids::US_AVERAGE).unwrap();
+        let lines = encode_matrix(&sweep);
+        let width = sweep.points.len();
+        for (line, row) in lines[1..]
+            .iter()
+            .zip(sweep.tcdp_matrix().chunks_exact(width))
+        {
+            let cells: Vec<String> = row.iter().map(|&c| hex(c)).collect();
+            assert_eq!(*line, format!("r {}", cells.join(" ")));
+        }
     }
 }

@@ -35,6 +35,7 @@ use cordoba_carbon::units::{CarbonIntensity, Seconds};
 use cordoba_carbon::CarbonError;
 use cordoba_obs::Event;
 use cordoba_par::supervise::{Outcome, StopReason, Supervisor};
+use cordoba_store::{parse_hex_f64, push_hex_f64};
 use cordoba_workloads::task::Task;
 use std::fmt::Write as _;
 
@@ -320,16 +321,11 @@ pub struct SweepCheckpoint {
 /// Magic first line of the checkpoint format (versioned).
 const CHECKPOINT_HEADER: &str = "cordoba-sweep-checkpoint v1";
 
-/// Renders an `f64` as its exact bit pattern.
-fn hex_f64(v: f64) -> String {
-    format!("{:016x}", v.to_bits())
-}
-
-/// Parses [`hex_f64`] output back to the exact same `f64`.
-fn parse_hex_f64(token: &str, what: &str) -> Result<f64, CoreError> {
-    u64::from_str_radix(token, 16)
-        .map(f64::from_bits)
-        .map_err(|_| CoreError::Supervision(format!("checkpoint: bad {what} value `{token}`")))
+/// Parses one [`push_hex_f64`]-rendered token back to the exact same
+/// `f64`: exactly 16 hex digits, no sign and no short forms.
+fn parse_hex(token: &str, what: &str) -> Result<f64, CoreError> {
+    parse_hex_f64(token)
+        .ok_or_else(|| CoreError::Supervision(format!("checkpoint: bad {what} value `{token}`")))
 }
 
 impl SweepCheckpoint {
@@ -474,31 +470,38 @@ impl SweepCheckpoint {
         // unused-result lint satisfied without unwraps.
         let _ = writeln!(out, "{CHECKPOINT_HEADER}");
         let _ = writeln!(out, "reason {}", self.reason.token());
-        let _ = writeln!(out, "ci_use {}", hex_f64(self.ci_use.value()));
+        out.push_str("ci_use ");
+        push_hex_f64(&mut out, self.ci_use.value());
+        out.push('\n');
         let _ = writeln!(out, "task_counts {}", self.task_counts.len());
         for count in &self.task_counts {
-            let _ = writeln!(out, "c {}", hex_f64(*count));
+            out.push_str("c ");
+            push_hex_f64(&mut out, *count);
+            out.push('\n');
         }
         let _ = writeln!(out, "points {}", self.points.len());
         for p in &self.points {
-            let _ = writeln!(
-                out,
-                "p {} {} {} {} {}",
-                hex_f64(p.delay.value()),
-                hex_f64(p.energy.value()),
-                hex_f64(p.embodied.value()),
-                hex_f64(p.area.value()),
-                p.name,
-            );
+            out.push('p');
+            for v in [
+                p.delay.value(),
+                p.energy.value(),
+                p.embodied.value(),
+                p.area.value(),
+            ] {
+                out.push(' ');
+                push_hex_f64(&mut out, v);
+            }
+            let _ = writeln!(out, " {}", p.name);
         }
         let _ = writeln!(out, "rows {}", self.completed_rows());
         for (idx, row) in self.rows.iter().enumerate() {
             if let Some(values) = row {
                 let _ = write!(out, "r {idx}");
                 for v in values {
-                    let _ = write!(out, " {}", hex_f64(*v));
+                    out.push(' ');
+                    push_hex_f64(&mut out, *v);
                 }
-                let _ = writeln!(out);
+                out.push('\n');
             }
         }
         let _ = writeln!(out, "end");
@@ -539,7 +542,7 @@ impl SweepCheckpoint {
         let ci_hex = ci_line
             .strip_prefix("ci_use ")
             .ok_or_else(|| bad(format!("bad ci_use line `{ci_line}`")))?;
-        let ci_use = CarbonIntensity::new(parse_hex_f64(ci_hex, "ci_use")?);
+        let ci_use = CarbonIntensity::new(parse_hex(ci_hex, "ci_use")?);
 
         let counts_line = next("task_counts")?;
         let n: usize = counts_line
@@ -555,7 +558,7 @@ impl SweepCheckpoint {
             let hex = line
                 .strip_prefix("c ")
                 .ok_or_else(|| bad(format!("bad count line `{line}`")))?;
-            task_counts.push(parse_hex_f64(hex, "task count")?);
+            task_counts.push(parse_hex(hex, "task count")?);
         }
 
         let points_line = next("points")?;
@@ -585,10 +588,10 @@ impl SweepCheckpoint {
             };
             points.push(DesignPoint::new(
                 name,
-                Seconds::new(parse_hex_f64(d, "delay")?),
-                cordoba_carbon::units::Joules::new(parse_hex_f64(e, "energy")?),
-                cordoba_carbon::units::GramsCo2e::new(parse_hex_f64(emb, "embodied")?),
-                cordoba_carbon::units::SquareCentimeters::new(parse_hex_f64(area, "area")?),
+                Seconds::new(parse_hex(d, "delay")?),
+                cordoba_carbon::units::Joules::new(parse_hex(e, "energy")?),
+                cordoba_carbon::units::GramsCo2e::new(parse_hex(emb, "embodied")?),
+                cordoba_carbon::units::SquareCentimeters::new(parse_hex(area, "area")?),
             )?);
         }
 
@@ -615,7 +618,7 @@ impl SweepCheckpoint {
                 return Err(bad(format!("duplicate row index {idx}")));
             }
             let values = tokens
-                .map(|tok| parse_hex_f64(tok, "row"))
+                .map(|tok| parse_hex(tok, "row"))
                 .collect::<Result<Vec<f64>, CoreError>>()?;
             if values.len() != m {
                 return Err(bad(format!(
@@ -1002,6 +1005,41 @@ mod tests {
         let broken = text.replacen("r 0 ", "r 999 ", 1);
         if broken != text {
             assert!(SweepCheckpoint::from_text(&broken).is_err());
+        }
+    }
+
+    /// Values must be exactly 16 hex digits: the signed and short forms
+    /// `from_str_radix` used to accept are rejected, and the writer →
+    /// parser round trip stays the identity.
+    #[test]
+    fn checkpoint_values_must_be_sixteen_hex_digits() {
+        let partial = op_time_sweep_supervised_with_threads(
+            points(),
+            log_sweep(4, 8, 2),
+            grids::US_AVERAGE,
+            &Supervisor::tripping_after(2),
+            1,
+        )
+        .unwrap()
+        .partial()
+        .unwrap();
+        let text = partial.checkpoint.to_text();
+        let restored = SweepCheckpoint::from_text(&text).unwrap();
+        assert_eq!(restored, partial.checkpoint);
+        assert_eq!(restored.to_text(), text);
+
+        let ci_line = text.lines().nth(2).unwrap();
+        assert!(ci_line.starts_with("ci_use "));
+        for token in ["+3ff0000000000000", "3ff"] {
+            let damaged = text.replacen(ci_line, &format!("ci_use {token}"), 1);
+            let err = SweepCheckpoint::from_text(&damaged).unwrap_err();
+            assert!(
+                err.to_string().contains("bad ci_use value"),
+                "{token}: {err}"
+            );
+            let count_line = text.lines().find(|l| l.starts_with("c ")).unwrap();
+            let damaged = text.replacen(count_line, &format!("c {token}"), 1);
+            assert!(SweepCheckpoint::from_text(&damaged).is_err(), "{token}");
         }
     }
 

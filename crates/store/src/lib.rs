@@ -28,6 +28,6 @@ pub mod codec;
 pub mod io;
 pub mod key;
 
-pub use codec::{hex_f64, parse_hex_f64};
+pub use codec::{hex_f64, parse_hex_f64, parse_hex_f64_bytes, push_hex_f64};
 pub use io::{EntryInfo, Store, CODE_VERSION_SALT, FORMAT_HEADER};
 pub use key::{KeyBuilder, StoreKey};
