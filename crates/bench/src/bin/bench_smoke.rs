@@ -14,10 +14,7 @@
 //! and once with the default pool — so the thread-scaling ratio is visible
 //! in the recorded file. The `integral/` and `uncertainty/` groups pair
 //! each exact-kernel measurement with its sampled predecessor, so the
-//! recorded file documents the kernel speedup directly. The `supervise/`
-//! group pairs each headline pipeline with its supervised (unbounded)
-//! sibling, documenting the cost of the cooperative stop checks and
-//! per-item panic isolation when no deadline is set. The `obs/` group
+//! recorded file documents the kernel speedup directly. The `obs/` group
 //! records the cost of a disabled-registry counter bump next to the bare
 //! loop it instruments, and the run's own `cordoba-obs` counter values are
 //! appended as `obs/counter/...` entries so the recorded file shows what
@@ -255,10 +252,7 @@ fn main() {
     let mut per_thread: Vec<(String, u128)> = Vec::new();
     for threads in [1usize, 2, 4, 8] {
         let ns = median_ns(iters, || {
-            black_box(
-                evaluate_space_with_threads(black_box(&wide_space), &task, &model, threads)
-                    .unwrap(),
-            );
+            black_box(evaluate_at(black_box(&wide_space), &task, &model, threads));
         });
         results.push((format!("scaling/evaluate_space_1000/threads={threads}"), ns));
         per_thread.push((format!("{threads}"), ns));
@@ -291,9 +285,7 @@ fn main() {
             }
         },
         || {
-            black_box(
-                evaluate_space_with_threads(black_box(&wide_space), &task, &model, 1).unwrap(),
-            );
+            black_box(evaluate_at(black_box(&wide_space), &task, &model, 1));
         },
     );
     results.push((
@@ -315,13 +307,15 @@ fn main() {
     let (seed_one_ns, seed_auto_ns) = paired_median_ns(
         iters * 3,
         || {
-            black_box(evaluate_space_with_threads(black_box(&configs), &task, &model, 1).unwrap());
+            black_box(evaluate_at(black_box(&configs), &task, &model, 1));
         },
         || {
-            black_box(
-                evaluate_space_with_threads(black_box(&configs), &task, &model, auto_workers)
-                    .unwrap(),
-            );
+            black_box(evaluate_at(
+                black_box(&configs),
+                &task,
+                &model,
+                auto_workers,
+            ));
         },
     );
     results.push((
@@ -422,85 +416,6 @@ fn main() {
         "warm store sweep must beat cold by >=10x: warm {warm_store_ns}ns vs cold {cold_store_ns}ns"
     );
     let _ = std::fs::remove_dir_all(&store_root);
-
-    // supervise/* — each headline pipeline against its supervised
-    // (unbounded) sibling. With no deadline the added per-item cost is one
-    // relaxed flag load plus a catch_unwind frame; target <=2% overhead on
-    // the evaluate_space pair. The sweep pair widens the point set 8x so
-    // each row carries ~2.4us of real work: on the bare 121-point rows
-    // (~300ns each) the fixed per-row isolation cost and scheduler noise
-    // would dominate the ratio. Note the sweep pair is no longer a pure
-    // supervision probe: the unsupervised sweep streams entries straight
-    // into the flat row-major matrix, while the checkpointable supervised
-    // path must keep per-row storage (so interrupted rows can be saved and
-    // resumed) and pays a one-time row merge at completion.
-    let wide_points: Vec<_> = std::iter::repeat_n(points.clone(), 8).flatten().collect();
-    for (label, threads) in thread_modes {
-        cordoba_par::set_threads(threads);
-        let workers = cordoba_par::effective_threads();
-        let (plain, supervised) = paired_median_ns(
-            iters * 3,
-            || {
-                black_box(
-                    evaluate_space_with_threads(black_box(&configs), &task, &model, workers)
-                        .unwrap(),
-                );
-            },
-            || {
-                let sup = Supervisor::unbounded();
-                let eval = evaluate_space_supervised_with_threads(
-                    black_box(&configs),
-                    &task,
-                    &model,
-                    &sup,
-                    workers,
-                );
-                black_box(eval.is_complete());
-            },
-        );
-        results.push((
-            format!("supervise/evaluate_space/unsupervised/{label}"),
-            plain,
-        ));
-        results.push((
-            format!("supervise/evaluate_space/supervised/{label}"),
-            supervised,
-        ));
-        let (plain, supervised) = paired_median_ns(
-            iters * 3,
-            || {
-                black_box(
-                    OpTimeSweep::new(
-                        black_box(wide_points.clone()),
-                        counts.clone(),
-                        grids::US_AVERAGE,
-                    )
-                    .unwrap(),
-                );
-            },
-            || {
-                let sup = Supervisor::unbounded();
-                black_box(
-                    op_time_sweep_supervised(
-                        black_box(wide_points.clone()),
-                        counts.clone(),
-                        grids::US_AVERAGE,
-                        &sup,
-                    )
-                    .unwrap(),
-                );
-            },
-        );
-        results.push((
-            format!("supervise/op_time_sweep/unsupervised/{label}"),
-            plain,
-        ));
-        results.push((
-            format!("supervise/op_time_sweep/supervised/{label}"),
-            supervised,
-        ));
-    }
-    cordoba_par::set_threads(None);
 
     // pareto/frontier_10000 — sort-based skyline vs the all-pairs scan.
     let cloud = synthetic_cloud(10_000);
@@ -745,25 +660,6 @@ fn main() {
         }
     }
 
-    // Supervised-vs-unsupervised overhead, straight from this run's
-    // medians. The <=2% target applies to evaluate_space; the sweep pair
-    // additionally carries the checkpointable path's per-row storage and
-    // completion merge (see the supervise/* comment above).
-    println!("\nsupervision overhead (supervised vs unsupervised, no deadline; evaluate_space target <=2%):");
-    for group in ["supervise/evaluate_space", "supervise/op_time_sweep"] {
-        for (label, _) in thread_modes {
-            if let (Some(plain), Some(supervised)) = (
-                lookup(&format!("{group}/unsupervised/{label}")),
-                lookup(&format!("{group}/supervised/{label}")),
-            ) {
-                println!(
-                    "  {group} [{label}]: {:+.1}%",
-                    (supervised - plain) / plain.max(1.0) * 100.0
-                );
-            }
-        }
-    }
-
     // Informational comparison against the newest committed record; the
     // shared names are the carried-over sweep benches.
     let previous_path = previous_generation.map(|n| format!("{REPO_ROOT}/BENCH_{n}.json"));
@@ -785,4 +681,17 @@ fn main() {
             }
         }
     }
+}
+
+/// `configs` evaluated for `task` on the space-evaluation runner at
+/// `threads` workers (what `evaluate_space` runs at the default count).
+fn evaluate_at(
+    configs: &[AcceleratorConfig],
+    task: &Task,
+    model: &EmbodiedModel,
+    threads: usize,
+) -> Vec<DesignPoint> {
+    let mut run = SupervisedEval::new(configs, task, model);
+    run.advance(&Supervisor::unbounded(), threads);
+    run.into_points().expect("bench configurations evaluate")
 }

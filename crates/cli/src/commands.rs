@@ -386,6 +386,43 @@ fn cmd_metrics(args: &Args) -> Result<String, CliError> {
     Ok(out)
 }
 
+/// `dse` flag combinations that are usage errors, checked in order: a row
+/// `(flag, others, given, why)` fires when `--flag` is set and one of
+/// `others` is set (`given`) or missing (`!given`); `{other}` in `why`
+/// names that option.
+const DSE_CONFLICTS: [(&str, &[&str], bool, &str); 4] = [
+    // The store memoizes *complete* runs; supervision produces partial
+    // ones, so the two modes are mutually exclusive.
+    (
+        "store",
+        &["deadline", "checkpoint", "resume"],
+        true,
+        "--store memoizes complete runs and cannot be combined with --{other}",
+    ),
+    (
+        "resume",
+        &["attribution"],
+        true,
+        "a resumed checkpoint no longer carries the evaluation quarantine; \
+         re-run the sweep with --attribution instead",
+    ),
+    (
+        "resume",
+        &["task", "grid", "lo", "hi", "lenient"],
+        true,
+        "--resume restores every sweep input from the checkpoint; drop --{other}",
+    ),
+    // Only a deadline interrupts a sweep, so without one there is never
+    // progress to save.
+    (
+        "checkpoint",
+        &["deadline"],
+        false,
+        "--checkpoint saves a sweep interrupted by --deadline; add --deadline <dur> \
+         or drop --checkpoint",
+    ),
+];
+
 fn cmd_dse(args: &Args) -> Result<String, CliError> {
     if args.flag("help") {
         return Ok(
@@ -426,33 +463,17 @@ fn cmd_dse(args: &Args) -> Result<String, CliError> {
         "metrics",
         "help",
     ])?;
-    if args.get("store").is_some() {
-        // The store memoizes *complete* runs; supervision produces
-        // partial ones, so the two modes are mutually exclusive.
-        for conflicting in ["deadline", "checkpoint", "resume"] {
-            if args.get(conflicting).is_some() {
-                return Err(CliError::Usage(format!(
-                    "--store memoizes complete runs and cannot be combined with --{conflicting}"
-                )));
-            }
+    let set = |key: &str| args.get(key).is_some() || args.flag(key);
+    for (flag, others, given, why) in DSE_CONFLICTS {
+        if !set(flag) {
+            continue;
+        }
+        if let Some(other) = others.iter().find(|&&other| set(other) == given) {
+            return Err(CliError::Usage(why.replace("{other}", other)));
         }
     }
     let deadline = args.get("deadline").map(parse_duration).transpose()?;
     if let Some(path) = args.get("resume") {
-        if args.get("attribution").is_some() {
-            return Err(CliError::Usage(
-                "a resumed checkpoint no longer carries the evaluation quarantine; \
-                 re-run the sweep with --attribution instead"
-                    .to_owned(),
-            ));
-        }
-        for conflicting in ["task", "grid", "lo", "hi"] {
-            if args.get(conflicting).is_some() {
-                return Err(CliError::Usage(format!(
-                    "--resume restores every sweep input from the checkpoint; drop --{conflicting}"
-                )));
-            }
-        }
         return dse_resume(args, path, deadline);
     }
     let task = task_by_name(args.get("task").unwrap_or("all"))?;
@@ -485,33 +506,15 @@ fn cmd_dse(args: &Args) -> Result<String, CliError> {
     }
 
     let mut out = String::new();
-    let mut quarantined: Vec<EvalFailure> = Vec::new();
-    let points = if args.flag("lenient") {
-        let eval = evaluate_space_resilient(&design_space(), &task, &EmbodiedModel::default());
-        if eval.degraded() {
-            let _ = writeln!(
-                out,
-                "quarantined {} of {} configurations:",
-                eval.failures.len(),
-                eval.points.len() + eval.failures.len()
-            );
-            for failure in &eval.failures {
-                let _ = writeln!(out, "  {failure}");
-            }
-        }
-        if eval.points.is_empty() {
-            return Err(CliError::Usage(
-                "every configuration failed to evaluate".to_owned(),
-            ));
-        }
-        quarantined = eval.failures;
-        eval.points
+    let (points, quarantined) = if args.flag("lenient") {
+        evaluate_lenient(&task, &mut out)?
     } else {
-        evaluate_space(&design_space(), &task, &EmbodiedModel::default())?
+        let points = evaluate_space(&design_space(), &task, &EmbodiedModel::default())?;
+        (points, Vec::new())
     };
     let _ = writeln!(out, "task: {task} | grid: {ci}");
-    // The evaluation stage above runs unsupervised (it is the fast part);
-    // the deadline budget governs the sweep, so even `--deadline 0s`
+    // The evaluation stage above runs without a deadline (it is the fast
+    // part); the deadline budget governs the sweep, so even `--deadline 0s`
     // leaves a resumable checkpoint behind.
     let sup = match deadline {
         Some(budget) => Supervisor::with_deadline(budget),
@@ -530,6 +533,34 @@ fn cmd_dse(args: &Args) -> Result<String, CliError> {
         // the checkpoint carries the progress instead.
         SupervisedSweep::Partial(partial) => dse_checkpoint(args, partial, out),
     }
+}
+
+/// The `--lenient` evaluation of the built-in space: quarantines every
+/// configuration that fails to evaluate, lists the quarantine in `out`,
+/// and returns the surviving points with the failures.
+fn evaluate_lenient(
+    task: &Task,
+    out: &mut String,
+) -> Result<(Vec<DesignPoint>, Vec<EvalFailure>), CliError> {
+    let configs = design_space();
+    let eval = SupervisedEval::new(&configs, task, &EmbodiedModel::default()).into_resilient();
+    if eval.degraded() {
+        let _ = writeln!(
+            out,
+            "quarantined {} of {} configurations:",
+            eval.failures.len(),
+            eval.points.len() + eval.failures.len()
+        );
+        for failure in &eval.failures {
+            let _ = writeln!(out, "  {failure}");
+        }
+    }
+    if eval.points.is_empty() {
+        return Err(CliError::Usage(
+            "every configuration failed to evaluate".to_owned(),
+        ));
+    }
+    Ok((eval.points, eval.failures))
 }
 
 /// Builds the carbon attribution ledger for a completed sweep, reconciles
@@ -633,29 +664,12 @@ fn dse_stored(
         }
     }
     let mut out = String::new();
-    let mut quarantined: Vec<EvalFailure> = Vec::new();
-    let points = if lenient {
-        let eval = evaluate_space_resilient(&design_space(), task, &EmbodiedModel::default());
-        if eval.degraded() {
-            let _ = writeln!(
-                out,
-                "quarantined {} of {} configurations:",
-                eval.failures.len(),
-                eval.points.len() + eval.failures.len()
-            );
-            for failure in &eval.failures {
-                let _ = writeln!(out, "  {failure}");
-            }
-        }
-        if eval.points.is_empty() {
-            return Err(CliError::Usage(
-                "every configuration failed to evaluate".to_owned(),
-            ));
-        }
-        quarantined = eval.failures;
-        eval.points
+    let (points, quarantined) = if lenient {
+        evaluate_lenient(task, &mut out)?
     } else {
-        evaluate_space_stored(&design_space(), task, &EmbodiedModel::default(), &store)?
+        let model = EmbodiedModel::default();
+        let points = evaluate_space_stored(&design_space(), task, &model, &store)?;
+        (points, Vec::new())
     };
     let _ = writeln!(out, "task: {task} | grid: {ci}");
     let sweep = op_time_sweep_stored(points, log_sweep(lo, hi, 2), ci, &store)?;
@@ -709,7 +723,7 @@ fn dse_resume(args: &Args, path: &str, deadline: Option<Duration>) -> Result<Str
         Some(budget) => Supervisor::with_deadline(budget),
         None => Supervisor::unbounded(),
     };
-    match checkpoint.resume(&sup)? {
+    match checkpoint.resume(&sup, cordoba_par::effective_threads())? {
         SupervisedSweep::Complete(sweep) => {
             render_sweep(&sweep, &mut out)?;
             Ok(out)
@@ -1193,15 +1207,12 @@ fn doctor_supervision(out: &mut String) -> Result<(), CliError> {
     let rows = counts.len();
 
     // A zero-budget deadline must interrupt before any row.
-    let deadline_ok = op_time_sweep_supervised_with_threads(
-        points.clone(),
-        counts.clone(),
-        grids::US_AVERAGE,
-        &Supervisor::with_deadline(Duration::ZERO),
-        1,
-    )?
-    .partial()
-    .is_some_and(|p| p.checkpoint.completed_rows() == 0);
+    let fresh = SweepCheckpoint::new(points.clone(), counts.clone(), grids::US_AVERAGE)?;
+    let deadline_ok = fresh
+        .clone()
+        .resume(&Supervisor::with_deadline(Duration::ZERO), 1)?
+        .partial()
+        .is_some_and(|p| p.checkpoint.completed_rows() == 0);
     let _ = writeln!(
         out,
         "  deadline-bounded sweep: {}",
@@ -1214,21 +1225,19 @@ fn doctor_supervision(out: &mut String) -> Result<(), CliError> {
 
     // Interrupt mid-sweep, round-trip the checkpoint through its text
     // form, resume, and demand the uninterrupted sweep's exact bits.
-    let direct = OpTimeSweep::with_threads(points.clone(), counts.clone(), grids::US_AVERAGE, 1)?;
-    let partial = op_time_sweep_supervised_with_threads(
-        points,
-        counts,
-        grids::US_AVERAGE,
-        &Supervisor::tripping_after(u64::try_from(rows / 2).unwrap_or(1)),
-        1,
-    )?
-    .partial();
+    let direct = OpTimeSweep::new(points, counts, grids::US_AVERAGE)?;
+    let partial = fresh
+        .resume(
+            &Supervisor::tripping_after(u64::try_from(rows / 2).unwrap_or(1)),
+            1,
+        )?
+        .partial();
     let (roundtrip_ok, resume_ok) = match partial {
         Some(p) => {
             let restored = SweepCheckpoint::from_text(&p.checkpoint.to_text()).ok();
             let roundtrip = restored.as_ref() == Some(&p.checkpoint);
             let resumed = restored
-                .and_then(|c| c.resume_with_threads(&Supervisor::unbounded(), 1).ok())
+                .and_then(|c| c.resume(&Supervisor::unbounded(), 1).ok())
                 .and_then(SupervisedSweep::complete);
             (roundtrip, resumed.as_ref() == Some(&direct))
         }
@@ -1958,7 +1967,7 @@ mod tests {
         let path = dir.join("sweep.ckpt");
         let _ = std::fs::remove_file(&path);
         // A zero deadline interrupts before any row but after the
-        // (unsupervised) evaluation stage, so the checkpoint always lands.
+        // deadline-free evaluation stage, so the checkpoint always lands.
         let out = run_str(&format!(
             "dse --task xr5 --lo 5 --hi 7 --deadline 0s --checkpoint {}",
             path.display()
@@ -2063,6 +2072,24 @@ mod tests {
     fn dse_attribution_conflicts_with_resume() {
         let err = run_str("dse --resume x.ckpt --attribution -").unwrap_err();
         assert!(err.to_string().contains("attribution"), "{err}");
+    }
+
+    #[test]
+    fn dse_lenient_conflicts_with_resume() {
+        // A resumed sweep never re-evaluates the space, so `--lenient`
+        // would be silently ignored.
+        let err = run_str("dse --resume x.ckpt --lenient").unwrap_err();
+        assert!(err.to_string().contains("drop --lenient"), "{err}");
+    }
+
+    #[test]
+    fn dse_checkpoint_requires_deadline() {
+        // Without a deadline the sweep is never interrupted, so the
+        // checkpoint file would never be written.
+        let err = run_str("dse --task xr5 --lo 5 --hi 7 --checkpoint x.ckpt").unwrap_err();
+        assert!(err.to_string().contains("add --deadline"), "{err}");
+        let err = run_str("dse --resume x.ckpt --checkpoint y.ckpt").unwrap_err();
+        assert!(err.to_string().contains("add --deadline"), "{err}");
     }
 
     #[test]

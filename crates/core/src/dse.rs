@@ -9,7 +9,8 @@
 //! under uncertainty.
 
 use crate::error::CoreError;
-use crate::metrics::{DesignPoint, OperationalContext};
+use crate::metrics::DesignPoint;
+use crate::supervise::{SupervisedEval, SweepCheckpoint};
 use cordoba_accel::cache::EmbodiedCache;
 use cordoba_accel::config::AcceleratorConfig;
 use cordoba_accel::sim::{full_cost_table, ConfigBatch, KernelSlab, TaskPlan};
@@ -17,26 +18,17 @@ use cordoba_carbon::embodied::EmbodiedModel;
 use cordoba_carbon::integral::CiIntegral;
 use cordoba_carbon::units::{CarbonIntensity, Seconds};
 use cordoba_carbon::CarbonError;
-use cordoba_obs::Histogram;
 use cordoba_par::CostHint;
 use cordoba_workloads::task::Task;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
 
-/// Wall-clock distribution of [`evaluate_space_with_threads`] calls.
-static EVALUATE_SPACE_NS: Histogram = Histogram::new("core/evaluate_space_ns");
-/// Wall-clock distribution of [`OpTimeSweep::with_threads`] calls.
-static OP_TIME_SWEEP_NS: Histogram = Histogram::new("core/op_time_sweep_ns");
-
 /// Estimated cost of characterizing one configuration through the batch
 /// pipeline (roofline + task equations + memoized embodied carbon). Feeds
 /// the [`CostHint`] chunk sizing: the seed 121-config space stays on the
 /// calling thread while thousand-config spaces fan out.
 pub(crate) const EVAL_NS_PER_CONFIG: u64 = 1_200;
-/// Estimated cost of one tCDP matrix entry (one `DesignPoint::tcdp` call);
-/// a sweep row's hint is this times the point count.
-pub(crate) const TCDP_NS_PER_POINT: u64 = 40;
 
 /// The batch-evaluation state shared by every configuration of one
 /// `evaluate_space` call: the SoA simulator inputs, the task resolved to
@@ -72,6 +64,11 @@ impl<'a> EvalBatch<'a> {
             plan,
             cache: EmbodiedCache::new(embodied.clone()),
         }
+    }
+
+    /// The configurations this batch evaluates.
+    pub(crate) fn configs(&self) -> &'a [AcceleratorConfig] {
+        self.configs
     }
 
     pub(crate) fn design_point(&self, idx: usize) -> Result<DesignPoint, CoreError> {
@@ -116,14 +113,15 @@ pub fn accel_design_point(
 }
 
 /// Characterizes a whole configuration list for a task, aborting on the
-/// first invalid configuration.
+/// first invalid configuration: [`SupervisedEval`]'s strict finisher under
+/// a supervisor that never trips.
 ///
 /// Configurations are evaluated in parallel (see [`cordoba_par`]) but the
 /// returned points are in input order and bit-identical to a sequential
 /// `configs.iter().map(..).collect()` at any thread count.
 ///
 /// For sweeps over untrusted or generated spaces, prefer
-/// [`evaluate_space_resilient`], which quarantines failures instead.
+/// [`SupervisedEval::into_resilient`], which quarantines failures instead.
 ///
 /// # Errors
 ///
@@ -134,30 +132,7 @@ pub fn evaluate_space(
     task: &Task,
     embodied: &EmbodiedModel,
 ) -> Result<Vec<DesignPoint>, CoreError> {
-    evaluate_space_with_threads(configs, task, embodied, cordoba_par::effective_threads())
-}
-
-/// [`evaluate_space`] with an explicit worker-thread count (1 = the exact
-/// sequential path). Results are identical at every thread count.
-///
-/// # Errors
-///
-/// Propagates the error of the first (in input order) invalid
-/// configuration (see [`accel_design_point`]).
-pub fn evaluate_space_with_threads(
-    configs: &[AcceleratorConfig],
-    task: &Task,
-    embodied: &EmbodiedModel,
-    threads: usize,
-) -> Result<Vec<DesignPoint>, CoreError> {
-    let _span = cordoba_obs::span_timed("core/evaluate_space", &EVALUATE_SPACE_NS);
-    let batch = EvalBatch::new(configs, task, embodied);
-    cordoba_par::try_par_map_indexed_hinted(
-        configs,
-        threads,
-        CostHint::per_item_ns(EVAL_NS_PER_CONFIG),
-        |idx, _| batch.design_point(idx),
-    )
+    SupervisedEval::new(configs, task, embodied).into_points()
 }
 
 /// Characterizes a configuration list for *several* tasks at once, sharing
@@ -243,8 +218,14 @@ impl fmt::Display for EvalFailure {
     }
 }
 
-/// Outcome of [`evaluate_space_resilient`]: the points that evaluated
-/// cleanly plus a quarantine report for those that did not.
+/// Outcome of [`SupervisedEval::into_resilient`]: the points that
+/// evaluated cleanly plus a quarantine report for those that did not.
+///
+/// A poisoned configuration (corrupted tuning, unpriceable kernel, or a
+/// *panicking* evaluation — panics are isolated per configuration by the
+/// supervised map) lands in `failures` with its structured error; every
+/// healthy configuration is still evaluated. On a clean space `points` are
+/// exactly those of [`evaluate_space`].
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ResilientEval {
     /// Successfully characterized design points, in input order.
@@ -259,49 +240,6 @@ impl ResilientEval {
     pub fn degraded(&self) -> bool {
         !self.failures.is_empty()
     }
-}
-
-/// Characterizes a configuration list for a task, isolating
-/// per-configuration failures instead of aborting the sweep.
-///
-/// A poisoned configuration (corrupted tuning, unpriceable kernel, or a
-/// *panicking* evaluation — panics are isolated per configuration by the
-/// supervised map) lands in [`ResilientEval::failures`] with its structured
-/// error; every healthy configuration is still evaluated. On a clean space
-/// the returned points are exactly those of [`evaluate_space`]. Evaluation
-/// is parallel, but both `points` and `failures` preserve input
-/// (quarantine) order exactly as the sequential loop produced them.
-#[must_use]
-pub fn evaluate_space_resilient(
-    configs: &[AcceleratorConfig],
-    task: &Task,
-    embodied: &EmbodiedModel,
-) -> ResilientEval {
-    evaluate_space_resilient_with_threads(configs, task, embodied, cordoba_par::effective_threads())
-}
-
-/// [`evaluate_space_resilient`] with an explicit worker-thread count
-/// (1 = the exact sequential path). Results are identical at every thread
-/// count.
-#[must_use]
-pub fn evaluate_space_resilient_with_threads(
-    configs: &[AcceleratorConfig],
-    task: &Task,
-    embodied: &EmbodiedModel,
-    threads: usize,
-) -> ResilientEval {
-    let _span = cordoba_obs::span_with(
-        "core/evaluate_space_resilient",
-        "configs",
-        u64::try_from(configs.len()).unwrap_or(u64::MAX),
-    );
-    let sup = cordoba_par::Supervisor::unbounded();
-    let eval = crate::supervise::evaluate_space_supervised_with_threads(
-        configs, task, embodied, &sup, threads,
-    );
-    // An unbounded supervisor never stops the map, so every slot resolves.
-    eval.to_resilient()
-        .expect("unbounded supervised evaluation always completes") // cordoba-lint: allow(no-panic)
 }
 
 /// A logarithmic sweep of task counts: `per_decade` points per decade from
@@ -333,11 +271,12 @@ pub struct OpTimeSweep {
     /// tCDP of point `p` at task count `n`. One contiguous allocation
     /// instead of one `Vec` per row, so row scans (optimum lookups,
     /// robustness scores) stream linearly through memory.
-    tcdp: Vec<f64>,
+    pub(crate) tcdp: Vec<f64>,
 }
 
 impl OpTimeSweep {
-    /// Evaluates the sweep.
+    /// Evaluates the sweep: [`SweepCheckpoint::resume`] under a supervisor
+    /// that never trips.
     ///
     /// The tCDP matrix rows (one per task count) are computed in parallel;
     /// each row is independent, so the matrix is bit-identical to the
@@ -347,88 +286,16 @@ impl OpTimeSweep {
     ///
     /// Returns an error if `task_counts` is empty or contains non-positive
     /// values, or `points` is empty.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises a panic from a row computation on the caller.
     pub fn new(
         points: Vec<DesignPoint>,
         task_counts: Vec<f64>,
         ci_use: CarbonIntensity,
     ) -> Result<Self, CarbonError> {
-        Self::with_threads(
-            points,
-            task_counts,
-            ci_use,
-            cordoba_par::effective_threads(),
-        )
-    }
-
-    /// [`OpTimeSweep::new`] with an explicit worker-thread count (1 = the
-    /// exact sequential path). Results are identical at every thread count.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `task_counts` is empty or contains non-positive
-    /// values, or `points` is empty.
-    pub fn with_threads(
-        points: Vec<DesignPoint>,
-        task_counts: Vec<f64>,
-        ci_use: CarbonIntensity,
-        threads: usize,
-    ) -> Result<Self, CarbonError> {
-        let _span = cordoba_obs::span_timed("core/op_time_sweep", &OP_TIME_SWEEP_NS);
-        if points.is_empty() {
-            return Err(CarbonError::Empty {
-                what: "design points",
-            });
-        }
-        if task_counts.is_empty() {
-            return Err(CarbonError::Empty {
-                what: "task counts",
-            });
-        }
-        let hint = CostHint::per_item_ns(TCDP_NS_PER_POINT.saturating_mul(points.len() as u64));
-        if hint.workers(task_counts.len(), threads) == 1 {
-            // Sequential path: stream entries straight into the flat
-            // row-major matrix, with no per-row allocation or merge copy.
-            let mut tcdp = Vec::with_capacity(points.len() * task_counts.len());
-            for &n in &task_counts {
-                let ctx = OperationalContext::new(n, ci_use)?;
-                tcdp.extend(points.iter().map(|p| p.tcdp(&ctx).value()));
-            }
-            return Ok(Self {
-                points,
-                task_counts,
-                ci_use,
-                tcdp,
-            });
-        }
-        let rows: Vec<Vec<f64>> =
-            cordoba_par::try_par_map_indexed_hinted(&task_counts, threads, hint, |_, &n| {
-                let ctx = OperationalContext::new(n, ci_use)?;
-                Ok(points.iter().map(|p| p.tcdp(&ctx).value()).collect())
-            })?;
-        Ok(Self::from_rows(points, task_counts, ci_use, rows))
-    }
-
-    /// Assembles a sweep from rows computed elsewhere (the supervised
-    /// checkpoint/resume path), flattening them into the row-major matrix.
-    /// Callers guarantee `rows[n][p]` matches `task_counts[n]` ×
-    /// `points[p]` — the supervised sweep only produces rows through the
-    /// same per-row computation as [`Self::with_threads`].
-    pub(crate) fn from_rows(
-        points: Vec<DesignPoint>,
-        task_counts: Vec<f64>,
-        ci_use: CarbonIntensity,
-        rows: Vec<Vec<f64>>,
-    ) -> Self {
-        let mut tcdp = Vec::with_capacity(points.len() * task_counts.len());
-        for row in rows {
-            tcdp.extend(row);
-        }
-        Self {
-            points,
-            task_counts,
-            ci_use,
-            tcdp,
-        }
+        Ok(SweepCheckpoint::new(points, task_counts, ci_use)?.finish())
     }
 
     /// Reassembles a sweep from a flat row-major matrix restored by the
@@ -797,7 +664,8 @@ mod tests {
         let configs = design_space();
         let task = Task::ai_5_kernels();
         let strict = evaluate_space(&configs, &task, &EmbodiedModel::default()).unwrap();
-        let resilient = evaluate_space_resilient(&configs, &task, &EmbodiedModel::default());
+        let resilient =
+            SupervisedEval::new(&configs, &task, &EmbodiedModel::default()).into_resilient();
         assert!(!resilient.degraded());
         assert!(resilient.failures.is_empty());
         assert_eq!(resilient.points, strict);
@@ -829,7 +697,8 @@ mod tests {
         // Strict evaluation aborts the whole sweep...
         assert!(evaluate_space(&configs, &task, &EmbodiedModel::default()).is_err());
         // ...resilient evaluation quarantines the one bad config.
-        let result = evaluate_space_resilient(&configs, &task, &EmbodiedModel::default());
+        let result =
+            SupervisedEval::new(&configs, &task, &EmbodiedModel::default()).into_resilient();
         assert!(result.degraded());
         assert_eq!(result.points.len(), healthy);
         assert_eq!(result.failures.len(), 1);

@@ -84,8 +84,7 @@ pub mod prelude {
     pub use crate::case_ics::{candidates, design_points, table_one, table_two, Scenario};
     pub use crate::chart::AsciiChart;
     pub use crate::dse::{
-        accel_design_point, evaluate_space, evaluate_space_multi, evaluate_space_resilient,
-        evaluate_space_resilient_with_threads, evaluate_space_with_threads, log_sweep, EvalFailure,
+        accel_design_point, evaluate_space, evaluate_space_multi, log_sweep, EvalFailure,
         OpTimeSweep, ResilientEval,
     };
     pub use crate::error::CoreError;
@@ -104,9 +103,7 @@ pub mod prelude {
         beta_sweep_stored, evaluate_space_multi_stored, evaluate_space_stored, op_time_sweep_stored,
     };
     pub use crate::supervise::{
-        evaluate_space_supervised, evaluate_space_supervised_with_threads,
-        op_time_sweep_supervised, op_time_sweep_supervised_with_threads, PartialSweep,
-        SupervisedEval, SupervisedSweep, SweepCheckpoint,
+        op_time_sweep_supervised, PartialSweep, SupervisedEval, SupervisedSweep, SweepCheckpoint,
     };
     pub use crate::uncertainty::{
         context_for_embodied_share, domain_analysis, monte_carlo_regret, monte_carlo_source_tcdp,

@@ -1,18 +1,25 @@
-//! Supervised design-space evaluation and checkpointable sweeps.
+//! The supervised runners behind design-space evaluation and the
+//! operational-time sweep.
 //!
 //! The framework-layer face of the execution-supervision substrate in
-//! [`cordoba_par::supervise`]: every long-running pipeline here accepts a
-//! [`Supervisor`] and, instead of running all-or-nothing, returns a
-//! *partial result keyed by input index* when the supervisor stops it —
-//! plus enough state to resume later and land on the exact bits an
-//! uninterrupted run would have produced.
+//! [`cordoba_par::supervise`]: each pipeline has exactly one engine, which
+//! accepts a [`Supervisor`] and a worker-thread count and, instead of
+//! running all-or-nothing, keeps a *partial result keyed by input index*
+//! when the supervisor stops it — plus enough state to resume later and
+//! land on the exact bits an uninterrupted run would have produced. The
+//! plain entry points ([`evaluate_space`](crate::dse::evaluate_space),
+//! [`OpTimeSweep::new`]) are these runners under
+//! [`Supervisor::unbounded`] at [`cordoba_par::effective_threads`].
 //!
-//! * [`evaluate_space_supervised`] — design-space characterization with
-//!   per-configuration outcomes (done / quarantined / pending) and
-//!   in-place [`SupervisedEval::resume_with_threads`];
-//! * [`op_time_sweep_supervised`] — the Fig. 8 tCDP grid with row-level
-//!   checkpointing: an interrupted sweep yields a [`PartialSweep`] whose
-//!   [`SweepCheckpoint`] serializes to a deterministic text format
+//! * [`SupervisedEval`] — design-space characterization with
+//!   per-configuration outcomes (done / failed / pending), advanced in
+//!   place by [`SupervisedEval::advance`]; the caller picks the failure
+//!   policy by its finisher: [`SupervisedEval::into_points`] (strict) or
+//!   [`SupervisedEval::into_resilient`] (quarantine);
+//! * [`SweepCheckpoint`] — the Fig. 8 tCDP grid with row-level
+//!   checkpointing: [`SweepCheckpoint::resume`] computes the pending rows,
+//!   and an interrupted sweep yields a [`PartialSweep`] whose checkpoint
+//!   serializes to a deterministic text format
 //!   ([`SweepCheckpoint::to_text`]) the CLI writes to disk and resumes
 //!   from (`dse --deadline … --checkpoint …` / `dse --resume …`).
 //!
@@ -26,233 +33,225 @@
 //! `interrupt-at-any-point + resume == uninterrupted` bit-for-bit at any
 //! thread count. The property suite in `crates/robust` pins this.
 
-use crate::dse::{EvalBatch, EvalFailure, OpTimeSweep, ResilientEval};
+use crate::dse::{EvalBatch, EvalFailure, OpTimeSweep, ResilientEval, EVAL_NS_PER_CONFIG};
 use crate::error::CoreError;
 use crate::metrics::{DesignPoint, OperationalContext};
 use cordoba_accel::config::AcceleratorConfig;
 use cordoba_carbon::embodied::EmbodiedModel;
 use cordoba_carbon::units::{CarbonIntensity, Seconds};
 use cordoba_carbon::CarbonError;
-use cordoba_obs::Event;
+use cordoba_obs::{Event, Histogram};
 use cordoba_par::supervise::{Outcome, StopReason, Supervisor};
+use cordoba_par::CostHint;
 use cordoba_store::{parse_hex_f64, push_hex_f64};
 use cordoba_workloads::task::Task;
+use std::fmt;
 use std::fmt::Write as _;
+use std::sync::{Mutex, PoisonError};
 
-/// Per-configuration state of a supervised space evaluation.
-#[derive(Debug, Clone, PartialEq)]
-enum EvalSlot {
-    /// Characterized successfully.
-    Done(DesignPoint),
-    /// Quarantined: evaluation returned an error or panicked.
-    Failed(EvalFailure),
-    /// Not attempted yet (the run stopped first).
-    Pending,
-}
+/// Wall-clock distribution of [`SupervisedEval::advance`] calls.
+static EVALUATE_SPACE_NS: Histogram = Histogram::new("core/evaluate_space_ns");
+/// Wall-clock distribution of sweep-engine runs ([`SweepCheckpoint::resume`]
+/// and [`OpTimeSweep::new`]).
+static OP_TIME_SWEEP_NS: Histogram = Histogram::new("core/op_time_sweep_ns");
 
-/// Outcome of [`evaluate_space_supervised`]: one slot per configuration,
-/// resumable in place until every slot is resolved.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SupervisedEval {
-    slots: Vec<EvalSlot>,
+/// Estimated cost of one tCDP matrix entry (one `DesignPoint::tcdp` call);
+/// a sweep row's hint is this times the point count.
+const TCDP_NS_PER_POINT: u64 = 40;
+
+/// A design-space evaluation in flight: one slot per configuration, filled
+/// under a [`Supervisor`] by [`advance`](Self::advance), which both starts
+/// and resumes the run.
+///
+/// The run borrows its configurations when it is built and prepares the
+/// batch state (SoA simulator inputs, task plan, embodied-carbon memo)
+/// once, so an advance cannot mix configurations of different spaces,
+/// tasks, or carbon models. A configuration that returns an error or
+/// panics is recorded as failed; the supervised map isolates the panic and
+/// the rest of the space is still evaluated.
+///
+/// The two consuming finishers complete any pending configurations under
+/// [`Supervisor::unbounded`] at [`cordoba_par::effective_threads`] and
+/// apply a failure policy: [`into_points`](Self::into_points) is strict,
+/// [`into_resilient`](Self::into_resilient) quarantines.
+pub struct SupervisedEval<'a> {
+    batch: EvalBatch<'a>,
+    /// One outcome per configuration, [`Outcome::Skipped`] while pending.
+    /// Empty until the first advance, which adopts the map's outcomes
+    /// as they are.
+    slots: Vec<Outcome<Result<DesignPoint, CoreError>>>,
     stop: Option<StopReason>,
 }
 
-impl SupervisedEval {
-    /// Why the last run/resume stopped early, or `None` when every
-    /// configuration has been attempted.
+impl fmt::Debug for SupervisedEval<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SupervisedEval")
+            .field("attempted", &self.attempted())
+            .field("total", &self.total())
+            .field("stop", &self.stop)
+            .finish_non_exhaustive()
+    }
+}
+
+impl<'a> SupervisedEval<'a> {
+    /// An evaluation of `configs` for `task` with nothing attempted yet.
+    #[must_use]
+    pub fn new(configs: &'a [AcceleratorConfig], task: &Task, embodied: &EmbodiedModel) -> Self {
+        Self {
+            batch: EvalBatch::new(configs, task, embodied),
+            slots: Vec::new(),
+            stop: None,
+        }
+    }
+
+    /// Attempts the pending configurations under `sup` with `threads`
+    /// workers (1 = the exact sequential path), checking the stop flag
+    /// before every configuration and merging by input index. Completed
+    /// slots are bit-identical at every thread count, so any sequence of
+    /// interrupted advances ends on an uninterrupted run's bits.
+    pub fn advance(&mut self, sup: &Supervisor, threads: usize) {
+        let _span = cordoba_obs::span_timed("core/evaluate_space", &EVALUATE_SPACE_NS);
+        let pending = self.pending_indices();
+        let batch = &self.batch;
+        let run = cordoba_par::par_map_supervised_hinted(
+            &pending,
+            threads,
+            CostHint::per_item_ns(EVAL_NS_PER_CONFIG),
+            sup,
+            |_, &idx| batch.design_point(idx),
+        );
+        if self.slots.is_empty() {
+            self.slots = run.outcomes;
+        } else {
+            for (&idx, outcome) in pending.iter().zip(run.outcomes) {
+                if !matches!(outcome, Outcome::Skipped) {
+                    self.slots[idx] = outcome;
+                }
+            }
+        }
+        self.stop = run.stop;
+    }
+
+    /// Why the last advance stopped early, or `None` if it was not
+    /// interrupted.
     #[must_use]
     pub fn stop(&self) -> Option<StopReason> {
         self.stop
     }
 
-    /// `true` when every configuration was attempted (done or quarantined).
+    /// `true` when every configuration was attempted (done or failed).
     #[must_use]
     pub fn is_complete(&self) -> bool {
-        self.stop.is_none()
+        self.attempted() == self.total()
     }
 
     /// Indices of configurations not yet attempted, ascending.
     #[must_use]
     pub fn pending_indices(&self) -> Vec<usize> {
+        if self.slots.is_empty() {
+            return (0..self.total()).collect();
+        }
         self.slots
             .iter()
             .enumerate()
-            .filter_map(|(i, s)| matches!(s, EvalSlot::Pending).then_some(i))
+            .filter_map(|(i, s)| matches!(s, Outcome::Skipped).then_some(i))
             .collect()
     }
 
-    /// Configurations attempted so far (done + quarantined).
+    /// Configurations attempted so far (done + failed).
     #[must_use]
     pub fn attempted(&self) -> usize {
         self.slots
             .iter()
-            .filter(|s| !matches!(s, EvalSlot::Pending))
+            .filter(|s| !matches!(s, Outcome::Skipped))
             .count()
     }
 
     /// Total configurations in the evaluation.
     #[must_use]
     pub fn total(&self) -> usize {
-        self.slots.len()
+        self.batch.configs().len()
     }
 
     /// Attempted fraction in `[0, 1]` (1.0 for an empty space).
     #[must_use]
     pub fn coverage(&self) -> f64 {
-        if self.slots.is_empty() {
+        if self.total() == 0 {
             return 1.0;
         }
-        self.attempted() as f64 / self.slots.len() as f64
+        self.attempted() as f64 / self.total() as f64
     }
 
-    /// The completed evaluation as a [`ResilientEval`] (points and
-    /// quarantined failures, both in input order), or `None` while
-    /// configurations are still pending.
-    #[must_use]
-    pub fn to_resilient(&self) -> Option<ResilientEval> {
-        if !self.is_complete() {
-            return None;
-        }
-        let mut result = ResilientEval::default();
-        for slot in &self.slots {
-            match slot {
-                EvalSlot::Done(point) => result.points.push(point.clone()),
-                EvalSlot::Failed(failure) => result.failures.push(failure.clone()),
-                EvalSlot::Pending => return None,
-            }
-        }
-        Some(result)
-    }
-
-    /// Attempts the still-pending configurations under `sup`, merging by
-    /// input index. A fresh unbounded supervisor completes the evaluation;
-    /// the merged result is bit-identical to an uninterrupted run at any
-    /// thread count.
+    /// Strict finisher: every design point in input order.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::Supervision`] when `configs` does not match the
-    /// evaluation this state was created from (length mismatch).
-    pub fn resume_with_threads(
-        &mut self,
-        configs: &[AcceleratorConfig],
-        task: &Task,
-        embodied: &EmbodiedModel,
-        sup: &Supervisor,
-        threads: usize,
-    ) -> Result<(), CoreError> {
-        if configs.len() != self.slots.len() {
-            return Err(CoreError::Supervision(format!(
-                "resume got {} configs but the evaluation has {} slots",
-                configs.len(),
-                self.slots.len()
-            )));
-        }
-        self.advance(configs, task, embodied, sup, threads);
-        Ok(())
+    /// Returns the error of the first (in input order) invalid
+    /// configuration (see [`accel_design_point`](crate::dse::accel_design_point)).
+    ///
+    /// # Panics
+    ///
+    /// Re-raises the panic of a configuration that panicked before the
+    /// first error, as an unsupervised map would.
+    pub fn into_points(mut self) -> Result<Vec<DesignPoint>, CoreError> {
+        self.complete();
+        self.slots
+            .into_iter()
+            .map(|slot| match slot {
+                Outcome::Done(result) => result,
+                Outcome::Panicked(message) => std::panic::resume_unwind(Box::new(message)),
+                // A completed run has no pending slot.
+                Outcome::Skipped => Err(CoreError::Supervision(
+                    "configuration left unevaluated".to_string(),
+                )),
+            })
+            .collect()
     }
 
-    /// Runs the supervised map over the pending indices and fills slots.
-    fn advance(
-        &mut self,
-        configs: &[AcceleratorConfig],
-        task: &Task,
-        embodied: &EmbodiedModel,
-        sup: &Supervisor,
-        threads: usize,
-    ) {
-        let pending = self.pending_indices();
-        if pending.is_empty() {
-            self.stop = None;
-            return;
-        }
-        // The batch state (SoA tuning arrays, task plan, embodied memo) is
-        // built once per advance; the supervised map still isolates panics
-        // and checks the stop flag per configuration, so interrupt/resume
-        // semantics are unchanged from the scalar path.
-        let batch = EvalBatch::new(configs, task, embodied);
-        let run = cordoba_par::par_map_supervised_hinted(
-            &pending,
-            threads,
-            cordoba_par::CostHint::per_item_ns(crate::dse::EVAL_NS_PER_CONFIG),
-            sup,
-            |_, &idx| batch.design_point(idx),
-        );
-        for (&idx, outcome) in pending.iter().zip(run.outcomes) {
-            match outcome {
-                Outcome::Done(Ok(point)) => self.slots[idx] = EvalSlot::Done(point),
-                Outcome::Done(Err(error)) => {
-                    cordoba_obs::record(&Event::Quarantine);
-                    self.slots[idx] = EvalSlot::Failed(EvalFailure {
-                        name: configs[idx].name().to_string(),
-                        error,
-                    });
+    /// Quarantine finisher: the points that evaluated cleanly plus one
+    /// [`EvalFailure`] per failed or panicked configuration, both in input
+    /// order, recording a quarantine event per failure.
+    #[must_use]
+    pub fn into_resilient(mut self) -> ResilientEval {
+        self.complete();
+        let mut result = ResilientEval {
+            points: Vec::with_capacity(self.slots.len()),
+            failures: Vec::new(),
+        };
+        for (config, slot) in self.batch.configs().iter().zip(self.slots) {
+            let error = match slot {
+                Outcome::Done(Ok(point)) => {
+                    result.points.push(point);
+                    continue;
                 }
-                Outcome::Panicked(message) => {
-                    cordoba_obs::record(&Event::Quarantine);
-                    self.slots[idx] = EvalSlot::Failed(EvalFailure {
-                        name: configs[idx].name().to_string(),
-                        error: CoreError::Panicked(message),
-                    });
-                }
-                Outcome::Skipped => {}
-            }
+                Outcome::Done(Err(error)) => error,
+                Outcome::Panicked(message) => CoreError::Panicked(message),
+                // A completed run has no pending slot.
+                Outcome::Skipped => continue,
+            };
+            cordoba_obs::record(&Event::Quarantine);
+            result.failures.push(EvalFailure {
+                name: config.name().to_string(),
+                error,
+            });
         }
-        self.stop = run.stop;
+        result
     }
-}
 
-/// Characterizes a configuration list under supervision: cooperative
-/// cancellation and deadline checks before every configuration, and panic
-/// isolation — a panicking evaluation is quarantined as an
-/// [`EvalFailure`] with [`CoreError::Panicked`] instead of aborting the
-/// process. Uses [`cordoba_par::effective_threads`] workers.
-#[must_use]
-pub fn evaluate_space_supervised(
-    configs: &[AcceleratorConfig],
-    task: &Task,
-    embodied: &EmbodiedModel,
-    sup: &Supervisor,
-) -> SupervisedEval {
-    evaluate_space_supervised_with_threads(
-        configs,
-        task,
-        embodied,
-        sup,
-        cordoba_par::effective_threads(),
-    )
-}
-
-/// [`evaluate_space_supervised`] with an explicit worker-thread count
-/// (1 = the exact sequential path). Completed slots are bit-identical at
-/// every thread count.
-#[must_use]
-pub fn evaluate_space_supervised_with_threads(
-    configs: &[AcceleratorConfig],
-    task: &Task,
-    embodied: &EmbodiedModel,
-    sup: &Supervisor,
-    threads: usize,
-) -> SupervisedEval {
-    let _span = cordoba_obs::span_with(
-        "core/evaluate_space_supervised",
-        "configs",
-        u64::try_from(configs.len()).unwrap_or(u64::MAX),
-    );
-    let mut eval = SupervisedEval {
-        slots: vec![EvalSlot::Pending; configs.len()],
-        stop: None,
-    };
-    eval.advance(configs, task, embodied, sup, threads);
-    eval
+    /// Attempts whatever is still pending under a supervisor that never
+    /// trips.
+    fn complete(&mut self) {
+        if !self.is_complete() {
+            self.advance(&Supervisor::unbounded(), cordoba_par::effective_threads());
+        }
+    }
 }
 
 /// Outcome of a supervised operational-time sweep.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SupervisedSweep {
     /// Every row was computed; the sweep is bit-identical to
-    /// [`OpTimeSweep::with_threads`] on the same inputs.
+    /// [`OpTimeSweep::new`] on the same inputs.
     Complete(OpTimeSweep),
     /// The supervisor stopped the sweep; the partial result can be
     /// serialized and resumed.
@@ -298,8 +297,13 @@ impl PartialSweep {
     }
 }
 
-/// Resumable state of an interrupted [`OpTimeSweep`]: the inputs plus
-/// every tCDP row already computed, keyed by row index.
+/// Resumable state of an [`OpTimeSweep`]: the validated inputs plus every
+/// tCDP row already computed, keyed by row index.
+///
+/// [`SweepCheckpoint::new`] is a sweep with no row computed yet, and
+/// [`resume`](Self::resume) is the one engine that fills a tCDP matrix:
+/// [`OpTimeSweep::new`] and [`op_time_sweep_supervised`] are thin wrappers
+/// over it.
 ///
 /// The serialized form ([`to_text`](Self::to_text) /
 /// [`from_text`](Self::from_text)) is a line-oriented text format in which
@@ -311,9 +315,12 @@ pub struct SweepCheckpoint {
     points: Vec<DesignPoint>,
     task_counts: Vec<f64>,
     ci_use: CarbonIntensity,
-    /// `rows[n]` is the tCDP row for `task_counts[n]`, `None` while
-    /// pending.
-    rows: Vec<Option<Vec<f64>>>,
+    /// `contexts[n]` is the validated context of `task_counts[n]`.
+    contexts: Vec<OperationalContext>,
+    /// Flat row-major tCDP matrix; row `n` holds results once `done[n]`
+    /// and zeros before.
+    tcdp: Vec<f64>,
+    done: Vec<bool>,
     /// Why the originating run stopped.
     reason: StopReason,
 }
@@ -329,6 +336,45 @@ fn parse_hex(token: &str, what: &str) -> Result<f64, CoreError> {
 }
 
 impl SweepCheckpoint {
+    /// A sweep of `points` over `task_counts` at `ci_use` with no row
+    /// computed yet. Every input is checked here, so the rows themselves
+    /// cannot fail.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if `points` or `task_counts` is empty, a task count
+    /// is not positive, or `ci_use` is negative (the first invalid count in
+    /// input order).
+    pub fn new(
+        points: Vec<DesignPoint>,
+        task_counts: Vec<f64>,
+        ci_use: CarbonIntensity,
+    ) -> Result<Self, CarbonError> {
+        if points.is_empty() {
+            return Err(CarbonError::Empty {
+                what: "design points",
+            });
+        }
+        if task_counts.is_empty() {
+            return Err(CarbonError::Empty {
+                what: "task counts",
+            });
+        }
+        let contexts = task_counts
+            .iter()
+            .map(|&n| OperationalContext::new(n, ci_use))
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(Self {
+            tcdp: vec![0.0; points.len() * task_counts.len()],
+            done: vec![false; task_counts.len()],
+            points,
+            task_counts,
+            ci_use,
+            contexts,
+            reason: StopReason::Cancelled,
+        })
+    }
+
     /// The candidate designs.
     #[must_use]
     pub fn points(&self) -> &[DesignPoint] {
@@ -356,31 +402,28 @@ impl SweepCheckpoint {
     /// Rows already computed.
     #[must_use]
     pub fn completed_rows(&self) -> usize {
-        self.rows.iter().filter(|r| r.is_some()).count()
+        self.done.iter().filter(|&&d| d).count()
     }
 
     /// Total rows in the sweep.
     #[must_use]
     pub fn total_rows(&self) -> usize {
-        self.rows.len()
+        self.done.len()
     }
 
     /// Completed fraction in `[0, 1]`.
     #[must_use]
     pub fn coverage(&self) -> f64 {
-        if self.rows.is_empty() {
-            return 1.0;
-        }
-        self.completed_rows() as f64 / self.rows.len() as f64
+        self.completed_rows() as f64 / self.total_rows() as f64
     }
 
     /// Indices of rows still pending, ascending.
     #[must_use]
     pub fn pending_rows(&self) -> Vec<usize> {
-        self.rows
+        self.done
             .iter()
             .enumerate()
-            .filter_map(|(i, r)| r.is_none().then_some(i))
+            .filter_map(|(i, &d)| (!d).then_some(i))
             .collect()
     }
 
@@ -397,50 +440,24 @@ impl SweepCheckpoint {
         )
     }
 
-    /// Computes the still-pending rows under `sup` and merges by row
-    /// index. With a fresh unbounded supervisor this always completes, and
-    /// the resulting [`OpTimeSweep`] is bit-identical to an uninterrupted
-    /// [`OpTimeSweep::with_threads`] at any thread count.
+    /// Computes the pending rows under `sup` with `threads` workers (1 =
+    /// the exact sequential path) and merges by row index. With a
+    /// supervisor that never trips this always completes, and the
+    /// [`OpTimeSweep`] is bit-identical to an uninterrupted run at any
+    /// thread count; an interrupted run returns the checkpoint to resume.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::Carbon`] when a pending row's task count is
-    /// invalid and [`CoreError::Panicked`] when a row computation panics
-    /// (first failing row in input order, either way).
-    pub fn resume_with_threads(
+    /// Returns [`CoreError::Panicked`] with the first (in row order)
+    /// panicking row's message.
+    pub fn resume(
         mut self,
         sup: &Supervisor,
         threads: usize,
     ) -> Result<SupervisedSweep, CoreError> {
-        let advance = advance_rows(
-            &mut self.rows,
-            &self.points,
-            &self.task_counts,
-            self.ci_use,
-            sup,
-            threads,
-        )?;
-        match advance {
-            Advance::CompleteFlat(flat) => {
-                // The streaming path fills exactly rows × points cells, so
-                // the size check cannot fail; the error arm keeps this
-                // total without a panic path.
-                OpTimeSweep::from_flat(self.points, self.task_counts, self.ci_use, flat)
-                    .map(SupervisedSweep::Complete)
-                    .ok_or(CoreError::Carbon(CarbonError::Empty {
-                        what: "tcdp matrix",
-                    }))
-            }
-            Advance::Rows(None) => {
-                let tcdp: Vec<Vec<f64>> = self.rows.into_iter().flatten().collect();
-                Ok(SupervisedSweep::Complete(OpTimeSweep::from_rows(
-                    self.points,
-                    self.task_counts,
-                    self.ci_use,
-                    tcdp,
-                )))
-            }
-            Advance::Rows(Some(reason)) => {
+        match self.fill(sup, threads).map_err(CoreError::Panicked)? {
+            None => Ok(SupervisedSweep::Complete(self.into_sweep())),
+            Some(reason) => {
                 self.reason = reason;
                 Ok(SupervisedSweep::Partial(PartialSweep {
                     checkpoint: self,
@@ -450,15 +467,65 @@ impl SweepCheckpoint {
         }
     }
 
-    /// [`resume_with_threads`](Self::resume_with_threads) with
-    /// [`cordoba_par::effective_threads`] workers.
-    ///
-    /// # Errors
-    ///
-    /// See [`resume_with_threads`](Self::resume_with_threads).
-    pub fn resume(self, sup: &Supervisor) -> Result<SupervisedSweep, CoreError> {
-        let threads = cordoba_par::effective_threads();
-        self.resume_with_threads(sup, threads)
+    /// Completes the sweep under a supervisor that never trips at
+    /// [`cordoba_par::effective_threads`]; a panicking row re-raises on the
+    /// caller, as an unsupervised map would.
+    pub(crate) fn finish(mut self) -> OpTimeSweep {
+        if let Err(message) = self.fill(&Supervisor::unbounded(), cordoba_par::effective_threads())
+        {
+            std::panic::resume_unwind(Box::new(message));
+        }
+        self.into_sweep()
+    }
+
+    /// The sweep engine: writes every pending row in place into the flat
+    /// matrix (no per-row allocation and no merge copy, sequential or
+    /// parallel) under the supervised map's stop checks and per-row panic
+    /// isolation. Returns the stop reason when interrupted, or the first
+    /// (in row order) panic message.
+    fn fill(&mut self, sup: &Supervisor, threads: usize) -> Result<Option<StopReason>, String> {
+        let _span = cordoba_obs::span_timed("core/op_time_sweep", &OP_TIME_SWEEP_NS);
+        let (points, contexts, done) = (&self.points, &self.contexts, &mut self.done);
+        // Each pending row is handed out once, behind its own uncontended
+        // lock, so workers write disjoint rows through a shared slice. A
+        // row is locked exactly once, so no lock is ever seen poisoned.
+        let pending: Vec<(usize, Mutex<&mut [f64]>)> = self
+            .tcdp
+            .chunks_exact_mut(points.len())
+            .enumerate()
+            .filter(|(n, _)| !done[*n])
+            .map(|(n, row)| (n, Mutex::new(row)))
+            .collect();
+        let hint = CostHint::per_item_ns(TCDP_NS_PER_POINT.saturating_mul(points.len() as u64));
+        let run =
+            cordoba_par::par_map_supervised_hinted(&pending, threads, hint, sup, |_, (n, row)| {
+                let ctx = &contexts[*n];
+                let mut row = row.lock().unwrap_or_else(PoisonError::into_inner);
+                for (cell, p) in row.iter_mut().zip(points) {
+                    *cell = p.tcdp(ctx).value();
+                }
+            });
+        let mut first_panic = None;
+        for ((n, _), outcome) in pending.iter().zip(run.outcomes) {
+            match outcome {
+                Outcome::Done(()) => done[*n] = true,
+                Outcome::Panicked(message) => {
+                    first_panic.get_or_insert(message);
+                }
+                Outcome::Skipped => {}
+            }
+        }
+        first_panic.map_or(Ok(run.stop), Err)
+    }
+
+    /// The completed sweep; callers have filled every row.
+    fn into_sweep(self) -> OpTimeSweep {
+        OpTimeSweep {
+            points: self.points,
+            task_counts: self.task_counts,
+            ci_use: self.ci_use,
+            tcdp: self.tcdp,
+        }
     }
 
     /// Serializes the checkpoint to its deterministic text form and
@@ -494,15 +561,14 @@ impl SweepCheckpoint {
             let _ = writeln!(out, " {}", p.name);
         }
         let _ = writeln!(out, "rows {}", self.completed_rows());
-        for (idx, row) in self.rows.iter().enumerate() {
-            if let Some(values) = row {
-                let _ = write!(out, "r {idx}");
-                for v in values {
-                    out.push(' ');
-                    push_hex_f64(&mut out, *v);
-                }
-                out.push('\n');
+        let rows = self.tcdp.chunks_exact(self.points.len());
+        for (idx, values) in rows.enumerate().filter(|(n, _)| self.done[*n]) {
+            let _ = write!(out, "r {idx}");
+            for v in values {
+                out.push(' ');
+                push_hex_f64(&mut out, *v);
             }
+            out.push('\n');
         }
         let _ = writeln!(out, "end");
         cordoba_obs::record(&Event::CheckpointWritten {
@@ -521,7 +587,8 @@ impl SweepCheckpoint {
     /// wrong header, truncated sections, malformed values, out-of-range or
     /// duplicate row indices, row width not matching the point count — and
     /// [`CoreError::Carbon`] when a restored design point fails
-    /// [`DesignPoint::new`] validation.
+    /// [`DesignPoint::new`] validation or the inputs fail
+    /// [`SweepCheckpoint::new`].
     pub fn from_text(text: &str) -> Result<Self, CoreError> {
         let bad = |msg: String| CoreError::Supervision(format!("checkpoint: {msg}"));
         let mut lines = text.lines();
@@ -596,12 +663,13 @@ impl SweepCheckpoint {
         }
 
         let rows_line = next("rows")?;
-        let done: usize = rows_line
+        let completed: usize = rows_line
             .strip_prefix("rows ")
             .and_then(|s| s.parse().ok())
             .ok_or_else(|| bad(format!("bad rows line `{rows_line}`")))?;
-        let mut rows: Vec<Option<Vec<f64>>> = vec![None; n];
-        for _ in 0..done {
+        let mut checkpoint = Self::new(points, task_counts, ci_use)?;
+        checkpoint.reason = reason;
+        for _ in 0..completed {
             let line = next("row")?;
             let mut tokens = line.split_whitespace();
             if tokens.next() != Some("r") {
@@ -614,7 +682,7 @@ impl SweepCheckpoint {
             if idx >= n {
                 return Err(bad(format!("row index {idx} out of range (rows: {n})")));
             }
-            if rows[idx].is_some() {
+            if checkpoint.done[idx] {
                 return Err(bad(format!("duplicate row index {idx}")));
             }
             let values = tokens
@@ -626,173 +694,25 @@ impl SweepCheckpoint {
                     values.len()
                 )));
             }
-            rows[idx] = Some(values);
+            checkpoint.tcdp[idx * m..(idx + 1) * m].copy_from_slice(&values);
+            checkpoint.done[idx] = true;
         }
         if next("end")? != "end" {
             return Err(bad("missing end marker".to_string()));
         }
         cordoba_obs::record(&Event::CheckpointRestored {
-            completed: u64::try_from(done).unwrap_or(u64::MAX),
+            completed: u64::try_from(completed).unwrap_or(u64::MAX),
         });
-        Ok(Self {
-            points,
-            task_counts,
-            ci_use,
-            rows,
-            reason,
-        })
+        Ok(checkpoint)
     }
 }
 
-/// Computes the pending rows of a tCDP matrix under supervision, filling
-/// `rows` by index. Returns the stop reason when interrupted, or the first
-/// (in input order) row error.
-/// How [`advance_rows`] finished.
-enum Advance {
-    /// Clean finish on the sequential streaming path: the complete
-    /// row-major tCDP matrix, never split into per-row vectors.
-    CompleteFlat(Vec<f64>),
-    /// `rows` was updated in place (the chunked path, resumed subsets, or
-    /// an interrupted streaming run); `Some` carries the stop reason.
-    Rows(Option<StopReason>),
-}
-
-/// Sequential fast path for a fresh sweep: streams every row straight into
-/// one flat row-major matrix — no per-row allocation and no completion
-/// merge copy, matching the unsupervised [`OpTimeSweep::with_threads`]
-/// sequential path. Supervision semantics are identical to the chunked
-/// engine at one worker: a stop check before every row, per-row panic
-/// isolation, per-attempt progress accounting, and work continuing past a
-/// failed row so counters and events agree with the chunked path.
-fn advance_rows_streaming(
-    rows: &mut [Option<Vec<f64>>],
-    points: &[DesignPoint],
-    task_counts: &[f64],
-    ci_use: CarbonIntensity,
-    sup: &Supervisor,
-) -> Result<Advance, CoreError> {
-    use std::panic::{catch_unwind, AssertUnwindSafe};
-    let width = points.len();
-    let mut flat: Vec<f64> = Vec::with_capacity(width.saturating_mul(task_counts.len()));
-    let mut completed_rows = 0usize;
-    let mut first_error: Option<CoreError> = None;
-    let mut stopped = false;
-    for &n in task_counts {
-        if sup.should_stop().is_some() {
-            stopped = true;
-            break;
-        }
-        let base = flat.len();
-        let attempt = catch_unwind(AssertUnwindSafe(|| -> Result<(), CarbonError> {
-            let ctx = OperationalContext::new(n, ci_use)?;
-            flat.extend(points.iter().map(|p| p.tcdp(&ctx).value()));
-            Ok(())
-        }));
-        match attempt {
-            Ok(Ok(())) => {
-                sup.note_completed(1);
-                completed_rows += 1;
-            }
-            Ok(Err(error)) => {
-                // An input-validation error still counts as an attempted
-                // unit, exactly like the chunked path.
-                sup.note_completed(1);
-                if first_error.is_none() {
-                    first_error = Some(CoreError::Carbon(error));
-                }
-            }
-            Err(payload) => {
-                sup.note_panicked();
-                cordoba_obs::record(&Event::ChunkPanic);
-                flat.truncate(base);
-                if first_error.is_none() {
-                    first_error = Some(CoreError::Panicked(panic_message(payload.as_ref())));
-                }
-            }
-        }
-    }
-    if let Some(error) = first_error {
-        return Err(error);
-    }
-    if !stopped {
-        return Ok(Advance::CompleteFlat(flat));
-    }
-    // Interrupted: split the streamed prefix into per-row checkpoint slots
-    // (every attempted row succeeded, so the prefix is densely packed).
-    let reason = sup.record_stop(sup.should_stop().unwrap_or(StopReason::Cancelled));
-    for (k, slot) in rows.iter_mut().take(completed_rows).enumerate() {
-        *slot = Some(flat[k * width..(k + 1) * width].to_vec());
-    }
-    Ok(Advance::Rows(Some(reason)))
-}
-
-/// Renders a panic payload into a stable message (mirrors the rendering
-/// in `cordoba_par::supervise` so both paths store identical text).
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "panic payload of unknown type".to_string()
-    }
-}
-
-fn advance_rows(
-    rows: &mut [Option<Vec<f64>>],
-    points: &[DesignPoint],
-    task_counts: &[f64],
-    ci_use: CarbonIntensity,
-    sup: &Supervisor,
-    threads: usize,
-) -> Result<Advance, CoreError> {
-    let pending: Vec<usize> = rows
-        .iter()
-        .enumerate()
-        .filter_map(|(i, r)| r.is_none().then_some(i))
-        .collect();
-    if pending.is_empty() {
-        return Ok(Advance::Rows(None));
-    }
-    let hint = cordoba_par::CostHint::per_item_ns(
-        crate::dse::TCDP_NS_PER_POINT.saturating_mul(points.len() as u64),
-    );
-    if hint.workers(pending.len(), threads) == 1 && pending.len() == rows.len() {
-        return advance_rows_streaming(rows, points, task_counts, ci_use, sup);
-    }
-    let run = cordoba_par::par_map_supervised_hinted(&pending, threads, hint, sup, |_, &idx| {
-        let ctx = OperationalContext::new(task_counts[idx], ci_use)?;
-        Ok::<Vec<f64>, CarbonError>(points.iter().map(|p| p.tcdp(&ctx).value()).collect())
-    });
-    // `pending` ascends, so the first error seen here is the first in
-    // input order — matching the unsupervised sweep's `try` contract.
-    let mut first_error: Option<CoreError> = None;
-    for (&idx, outcome) in pending.iter().zip(run.outcomes) {
-        match outcome {
-            Outcome::Done(Ok(row)) => rows[idx] = Some(row),
-            Outcome::Done(Err(error)) => {
-                if first_error.is_none() {
-                    first_error = Some(CoreError::Carbon(error));
-                }
-            }
-            Outcome::Panicked(message) => {
-                if first_error.is_none() {
-                    first_error = Some(CoreError::Panicked(message));
-                }
-            }
-            Outcome::Skipped => {}
-        }
-    }
-    if let Some(error) = first_error {
-        return Err(error);
-    }
-    Ok(Advance::Rows(run.stop))
-}
-
-/// Evaluates the Fig. 8 tCDP grid under supervision. A completed run
-/// returns [`SupervisedSweep::Complete`] with a sweep bit-identical to
-/// [`OpTimeSweep::with_threads`]; an interrupted run returns a resumable
-/// [`PartialSweep`]. Uses [`cordoba_par::effective_threads`] workers.
+/// Evaluates the Fig. 8 tCDP grid under supervision at
+/// [`cordoba_par::effective_threads`]: [`SweepCheckpoint::new`] followed by
+/// [`SweepCheckpoint::resume`]. A completed run returns
+/// [`SupervisedSweep::Complete`] with a sweep bit-identical to
+/// [`OpTimeSweep::new`]; an interrupted run returns a resumable
+/// [`PartialSweep`].
 ///
 /// # Errors
 ///
@@ -804,52 +724,7 @@ pub fn op_time_sweep_supervised(
     ci_use: CarbonIntensity,
     sup: &Supervisor,
 ) -> Result<SupervisedSweep, CoreError> {
-    op_time_sweep_supervised_with_threads(
-        points,
-        task_counts,
-        ci_use,
-        sup,
-        cordoba_par::effective_threads(),
-    )
-}
-
-/// [`op_time_sweep_supervised`] with an explicit worker-thread count (1 =
-/// the exact sequential path). Completed rows are bit-identical at every
-/// thread count.
-///
-/// # Errors
-///
-/// See [`op_time_sweep_supervised`].
-pub fn op_time_sweep_supervised_with_threads(
-    points: Vec<DesignPoint>,
-    task_counts: Vec<f64>,
-    ci_use: CarbonIntensity,
-    sup: &Supervisor,
-    threads: usize,
-) -> Result<SupervisedSweep, CoreError> {
-    let _span = cordoba_obs::span_with(
-        "core/op_time_sweep_supervised",
-        "rows",
-        u64::try_from(task_counts.len()).unwrap_or(u64::MAX),
-    );
-    if points.is_empty() {
-        return Err(CoreError::Carbon(CarbonError::Empty {
-            what: "design points",
-        }));
-    }
-    if task_counts.is_empty() {
-        return Err(CoreError::Carbon(CarbonError::Empty {
-            what: "task counts",
-        }));
-    }
-    let checkpoint = SweepCheckpoint {
-        rows: vec![None; task_counts.len()],
-        points,
-        task_counts,
-        ci_use,
-        reason: StopReason::Cancelled,
-    };
-    checkpoint.resume_with_threads(sup, threads)
+    SweepCheckpoint::new(points, task_counts, ci_use)?.resume(sup, cordoba_par::effective_threads())
 }
 
 #[cfg(test)]
@@ -858,6 +733,15 @@ mod tests {
     use crate::dse::{evaluate_space, log_sweep};
     use cordoba_accel::space::design_space;
     use cordoba_carbon::intensity::grids;
+
+    fn supervised(
+        points: Vec<DesignPoint>,
+        task_counts: Vec<f64>,
+        sup: &Supervisor,
+        threads: usize,
+    ) -> Result<SupervisedSweep, CoreError> {
+        SweepCheckpoint::new(points, task_counts, grids::US_AVERAGE)?.resume(sup, threads)
+    }
 
     fn points() -> Vec<DesignPoint> {
         let configs = design_space();
@@ -871,12 +755,11 @@ mod tests {
         let embodied = EmbodiedModel::default();
         let strict = evaluate_space(&configs, &task, &embodied).unwrap();
         for threads in [1, 2] {
-            let sup = Supervisor::unbounded();
-            let eval =
-                evaluate_space_supervised_with_threads(&configs, &task, &embodied, &sup, threads);
+            let mut eval = SupervisedEval::new(&configs, &task, &embodied);
+            eval.advance(&Supervisor::unbounded(), threads);
             assert!(eval.is_complete());
             assert!((eval.coverage() - 1.0).abs() < 1e-12);
-            let resilient = eval.to_resilient().unwrap();
+            let resilient = eval.into_resilient();
             assert!(resilient.failures.is_empty());
             assert_eq!(resilient.points, strict);
         }
@@ -889,40 +772,23 @@ mod tests {
         let embodied = EmbodiedModel::default();
         let full = evaluate_space(&configs, &task, &embodied).unwrap();
         for trip in [0u64, 1, 40, 120] {
-            let sup = Supervisor::tripping_after(trip);
-            let mut eval =
-                evaluate_space_supervised_with_threads(&configs, &task, &embodied, &sup, 1);
+            let mut eval = SupervisedEval::new(&configs, &task, &embodied);
+            eval.advance(&Supervisor::tripping_after(trip), 1);
             assert_eq!(eval.stop(), Some(StopReason::Cancelled), "trip {trip}");
             assert_eq!(eval.attempted(), trip as usize, "trip {trip}");
-            let fresh = Supervisor::unbounded();
-            eval.resume_with_threads(&configs, &task, &embodied, &fresh, 2)
-                .unwrap();
+            eval.advance(&Supervisor::unbounded(), 2);
             assert!(eval.is_complete());
-            assert_eq!(eval.to_resilient().unwrap().points, full);
+            assert_eq!(eval.into_points().unwrap(), full);
         }
-    }
-
-    #[test]
-    fn resume_rejects_mismatched_configs() {
-        let configs = design_space();
-        let task = Task::ai_5_kernels();
-        let embodied = EmbodiedModel::default();
-        let sup = Supervisor::tripping_after(3);
-        let mut eval = evaluate_space_supervised_with_threads(&configs, &task, &embodied, &sup, 1);
-        let err = eval
-            .resume_with_threads(&configs[..5], &task, &embodied, &Supervisor::unbounded(), 1)
-            .unwrap_err();
-        assert!(err.to_string().contains("supervision"));
     }
 
     #[test]
     fn supervised_sweep_completes_identically() {
         let pts = points();
         let counts = log_sweep(4, 9, 2);
-        let direct =
-            OpTimeSweep::with_threads(pts.clone(), counts.clone(), grids::US_AVERAGE, 2).unwrap();
+        let direct = OpTimeSweep::new(pts.clone(), counts.clone(), grids::US_AVERAGE).unwrap();
         let sup = Supervisor::unbounded();
-        let run = op_time_sweep_supervised_with_threads(pts, counts, grids::US_AVERAGE, &sup, 2)
+        let run = supervised(pts, counts, &sup, 2)
             .unwrap()
             .complete()
             .unwrap();
@@ -933,27 +799,20 @@ mod tests {
     fn checkpoint_round_trips_bit_exactly_and_resumes() {
         let pts = points();
         let counts = log_sweep(4, 9, 3);
-        let direct =
-            OpTimeSweep::with_threads(pts.clone(), counts.clone(), grids::US_AVERAGE, 1).unwrap();
+        let direct = OpTimeSweep::new(pts.clone(), counts.clone(), grids::US_AVERAGE).unwrap();
         for trip in [0u64, 1, 5, 10] {
             let sup = Supervisor::tripping_after(trip);
-            let partial = op_time_sweep_supervised_with_threads(
-                pts.clone(),
-                counts.clone(),
-                grids::US_AVERAGE,
-                &sup,
-                1,
-            )
-            .unwrap()
-            .partial()
-            .unwrap();
+            let partial = supervised(pts.clone(), counts.clone(), &sup, 1)
+                .unwrap()
+                .partial()
+                .unwrap();
             assert_eq!(partial.checkpoint.completed_rows(), trip as usize);
             assert!(partial.coverage_report().contains("rows complete"));
             let text = partial.checkpoint.to_text();
             let restored = SweepCheckpoint::from_text(&text).unwrap();
             assert_eq!(restored, partial.checkpoint);
             let resumed = restored
-                .resume_with_threads(&Supervisor::unbounded(), 2)
+                .resume(&Supervisor::unbounded(), 2)
                 .unwrap()
                 .complete()
                 .unwrap();
@@ -985,16 +844,10 @@ mod tests {
     fn checkpoint_rejects_corruption() {
         let pts = points();
         let sup = Supervisor::tripping_after(2);
-        let partial = op_time_sweep_supervised_with_threads(
-            pts,
-            log_sweep(4, 8, 2),
-            grids::US_AVERAGE,
-            &sup,
-            1,
-        )
-        .unwrap()
-        .partial()
-        .unwrap();
+        let partial = supervised(pts, log_sweep(4, 8, 2), &sup, 1)
+            .unwrap()
+            .partial()
+            .unwrap();
         let text = partial.checkpoint.to_text();
         assert!(SweepCheckpoint::from_text("").is_err());
         assert!(SweepCheckpoint::from_text("garbage\n").is_err());
@@ -1013,10 +866,9 @@ mod tests {
     /// parser round trip stays the identity.
     #[test]
     fn checkpoint_values_must_be_sixteen_hex_digits() {
-        let partial = op_time_sweep_supervised_with_threads(
+        let partial = supervised(
             points(),
             log_sweep(4, 8, 2),
-            grids::US_AVERAGE,
             &Supervisor::tripping_after(2),
             1,
         )
@@ -1048,16 +900,10 @@ mod tests {
         let pts = points();
         let counts = log_sweep(4, 8, 1);
         let sup = Supervisor::tripping_after(0);
-        let partial = op_time_sweep_supervised_with_threads(
-            pts.clone(),
-            counts.clone(),
-            grids::US_AVERAGE,
-            &sup,
-            1,
-        )
-        .unwrap()
-        .partial()
-        .unwrap();
+        let partial = supervised(pts.clone(), counts.clone(), &sup, 1)
+            .unwrap()
+            .partial()
+            .unwrap();
         assert_eq!(partial.checkpoint.completed_rows(), 0);
         assert_eq!(partial.checkpoint.total_rows(), counts.len());
         assert_eq!(partial.checkpoint.points().len(), pts.len());
@@ -1067,30 +913,9 @@ mod tests {
 
     #[test]
     fn supervised_sweep_validates_inputs() {
-        let sup = Supervisor::unbounded();
-        assert!(op_time_sweep_supervised_with_threads(
-            vec![],
-            log_sweep(0, 1, 1),
-            grids::US_AVERAGE,
-            &sup,
-            1
-        )
-        .is_err());
-        assert!(op_time_sweep_supervised_with_threads(
-            points(),
-            vec![],
-            grids::US_AVERAGE,
-            &sup,
-            1
-        )
-        .is_err());
-        assert!(op_time_sweep_supervised_with_threads(
-            points(),
-            vec![-3.0],
-            grids::US_AVERAGE,
-            &sup,
-            1
-        )
-        .is_err());
+        let ci = grids::US_AVERAGE;
+        assert!(SweepCheckpoint::new(vec![], log_sweep(0, 1, 1), ci).is_err());
+        assert!(SweepCheckpoint::new(points(), vec![], ci).is_err());
+        assert!(SweepCheckpoint::new(points(), vec![-3.0], ci).is_err());
     }
 }

@@ -16,8 +16,9 @@
 //!   (absorbed by `TraceCi::sanitize` and `FallbackCi` in
 //!   `cordoba-carbon`);
 //! * **config faults** — poison `TechTuning` parameters so a design point
-//!   fails characterization (quarantined by `evaluate_space_resilient` in
-//!   the core crate);
+//!   fails characterization (quarantined by the quarantine finisher
+//!   `SupervisedEval::into_resilient` of the core crate's space-evaluation
+//!   runner);
 //! * **budget faults** — starve iteration budgets so solvers must report
 //!   `NotConverged` instead of spinning;
 //! * **supervision faults** — interrupt long-running pipelines mid-flight

@@ -120,7 +120,7 @@ fn resilient_sweep_is_total_under_config_corruption() {
         .expect("poisoned tuning still constructs");
         configs.push(poisoned);
 
-        let eval = evaluate_space_resilient(&configs, &task, &embodied);
+        let eval = SupervisedEval::new(&configs, &task, &embodied).into_resilient();
         // Totality: every configuration lands in exactly one bucket, and
         // everything that survives is finite.
         assert_eq!(
@@ -164,7 +164,7 @@ fn nan_poisoned_config_is_quarantined_not_fatal() {
         )
         .expect("constructs"),
     );
-    let eval = evaluate_space_resilient(&configs, &task, &embodied);
+    let eval = SupervisedEval::new(&configs, &task, &embodied).into_resilient();
     assert!(eval.degraded());
     assert_eq!(eval.failures.len(), 1);
     assert_eq!(eval.failures[0].name, "nan-poison");

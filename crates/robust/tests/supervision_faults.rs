@@ -84,14 +84,10 @@ fn sweep_interrupted_at_a_thousand_seeded_points_resumes_bit_identically() {
         // then exact); odd seeds interrupt mid-parallel (the cut set is
         // scheduler-dependent, the merged result must not be).
         let interrupt_threads = if seed % 2 == 0 { 1 } else { 2 };
-        let run = op_time_sweep_supervised_with_threads(
-            pts.clone(),
-            counts.clone(),
-            grids::US_AVERAGE,
-            &Supervisor::tripping_after(trip),
-            interrupt_threads,
-        )
-        .expect("supervised sweep accepts valid inputs");
+        let run = SweepCheckpoint::new(pts.clone(), counts.clone(), grids::US_AVERAGE)
+            .expect("supervised sweep accepts valid inputs")
+            .resume(&Supervisor::tripping_after(trip), interrupt_threads)
+            .expect("no row panics");
         let resumed = match run {
             SupervisedSweep::Complete(sweep) => {
                 assert_eq!(
@@ -116,14 +112,16 @@ fn sweep_interrupted_at_a_thousand_seeded_points_resumes_bit_identically() {
                     "seed {seed}: lossy checkpoint"
                 );
                 let fresh = Supervisor::unbounded();
-                match seed % 3 {
-                    0 => restored.resume_with_threads(&fresh, 1),
-                    1 => restored.resume_with_threads(&fresh, 2),
-                    _ => restored.resume(&fresh),
-                }
-                .expect("resume accepts a valid checkpoint")
-                .complete()
-                .expect("a fresh unbounded supervisor completes the sweep")
+                let resume_threads = match seed % 3 {
+                    0 => 1,
+                    1 => 2,
+                    _ => cordoba_par::effective_threads(),
+                };
+                restored
+                    .resume(&fresh, resume_threads)
+                    .expect("resume accepts a valid checkpoint")
+                    .complete()
+                    .expect("a fresh unbounded supervisor completes the sweep")
             }
         };
         assert_eq!(
@@ -143,16 +141,12 @@ fn zero_deadline_interrupts_sweep_and_checkpoint_resumes() {
     let baseline = OpTimeSweep::new(pts.clone(), counts.clone(), grids::US_AVERAGE)
         .expect("baseline sweep builds");
     for threads in [1, 2, 4] {
-        let partial = op_time_sweep_supervised_with_threads(
-            pts.clone(),
-            counts.clone(),
-            grids::US_AVERAGE,
-            &Supervisor::with_deadline(Duration::ZERO),
-            threads,
-        )
-        .expect("supervised sweep accepts valid inputs")
-        .partial()
-        .expect("a zero deadline must interrupt the sweep");
+        let partial = SweepCheckpoint::new(pts.clone(), counts.clone(), grids::US_AVERAGE)
+            .expect("supervised sweep accepts valid inputs")
+            .resume(&Supervisor::with_deadline(Duration::ZERO), threads)
+            .expect("no row panics")
+            .partial()
+            .expect("a zero deadline must interrupt the sweep");
         assert_eq!(
             partial.reason,
             StopReason::DeadlineExceeded,
@@ -166,7 +160,7 @@ fn zero_deadline_interrupts_sweep_and_checkpoint_resumes() {
         );
         let resumed = SweepCheckpoint::from_text(&text)
             .expect("checkpoint round-trips")
-            .resume_with_threads(&Supervisor::unbounded(), threads)
+            .resume(&Supervisor::unbounded(), threads)
             .expect("resume accepts a valid checkpoint")
             .complete()
             .expect("resume completes");
@@ -194,25 +188,18 @@ fn interrupted_eval_with_poisoned_configs_resumes_and_quarantines_in_order() {
             plan.poison_tuning(&TechTuning::n7()),
         )
         .expect("poisoned tuning still constructs");
-        let baseline = evaluate_space_resilient(&configs, &task, &embodied);
+        let baseline = SupervisedEval::new(&configs, &task, &embodied).into_resilient();
         let trip = plan.trip_point(configs.len() as u64);
-        let sup = Supervisor::tripping_after(trip);
-        let mut eval = evaluate_space_supervised_with_threads(&configs, &task, &embodied, &sup, 1);
+        let mut eval = SupervisedEval::new(&configs, &task, &embodied);
+        eval.advance(&Supervisor::tripping_after(trip), 1);
         if trip < configs.len() as u64 {
             assert_eq!(eval.stop(), Some(StopReason::Cancelled), "seed {seed}");
             assert_eq!(eval.attempted() as u64, trip, "seed {seed}");
         }
         let resume_threads = 1 + (seed as usize % 3);
-        eval.resume_with_threads(
-            &configs,
-            &task,
-            &embodied,
-            &Supervisor::unbounded(),
-            resume_threads,
-        )
-        .expect("resume with the original configs succeeds");
+        eval.advance(&Supervisor::unbounded(), resume_threads);
         assert!(eval.is_complete(), "seed {seed}");
-        let resumed = eval.to_resilient().expect("complete eval converts");
+        let resumed = eval.into_resilient();
         assert_eq!(
             resumed.points, baseline.points,
             "seed {seed}: points diverged"

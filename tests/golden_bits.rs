@@ -1,28 +1,48 @@
-//! Golden bits across refactors: one fingerprint over the exact `f64` bits
-//! of every Monte Carlo experiment, the β-transition solver, and the
-//! provisioning sweep, for fixed seeds.
+//! Golden bits across refactors: fingerprints over the exact `f64` bits
+//! of the workspace's pipelines for fixed inputs.
+//!
+//! * [`EXPECTED`] covers every Monte Carlo experiment, the β-transition
+//!   solver, and the provisioning sweep, for fixed seeds.
+//! * [`EXPECTED_DSE`] covers space evaluation (strict and quarantining,
+//!   failure names and messages included) and the operational-time sweep
+//!   (uninterrupted, and interrupted, checkpointed through text, and
+//!   resumed).
 //!
 //! The property suites compare the code only with itself (at different
-//! thread counts), so they cannot see drift between commits. This test
-//! pins the value recorded before the three pipelines were rebuilt on
-//! their supervised runners; a change in any result bit changes the
-//! fingerprint. It must hold at 1, 2, and the default number of threads.
+//! thread counts), so they cannot see drift between commits. Each constant
+//! was recorded before its pipelines were rebuilt on their supervised
+//! runners; a change in any result bit changes the fingerprint. Both must
+//! hold at 1, 2, and the default number of threads.
 
+use cordoba::dse::{evaluate_space, log_sweep, OpTimeSweep, ResilientEval};
 use cordoba::lagrange::{BetaSolve, BetaSweep};
 use cordoba::metrics::DesignPoint;
+use cordoba::supervise::{
+    op_time_sweep_supervised, SupervisedEval, SupervisedSweep, SweepCheckpoint,
+};
 use cordoba::uncertainty::{
     monte_carlo_regret, monte_carlo_source_tcdp, monte_carlo_tcdp, McRun, MonteCarloSpec,
     MonteCarloSummary, SourceMonteCarloSpec,
 };
+use cordoba_accel::config::{AcceleratorConfig, MemoryIntegration};
+use cordoba_accel::params::TechTuning;
+use cordoba_accel::space::design_space;
+use cordoba_carbon::embodied::EmbodiedModel;
 use cordoba_carbon::integral::CiIntegral;
 use cordoba_carbon::intensity::{grids, ConstantCi, SeasonalCi, TrendCi};
-use cordoba_carbon::units::{GramsCo2e, Joules, Seconds, SquareCentimeters};
+use cordoba_carbon::units::{Bytes, GramsCo2e, Joules, Seconds, SquareCentimeters};
 use cordoba_par::Supervisor;
 use cordoba_soc::apps::VrApp;
 use cordoba_soc::provisioning::{sweep, sweep_supervised, Deployment, ProvisioningRow};
+use cordoba_workloads::task::Task;
 
-/// The fingerprint recorded before the refactor.
+/// The Monte Carlo / β-solve / provisioning fingerprint recorded before
+/// those pipelines were rebuilt on their runners.
 const EXPECTED: u64 = 0xb474_4dee_3bcb_32b6;
+
+/// The space-evaluation / operational-time-sweep fingerprint recorded
+/// before those pipelines were rebuilt on their runners.
+const EXPECTED_DSE: u64 = 0x2ca6_4d45_05f5_19f3;
 
 /// 1,300 samples make 21 RNG blocks, past the 16-item parallel cutoff, so
 /// two workers really split the Monte Carlo runs.
@@ -62,6 +82,36 @@ impl Fingerprint {
             self.word(t.from_index as u64);
             self.word(t.to_index as u64);
         }
+    }
+    fn text(&mut self, s: &str) {
+        self.word(s.len() as u64);
+        s.bytes().for_each(|b| self.word(u64::from(b)));
+    }
+    fn points(&mut self, points: &[DesignPoint]) {
+        self.word(points.len() as u64);
+        for p in points {
+            self.text(&p.name);
+            self.floats(&[
+                p.delay.value(),
+                p.energy.value(),
+                p.embodied.value(),
+                p.area.value(),
+            ]);
+        }
+    }
+    fn resilient(&mut self, eval: &ResilientEval) {
+        self.points(&eval.points);
+        self.word(eval.failures.len() as u64);
+        for f in &eval.failures {
+            self.text(&f.name);
+            self.text(&f.error.to_string());
+        }
+    }
+    fn sweep(&mut self, sweep: &OpTimeSweep) {
+        self.points(&sweep.points);
+        self.floats(&sweep.task_counts);
+        self.float(sweep.ci_use.value());
+        self.floats(sweep.tcdp_matrix());
     }
     fn rows(&mut self, rows: &[ProvisioningRow]) {
         for r in rows {
@@ -169,6 +219,127 @@ fn fingerprint(threads: Option<usize>) -> u64 {
         fp.rows(&rows);
     }
     fp.0
+}
+
+/// The seed space twice over with three poisoned configurations spread
+/// through it: 245 configurations, enough estimated work that two workers
+/// really split the evaluation.
+fn poisoned_space() -> Vec<AcceleratorConfig> {
+    let mut configs: Vec<AcceleratorConfig> =
+        design_space().into_iter().chain(design_space()).collect();
+    type Poison = fn(&mut TechTuning);
+    let poisons: [(&str, Poison); 3] = [
+        ("poison-nan-mac", |t| t.mac_unit_area_mm2 = f64::NAN),
+        ("poison-infinite-base", |t| t.base_area_mm2 = f64::INFINITY),
+        ("poison-nan-sram-energy", |t| {
+            t.sram_energy_exponent = f64::NAN
+        }),
+    ];
+    for (k, (name, poison)) in poisons.into_iter().enumerate() {
+        let mut tuning = TechTuning::n7();
+        poison(&mut tuning);
+        let config = AcceleratorConfig::with_tuning(
+            name,
+            16,
+            Bytes::from_mebibytes(8.0),
+            MemoryIntegration::OnDie,
+            tuning,
+        )
+        .unwrap();
+        configs.insert(7 + 90 * k, config);
+    }
+    configs
+}
+
+/// `configs` evaluated at `threads` workers under a supervisor that never
+/// trips.
+fn advanced<'a>(
+    configs: &'a [AcceleratorConfig],
+    task: &Task,
+    embodied: &EmbodiedModel,
+    threads: usize,
+) -> SupervisedEval<'a> {
+    let mut run = SupervisedEval::new(configs, task, embodied);
+    run.advance(&Supervisor::unbounded(), threads);
+    run
+}
+
+/// Fingerprint of space evaluation and the operational-time sweep at
+/// `threads` workers (`None` = the plain entry points at the process
+/// default).
+fn dse_fingerprint(threads: Option<usize>) -> u64 {
+    let embodied = EmbodiedModel::default();
+    let space = design_space();
+    let mut fp = Fingerprint::new();
+    let mut xr = Vec::new();
+    for task in [Task::xr_5_kernels(), Task::ai_5_kernels()] {
+        let points = match threads {
+            Some(t) => advanced(&space, &task, &embodied, t).into_points(),
+            None => evaluate_space(&space, &task, &embodied),
+        }
+        .unwrap();
+        fp.points(&points);
+        if xr.is_empty() {
+            xr = points;
+        }
+    }
+    let poisoned = poisoned_space();
+    let task = Task::ai_5_kernels();
+    let quarantined = match threads {
+        Some(t) => advanced(&poisoned, &task, &embodied, t).into_resilient(),
+        None => SupervisedEval::new(&poisoned, &task, &embodied).into_resilient(),
+    };
+    assert_eq!(quarantined.failures.len(), 3);
+    fp.resilient(&quarantined);
+
+    // 81 rows of 121 points: enough estimated work for two workers.
+    let counts = log_sweep(2, 12, 8);
+    let sweep = match threads {
+        Some(t) => SweepCheckpoint::new(xr.clone(), counts.clone(), grids::US_AVERAGE)
+            .unwrap()
+            .resume(&Supervisor::unbounded(), t)
+            .unwrap()
+            .complete()
+            .unwrap(),
+        None => OpTimeSweep::new(xr.clone(), counts.clone(), grids::US_AVERAGE).unwrap(),
+    };
+    fp.sweep(&sweep);
+    for trip in [0u64, 5, 40] {
+        let sup = Supervisor::tripping_after(trip);
+        let run = match threads {
+            Some(t) => SweepCheckpoint::new(xr.clone(), counts.clone(), grids::US_AVERAGE)
+                .unwrap()
+                .resume(&sup, t),
+            None => op_time_sweep_supervised(xr.clone(), counts.clone(), grids::US_AVERAGE, &sup),
+        };
+        let Ok(SupervisedSweep::Partial(partial)) = run else {
+            panic!("trip {trip} must interrupt the sweep");
+        };
+        let restored = SweepCheckpoint::from_text(&partial.checkpoint.to_text()).unwrap();
+        let fresh = Supervisor::unbounded();
+        let resumed = restored
+            .resume(
+                &fresh,
+                threads.unwrap_or_else(cordoba_par::effective_threads),
+            )
+            .unwrap()
+            .complete()
+            .unwrap();
+        fp.sweep(&resumed);
+    }
+    fp.0
+}
+
+#[test]
+fn dse_bits_match_the_recorded_fingerprint_at_1_2_and_auto_threads() {
+    for threads in [Some(1), Some(2), None] {
+        assert_eq!(
+            dse_fingerprint(threads),
+            EXPECTED_DSE,
+            "threads {threads:?}: dse result bits drifted from the recorded fingerprint: {:#018x}",
+            dse_fingerprint(threads)
+        );
+    }
 }
 
 #[test]

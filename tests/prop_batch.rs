@@ -17,7 +17,7 @@ use cordoba_accel::sim::{
 use cordoba_accel::space::design_space;
 use cordoba_carbon::embodied::EmbodiedModel;
 use cordoba_carbon::intensity::grids;
-use cordoba_carbon::units::Bytes;
+use cordoba_carbon::units::{Bytes, CarbonIntensity};
 use cordoba_par::Supervisor;
 use cordoba_workloads::kernel::KernelId;
 use cordoba_workloads::task::Task;
@@ -161,6 +161,35 @@ fn batch_task_costs_match_scalar_cost_table_queries() {
     }
 }
 
+/// `configs` evaluated at `threads` workers under a supervisor that never
+/// trips.
+fn evaluated<'a>(
+    configs: &'a [AcceleratorConfig],
+    task: &Task,
+    model: &EmbodiedModel,
+    threads: usize,
+) -> SupervisedEval<'a> {
+    let mut run = SupervisedEval::new(configs, task, model);
+    run.advance(&Supervisor::unbounded(), threads);
+    run
+}
+
+/// The sweep computed at `threads` workers under a supervisor that never
+/// trips.
+fn swept(
+    points: Vec<DesignPoint>,
+    counts: Vec<f64>,
+    ci: CarbonIntensity,
+    threads: usize,
+) -> OpTimeSweep {
+    SweepCheckpoint::new(points, counts, ci)
+        .unwrap()
+        .resume(&Supervisor::unbounded(), threads)
+        .unwrap()
+        .complete()
+        .unwrap()
+}
+
 #[test]
 fn evaluate_space_matches_the_retained_scalar_path() {
     let model = EmbodiedModel::default();
@@ -176,7 +205,9 @@ fn evaluate_space_matches_the_retained_scalar_path() {
         let auto = evaluate_space(&configs, &task, &model).unwrap();
         assert_eq!(scalar, auto, "seed {seed}, auto threads");
         for threads in [1, 2, 4, 16] {
-            let batch = evaluate_space_with_threads(&configs, &task, &model, threads).unwrap();
+            let batch = evaluated(&configs, &task, &model, threads)
+                .into_points()
+                .unwrap();
             assert_eq!(scalar, batch, "seed {seed}, {threads} threads");
         }
     }
@@ -225,7 +256,7 @@ fn resilient_quarantine_matches_the_scalar_path_under_failures() {
             }
         }
         for threads in [1, 2, 16] {
-            let batch = evaluate_space_resilient_with_threads(&configs, &task, &model, threads);
+            let batch = evaluated(&configs, &task, &model, threads).into_resilient();
             assert_eq!(
                 scalar_points, batch.points,
                 "seed {seed}, {threads} threads"
@@ -253,18 +284,16 @@ fn supervised_interrupt_and_resume_match_an_uninterrupted_run() {
             let at = index(&mut rng, configs.len() + 1);
             configs.insert(at, poisoned_config(&format!("poison{p}")));
         }
-        let direct = evaluate_space_resilient_with_threads(&configs, &task, &model, 1);
+        let direct = evaluated(&configs, &task, &model, 1).into_resilient();
         let trip = index(&mut rng, configs.len() + 1) as u64;
         let threads = [1, 2, 16][index(&mut rng, 3)];
-        let sup = Supervisor::tripping_after(trip);
-        let mut eval =
-            evaluate_space_supervised_with_threads(&configs, &task, &model, &sup, threads);
+        let mut eval = SupervisedEval::new(&configs, &task, &model);
+        eval.advance(&Supervisor::tripping_after(trip), threads);
         if !eval.is_complete() {
-            eval.resume_with_threads(&configs, &task, &model, &Supervisor::unbounded(), threads)
-                .unwrap();
+            eval.advance(&Supervisor::unbounded(), threads);
         }
         assert!(eval.is_complete(), "seed {seed}");
-        let merged = eval.to_resilient().unwrap();
+        let merged = eval.into_resilient();
         assert_eq!(direct.points, merged.points, "seed {seed}");
         let render = |r: &ResilientEval| -> Vec<String> {
             r.failures.iter().map(ToString::to_string).collect()
@@ -280,7 +309,7 @@ fn op_time_sweep_rows_match_manual_scalar_rows() {
         let mut rng = StdRng::seed_from_u64(0x0775 ^ seed);
         let configs = random_configs(&mut rng);
         let task = random_task(&mut rng);
-        let points = evaluate_space_with_threads(&configs, &task, &model, 1).unwrap();
+        let points = evaluated(&configs, &task, &model, 1).into_points().unwrap();
         let counts: Vec<f64> = (0..1 + index(&mut rng, 24))
             .map(|_| 10f64.powf(1.0 + 8.0 * rng.gen::<f64>()))
             .collect();
@@ -293,13 +322,7 @@ fn op_time_sweep_rows_match_manual_scalar_rows() {
             })
             .collect();
         for threads in [1, 2, 16] {
-            let sweep = OpTimeSweep::with_threads(
-                points.clone(),
-                counts.clone(),
-                grids::US_AVERAGE,
-                threads,
-            )
-            .unwrap();
+            let sweep = swept(points.clone(), counts.clone(), grids::US_AVERAGE, threads);
             assert_eq!(
                 sweep.tcdp_matrix().len(),
                 points.len() * counts.len(),

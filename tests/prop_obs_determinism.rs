@@ -14,7 +14,7 @@ use cordoba_accel::params::TechTuning;
 use cordoba_accel::space::design_space;
 use cordoba_carbon::embodied::EmbodiedModel;
 use cordoba_carbon::intensity::grids;
-use cordoba_carbon::units::Bytes;
+use cordoba_carbon::units::{Bytes, CarbonIntensity};
 use cordoba_par::Supervisor;
 use cordoba_workloads::task::Task;
 use rand::rngs::StdRng;
@@ -73,6 +73,35 @@ struct CaseResult {
     mc_stddev_bits: u64,
 }
 
+/// `configs` evaluated at `threads` workers under a supervisor that never
+/// trips.
+fn evaluated<'a>(
+    configs: &'a [AcceleratorConfig],
+    task: &Task,
+    model: &EmbodiedModel,
+    threads: usize,
+) -> SupervisedEval<'a> {
+    let mut run = SupervisedEval::new(configs, task, model);
+    run.advance(&Supervisor::unbounded(), threads);
+    run
+}
+
+/// The sweep computed at `threads` workers under a supervisor that never
+/// trips.
+fn swept(
+    points: Vec<DesignPoint>,
+    counts: Vec<f64>,
+    ci: CarbonIntensity,
+    threads: usize,
+) -> OpTimeSweep {
+    SweepCheckpoint::new(points, counts, ci)
+        .unwrap()
+        .resume(&Supervisor::unbounded(), threads)
+        .unwrap()
+        .complete()
+        .unwrap()
+}
+
 fn run_case(seed: u64, threads: usize) -> CaseResult {
     let model = EmbodiedModel::default();
     let mut rng = StdRng::seed_from_u64(0x0B5D ^ seed);
@@ -84,7 +113,7 @@ fn run_case(seed: u64, threads: usize) -> CaseResult {
         configs.insert(at, poisoned_config(&format!("poison{p}")));
     }
 
-    let resilient = evaluate_space_resilient_with_threads(&configs, &task, &model, threads);
+    let resilient = evaluated(&configs, &task, &model, threads).into_resilient();
     let quarantined = resilient
         .failures
         .iter()
@@ -94,9 +123,7 @@ fn run_case(seed: u64, threads: usize) -> CaseResult {
     let counts: Vec<f64> = (0..1 + index(&mut rng, 10))
         .map(|_| 10f64.powf(1.0 + 8.0 * rng.gen::<f64>()))
         .collect();
-    let sweep =
-        OpTimeSweep::with_threads(resilient.points.clone(), counts, grids::US_AVERAGE, threads)
-            .unwrap();
+    let sweep = swept(resilient.points.clone(), counts, grids::US_AVERAGE, threads);
 
     let beta_sweep = BetaSweep::run(&resilient.points);
 

@@ -15,7 +15,7 @@ use cordoba_carbon::embodied::EmbodiedModel;
 use cordoba_carbon::integral::CiIntegral;
 use cordoba_carbon::intensity::grids;
 use cordoba_carbon::intensity::{ConstantCi, SeasonalCi, TrendCi};
-use cordoba_carbon::units::Bytes;
+use cordoba_carbon::units::{Bytes, CarbonIntensity};
 use cordoba_par::Supervisor;
 use cordoba_workloads::task::Task;
 use rand::rngs::StdRng;
@@ -66,6 +66,35 @@ fn poisoned_config(name: &str) -> AcceleratorConfig {
     .unwrap()
 }
 
+/// `configs` evaluated at `threads` workers under a supervisor that never
+/// trips.
+fn evaluated<'a>(
+    configs: &'a [AcceleratorConfig],
+    task: &Task,
+    model: &EmbodiedModel,
+    threads: usize,
+) -> SupervisedEval<'a> {
+    let mut run = SupervisedEval::new(configs, task, model);
+    run.advance(&Supervisor::unbounded(), threads);
+    run
+}
+
+/// The sweep computed at `threads` workers under a supervisor that never
+/// trips.
+fn swept(
+    points: Vec<DesignPoint>,
+    counts: Vec<f64>,
+    ci: CarbonIntensity,
+    threads: usize,
+) -> OpTimeSweep {
+    SweepCheckpoint::new(points, counts, ci)
+        .unwrap()
+        .resume(&Supervisor::unbounded(), threads)
+        .unwrap()
+        .complete()
+        .unwrap()
+}
+
 #[test]
 fn evaluate_space_is_bit_identical_across_thread_counts() {
     let model = EmbodiedModel::default();
@@ -73,9 +102,11 @@ fn evaluate_space_is_bit_identical_across_thread_counts() {
         let mut rng = StdRng::seed_from_u64(0xE5A1 ^ seed);
         let configs = random_configs(&mut rng);
         let task = random_task(&mut rng);
-        let sequential = evaluate_space_with_threads(&configs, &task, &model, 1).unwrap();
+        let sequential = evaluated(&configs, &task, &model, 1).into_points().unwrap();
         for threads in THREAD_COUNTS {
-            let parallel = evaluate_space_with_threads(&configs, &task, &model, threads).unwrap();
+            let parallel = evaluated(&configs, &task, &model, threads)
+                .into_points()
+                .unwrap();
             assert_eq!(sequential, parallel, "seed {seed}, {threads} threads");
         }
     }
@@ -88,21 +119,13 @@ fn op_time_sweep_is_bit_identical_across_thread_counts() {
         let mut rng = StdRng::seed_from_u64(0x0F5E ^ seed);
         let configs = random_configs(&mut rng);
         let task = random_task(&mut rng);
-        let points = evaluate_space_with_threads(&configs, &task, &model, 1).unwrap();
+        let points = evaluated(&configs, &task, &model, 1).into_points().unwrap();
         let counts: Vec<f64> = (0..1 + index(&mut rng, 40))
             .map(|_| 10f64.powf(1.0 + 8.0 * rng.gen::<f64>()))
             .collect();
-        let sequential =
-            OpTimeSweep::with_threads(points.clone(), counts.clone(), grids::US_AVERAGE, 1)
-                .unwrap();
+        let sequential = swept(points.clone(), counts.clone(), grids::US_AVERAGE, 1);
         for threads in THREAD_COUNTS {
-            let parallel = OpTimeSweep::with_threads(
-                points.clone(),
-                counts.clone(),
-                grids::US_AVERAGE,
-                threads,
-            )
-            .unwrap();
+            let parallel = swept(points.clone(), counts.clone(), grids::US_AVERAGE, threads);
             assert_eq!(sequential, parallel, "seed {seed}, {threads} threads");
         }
     }
@@ -113,7 +136,7 @@ fn monte_carlo_is_bit_identical_across_thread_counts() {
     let model = EmbodiedModel::default();
     let space = design_space();
     let task = Task::xr_5_kernels();
-    let points = evaluate_space_with_threads(&space, &task, &model, 1).unwrap();
+    let points = evaluated(&space, &task, &model, 1).into_points().unwrap();
     for seed in 0..40u64 {
         let mut rng = StdRng::seed_from_u64(0x3CA0 ^ seed);
         let samples = 1 + index(&mut rng, 300);
@@ -159,7 +182,7 @@ fn source_monte_carlo_is_bit_identical_across_thread_counts() {
     let model = EmbodiedModel::default();
     let space = design_space();
     let task = Task::ai_5_kernels();
-    let points = evaluate_space_with_threads(&space, &task, &model, 1).unwrap();
+    let points = evaluated(&space, &task, &model, 1).into_points().unwrap();
     let flat = ConstantCi::new(grids::US_AVERAGE);
     let trend = TrendCi::new(grids::COAL, 0.12).unwrap();
     let seasonal = SeasonalCi::solar_rich();
@@ -213,11 +236,11 @@ fn resilient_evaluation_preserves_failure_ordering() {
             let at = index(&mut rng, configs.len() + 1);
             configs.insert(at, poisoned_config(&format!("poison{p}")));
         }
-        let sequential = evaluate_space_resilient_with_threads(&configs, &task, &model, 1);
+        let sequential = evaluated(&configs, &task, &model, 1).into_resilient();
         assert_eq!(sequential.points.len(), healthy, "seed {seed}");
         assert_eq!(sequential.failures.len(), poisons, "seed {seed}");
         for threads in THREAD_COUNTS {
-            let parallel = evaluate_space_resilient_with_threads(&configs, &task, &model, threads);
+            let parallel = evaluated(&configs, &task, &model, threads).into_resilient();
             assert_eq!(
                 sequential.points, parallel.points,
                 "seed {seed}, {threads} threads"
@@ -256,7 +279,9 @@ fn resilient_evaluation_preserves_failure_ordering() {
 fn beta_transitions_are_bit_identical_across_thread_counts() {
     let model = EmbodiedModel::default();
     let space = design_space();
-    let points = evaluate_space_with_threads(&space, &Task::all_kernels(), &model, 1).unwrap();
+    let points = evaluated(&space, &Task::all_kernels(), &model, 1)
+        .into_points()
+        .unwrap();
     let sweep = BetaSweep::run(&points);
     for seed in 0..30u64 {
         let mut rng = StdRng::seed_from_u64(0xBE7A ^ seed);

@@ -15,6 +15,7 @@ use cordoba_accel::space::design_space;
 use cordoba_carbon::embodied::EmbodiedModel;
 use cordoba_carbon::intensity::grids;
 use cordoba_carbon::units::CarbonIntensity;
+use cordoba_par::Supervisor;
 use cordoba_store::Store;
 use cordoba_workloads::task::Task;
 use rand::rngs::StdRng;
@@ -106,7 +107,9 @@ fn warm_start_is_bit_identical_to_fresh_compute_at_every_thread_count() {
         let warm = evaluate_space_stored(&configs, &task, &model, &store).unwrap();
         assert_eq!(warm, fresh, "case {case}: warm hit must restore exact bits");
         for threads in [1, 2] {
-            let threaded = evaluate_space_with_threads(&configs, &task, &model, threads).unwrap();
+            let mut run = SupervisedEval::new(&configs, &task, &model);
+            run.advance(&Supervisor::unbounded(), threads);
+            let threaded = run.into_points().unwrap();
             assert_eq!(warm, threaded, "case {case}: threads={threads}");
         }
         // Sweep: the restored tCDP matrix must equal the computed one.
@@ -114,8 +117,12 @@ fn warm_start_is_bit_identical_to_fresh_compute_at_every_thread_count() {
         let cold_sweep = op_time_sweep_stored(fresh.clone(), counts.clone(), ci, &store).unwrap();
         let warm_sweep = op_time_sweep_stored(fresh.clone(), counts.clone(), ci, &store).unwrap();
         for threads in [1, 2, cordoba_par::effective_threads()] {
-            let direct =
-                OpTimeSweep::with_threads(fresh.clone(), counts.clone(), ci, threads).unwrap();
+            let direct = SweepCheckpoint::new(fresh.clone(), counts.clone(), ci)
+                .unwrap()
+                .resume(&Supervisor::unbounded(), threads)
+                .unwrap()
+                .complete()
+                .unwrap();
             assert_eq!(cold_sweep, direct, "case {case}: sweep threads={threads}");
             assert_eq!(
                 warm_sweep, direct,
