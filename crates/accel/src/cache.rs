@@ -10,14 +10,16 @@
 //! was constructed with, which makes invalidation trivial — a different
 //! model means a different cache, never a stale entry.
 //!
-//! The cache key is a structural fingerprint of everything
-//! `embodied_carbon` reads from the configuration (MAC units, SRAM
-//! capacity, integration style, and the area/node fields of
-//! [`TechTuning`](crate::params::TechTuning)); the display name is
-//! deliberately excluded so identically shaped configurations share one
-//! entry. Floating-point fields are fingerprinted by IEEE-754 bit pattern,
-//! so two configs collide only when every field is bit-identical and the
-//! cached value is exactly the value a fresh computation would produce.
+//! The cache key is the exact shape: every field `embodied_carbon` reads
+//! from the configuration (MAC units, SRAM capacity, integration style and
+//! die count, and the node and three area fields of
+//! [`TechTuning`](crate::params::TechTuning)), floats as IEEE-754 bit
+//! patterns. The display name is deliberately excluded so identically
+//! shaped configurations share one entry. The map compares whole keys, not
+//! a hash of them, so two configurations share an entry only when every
+//! field is bit-identical, and the cached value is exactly the value a
+//! fresh computation would produce. The key is hashed a 64-bit word at a
+//! time.
 //
 // cordoba-lint: allow-file(atomic-ordering) — hits/misses are monotonic
 // observability counters; cached values are handed off through the Mutex,
@@ -51,6 +53,7 @@ use cordoba_carbon::yield_model::YieldModel;
 use cordoba_carbon::CarbonError;
 use cordoba_store::{hex_f64, parse_hex_f64, KeyBuilder, Store, StoreKey};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -89,7 +92,7 @@ impl CacheStats {
 #[derive(Debug)]
 pub struct EmbodiedCache {
     model: EmbodiedModel,
-    entries: Mutex<HashMap<u64, GramsCo2e>>,
+    entries: Mutex<ShapeMap>,
     store: Option<Store>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -101,7 +104,7 @@ impl EmbodiedCache {
     pub fn new(model: EmbodiedModel) -> Self {
         Self {
             model,
-            entries: Mutex::new(HashMap::new()),
+            entries: Mutex::new(ShapeMap::default()),
             store: None,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -135,7 +138,7 @@ impl EmbodiedCache {
     /// [`AcceleratorConfig::embodied_carbon`] (cannot occur for validated
     /// configurations). Errors are not cached.
     pub fn embodied(&self, config: &AcceleratorConfig) -> Result<GramsCo2e, CarbonError> {
-        let key = fingerprint(config);
+        let key = ShapeKey::of(config);
         if let Some(cached) = self.lock().get(&key).copied() {
             self.hits.fetch_add(1, Ordering::Relaxed);
             CACHE_LOOKUPS.incr(0);
@@ -204,7 +207,7 @@ impl EmbodiedCache {
         self.lock().is_empty()
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<u64, GramsCo2e>> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, ShapeMap> {
         match self.entries.lock() {
             Ok(guard) => guard,
             // A poisoned map only means another worker panicked mid-insert;
@@ -262,32 +265,73 @@ pub fn store_key(config: &AcceleratorConfig, model: &EmbodiedModel) -> StoreKey 
     k.finish()
 }
 
-/// FNV-1a structural fingerprint over everything `embodied_carbon` reads.
-fn fingerprint(config: &AcceleratorConfig) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut hash = OFFSET;
-    let mut mix = |word: u64| {
-        for byte in word.to_le_bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(PRIME);
-        }
-    };
-    mix(u64::from(config.mac_units()));
-    mix(config.sram().value().to_bits());
-    match config.integration() {
-        MemoryIntegration::OnDie => mix(0),
-        MemoryIntegration::Stacked3d { dies } => {
-            mix(1);
-            mix(u64::from(dies));
+/// The in-memory memo: exact shape keys, hashed word by word.
+type ShapeMap = HashMap<ShapeKey, GramsCo2e, BuildHasherDefault<WordHasher>>;
+
+/// Everything `embodied_carbon` reads from a configuration, floats as raw
+/// IEEE-754 bits, packed into six words. The display name is excluded.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct ShapeKey([u64; 6]);
+
+impl ShapeKey {
+    fn of(config: &AcceleratorConfig) -> Self {
+        let integration = match config.integration() {
+            MemoryIntegration::OnDie => 0,
+            MemoryIntegration::Stacked3d { dies } => 1 << 32 | u64::from(dies),
+        };
+        let tuning = config.tuning();
+        Self([
+            u64::from(config.mac_units()) << 32 | u64::from(tuning.node.nanometers()),
+            config.sram().value().to_bits(),
+            integration,
+            tuning.mac_unit_area_mm2.to_bits(),
+            tuning.sram_area_mm2_per_mib.to_bits(),
+            tuning.base_area_mm2.to_bits(),
+        ])
+    }
+}
+
+impl Hash for ShapeKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        for word in self.0 {
+            state.write_u64(word);
         }
     }
-    let tuning = config.tuning();
-    mix(u64::from(tuning.node.nanometers()));
-    mix(tuning.mac_unit_area_mm2.to_bits());
-    mix(tuning.sram_area_mm2_per_mib.to_bits());
-    mix(tuning.base_area_mm2.to_bits());
-    hash
+}
+
+/// FNV-1a over 64-bit words with a final avalanche, so the bucket bits
+/// depend on every key bit. Only used to place [`ShapeKey`]s in the map;
+/// equality is always checked on the whole key.
+struct WordHasher(u64);
+
+impl Default for WordHasher {
+    fn default() -> Self {
+        Self(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0 ^ word).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+
+    fn finish(&self) -> u64 {
+        // The murmur3 64-bit finalizer.
+        let mut h = self.0;
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+        h ^ h >> 33
+    }
 }
 
 #[cfg(test)]
@@ -366,6 +410,71 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(cache.stats().hits, 1);
         assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
+    fn entries_are_keyed_on_the_exact_shape() {
+        let cache = EmbodiedCache::new(EmbodiedModel::default());
+        // Configs that differ only in name share one entry.
+        for name in ["a", "b", "c"] {
+            cache.embodied(&cfg(name, 16, 8.0)).unwrap();
+        }
+        assert_eq!(cache.len(), 1);
+        // A one-bit change in any area field gets its own entry.
+        let nudge = |x: f64| f64::from_bits(x.to_bits() ^ 1);
+        type Nudge = fn(&mut TechTuning, fn(f64) -> f64);
+        let fields: [Nudge; 3] = [
+            |t, f| t.mac_unit_area_mm2 = f(t.mac_unit_area_mm2),
+            |t, f| t.sram_area_mm2_per_mib = f(t.sram_area_mm2_per_mib),
+            |t, f| t.base_area_mm2 = f(t.base_area_mm2),
+        ];
+        for (k, field) in fields.into_iter().enumerate() {
+            let mut tuning = TechTuning::n7();
+            field(&mut tuning, nudge);
+            let config = AcceleratorConfig::with_tuning(
+                "nudged",
+                16,
+                Bytes::from_mebibytes(8.0),
+                MemoryIntegration::OnDie,
+                tuning,
+            )
+            .unwrap();
+            cache.embodied(&config).unwrap();
+            assert_eq!(cache.len(), 2 + k, "area field {k}");
+        }
+        assert_eq!(cache.stats().misses, 4);
+
+        // A generated space: tunings that only change the clock share
+        // their shape's entry, so the entries equal the distinct shapes.
+        let cache = EmbodiedCache::new(EmbodiedModel::default());
+        let mut shapes = std::collections::HashSet::new();
+        for units in [1, 3, 16, 64] {
+            for sram in [0.25, 1.0, 8.0] {
+                for integration in [
+                    MemoryIntegration::OnDie,
+                    MemoryIntegration::Stacked3d { dies: 2 },
+                    MemoryIntegration::Stacked3d { dies: 4 },
+                ] {
+                    for clock in [0.5, 0.8, 1.2] {
+                        let mut tuning = TechTuning::n7();
+                        tuning.clock = cordoba_carbon::units::Hertz::from_gigahertz(clock);
+                        let config = AcceleratorConfig::with_tuning(
+                            format!("g{units}_{sram}_{clock}"),
+                            units,
+                            Bytes::from_mebibytes(sram),
+                            integration,
+                            tuning,
+                        )
+                        .unwrap();
+                        cache.embodied(&config).unwrap();
+                        shapes.insert(ShapeKey::of(&config));
+                    }
+                }
+            }
+        }
+        assert_eq!(shapes.len(), 4 * 3 * 3);
+        assert_eq!(cache.len(), shapes.len());
+        assert_eq!(cache.stats().misses, shapes.len() as u64);
     }
 
     #[test]

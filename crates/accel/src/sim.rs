@@ -375,7 +375,20 @@ impl ConfigBatch {
     }
 
     /// Delay and dynamic power of every slab kernel on configuration `c`,
-    /// in one stack-allocated pass (no heap traffic per configuration).
+    /// on the stack (no heap traffic per configuration).
+    ///
+    /// Lane-wise: the configuration's scalars are read once, then three
+    /// loops run over the slab's kernel lanes — roofline, I/O and overflow
+    /// ratio; a scalar `powf` re-fetch fix-up only on lanes whose working
+    /// set overflows SRAM; memory time, latency, energy and power. The
+    /// first and last loops are branch-free arithmetic over contiguous
+    /// lanes, left to the auto-vectorizer: on baseline x86-64 the last one
+    /// compiles to packed `divpd`/`mulpd`/`maxpd`, while the first stays
+    /// scalar (its chain of three divisions does not pay at SSE2 width).
+    /// Every lane keeps
+    /// [`ConfigBatch::simulate_at`]'s exact operation order and grouping
+    /// (including the `io + refetch` add when the re-fetch is `0.0`), so
+    /// the costs are bit-identical to it.
     ///
     /// # Panics
     ///
@@ -383,15 +396,61 @@ impl ConfigBatch {
     /// [`KernelSlab::CAP`] kernels.
     #[must_use]
     pub fn slab_costs(&self, c: usize, slab: &KernelSlab) -> SlabCosts {
-        let mut costs = [KernelCost::new(Seconds::ZERO, Watts::ZERO); KernelSlab::CAP];
-        for (k, slot) in costs.iter_mut().enumerate().take(slab.len()) {
-            let sim = self.simulate_at(c, slab, k);
-            *slot = KernelCost::new(sim.latency, sim.dynamic_power());
+        const CAP: usize = KernelSlab::CAP;
+        let n = slab.len();
+        assert!(n <= CAP, "slab of {n} kernels exceeds {CAP}");
+        let (utilization, units, knee_units, rate) = (
+            self.utilization[c],
+            self.units[c],
+            self.knee_units[c],
+            self.rate[c],
+        );
+        let (io_fraction, sram) = (self.io_fraction[c], self.sram[c]);
+        let (macs, gmacs) = (&slab.macs[..n], &slab.gmacs_clamped[..n]);
+        let (activation, weights) = (&slab.activation[..n], &slab.weights[..n]);
+
+        // Lane loop 1: compute roofline, kernel I/O and the overflow ratio.
+        let mut compute_time = [0.0; CAP];
+        let mut io = [0.0; CAP];
+        let mut overflow = [0.0; CAP];
+        for k in 0..n {
+            let util = utilization / (1.0 + units / (knee_units * gmacs[k]));
+            let peak = rate * util;
+            compute_time[k] = macs[k] / peak;
+            io[k] = activation[k] * io_fraction + weights[k];
+            overflow[k] = activation[k] / sram;
         }
-        SlabCosts {
-            costs,
-            len: slab.len(),
+
+        // Lane loop 2: the re-fetch term, only where the working set
+        // overflows SRAM (0.0 elsewhere, as in the scalar path).
+        let (refetch_scale, refetch_exponent) = (self.refetch_scale[c], self.refetch_exponent[c]);
+        let mut refetch = [0.0; CAP];
+        for k in 0..n {
+            if overflow[k] > 1.0 {
+                refetch[k] =
+                    activation[k] * (refetch_scale * (overflow[k].powf(refetch_exponent) - 1.0));
+            }
         }
+
+        // Lane loop 3: memory time, latency, energy and dynamic power.
+        let (dram_bandwidth, mac_energy) = (self.dram_bandwidth[c], self.mac_energy[c]);
+        let (sram_energy_per_byte, sram_factor) =
+            (self.sram_energy_per_byte[c], self.sram_factor[c]);
+        let (sram_bytes_per_mac, dram_energy_per_byte) =
+            (self.sram_bytes_per_mac[c], self.dram_energy_per_byte[c]);
+        let mut costs = [KernelCost::new(Seconds::ZERO, Watts::ZERO); CAP];
+        for k in 0..n {
+            let dram_traffic = io[k] + refetch[k];
+            let memory_time = dram_traffic / dram_bandwidth;
+            let latency = compute_time[k].max(memory_time);
+            let mac = mac_energy * macs[k];
+            let sram_bytes = macs[k] * sram_bytes_per_mac;
+            let sram_energy = sram_energy_per_byte * sram_bytes * sram_factor;
+            let dram_energy = dram_energy_per_byte * dram_traffic;
+            let dynamic_energy = mac + sram_energy + dram_energy;
+            costs[k] = KernelCost::new(Seconds::new(latency), Watts::new(dynamic_energy / latency));
+        }
+        SlabCosts { costs, len: n }
     }
 
     /// Task delay and energy of configuration `c` (paper eq. IV.2/IV.4),

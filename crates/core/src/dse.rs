@@ -13,7 +13,7 @@ use crate::metrics::DesignPoint;
 use crate::supervise::{SupervisedEval, SweepCheckpoint};
 use cordoba_accel::cache::EmbodiedCache;
 use cordoba_accel::config::AcceleratorConfig;
-use cordoba_accel::sim::{full_cost_table, ConfigBatch, KernelSlab, TaskPlan};
+use cordoba_accel::sim::{full_cost_table, ConfigBatch, KernelSlab, SlabCosts, TaskPlan};
 use cordoba_carbon::embodied::EmbodiedModel;
 use cordoba_carbon::integral::CiIntegral;
 use cordoba_carbon::units::{CarbonIntensity, Seconds};
@@ -23,6 +23,7 @@ use cordoba_workloads::task::Task;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
+use std::ops::Range;
 
 /// Estimated cost of characterizing one configuration through the batch
 /// pipeline (roofline + task equations + memoized embodied carbon). Feeds
@@ -30,38 +31,44 @@ use std::fmt;
 /// calling thread while thousand-config spaces fan out.
 pub(crate) const EVAL_NS_PER_CONFIG: u64 = 1_200;
 
-/// The batch-evaluation state shared by every configuration of one
-/// `evaluate_space` call: the SoA simulator inputs, the task resolved to
-/// slab indices, and the embodied-carbon memo — everything the per-config
+/// The batch-evaluation state shared by every configuration of one space
+/// evaluation: the SoA simulator inputs, each task resolved to slab
+/// indices, and the embodied-carbon memo — everything the per-config
 /// scalar path re-derived on every call, hoisted out of the hot loop.
 ///
-/// [`EvalBatch::design_point`] produces results bit-identical to
-/// [`accel_design_point`], including the error for an invalid
-/// configuration.
+/// [`EvalBatch::design_point`] (one configuration, first task) produces
+/// results bit-identical to [`accel_design_point`], including the error
+/// for an invalid configuration; [`EvalBatch::chunk`] (a range of
+/// configurations, every task) produces the same points stage by stage.
 pub(crate) struct EvalBatch<'a> {
     configs: &'a [AcceleratorConfig],
     batch: ConfigBatch,
     slab: KernelSlab,
-    plan: TaskPlan,
+    plans: Vec<TaskPlan>,
     cache: EmbodiedCache,
 }
 
 impl<'a> EvalBatch<'a> {
     pub(crate) fn new(
         configs: &'a [AcceleratorConfig],
-        task: &Task,
+        tasks: &[Task],
         embodied: &EmbodiedModel,
     ) -> Self {
-        // The slab covers only the task's kernel union (not all fifteen):
+        // One slab over the union of the tasks' kernels (not all fifteen):
         // per-kernel simulations are independent, so skipping unused
-        // kernels cannot change the bits of the ones the task sums.
-        let slab = KernelSlab::new(task.kernels());
-        let plan = TaskPlan::new(task, &slab).expect("slab was built from the task's own kernels"); // cordoba-lint: allow(no-panic)
+        // kernels cannot change the bits of the ones a task sums. Each task
+        // resolves to slab indices once, so the loops do no map lookups.
+        let slab = KernelSlab::new(tasks.iter().flat_map(Task::kernels));
+        let plans = tasks
+            .iter()
+            .map(|task| TaskPlan::new(task, &slab))
+            .collect::<Result<Vec<_>, _>>()
+            .expect("slab was built from the tasks' own kernels"); // cordoba-lint: allow(no-panic)
         Self {
             configs,
             batch: ConfigBatch::new(configs),
             slab,
-            plan,
+            plans,
             cache: EmbodiedCache::new(embodied.clone()),
         }
     }
@@ -71,10 +78,12 @@ impl<'a> EvalBatch<'a> {
         self.configs
     }
 
+    /// Configuration `idx` characterized for the batch's first task (the
+    /// supervised runner builds its batch for exactly one).
     pub(crate) fn design_point(&self, idx: usize) -> Result<DesignPoint, CoreError> {
         let config = &self.configs[idx];
         let costs = self.batch.slab_costs(idx, &self.slab);
-        let (delay, energy) = self.batch.task_cost(idx, &costs, &self.plan);
+        let (delay, energy) = self.batch.task_cost(idx, &costs, &self.plans[0]);
         Ok(DesignPoint::new(
             config.name(),
             delay,
@@ -82,6 +91,49 @@ impl<'a> EvalBatch<'a> {
             self.cache.embodied(config)?,
             config.total_area(),
         )?)
+    }
+
+    /// One contiguous chunk of configurations for every task, stage by
+    /// stage, into per-task point lists allocated once. The first failure
+    /// in input order wins, with a configuration's embodied-carbon error
+    /// ahead of its task errors: the embodied pass stops at its first
+    /// failure, the point pass runs only the configurations before it, and
+    /// the embodied error is returned only if none of those failed.
+    fn chunk(&self, range: Range<usize>) -> Result<Vec<Vec<DesignPoint>>, CoreError> {
+        let costs: Vec<SlabCosts> = range
+            .clone()
+            .map(|idx| self.batch.slab_costs(idx, &self.slab))
+            .collect();
+        let configs = &self.configs[range.clone()];
+        let mut embodied = Vec::with_capacity(configs.len());
+        let mut embodied_error = None;
+        for config in configs {
+            match self.cache.embodied(config) {
+                Ok(carbon) => embodied.push(carbon),
+                Err(err) => {
+                    embodied_error = Some(err);
+                    break;
+                }
+            }
+        }
+        let mut per_task = vec![Vec::with_capacity(configs.len()); self.plans.len()];
+        for (((idx, config), costs), &carbon) in range.zip(configs).zip(&costs).zip(&embodied) {
+            let area = config.total_area();
+            for (points, plan) in per_task.iter_mut().zip(&self.plans) {
+                let (delay, energy) = self.batch.task_cost(idx, costs, plan);
+                points.push(DesignPoint::new(
+                    config.name(),
+                    delay,
+                    energy,
+                    carbon,
+                    area,
+                )?);
+            }
+        }
+        match embodied_error {
+            Some(err) => Err(err.into()),
+            None => Ok(per_task),
+        }
     }
 }
 
@@ -145,11 +197,19 @@ pub fn evaluate_space(
 /// [`AcceleratorConfig::embodied_carbon`] runs once per distinct
 /// configuration shape via [`EmbodiedCache`].
 ///
+/// The evaluation is stage-major: the configurations are split into one
+/// contiguous chunk per worker ([`CostHint::workers`] picks the count),
+/// and each chunk runs whole-chunk passes — simulate every configuration,
+/// then look up every embodied carbon, then assemble the points — rather
+/// than interleaving the stages per configuration. Each configuration's
+/// arithmetic is unchanged, so the points are bit-identical at any worker
+/// count.
+///
 /// # Errors
 ///
 /// Propagates the error of the first (in input order) configuration that
-/// fails on any task; within one configuration, the first failing task
-/// wins.
+/// fails on any task; within one configuration, an embodied-carbon error
+/// comes first, then the first failing task.
 pub fn evaluate_space_multi(
     configs: &[AcceleratorConfig],
     tasks: &[Task],
@@ -160,44 +220,26 @@ pub fn evaluate_space_multi(
         "tasks",
         u64::try_from(tasks.len()).unwrap_or(u64::MAX),
     );
-    let cache = EmbodiedCache::new(embodied.clone());
-    // One slab over the union of every task's kernels; each task resolves
-    // to slab indices once, so the per-config loop simulates each kernel
-    // exactly once and does no map lookups.
-    let slab = KernelSlab::new(tasks.iter().flat_map(Task::kernels));
-    let plans = tasks
-        .iter()
-        .map(|task| TaskPlan::new(task, &slab))
-        .collect::<Result<Vec<_>, _>>()
-        .expect("slab was built from the tasks' own kernels"); // cordoba-lint: allow(no-panic)
-    let batch = ConfigBatch::new(configs);
-    let hint = CostHint::per_item_ns(EVAL_NS_PER_CONFIG.saturating_mul(tasks.len().max(1) as u64));
-    let per_config: Vec<Vec<DesignPoint>> = cordoba_par::try_par_map_indexed_hinted(
-        configs,
-        cordoba_par::effective_threads(),
-        hint,
-        |idx, c| {
-            let costs = batch.slab_costs(idx, &slab);
-            let embodied_carbon = cache.embodied(c)?;
-            plans
-                .iter()
-                .map(|plan| {
-                    let (delay, energy) = batch.task_cost(idx, &costs, plan);
-                    Ok(DesignPoint::new(
-                        c.name(),
-                        delay,
-                        energy,
-                        embodied_carbon,
-                        c.total_area(),
-                    )?)
-                })
-                .collect::<Result<Vec<DesignPoint>, CoreError>>()
-        },
-    )?;
+    let batch = EvalBatch::new(configs, tasks, embodied);
+    let ns_per_config = EVAL_NS_PER_CONFIG.saturating_mul(tasks.len().max(1) as u64);
+    let workers = CostHint::per_item_ns(ns_per_config)
+        .workers(configs.len(), cordoba_par::effective_threads());
+    let chunk_len = configs.len().div_ceil(workers).max(1);
+    let chunks: Vec<Range<usize>> = (0..configs.len())
+        .step_by(chunk_len)
+        .map(|start| start..configs.len().min(start + chunk_len))
+        .collect();
+    let hint = CostHint::per_item_ns(ns_per_config.saturating_mul(chunk_len as u64));
+    let mut parts = cordoba_par::try_par_map_indexed_hinted(&chunks, workers, hint, |_, range| {
+        batch.chunk(range.clone())
+    })?;
+    if parts.len() == 1 {
+        return Ok(parts.swap_remove(0));
+    }
     let mut per_task = vec![Vec::with_capacity(configs.len()); tasks.len()];
-    for config_points in per_config {
-        for (t, point) in config_points.into_iter().enumerate() {
-            per_task[t].push(point);
+    for part in parts {
+        for (all, chunk) in per_task.iter_mut().zip(part) {
+            all.extend(chunk);
         }
     }
     Ok(per_task)

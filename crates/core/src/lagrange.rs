@@ -8,7 +8,7 @@
 //! and can be eliminated.
 
 use crate::metrics::DesignPoint;
-use crate::pareto::{lower_hull_indices, pareto_indices, pareto_indices_kd, Point2, PointK};
+use crate::pareto::{front_and_hull, pareto_indices_kd, Point2, PointK};
 use cordoba_carbon::embodied::EmbodiedBreakdown;
 use cordoba_carbon::units::CarbonIntensity;
 use cordoba_carbon::CarbonError;
@@ -43,12 +43,14 @@ pub struct BetaSweep {
 }
 
 impl BetaSweep {
-    /// Runs the sweep over `candidates`.
+    /// Runs the sweep over `candidates`: `pareto` is
+    /// [`crate::pareto::pareto_indices`] and `support` is
+    /// [`crate::pareto::lower_hull_indices`] of the objectives, both
+    /// derived from one sort.
     #[must_use]
     pub fn run(candidates: &[DesignPoint]) -> Self {
         let points: Vec<Point2> = candidates.iter().map(objectives).collect();
-        let pareto = pareto_indices(&points);
-        let support = lower_hull_indices(&points);
+        let (pareto, support) = front_and_hull(&points);
         Self {
             points,
             pareto,
@@ -70,9 +72,12 @@ impl BetaSweep {
     /// guaranteed not tCDP-optimal for any `CI_use(t)`.
     #[must_use]
     pub fn eliminated_names(&self) -> Vec<&str> {
-        (0..self.points.len())
-            .filter(|i| !self.pareto.contains(i))
-            .map(|i| self.points[i].name.as_str())
+        let survives = survivor_mask(self.points.len(), &self.pareto);
+        self.points
+            .iter()
+            .zip(survives)
+            .filter(|&(_, survives)| !survives)
+            .map(|(p, _)| p.name.as_str())
             .collect()
     }
 
@@ -275,6 +280,16 @@ impl BetaSweep {
     }
 }
 
+/// `mask[i]` is `true` exactly when `i` is in `survivors`: one pass over
+/// the survivors instead of a `contains` scan per point.
+fn survivor_mask(len: usize, survivors: &[usize]) -> Vec<bool> {
+    let mut mask = vec![false; len];
+    for &i in survivors {
+        mask[i] = true;
+    }
+    mask
+}
+
 /// One change of the tCDP-optimal design along the β axis.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct BetaTransition {
@@ -377,9 +392,12 @@ impl TwoFactorSweep {
     /// Names of designs eliminated for every `(CI_fab, CI_use)` pair.
     #[must_use]
     pub fn eliminated_names(&self) -> Vec<&str> {
-        (0..self.points.len())
-            .filter(|i| !self.pareto.contains(i))
-            .map(|i| self.points[i].name.as_str())
+        let survives = survivor_mask(self.points.len(), &self.pareto);
+        self.points
+            .iter()
+            .zip(survives)
+            .filter(|&(_, survives)| !survives)
+            .map(|(p, _)| p.name.as_str())
             .collect()
     }
 
@@ -601,6 +619,63 @@ mod tests {
         assert!(sweep.solve_transitions(0.0, 1.0, 0.0, 100).is_err());
         let empty = BetaSweep::run(&[]);
         assert!(empty.solve_transitions(0.0, 1.0, 0.1, 100).is_err());
+    }
+
+    #[test]
+    fn surviving_and_eliminated_names_partition_every_name_in_input_order() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        for cloud in 0..40 {
+            let len = 1 + next(80) as usize;
+            let mut cands: Vec<DesignPoint> = Vec::with_capacity(len);
+            for i in 0..len {
+                // A coarse grid, plus copies of earlier points, so ties and
+                // exact duplicates are common.
+                let p = if i > 0 && next(4) == 0 {
+                    let copy = &cands[next(i as u64) as usize];
+                    point(
+                        &format!("c{cloud}_{i}"),
+                        copy.delay.value(),
+                        copy.energy.value(),
+                        copy.embodied.value(),
+                    )
+                } else {
+                    let coarse = |v: u64| 0.5 * (1 + v) as f64;
+                    point(
+                        &format!("c{cloud}_{i}"),
+                        coarse(next(4)),
+                        coarse(next(6)),
+                        10.0 * coarse(next(6)),
+                    )
+                };
+                cands.push(p);
+            }
+            let sweep = BetaSweep::run(&cands);
+            let surviving = sweep.surviving_names();
+            let eliminated = sweep.eliminated_names();
+            assert_eq!(surviving.len() + eliminated.len(), len, "cloud {cloud}");
+            // Merge the two lists back by membership: input order must be
+            // restored exactly.
+            let (mut s, mut e) = (surviving.iter().peekable(), eliminated.iter().peekable());
+            for (i, c) in cands.iter().enumerate() {
+                let from = if sweep.pareto.contains(&i) {
+                    s.next()
+                } else {
+                    e.next()
+                };
+                assert_eq!(
+                    from.copied(),
+                    Some(c.name.as_str()),
+                    "cloud {cloud}, point {i}"
+                );
+            }
+            assert!(s.peek().is_none() && e.peek().is_none(), "cloud {cloud}");
+        }
     }
 
     #[test]

@@ -60,64 +60,161 @@ impl Point2 {
 /// ```
 #[must_use]
 pub fn pareto_indices(points: &[Point2]) -> Vec<usize> {
-    // NaN coordinates compare false to everything, so under the dominance
-    // rules such points never dominate and are never dominated: they
-    // always survive and play no part in the scan.
-    let mut survivors: Vec<usize> = Vec::new();
-    let mut order: Vec<usize> = Vec::with_capacity(points.len());
-    for (i, p) in points.iter().enumerate() {
-        if p.x.is_nan() || p.y.is_nan() {
-            survivors.push(i);
-        } else {
-            order.push(i);
-        }
-    }
-    // Sort by (x, y); `total_cmp` keeps -0.0 next to 0.0, and the group
-    // scan below treats numerically equal x values as one group.
-    order.sort_by(|&a, &b| {
-        points[a]
-            .x
-            .total_cmp(&points[b].x)
-            .then(points[a].y.total_cmp(&points[b].y))
-    });
+    SortedFront::new(points).pareto_indices()
+}
 
-    // Skyline scan: walk groups of equal x left to right, tracking the
-    // best (smallest) y seen at strictly smaller x. A point survives iff
-    // nothing at strictly smaller x has y <= its own (that point would
-    // dominate via strictly better x) and nothing in its own group has a
-    // strictly smaller y (equal x, strictly better y). `has_prev`
-    // matters: seeding `best_prev` with +inf would wrongly dominate a
-    // first-group point whose y is +inf.
-    let mut best_prev = f64::INFINITY;
-    let mut has_prev = false;
-    let mut g = 0;
-    while g < order.len() {
-        let group_x = points[order[g]].x;
-        let mut end = g + 1;
-        // Numeric group boundary without float `==`: the sort is
-        // ascending, so a later point stays in the group exactly while
-        // `group_x >= x` — NaN was filtered above, and `>=` (unlike
-        // `total_cmp`) keeps -0.0 and 0.0 in one group.
-        while end < order.len() && group_x >= points[order[end]].x {
-            end += 1;
-        }
-        // The group is sorted by y, so its first element holds the
-        // group's minimum y.
-        let group_min_y = points[order[g]].y;
-        for &idx in &order[g..end] {
-            let y = points[idx].y;
-            let dominated_by_prev = has_prev && y >= best_prev;
-            let dominated_in_group = group_min_y < y;
-            if !dominated_by_prev && !dominated_in_group {
-                survivors.push(idx);
+/// Maps `x` to a `u64` whose unsigned order is [`f64::total_cmp`]'s order:
+/// negative values have all bits flipped, non-negative ones only the sign
+/// bit. The map is a bijection, so [`from_total_key`] recovers every bit.
+fn total_key(x: f64) -> u64 {
+    let bits = x.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
+
+/// The inverse of [`total_key`].
+fn from_total_key(key: u64) -> f64 {
+    f64::from_bits(if key >> 63 == 1 {
+        key & !(1 << 63)
+    } else {
+        !key
+    })
+}
+
+/// A point as `(total_key(x), total_key(y), index)`: sorting these packed
+/// triples orders points by `(x, y)` under `total_cmp`, ties by index,
+/// with no indirect loads per compare.
+type Keyed = (u64, u64, usize);
+
+fn keyed(points: &[Point2], i: usize) -> Keyed {
+    (total_key(points[i].x), total_key(points[i].y), i)
+}
+
+/// The one sort behind [`pareto_indices`], [`lower_hull_indices`] and
+/// `BetaSweep::run`: the non-NaN points sorted once as packed keys, then a
+/// skyline scan over that order.
+struct SortedFront {
+    /// Points with a NaN coordinate, in input order. NaN compares false to
+    /// everything, so under the dominance rules such points never dominate
+    /// and are never dominated: they always survive and stay out of the
+    /// sort and the scan.
+    nan: Vec<usize>,
+    /// The non-dominated non-NaN points, in ascending key order.
+    front: Vec<Keyed>,
+}
+
+impl SortedFront {
+    fn new(points: &[Point2]) -> Self {
+        let mut nan = Vec::new();
+        let mut order: Vec<Keyed> = Vec::with_capacity(points.len());
+        for (i, p) in points.iter().enumerate() {
+            if p.x.is_nan() || p.y.is_nan() {
+                nan.push(i);
+            } else {
+                order.push(keyed(points, i));
             }
         }
-        best_prev = best_prev.min(group_min_y);
-        has_prev = true;
-        g = end;
+        order.sort_unstable();
+
+        // Skyline scan: walk groups of equal x left to right, tracking the
+        // best (smallest) y seen at strictly smaller x. A point survives iff
+        // nothing at strictly smaller x has y <= its own (that point would
+        // dominate via strictly better x) and nothing in its own group has a
+        // strictly smaller y (equal x, strictly better y). `has_prev`
+        // matters: seeding `best_prev` with +inf would wrongly dominate a
+        // first-group point whose y is +inf.
+        let mut front = Vec::new();
+        let mut best_prev = f64::INFINITY;
+        let mut has_prev = false;
+        let mut g = 0;
+        while g < order.len() {
+            let group_x = from_total_key(order[g].0);
+            let mut end = g + 1;
+            // Numeric group boundary without float `==`: the sort is
+            // ascending, so a later point stays in the group exactly while
+            // `group_x >= x` — `>=` (unlike `total_cmp`) keeps -0.0 and 0.0
+            // in one group.
+            while end < order.len() && group_x >= from_total_key(order[end].0) {
+                end += 1;
+            }
+            // A group holding both -0.0 and 0.0 is sorted by y within each
+            // sign only, so take the minimum over the whole group.
+            let group_min_y = order[g..end]
+                .iter()
+                .map(|&(_, y, _)| from_total_key(y))
+                .fold(f64::INFINITY, f64::min);
+            for &point in &order[g..end] {
+                let y = from_total_key(point.1);
+                let dominated_by_prev = has_prev && y >= best_prev;
+                let dominated_in_group = group_min_y < y;
+                if !dominated_by_prev && !dominated_in_group {
+                    front.push(point);
+                }
+            }
+            best_prev = best_prev.min(group_min_y);
+            has_prev = true;
+            g = end;
+        }
+        Self { nan, front }
     }
-    survivors.sort_unstable();
-    survivors
+
+    /// The Pareto-optimal indices (NaN points included), in input order.
+    fn pareto_indices(&self) -> Vec<usize> {
+        let mut survivors: Vec<usize> = self.nan.clone();
+        survivors.extend(self.front.iter().map(|&(_, _, i)| i));
+        survivors.sort_unstable();
+        survivors
+    }
+
+    /// The lower hull of the front, sorted by increasing `x`.
+    fn lower_hull(&self, points: &[Point2]) -> Vec<usize> {
+        // The front already sits in key order; only NaN survivors, which
+        // the sort skipped, force a re-sort of the (small) front.
+        let mut merged;
+        let front = if self.nan.is_empty() {
+            &self.front
+        } else {
+            merged = self.front.clone();
+            merged.extend(self.nan.iter().map(|&i| keyed(points, i)));
+            merged.sort_unstable();
+            &merged
+        };
+        // Monotone-chain lower hull over the front, skipping numerically
+        // equal neighbours (the first of each run is kept).
+        let mut hull: Vec<usize> = Vec::with_capacity(front.len());
+        let mut last: Option<&Point2> = None;
+        for &(_, _, i) in front {
+            let c = &points[i];
+            if last.is_some_and(|l| l.x == c.x && l.y == c.y) {
+                continue;
+            }
+            last = Some(c);
+            while hull.len() >= 2 {
+                let a = &points[hull[hull.len() - 2]];
+                let b = &points[hull[hull.len() - 1]];
+                // Keep b only if it lies strictly below segment a-c; cross > 0
+                // means the chain turns left (convex for a lower hull).
+                let cross = (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x);
+                if cross <= 0.0 {
+                    hull.pop();
+                } else {
+                    break;
+                }
+            }
+            hull.push(i);
+        }
+        hull
+    }
+}
+
+/// The Pareto front and the lower hull of `points` from a single sort:
+/// exactly `(pareto_indices(points), lower_hull_indices(points))`.
+pub(crate) fn front_and_hull(points: &[Point2]) -> (Vec<usize>, Vec<usize>) {
+    let sorted = SortedFront::new(points);
+    (sorted.pareto_indices(), sorted.lower_hull(points))
 }
 
 /// Reference all-pairs `O(n²)` Pareto filter.
@@ -153,37 +250,7 @@ pub fn pareto_front(points: &[Point2]) -> Vec<Point2> {
 /// optimal in eq. IV.9; they are a subset of [`pareto_indices`].
 #[must_use]
 pub fn lower_hull_indices(points: &[Point2]) -> Vec<usize> {
-    if points.is_empty() {
-        return Vec::new();
-    }
-    // Start from the Pareto front sorted by x ascending (y then descends).
-    let mut front = pareto_indices(points);
-    front.sort_by(|&a, &b| {
-        points[a]
-            .x
-            .total_cmp(&points[b].x)
-            .then(points[a].y.total_cmp(&points[b].y))
-    });
-    front.dedup_by(|&mut a, &mut b| points[a].x == points[b].x && points[a].y == points[b].y);
-    // Monotone-chain lower hull over the front.
-    let mut hull: Vec<usize> = Vec::with_capacity(front.len());
-    for &i in &front {
-        while hull.len() >= 2 {
-            let a = &points[hull[hull.len() - 2]];
-            let b = &points[hull[hull.len() - 1]];
-            let c = &points[i];
-            // Keep b only if it lies strictly below segment a-c; cross > 0
-            // means the chain turns left (convex for a lower hull).
-            let cross = (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x);
-            if cross <= 0.0 {
-                hull.pop();
-            } else {
-                break;
-            }
-        }
-        hull.push(i);
-    }
-    hull
+    SortedFront::new(points).lower_hull(points)
 }
 
 /// A named point in a k-dimensional minimize-all objective space.
@@ -501,6 +568,43 @@ mod tests {
                 pareto_indices_naive(points),
                 "case {k}"
             );
+        }
+    }
+
+    #[test]
+    fn signed_zero_group_takes_its_minimum_y_from_both_signs() {
+        // -0.0 sorts before 0.0 under `total_cmp`, so the group's first
+        // point is not its lowest; (0.0, 5.0) dominates (-0.0, 6.0), and
+        // the group minimum also bounds the later group.
+        let points = pts(&[(-0.0, 6.0), (0.0, 5.0), (-0.0, 7.0), (1.0, 5.5)]);
+        assert_eq!(pareto_indices(&points), vec![1]);
+        assert_eq!(pareto_indices(&points), pareto_indices_naive(&points));
+        assert_eq!(lower_hull_indices(&points), vec![1]);
+    }
+
+    #[test]
+    fn total_key_orders_like_total_cmp_and_round_trips() {
+        let values = [
+            -f64::NAN,
+            f64::NEG_INFINITY,
+            -1.5,
+            -f64::MIN_POSITIVE,
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE,
+            2.0,
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        for a in values {
+            assert_eq!(from_total_key(total_key(a)).to_bits(), a.to_bits());
+            for b in values {
+                assert_eq!(
+                    total_key(a).cmp(&total_key(b)),
+                    a.total_cmp(&b),
+                    "{a} vs {b}"
+                );
+            }
         }
     }
 

@@ -98,7 +98,7 @@ impl<'a> SupervisedEval<'a> {
     #[must_use]
     pub fn new(configs: &'a [AcceleratorConfig], task: &Task, embodied: &EmbodiedModel) -> Self {
         Self {
-            batch: EvalBatch::new(configs, task, embodied),
+            batch: EvalBatch::new(configs, std::slice::from_ref(task), embodied),
             slots: Vec::new(),
             stop: None,
         }

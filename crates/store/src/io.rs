@@ -46,6 +46,10 @@ static STORE_OPS: LabeledCounter =
 /// changes.
 pub const FORMAT_HEADER: &str = "cordoba-store entry v1";
 
+/// Last line of every entry file, newline included; a file without it was
+/// truncated.
+const ENTRY_END: &str = "end\n";
+
 /// Default code-version salt. Bump whenever simulator semantics change so
 /// every previously stored result misses and is recomputed.
 pub const CODE_VERSION_SALT: &str = "cordoba-core-v9";
@@ -209,18 +213,22 @@ impl Store {
         }
         let dir = self.root.join(kind);
         fs::create_dir_all(&dir)?;
-        let mut body = String::new();
-        body.push_str(FORMAT_HEADER);
-        body.push('\n');
-        body.push_str(&format!("salt {}\n", self.salt));
-        body.push_str(&format!("kind {kind}\n"));
-        body.push_str(&format!("key {}\n", key.to_hex()));
-        body.push_str(&format!("lines {}\n", lines.len()));
+        // Built at its exact size: a sweep entry runs to megabytes, and
+        // growing it by doubling churns the allocator on every write.
+        let header = format!(
+            "{FORMAT_HEADER}\nsalt {}\nkind {kind}\nkey {}\nlines {}\n",
+            self.salt,
+            key.to_hex(),
+            lines.len()
+        );
+        let payload: usize = lines.iter().map(|line| line.len() + 1).sum();
+        let mut body = String::with_capacity(header.len() + payload + ENTRY_END.len());
+        body.push_str(&header);
         for line in lines {
             body.push_str(line);
             body.push('\n');
         }
-        body.push_str("end\n");
+        body.push_str(ENTRY_END);
         // Write-then-rename so a concurrent reader sees either the old
         // entry or the new one, never a prefix.
         let tmp = dir.join(format!(".tmp-{}-{}", std::process::id(), key.to_hex()));

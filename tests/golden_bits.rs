@@ -7,6 +7,10 @@
 //!   failure names and messages included) and the operational-time sweep
 //!   (uninterrupted, and interrupted, checkpointed through text, and
 //!   resumed).
+//! * [`EXPECTED_ELIM`] covers multi-task space evaluation over a generated
+//!   mixed on-die/3D space, the β-sweep elimination of every task's
+//!   points, and the Pareto front and lower hull of adversarial clouds
+//!   (NaN of both signs, ±0, ±∞, duplicates, equal-x groups).
 //!
 //! The property suites compare the code only with itself (at different
 //! thread counts), so they cannot see drift between commits. Each constant
@@ -14,9 +18,10 @@
 //! runners; a change in any result bit changes the fingerprint. Both must
 //! hold at 1, 2, and the default number of threads.
 
-use cordoba::dse::{evaluate_space, log_sweep, OpTimeSweep, ResilientEval};
+use cordoba::dse::{evaluate_space, evaluate_space_multi, log_sweep, OpTimeSweep, ResilientEval};
 use cordoba::lagrange::{BetaSolve, BetaSweep};
 use cordoba::metrics::DesignPoint;
+use cordoba::pareto::{lower_hull_indices, pareto_indices, pareto_indices_naive, Point2};
 use cordoba::supervise::{
     op_time_sweep_supervised, SupervisedEval, SupervisedSweep, SweepCheckpoint,
 };
@@ -30,11 +35,12 @@ use cordoba_accel::space::design_space;
 use cordoba_carbon::embodied::EmbodiedModel;
 use cordoba_carbon::integral::CiIntegral;
 use cordoba_carbon::intensity::{grids, ConstantCi, SeasonalCi, TrendCi};
-use cordoba_carbon::units::{Bytes, GramsCo2e, Joules, Seconds, SquareCentimeters};
+use cordoba_carbon::units::{Bytes, GramsCo2e, Hertz, Joules, Seconds, SquareCentimeters};
 use cordoba_par::Supervisor;
 use cordoba_soc::apps::VrApp;
 use cordoba_soc::provisioning::{sweep, sweep_supervised, Deployment, ProvisioningRow};
 use cordoba_workloads::task::Task;
+use std::num::NonZeroUsize;
 
 /// The Monte Carlo / β-solve / provisioning fingerprint recorded before
 /// those pipelines were rebuilt on their runners.
@@ -43,6 +49,15 @@ const EXPECTED: u64 = 0xb474_4dee_3bcb_32b6;
 /// The space-evaluation / operational-time-sweep fingerprint recorded
 /// before those pipelines were rebuilt on their runners.
 const EXPECTED_DSE: u64 = 0x2ca6_4d45_05f5_19f3;
+
+/// The multi-task evaluation / elimination fingerprint recorded before
+/// space evaluation went stage-major and elimination went to one sort,
+/// with one fix applied to the old skyline scan first: it took an equal-x
+/// group's minimum y from the group's first point, which is wrong for a
+/// group mixing -0.0 and 0.0 (sorted by y within each sign only). Without
+/// the fix the old code gave `0xa377_8065_9c5f_93a0` and disagreed with
+/// `pareto_indices_naive` on two of the adversarial clouds.
+const EXPECTED_ELIM: u64 = 0x2ea2_1432_d07e_fdf9;
 
 /// 1,300 samples make 21 RNG blocks, past the 16-item parallel cutoff, so
 /// two workers really split the Monte Carlo runs.
@@ -112,6 +127,19 @@ impl Fingerprint {
         self.floats(&sweep.task_counts);
         self.float(sweep.ci_use.value());
         self.floats(sweep.tcdp_matrix());
+    }
+    fn indices(&mut self, indices: &[usize]) {
+        self.word(indices.len() as u64);
+        indices.iter().for_each(|&i| self.word(i as u64));
+    }
+    fn beta(&mut self, beta: &BetaSweep) {
+        self.word(beta.points.len() as u64);
+        for p in &beta.points {
+            self.text(&p.name);
+            self.floats(&[p.x, p.y]);
+        }
+        self.indices(&beta.pareto);
+        self.indices(&beta.support);
     }
     fn rows(&mut self, rows: &[ProvisioningRow]) {
         for r in rows {
@@ -328,6 +356,151 @@ fn dse_fingerprint(threads: Option<usize>) -> u64 {
         fp.sweep(&resumed);
     }
     fp.0
+}
+
+/// Deterministic xorshift64 stream for the generated inputs below.
+struct XorShift(u64);
+
+impl XorShift {
+    fn next(&mut self) -> u64 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        self.0
+    }
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+    fn unit(&mut self) -> f64 {
+        (self.next() >> 11) as f64 / (1u64 << 53) as f64
+    }
+}
+
+/// 150 shapes (on-die and 3D-stacked with 2-4 dies) x 3 clock/utilization
+/// tunings, shuffled: 450 configurations, enough estimated work for two
+/// workers, with three tunings sharing each embodied-carbon entry.
+fn mixed_space() -> Vec<AcceleratorConfig> {
+    let mut rng = XorShift(0x5EED_E11A);
+    let mut space = Vec::new();
+    for s in 0..150 {
+        let units = 1 + rng.below(128) as u32;
+        let sram = Bytes::from_mebibytes(0.25 * (1 + rng.below(256)) as f64);
+        let integration = if rng.unit() < 0.6 {
+            MemoryIntegration::OnDie
+        } else {
+            MemoryIntegration::Stacked3d {
+                dies: 2 + rng.below(3) as u32,
+            }
+        };
+        for v in 0..3 {
+            let mut tuning = TechTuning::n7();
+            tuning.clock = Hertz::from_gigahertz(0.5 + rng.unit());
+            tuning.utilization = 0.7 + 0.25 * rng.unit();
+            let name = format!("m{s}_{v}");
+            let config =
+                AcceleratorConfig::with_tuning(name, units, sram, integration, tuning).unwrap();
+            space.push(config);
+        }
+    }
+    for i in (1..space.len()).rev() {
+        space.swap(i, rng.below(i as u64 + 1) as usize);
+    }
+    space
+}
+
+/// Clouds built to break sort-based elimination: coordinates drawn from a
+/// small palette (so equal-x groups and exact duplicates are common) that
+/// holds NaN of both signs, ±0 and ±∞, mixed with random values.
+fn adversarial_clouds() -> Vec<Vec<Point2>> {
+    let palette = [
+        f64::NAN,
+        -f64::NAN,
+        0.0,
+        -0.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        1.0,
+        2.0,
+        3.0,
+        -1.0,
+    ];
+    let mut rng = XorShift(0xAD5E_C10D);
+    let mut clouds = Vec::new();
+    for c in 0..60 {
+        let len = 1 + rng.below(40) as usize;
+        // Every third cloud stays finite-only but grouped; the rest mix in
+        // the special values at rising rates.
+        let special = if c % 3 == 0 {
+            0.0
+        } else {
+            0.05 * (c % 7) as f64
+        };
+        let coord = |rng: &mut XorShift| {
+            if rng.unit() < special {
+                palette[rng.below(6) as usize]
+            } else if rng.unit() < 0.5 {
+                palette[6 + rng.below(4) as usize]
+            } else {
+                (rng.below(16) as f64) * 0.5 - 2.0
+            }
+        };
+        let mut cloud: Vec<Point2> = (0..len)
+            .map(|i| {
+                let x = coord(&mut rng);
+                let y = coord(&mut rng);
+                Point2::new(format!("c{c}_{i}"), x, y)
+            })
+            .collect();
+        // Exact duplicates of earlier points.
+        for i in 0..len / 4 {
+            let copy = cloud[rng.below(len as u64) as usize].clone();
+            cloud.push(Point2::new(format!("c{c}_dup{i}"), copy.x, copy.y));
+        }
+        clouds.push(cloud);
+    }
+    clouds
+}
+
+/// Fingerprint of multi-task evaluation and elimination with the process
+/// worker count set to `threads` (`None` = the default).
+fn elim_fingerprint(threads: Option<usize>) -> u64 {
+    cordoba_par::set_threads(threads.and_then(NonZeroUsize::new));
+    let space = mixed_space();
+    let tasks = Task::evaluation_suite();
+    let per_task = evaluate_space_multi(&space, &tasks, &EmbodiedModel::default()).unwrap();
+    cordoba_par::set_threads(None);
+    let mut fp = Fingerprint::new();
+    for points in &per_task {
+        fp.points(points);
+        fp.beta(&BetaSweep::run(points));
+    }
+    for cloud in adversarial_clouds() {
+        fp.indices(&pareto_indices(&cloud));
+        fp.indices(&lower_hull_indices(&cloud));
+    }
+    fp.0
+}
+
+#[test]
+fn pareto_front_of_every_adversarial_cloud_matches_the_all_pairs_reference() {
+    for (k, cloud) in adversarial_clouds().iter().enumerate() {
+        assert_eq!(
+            pareto_indices(cloud),
+            pareto_indices_naive(cloud),
+            "cloud {k}"
+        );
+    }
+}
+
+#[test]
+fn elimination_bits_match_the_recorded_fingerprint_at_1_2_and_auto_threads() {
+    for threads in [Some(1), Some(2), None] {
+        let got = elim_fingerprint(threads);
+        assert_eq!(
+            got, EXPECTED_ELIM,
+            "threads {threads:?}: elimination result bits drifted from the recorded fingerprint: {got:#018x}"
+        );
+    }
 }
 
 #[test]

@@ -17,12 +17,18 @@ use cordoba_accel::sim::{
 use cordoba_accel::space::design_space;
 use cordoba_carbon::embodied::EmbodiedModel;
 use cordoba_carbon::intensity::grids;
-use cordoba_carbon::units::{Bytes, CarbonIntensity};
+use cordoba_carbon::units::{Bytes, CarbonIntensity, Joules};
 use cordoba_par::Supervisor;
 use cordoba_workloads::kernel::KernelId;
 use cordoba_workloads::task::Task;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::num::NonZeroUsize;
+use std::sync::{Mutex, PoisonError};
+
+/// Serializes the tests that set the process-wide worker count, so each
+/// really runs at the count it asks for.
+static THREADS: Mutex<()> = Mutex::new(());
 
 /// A uniformly random index in `0..n`.
 fn index(rng: &mut StdRng, n: usize) -> usize {
@@ -230,6 +236,105 @@ fn evaluate_space_multi_matches_per_task_scalar_runs() {
                 .map(|c| accel_design_point(c, task, &model).unwrap())
                 .collect();
             assert_eq!(scalar, multi[t], "seed {seed}, task {t}");
+        }
+    }
+}
+
+/// `evaluate_space_multi` with the process worker count set to `threads`.
+fn multi_at(
+    configs: &[AcceleratorConfig],
+    tasks: &[Task],
+    model: &EmbodiedModel,
+    threads: usize,
+) -> Result<Vec<Vec<DesignPoint>>, CoreError> {
+    let _serial = THREADS.lock().unwrap_or_else(PoisonError::into_inner);
+    cordoba_par::set_threads(NonZeroUsize::new(threads));
+    let out = evaluate_space_multi(configs, tasks, model);
+    cordoba_par::set_threads(None);
+    out
+}
+
+/// Poisoned configuration `p`, in one of three ways: a negative MAC area
+/// and an infinite base area fail the embodied-carbon model, a negative
+/// DRAM energy passes it but fails `DesignPoint::new` on every task. The
+/// magnitudes depend on `p`, so different poisons of one kind still render
+/// different errors.
+fn poisoned_variant(p: usize, kind: usize) -> AcceleratorConfig {
+    let scale = 1.0 + p as f64;
+    let mut tuning = TechTuning::n7();
+    match kind % 3 {
+        0 => tuning.mac_unit_area_mm2 = -scale,
+        1 => tuning.base_area_mm2 = f64::INFINITY,
+        _ => tuning.dram_energy_per_byte = Joules::new(-1e-3 * scale),
+    }
+    AcceleratorConfig::with_tuning(
+        format!("poison{p}"),
+        16,
+        Bytes::from_mebibytes(8.0),
+        MemoryIntegration::OnDie,
+        tuning,
+    )
+    .unwrap()
+}
+
+#[test]
+fn evaluate_space_multi_is_identical_at_1_2_and_16_threads() {
+    let model = EmbodiedModel::default();
+    for seed in 0..12u64 {
+        let mut rng = StdRng::seed_from_u64(0x4D17 ^ seed);
+        // Two random subsets back to back: up to 242 configs, enough
+        // estimated work to split across workers.
+        let mut configs = random_configs(&mut rng);
+        configs.extend(random_configs(&mut rng));
+        let tasks: Vec<Task> = (0..1 + index(&mut rng, 5))
+            .map(|_| random_task(&mut rng))
+            .collect();
+        let reference = multi_at(&configs, &tasks, &model, 1).unwrap();
+        for (t, task) in tasks.iter().enumerate() {
+            let single = evaluated(&configs, task, &model, 1).into_points().unwrap();
+            assert_eq!(single, reference[t], "seed {seed}, task {t}");
+        }
+        for threads in [2, 16] {
+            let multi = multi_at(&configs, &tasks, &model, threads).unwrap();
+            assert_eq!(reference, multi, "seed {seed}, {threads} threads");
+        }
+    }
+}
+
+#[test]
+fn evaluate_space_multi_reports_the_first_failing_config_at_every_thread_count() {
+    let model = EmbodiedModel::default();
+    for seed in 0..20u64 {
+        let mut rng = StdRng::seed_from_u64(0xF1E5 ^ seed);
+        let mut configs = random_configs(&mut rng);
+        configs.extend(random_configs(&mut rng));
+        let tasks: Vec<Task> = (0..1 + index(&mut rng, 5))
+            .map(|_| random_task(&mut rng))
+            .collect();
+        for p in 0..1 + index(&mut rng, 4) {
+            let at = index(&mut rng, configs.len() + 1);
+            configs.insert(at, poisoned_variant(p, index(&mut rng, 3)));
+        }
+        // Scalar reference: configs in input order, tasks in order within
+        // a config; the scalar path prices the embodied carbon before it
+        // builds the point, so an embodied failure comes first.
+        let expected = configs
+            .iter()
+            .find_map(|c| {
+                tasks
+                    .iter()
+                    .find_map(|task| accel_design_point(c, task, &model).err())
+            })
+            .expect("at least one config is poisoned");
+        for threads in [1, 2, 16] {
+            let err = multi_at(&configs, &tasks, &model, threads).unwrap_err();
+            // Error payloads carry NaN (self-unequal), so compare the
+            // rendered messages.
+            assert_eq!(
+                expected.to_string(),
+                err.to_string(),
+                "seed {seed}, {threads} threads"
+            );
         }
     }
 }

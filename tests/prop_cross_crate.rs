@@ -15,6 +15,108 @@ fn kernel_strategy() -> impl Strategy<Value = KernelId> {
     prop::sample::select(KernelId::ALL.to_vec())
 }
 
+/// The two-sort lower hull that `lower_hull_indices` replaced, kept as the
+/// reference for the one-sort version: sort the Pareto front by `(x, y)`
+/// in `total_cmp` order, drop numerically equal neighbours, then run the
+/// monotone chain.
+fn lower_hull_two_sort_reference(points: &[Point2]) -> Vec<usize> {
+    if points.is_empty() {
+        return Vec::new();
+    }
+    let mut front = pareto_indices(points);
+    front.sort_by(|&a, &b| {
+        points[a]
+            .x
+            .total_cmp(&points[b].x)
+            .then(points[a].y.total_cmp(&points[b].y))
+    });
+    front.dedup_by(|&mut a, &mut b| points[a].x == points[b].x && points[a].y == points[b].y);
+    let mut hull: Vec<usize> = Vec::with_capacity(front.len());
+    for &i in &front {
+        while hull.len() >= 2 {
+            let a = &points[hull[hull.len() - 2]];
+            let b = &points[hull[hull.len() - 1]];
+            let c = &points[i];
+            let cross = (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x);
+            if cross <= 0.0 {
+                hull.pop();
+            } else {
+                break;
+            }
+        }
+        hull.push(i);
+    }
+    hull
+}
+
+/// Coordinate palette that stresses sort-based elimination: NaN of both
+/// signs, ±0, ±∞ and a few small integers (equal-x groups, duplicates).
+const PALETTE: [f64; 10] = [
+    f64::NAN,
+    -f64::NAN,
+    0.0,
+    -0.0,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    -1.0,
+    1.0,
+    2.0,
+    3.0,
+];
+
+/// A palette entry for a draw below `PALETTE.len()`, else the random value.
+fn coordinate((pick, random): (usize, f64)) -> f64 {
+    PALETTE.get(pick).copied().unwrap_or(random)
+}
+
+fn cloud(coords: &[(f64, f64)]) -> Vec<Point2> {
+    coords
+        .iter()
+        .enumerate()
+        .map(|(i, &(x, y))| Point2::new(format!("p{i}"), x, y))
+        .collect()
+}
+
+#[test]
+fn lower_hull_matches_the_two_sort_reference_on_degenerate_clouds() {
+    let nan = f64::NAN;
+    let inf = f64::INFINITY;
+    let cases: Vec<Vec<(f64, f64)>> = vec![
+        vec![],
+        vec![(1.0, 1.0)],
+        vec![(1.0, 1.0), (1.0, 1.0), (1.0, 1.0)],
+        vec![(0.0, -0.0), (-0.0, 0.0), (1.0, 1.0)],
+        vec![(-0.0, 1.0), (0.0, 1.0), (0.0, 0.5), (2.0, 0.0)],
+        vec![(inf, 0.0), (0.0, inf), (inf, inf), (1.0, 1.0)],
+        vec![(-inf, 5.0), (0.0, 5.0), (-inf, 4.0), (1.0, -inf)],
+        vec![(nan, 1.0), (1.0, nan), (0.5, 0.5), (2.0, 2.0)],
+        vec![
+            (-nan, 1.0),
+            (nan, -1.0),
+            (-nan, -nan),
+            (0.0, 0.0),
+            (3.0, -2.0),
+        ],
+        vec![
+            (1.0, 3.0),
+            (1.0, 2.0),
+            (1.0, 2.0),
+            (2.0, 1.0),
+            (2.0, 1.0),
+            (3.0, 0.0),
+        ],
+        vec![(1.0, 4.0), (2.0, 3.0), (3.0, 2.0), (4.0, 1.0)],
+    ];
+    for (k, coords) in cases.iter().enumerate() {
+        let points = cloud(coords);
+        assert_eq!(
+            lower_hull_indices(&points),
+            lower_hull_two_sort_reference(&points),
+            "case {k}: {coords:?}"
+        );
+    }
+}
+
 proptest! {
     #[test]
     fn power_time_energy_algebra(p in 0.0f64..1e4, t in 1e-6f64..1e6) {
@@ -124,6 +226,21 @@ proptest! {
                 "hull point {h} loses its own beta {beta}"
             );
         }
+    }
+
+    #[test]
+    fn lower_hull_matches_the_two_sort_reference(
+        draws in prop::collection::vec(((0usize..16, -10.0f64..10.0), (0usize..16, -10.0f64..10.0)), 0..48)
+    ) {
+        let coords: Vec<(f64, f64)> = draws
+            .into_iter()
+            .map(|(x, y)| (coordinate(x), coordinate(y)))
+            .collect();
+        let points = cloud(&coords);
+        prop_assert_eq!(
+            lower_hull_indices(&points),
+            lower_hull_two_sort_reference(&points)
+        );
     }
 
     #[test]
