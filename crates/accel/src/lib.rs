@@ -44,8 +44,8 @@ pub mod prelude {
     pub use crate::layered_sim::{layered_cost_table, simulate_layered, LayerSim, LayeredSim};
     pub use crate::params::{TechTuning, MACS_PER_UNIT};
     pub use crate::sim::{
-        cost_table, full_cost_table, full_cost_table_batch, simulate, simulate_batch, ConfigBatch,
-        KernelSim, KernelSlab, SlabCosts, TaskPlan,
+        cost_table, full_cost_table, simulate, ConfigBatch, KernelSim, KernelSlab, SlabCosts,
+        TaskPlan,
     };
     pub use crate::space::{config_by_name, design_space, GridIndex, SPACE_SIZE};
     pub use crate::stacking::{baseline, stacked_configs, study_configs};

@@ -326,54 +326,6 @@ impl ConfigBatch {
         Watts::new(self.leakage[c])
     }
 
-    /// Simulates kernel `k` of `slab` on configuration `c`, replicating the
-    /// scalar [`simulate`] operation for operation — same `f64` op order,
-    /// same results to the last bit.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `c` or `k` is out of range.
-    #[must_use]
-    pub fn simulate_at(&self, c: usize, slab: &KernelSlab, k: usize) -> KernelSim {
-        // Compute roofline: peak = (units x MACS x clock) x utilization,
-        // with the first three factors hoisted into `rate` (the scalar path
-        // multiplies left to right, so the grouping is identical).
-        let util = self.utilization[c]
-            / (1.0 + self.units[c] / (self.knee_units[c] * slab.gmacs_clamped[k]));
-        let peak = self.rate[c] * util;
-        let compute_time = slab.macs[k] / peak;
-
-        // DRAM traffic with SRAM-overflow re-fetch amplification.
-        let io = slab.activation[k] * self.io_fraction[c] + slab.weights[k];
-        let overflow = slab.activation[k] / self.sram[c];
-        let refetch = if overflow > 1.0 {
-            slab.activation[k]
-                * (self.refetch_scale[c] * (overflow.powf(self.refetch_exponent[c]) - 1.0))
-        } else {
-            0.0
-        };
-        let dram_traffic = io + refetch;
-        let memory_time = dram_traffic / self.dram_bandwidth[c];
-        let latency = compute_time.max(memory_time);
-
-        // Energy: MAC + SRAM (hoisted capacity-dependent per-byte energy,
-        // hoisted stacking factor) + DRAM.
-        let mac_energy = self.mac_energy[c] * slab.macs[k];
-        let sram_bytes = slab.macs[k] * self.sram_bytes_per_mac[c];
-        let sram_energy = self.sram_energy_per_byte[c] * sram_bytes * self.sram_factor[c];
-        let dram_energy = self.dram_energy_per_byte[c] * dram_traffic;
-        let dynamic_energy = mac_energy + sram_energy + dram_energy;
-
-        KernelSim {
-            kernel: slab.ids[k],
-            latency: Seconds::new(latency),
-            dynamic_energy: Joules::new(dynamic_energy),
-            dram_traffic: Bytes::new(dram_traffic),
-            compute_time: Seconds::new(compute_time),
-            memory_time: Seconds::new(memory_time),
-        }
-    }
-
     /// Delay and dynamic power of every slab kernel on configuration `c`,
     /// on the stack (no heap traffic per configuration).
     ///
@@ -385,10 +337,12 @@ impl ConfigBatch {
     /// lanes, left to the auto-vectorizer: on baseline x86-64 the last one
     /// compiles to packed `divpd`/`mulpd`/`maxpd`, while the first stays
     /// scalar (its chain of three divisions does not pay at SSE2 width).
-    /// Every lane keeps
-    /// [`ConfigBatch::simulate_at`]'s exact operation order and grouping
-    /// (including the `io + refetch` add when the re-fetch is `0.0`), so
-    /// the costs are bit-identical to it.
+    /// Every lane keeps the scalar [`simulate`]'s exact operation order and
+    /// grouping (the peak rate's first three factors are hoisted into one
+    /// per-config product, as the scalar path multiplies them left to
+    /// right, and `io + refetch` is added even when the re-fetch is
+    /// `0.0`), so each lane's delay and power are bit-identical to
+    /// `simulate(..).latency` and `simulate(..).dynamic_power()`.
     ///
     /// # Panics
     ///
@@ -549,44 +503,6 @@ impl TaskPlan {
     }
 }
 
-/// Simulates every kernel of `slab` on every configuration, row-major by
-/// configuration: entry `c * slab.len() + k` is kernel `k` on config `c`,
-/// bit-identical to `simulate(&configs[c], &slab.ids()[k].descriptor())`.
-#[must_use]
-pub fn simulate_batch(configs: &[AcceleratorConfig], slab: &KernelSlab) -> Vec<KernelSim> {
-    let batch = ConfigBatch::new(configs);
-    let mut out = Vec::with_capacity(configs.len() * slab.len());
-    for c in 0..batch.len() {
-        for k in 0..slab.len() {
-            out.push(batch.simulate_at(c, slab, k));
-        }
-    }
-    out
-}
-
-/// Batch sibling of [`full_cost_table`]: one [`CostTable`] per
-/// configuration, each bit-identical to `full_cost_table(&configs[c])`,
-/// with descriptor lookup and tuning derivation done once for the whole
-/// batch.
-#[must_use]
-pub fn full_cost_table_batch(configs: &[AcceleratorConfig]) -> Vec<CostTable> {
-    let slab = KernelSlab::full();
-    let batch = ConfigBatch::new(configs);
-    (0..batch.len())
-        .map(|c| {
-            let mut table = CostTable::new(batch.leakage_power(c));
-            for k in 0..slab.len() {
-                let sim = batch.simulate_at(c, &slab, k);
-                table.insert(
-                    slab.ids[k],
-                    KernelCost::new(sim.latency, sim.dynamic_power()),
-                );
-            }
-            table
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -722,52 +638,35 @@ mod tests {
         ]
     }
 
-    fn sim_bits(s: &KernelSim) -> [u64; 5] {
-        [
-            s.latency.value().to_bits(),
-            s.dynamic_energy.value().to_bits(),
-            s.dram_traffic.value().to_bits(),
-            s.compute_time.value().to_bits(),
-            s.memory_time.value().to_bits(),
-        ]
-    }
-
     #[test]
     fn batch_simulation_is_bit_identical_to_scalar() {
         let configs = mixed_batch();
         let slab = KernelSlab::full();
-        let sims = simulate_batch(&configs, &slab);
-        assert_eq!(sims.len(), configs.len() * slab.len());
+        let batch = ConfigBatch::new(&configs);
+        assert_eq!(batch.len(), configs.len());
         for (c, config) in configs.iter().enumerate() {
+            assert_eq!(
+                batch.leakage_power(c).value().to_bits(),
+                config.leakage_power().value().to_bits(),
+                "config {} leakage",
+                config.name()
+            );
+            let costs = batch.slab_costs(c, &slab);
+            assert_eq!(costs.as_slice().len(), slab.len());
             for (k, &id) in slab.ids().iter().enumerate() {
                 let scalar = simulate(config, &id.descriptor());
-                let batch = &sims[c * slab.len() + k];
-                assert_eq!(batch.kernel, scalar.kernel);
+                let lane = costs.get(k);
                 assert_eq!(
-                    sim_bits(batch),
-                    sim_bits(&scalar),
-                    "config {} kernel {id}",
+                    lane.delay.value().to_bits(),
+                    scalar.latency.value().to_bits(),
+                    "config {} kernel {id} delay",
                     config.name()
                 );
-            }
-        }
-    }
-
-    #[test]
-    fn batch_cost_tables_are_bit_identical_to_scalar() {
-        let configs = mixed_batch();
-        let tables = full_cost_table_batch(&configs);
-        assert_eq!(tables.len(), configs.len());
-        for (config, table) in configs.iter().zip(&tables) {
-            let scalar = full_cost_table(config);
-            assert_eq!(table.leakage_power, scalar.leakage_power);
-            for id in KernelId::ALL {
-                let b = table.get(id).unwrap();
-                let s = scalar.get(id).unwrap();
-                assert_eq!(b.delay.value().to_bits(), s.delay.value().to_bits());
                 assert_eq!(
-                    b.dynamic_power.value().to_bits(),
-                    s.dynamic_power.value().to_bits()
+                    lane.dynamic_power.value().to_bits(),
+                    scalar.dynamic_power().value().to_bits(),
+                    "config {} kernel {id} power",
+                    config.name()
                 );
             }
         }

@@ -1,14 +1,15 @@
 //! Smoke-mode performance record for the parallel sweep engine, the
 //! exact-integration carbon kernel, and the observability layer.
 //!
-//! Times the headline sweeps with plain wall-clock measurement (the
-//! vendored `criterion` is a stub, so this binary is the source of truth
-//! for recorded numbers) and writes `BENCH_<N+1>.json` at the repository
-//! root (where `N` is the highest committed record, so the current run
-//! lands in `BENCH_6.json`): a flat map of bench name to median
-//! nanoseconds. The highest committed record is also used for an
-//! informational comparison (no gate — the files are usually recorded on
-//! different machines). `--out <file>` overrides the output path.
+//! Times the headline sweeps with plain wall-clock measurement and writes
+//! `BENCH_<N+1>.json` at the repository root (where `N` is the highest
+//! committed record): a flat map of bench name to median nanoseconds. The
+//! gated end-to-end benchmark is `perfbench/` (`BENCHMARK.json`); this
+//! binary keeps the per-kernel medians it does not report, such as the
+//! trace scheduler on a long sampled trace. The highest committed record
+//! is also used for an informational comparison (no gate — the files are
+//! usually recorded on different machines). `--out <file>` overrides the
+//! output path.
 //!
 //! Each parallel or kernel bench is run twice — once pinned to one worker
 //! and once with the default pool — so the thread-scaling ratio is visible
@@ -32,7 +33,10 @@ use cordoba_carbon::integral::CiIntegral;
 use cordoba_carbon::intensity::{grids, CiSource, ConstantCi, SeasonalCi, TraceCi, TrendCi};
 use cordoba_carbon::units::{CarbonIntensity, GramsCo2e, Joules, Seconds, SquareCentimeters};
 use cordoba_par::supervise::Supervisor;
+use cordoba_soc::prelude::{schedule, ActivityTrace, SocConfig, VrApp};
 use cordoba_workloads::task::Task;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::hint::black_box;
 use std::num::NonZeroUsize;
 use std::time::Instant;
@@ -432,6 +436,19 @@ fn main() {
         "pareto/frontier_10000/naive".to_owned(),
         median_ns(heavy_iters, || {
             black_box(pareto_indices_naive(black_box(&cloud)));
+        }),
+    ));
+
+    // soc/schedule_sampled_10k — the trace scheduler on a 10,000-segment
+    // sampled B-1 trace. The provisioning sweep only schedules the
+    // deterministic traces, which have one segment per thread count.
+    let app = VrApp::b1();
+    let soc = SocConfig::quest2();
+    let sampled = ActivityTrace::sampled(&mut StdRng::seed_from_u64(7), &app, 10_000);
+    results.push((
+        "soc/schedule_sampled_10k".to_owned(),
+        median_ns(iters, || {
+            black_box(schedule(black_box(&sampled), &app, &soc));
         }),
     ));
 

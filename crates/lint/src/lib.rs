@@ -36,8 +36,9 @@
 //!
 //! The analysis is a hand-rolled tokenizer plus a tolerant item parser
 //! ([`parser`]) rather than a full AST walk: the crate must build with
-//! **zero dependencies** so the lint gate works in fully-offline
-//! environments (no `syn`).
+//! **no external dependencies** so the lint gate works in fully-offline
+//! environments (no `syn`). Its one workspace dependency, `cordoba-obs`,
+//! has none either and supplies the JSON parser for baselines.
 
 pub mod context;
 pub mod diagnostics;

@@ -4,7 +4,7 @@
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
-use cordoba_lint::json::{self, Value};
+use cordoba_obs::json::{self, Json};
 
 fn bin() -> &'static str {
     env!("CARGO_BIN_EXE_cordoba-lint")
@@ -27,24 +27,24 @@ fn json_report_parses_and_matches_summary() {
     assert_eq!(out.status.code(), Some(1), "deny findings must exit 1");
     let doc = json::parse(&String::from_utf8_lossy(&out.stdout)).expect("stdout is valid JSON");
 
-    let Some(Value::Arr(findings)) = doc.get("findings") else {
+    let Some(findings) = doc.get("findings").and_then(Json::as_array) else {
         panic!("report has a findings array: {doc:?}");
     };
     assert_eq!(findings.len(), 3, "wall_clock fixture has three findings");
     for f in findings {
-        assert_eq!(f.get("rule").and_then(Value::as_str), Some("wall-clock"));
-        assert_eq!(f.get("severity").and_then(Value::as_str), Some("deny"));
+        assert_eq!(f.get("rule").and_then(Json::as_str), Some("wall-clock"));
+        assert_eq!(f.get("severity").and_then(Json::as_str), Some("deny"));
         assert!(f
             .get("file")
-            .and_then(Value::as_str)
+            .and_then(Json::as_str)
             .is_some_and(|p| p.ends_with("fixtures/bad/wall_clock.rs")));
     }
     let summary = doc.get("summary").expect("summary object");
-    assert_eq!(summary.get("deny"), Some(&Value::Num(3.0)));
-    assert_eq!(summary.get("warn"), Some(&Value::Num(0.0)));
+    assert_eq!(summary.get("deny"), Some(&Json::Num(3.0)));
+    assert_eq!(summary.get("warn"), Some(&Json::Num(0.0)));
     assert_eq!(
         summary.get("by_rule").and_then(|b| b.get("wall-clock")),
-        Some(&Value::Num(3.0))
+        Some(&Json::Num(3.0))
     );
 }
 
@@ -65,8 +65,8 @@ fn warn_only_findings_exit_zero_and_deny_flag_escalates() {
     let doc =
         json::parse(&String::from_utf8_lossy(&warn_only.stdout)).expect("stdout is valid JSON");
     let summary = doc.get("summary").expect("summary object");
-    assert_eq!(summary.get("deny"), Some(&Value::Num(0.0)));
-    assert_eq!(summary.get("warn"), Some(&Value::Num(2.0)));
+    assert_eq!(summary.get("deny"), Some(&Json::Num(0.0)));
+    assert_eq!(summary.get("warn"), Some(&Json::Num(2.0)));
 
     // `--deny determinism` escalates the whole family.
     let escalated = run(&[
@@ -120,8 +120,8 @@ fn baseline_round_trip_tolerates_recorded_findings() {
         "baselined findings must not fail the run"
     );
     let doc = json::parse(&String::from_utf8_lossy(&gated.stdout)).expect("stdout is valid JSON");
-    assert_eq!(doc.get("baselined"), Some(&Value::Num(3.0)));
-    let Some(Value::Arr(findings)) = doc.get("findings") else {
+    assert_eq!(doc.get("baselined"), Some(&Json::Num(3.0)));
+    let Some(findings) = doc.get("findings").and_then(Json::as_array) else {
         panic!("report has a findings array: {doc:?}");
     };
     assert!(findings.is_empty(), "no fresh findings: {findings:?}");
@@ -169,6 +169,41 @@ fn io_and_usage_errors_exit_two() {
         Some(2),
         "unknown rule is a usage error"
     );
+}
+
+#[test]
+fn hostile_baselines_exit_two_and_name_the_file() {
+    let deep = format!("{}{}", "[".repeat(200_000), "]".repeat(200_000));
+    let cases = [
+        ("deep", deep),
+        (
+            "unpaired_surrogate",
+            r#"{"findings": [{"file": "a.rs", "rule": "no-panic", "message": "\ud800"}]}"#
+                .to_owned(),
+        ),
+        ("truncated", r#"{"findings": ["#.to_owned()),
+    ];
+    for (name, text) in cases {
+        let baseline = PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
+            .join(format!("cli_json_hostile_{name}.json"));
+        std::fs::write(&baseline, text).expect("baseline written");
+        let out = run(&[
+            "check",
+            "--baseline",
+            &baseline.to_string_lossy(),
+            &bad_fixture("wall_clock.rs"),
+        ]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "{name} baseline is an input error: {stderr}"
+        );
+        assert!(
+            stderr.contains(&*baseline.to_string_lossy()),
+            "{name}: stderr names the baseline file: {stderr}"
+        );
+    }
 }
 
 #[test]

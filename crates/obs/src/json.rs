@@ -3,10 +3,11 @@
 //! The workspace is dependency-free by policy (see DESIGN.md §1), so the
 //! Chrome-trace validator cannot lean on `serde_json`. This recursive-
 //! descent parser covers the full JSON grammar (objects, arrays, strings
-//! with escapes, numbers, booleans, null) with a recursion-depth cap, and
-//! is used by [`crate::validate_chrome_trace`] and the CLI's `trace-check`
-//! command. It is a *reader* for validation — the exporters in this crate
-//! write their JSON directly.
+//! with escapes, numbers, booleans, null) with a recursion-depth cap. It is
+//! the workspace's one JSON reader: [`crate::validate_chrome_trace`], the
+//! CLI's `trace-check` and `profile` commands, and `cordoba-lint`'s
+//! baseline file all parse with it. Writers emit their JSON directly and
+//! escape strings with [`crate::chrome::escape_json`].
 
 use std::fmt;
 

@@ -10,10 +10,7 @@
 use cordoba::prelude::*;
 use cordoba_accel::config::{AcceleratorConfig, MemoryIntegration};
 use cordoba_accel::params::TechTuning;
-use cordoba_accel::sim::{
-    full_cost_table, full_cost_table_batch, simulate, simulate_batch, ConfigBatch, KernelSim,
-    KernelSlab,
-};
+use cordoba_accel::sim::{full_cost_table, simulate, ConfigBatch, KernelSlab};
 use cordoba_accel::space::design_space;
 use cordoba_carbon::embodied::EmbodiedModel;
 use cordoba_carbon::intensity::grids;
@@ -73,15 +70,30 @@ fn poisoned_config(name: &str) -> AcceleratorConfig {
     .unwrap()
 }
 
-/// Every `f64` field of a [`KernelSim`], as raw bits.
-fn sim_bits(sim: &KernelSim) -> [u64; 5] {
-    [
-        sim.latency.value().to_bits(),
-        sim.dynamic_energy.value().to_bits(),
-        sim.dram_traffic.value().to_bits(),
-        sim.compute_time.value().to_bits(),
-        sim.memory_time.value().to_bits(),
-    ]
+/// Asserts that every lane of [`ConfigBatch::slab_costs`] carries the
+/// scalar simulator's delay and dynamic-power bits, on every configuration.
+fn assert_lanes_match_simulate(configs: &[AcceleratorConfig], slab: &KernelSlab, context: &str) {
+    let batch = ConfigBatch::new(configs);
+    for (c, config) in configs.iter().enumerate() {
+        let costs = batch.slab_costs(c, slab);
+        assert_eq!(costs.as_slice().len(), slab.len(), "{context}, config {c}");
+        for (k, &id) in slab.ids().iter().enumerate() {
+            let scalar = simulate(config, &id.descriptor());
+            let lane = costs.get(k);
+            assert_eq!(
+                (
+                    lane.delay.value().to_bits(),
+                    lane.dynamic_power.value().to_bits()
+                ),
+                (
+                    scalar.latency.value().to_bits(),
+                    scalar.dynamic_power().value().to_bits()
+                ),
+                "{context}, config {}, kernel {id:?}",
+                config.name()
+            );
+        }
+    }
 }
 
 #[test]
@@ -95,39 +107,7 @@ fn batch_simulator_matches_scalar_simulate_bit_for_bit() {
         } else {
             KernelSlab::new(random_task(&mut rng).kernels())
         };
-        let sims = simulate_batch(&configs, &slab);
-        assert_eq!(sims.len(), configs.len() * slab.len(), "seed {seed}");
-        for (c, config) in configs.iter().enumerate() {
-            for (k, &id) in slab.ids().iter().enumerate() {
-                let scalar = simulate(config, &id.descriptor());
-                let batch = &sims[c * slab.len() + k];
-                assert_eq!(batch.kernel, id, "seed {seed}, config {c}, kernel {k}");
-                assert_eq!(
-                    sim_bits(batch),
-                    sim_bits(&scalar),
-                    "seed {seed}, config {}, kernel {id:?}",
-                    config.name()
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn batch_cost_tables_match_scalar_tables() {
-    for seed in 0..25u64 {
-        let mut rng = StdRng::seed_from_u64(0xC057 ^ seed);
-        let configs = random_configs(&mut rng);
-        let batch = full_cost_table_batch(&configs);
-        assert_eq!(batch.len(), configs.len(), "seed {seed}");
-        for (c, config) in configs.iter().enumerate() {
-            assert_eq!(
-                batch[c],
-                full_cost_table(config),
-                "seed {seed}, config {}",
-                config.name()
-            );
-        }
+        assert_lanes_match_simulate(&configs, &slab, &format!("seed {seed}"));
     }
 }
 
@@ -459,16 +439,5 @@ fn slab_dedup_keeps_batch_equal_to_scalar_on_repeated_kernels() {
     let configs = design_space();
     let slab = KernelSlab::new(KernelId::ALL.iter().chain(KernelId::ALL.iter()).copied());
     assert_eq!(slab.len(), KernelId::ALL.len());
-    let sims = simulate_batch(&configs[..8], &slab);
-    for (c, config) in configs[..8].iter().enumerate() {
-        for (k, &id) in slab.ids().iter().enumerate() {
-            let scalar = simulate(config, &id.descriptor());
-            assert_eq!(
-                sim_bits(&sims[c * slab.len() + k]),
-                sim_bits(&scalar),
-                "config {}, kernel {id:?}",
-                config.name()
-            );
-        }
-    }
+    assert_lanes_match_simulate(&configs[..8], &slab, "repeated kernels");
 }
