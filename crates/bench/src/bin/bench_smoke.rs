@@ -336,12 +336,13 @@ fn main() {
     ));
 
     // store/* — content-addressed persistent memoization over the same
-    // 1,000-config space, layered like the CLI: sub-entries memoize the
-    // space evaluation and the tCDP matrix (bit-identical restore), and a
-    // run-level entry memoizes the whole pipeline's product — what a
-    // repeated identical sweep is actually served from. Cold runs against
-    // an evicted store (compute + write-behind); `warm` is the run-level
-    // hit; `warm_decode` restores the full matrix from the sub-entries.
+    // 1,000-config space, layered like the CLI: a sub-entry memoizes the
+    // space evaluation (bit-identical restore), the tCDP matrix is
+    // recomputed beside its receipt, and a run-level entry memoizes the
+    // whole pipeline's product — what a repeated identical sweep is
+    // actually served from. Cold runs against an evicted store (compute +
+    // write-behind); `warm` is the run-level hit; `warm_decode` restores
+    // the points from their sub-entry and recomputes the matrix.
     // The run-level warm path must pay for itself: >=10x over cold,
     // asserted below.
     let store_root =

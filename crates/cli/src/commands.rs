@@ -638,14 +638,15 @@ fn dse_run_key(task: &Task, ci: CarbonIntensity, lo: i32, hi: i32, lenient: bool
 }
 
 /// The `dse --store` path: the whole rendered run is memoized under a
-/// content hash of its inputs, and the expensive stages underneath
-/// (space evaluation, tCDP matrix) are memoized individually, so even a
-/// partial overlap with a prior run skips recomputation. Cold and warm
+/// content hash of its inputs, and the space evaluation underneath is
+/// memoized on its own, so a partial overlap with a prior run skips the
+/// simulator. The tCDP matrix is recomputed on every run (it costs less
+/// than reading it back); the store keeps only its receipt. Cold and warm
 /// outputs are byte-identical.
 ///
 /// Only the sweep itself is memoized: an attribution request needs the
-/// live sweep object, so it bypasses the run-level memo (the stage memos
-/// underneath still serve) and the ledger is appended *after* the stored
+/// live sweep object, so it bypasses the run-level memo (the space memo
+/// underneath still serves) and the ledger is appended *after* the stored
 /// payload, keeping warm replays byte-identical with or without it.
 fn dse_stored(
     dir: &str,

@@ -137,31 +137,44 @@ impl AttributionReport {
             .iter()
             .map(|&n| OperationalContext::new(n, sweep.ci_use))
             .collect::<Result<_, _>>()?;
+        let width = sweep.points.len();
+        let matrix = sweep.tcdp_matrix();
+        // Per-task-count `Σ_p operational_p(n) · delay_p`, accumulated in
+        // point order from `-0.0` (the start `Iterator::sum` uses), so the
+        // bits equal a separate sum per task count.
+        let mut operational_delay = vec![-0.0; contexts.len()];
         let configs: Vec<ConfigAttribution> = sweep
             .points
             .iter()
             .enumerate()
-            .map(|(p, point)| ConfigAttribution {
-                name: point.name.clone(),
-                embodied: point.embodied.value(),
-                delay: point.delay.value(),
-                operational: contexts
+            .map(|(p, point)| {
+                let delay = point.delay.value();
+                let operational: Vec<f64> = contexts
                     .iter()
                     .map(|ctx| point.operational(ctx).value())
-                    .collect(),
-                tcdp: (0..sweep.task_counts.len())
-                    .map(|n| sweep.tcdp_at(n, p))
-                    .collect(),
+                    .collect();
+                for (sum, op) in operational_delay.iter_mut().zip(&operational) {
+                    *sum += op * delay;
+                }
+                ConfigAttribution {
+                    name: point.name.clone(),
+                    embodied: point.embodied.value(),
+                    delay,
+                    operational,
+                    tcdp: matrix[p..].iter().step_by(width).copied().collect(),
+                }
             })
             .collect();
+        let embodied_delay: f64 = configs.iter().map(|c| c.embodied * c.delay).sum();
         let totals = sweep
             .task_counts
             .iter()
+            .zip(operational_delay)
             .enumerate()
-            .map(|(n, &tasks)| TaskCountTotals {
+            .map(|(n, (&tasks, operational_delay))| TaskCountTotals {
                 tasks,
-                embodied_delay: configs.iter().map(|c| c.embodied * c.delay).sum(),
-                operational_delay: configs.iter().map(|c| c.operational[n] * c.delay).sum(),
+                embodied_delay,
+                operational_delay,
                 tcdp: sweep.row(n).iter().sum(),
             })
             .collect();
@@ -224,17 +237,20 @@ impl AttributionReport {
                 sweep.task_counts.len()
             ));
         }
+        let width = sweep.points.len();
+        let matrix = sweep.tcdp_matrix();
         for (p, config) in self.configs.iter().enumerate() {
-            for n in 0..self.task_counts.len() {
-                let stored = config.tcdp.get(n).copied().unwrap_or(f64::NAN);
-                let swept = sweep.tcdp_at(n, p);
+            // Column `p` of the flat row-major matrix: one cell per task count.
+            for (n, &swept) in matrix[p..].iter().step_by(width).enumerate() {
+                let cell = |values: &[f64]| values.get(n).copied().unwrap_or(f64::NAN);
+                let stored = cell(&config.tcdp);
                 if stored.to_bits() != swept.to_bits() {
                     return Err(format!(
                         "config `{}` task count {}: ledger tcdp {stored:e} != sweep {swept:e}",
                         config.name, self.task_counts[n]
                     ));
                 }
-                let operational = config.operational.get(n).copied().unwrap_or(f64::NAN);
+                let operational = cell(&config.operational);
                 let recomposed = (config.embodied + operational) * config.delay;
                 if recomposed.to_bits() != swept.to_bits() {
                     return Err(format!(
@@ -424,10 +440,19 @@ mod tests {
         report.check_against(&sweep).unwrap();
         assert_eq!(report.configs.len(), sweep.points.len());
         assert_eq!(report.task_counts, sweep.task_counts);
-        // Totals are the index-order sum of the verbatim rows.
+        // Totals are the index-order sums of the verbatim rows and of the
+        // per-config decomposition, bit for bit.
+        let embodied: f64 = report.configs.iter().map(|c| c.embodied * c.delay).sum();
         for (n, totals) in report.totals.iter().enumerate() {
             let expected: f64 = sweep.row(n).iter().sum();
             assert_eq!(totals.tcdp.to_bits(), expected.to_bits());
+            assert_eq!(totals.embodied_delay.to_bits(), embodied.to_bits());
+            let operational: f64 = report
+                .configs
+                .iter()
+                .map(|c| c.operational[n] * c.delay)
+                .sum();
+            assert_eq!(totals.operational_delay.to_bits(), operational.to_bits());
         }
     }
 

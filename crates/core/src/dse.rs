@@ -340,23 +340,6 @@ impl OpTimeSweep {
         Ok(SweepCheckpoint::new(points, task_counts, ci_use)?.finish())
     }
 
-    /// Reassembles a sweep from a flat row-major matrix restored by the
-    /// content-addressed store; `None` when the matrix size does not match
-    /// `points.len() * task_counts.len()`.
-    pub(crate) fn from_flat(
-        points: Vec<DesignPoint>,
-        task_counts: Vec<f64>,
-        ci_use: CarbonIntensity,
-        tcdp: Vec<f64>,
-    ) -> Option<Self> {
-        (tcdp.len() == points.len() * task_counts.len()).then_some(Self {
-            points,
-            task_counts,
-            ci_use,
-            tcdp,
-        })
-    }
-
     /// The tCDP row for sweep index `n` (one value per design point).
     ///
     /// # Panics

@@ -1,23 +1,29 @@
-//! Warm-start entry points: sweep results memoized through the
+//! Warm-start entry points: sweep stages recorded in the
 //! content-addressed [`cordoba_store::Store`].
 //!
 //! The DSE pipeline is deterministic and bit-reproducible at every thread
 //! count (pinned by the `par`/`obs`/supervision property suites), so each
-//! expensive result — [`evaluate_space`], [`evaluate_space_multi`],
-//! [`OpTimeSweep`], [`BetaSweep`] — is a pure function of its typed inputs.
-//! The `*_stored` wrappers below derive a canonical [`StoreKey`] over
-//! *everything* the result depends on (config shapes including the full
+//! stage — [`evaluate_space`], [`evaluate_space_multi`], [`OpTimeSweep`],
+//! [`BetaSweep`] — is a pure function of its typed inputs. The `*_stored`
+//! wrappers below derive a canonical [`StoreKey`] over *everything* the
+//! stored entry depends on (config shapes including the full
 //! `TechTuning`, task kernel mixes, the embodied model, the use-phase
-//! carbon intensity, the sweep axis) and consult the store before
-//! computing; misses compute through the ordinary path and write the
-//! result behind.
+//! carbon intensity, the sweep axis).
+//!
+//! A stage's result is persisted only when reading it back beats
+//! recomputing it. Space evaluation runs the simulator, so its points are
+//! stored, and a warm call restores them bit-for-bit instead of
+//! computing. The op-time and β-sweeps are closed forms over the points
+//! that decode slower than they compute, so those wrappers always compute
+//! and store a two-line *receipt* — the result's shape and a 128-bit
+//! digest of its bits — rewriting it only when the entry does not match.
 //!
 //! Three invariants make this safe:
 //!
-//! * **Canonical encoding** — every `f64` participates in the key and the
-//!   payload as its raw IEEE-754 bits (the `SweepCheckpoint` convention),
-//!   so a warm result is bit-identical to the cold compute, not merely
-//!   close.
+//! * **Canonical encoding** — every `f64` participates in the key, the
+//!   payload and the digest as its raw IEEE-754 bits (the
+//!   `SweepCheckpoint` convention), so a warm result is bit-identical to
+//!   the cold compute, not merely close.
 //! * **Versioned entries** — payloads carry their own framing and the
 //!   store's code-version salt; any simulator change that bumps
 //!   [`cordoba_store::CODE_VERSION_SALT`] invalidates every prior entry
@@ -31,7 +37,6 @@ use crate::dse::{evaluate_space, evaluate_space_multi, OpTimeSweep};
 use crate::error::CoreError;
 use crate::lagrange::BetaSweep;
 use crate::metrics::DesignPoint;
-use crate::pareto::Point2;
 use cordoba_accel::config::{AcceleratorConfig, MemoryIntegration};
 use cordoba_carbon::embodied::EmbodiedModel;
 use cordoba_carbon::units::{CarbonIntensity, GramsCo2e, Joules, Seconds, SquareCentimeters};
@@ -121,10 +126,11 @@ fn push_model(k: &mut KeyBuilder, model: &EmbodiedModel) {
     k.push_f64(model.packaging_per_die().value());
 }
 
-/// Feeds a design point into a key (for results computed *from* points,
-/// like [`OpTimeSweep`] and [`BetaSweep`]).
+/// Feeds a design point's values into a key (for results computed *from*
+/// points, like [`OpTimeSweep`] and [`BetaSweep`]). The name is left out:
+/// those stages store receipts whose digests cover no names, and hashing
+/// the names would triple the cost of the key.
 fn push_point(k: &mut KeyBuilder, point: &DesignPoint) {
-    k.push_str(&point.name);
     k.push_f64(point.delay.value());
     k.push_f64(point.energy.value());
     k.push_f64(point.embodied.value());
@@ -362,9 +368,56 @@ fn decode_multi(
     it.next().is_none().then_some(per_task)
 }
 
-/// [`OpTimeSweep::new`] with a persistent warm path: on a hit the tCDP
-/// matrix is restored bit-for-bit from the store without calling the
-/// simulator at all.
+/// Renders a receipt: the result's shape line, then `'d'` and the two
+/// 64-bit halves of its digest as [`push_cell`] cells (raw bits, so the
+/// damage handling of the cell codec applies unchanged).
+fn receipt(shape: String, digest: StoreKey) -> Vec<String> {
+    let bits = digest.value();
+    let mut line = String::with_capacity(1 + 2 * CELL);
+    line.push('d');
+    for half in [bits >> 64, bits] {
+        // Truncation keeps exactly the selected 64-bit half.
+        push_cell(&mut line, f64::from_bits(half as u64));
+    }
+    vec![shape, line]
+}
+
+/// Whether `lines` is exactly the [`receipt`] of `shape` and `digest`.
+/// Damage, a different digest, and a payload of any other layout (such as
+/// a whole stored result) are all mismatches.
+fn receipt_matches(lines: &[String], shape: &str, digest: StoreKey) -> bool {
+    let [head, line] = lines else {
+        return false;
+    };
+    let Some(cells) = line.as_bytes().strip_prefix(b"d") else {
+        return false;
+    };
+    if head != shape || cells.len() != 2 * CELL {
+        return false;
+    }
+    let mut bits = 0u128;
+    for cell in cells.chunks_exact(CELL) {
+        let Some(half) = parse_cell(cell) else {
+            return false;
+        };
+        bits = (bits << 64) | u128::from(half.to_bits());
+    }
+    bits == digest.value()
+}
+
+/// Leaves the receipt of `(shape, digest)` at `(kind, key)`, writing only
+/// when the entry is missing or does not already hold exactly that receipt.
+fn publish_receipt(store: &Store, kind: &str, key: StoreKey, shape: String, digest: StoreKey) {
+    let current = store.get(kind, key);
+    if !current.is_some_and(|lines| receipt_matches(&lines, &shape, digest)) {
+        let _ = store.put(kind, key, &receipt(shape, digest));
+    }
+}
+
+/// [`OpTimeSweep::new`], recorded in `store`. The tCDP matrix is a closed
+/// form of the points and costs less to recompute than to read back, so
+/// the sweep is always computed; the entry is a receipt (shape and a
+/// digest of the matrix bits), rewritten when it does not match.
 ///
 /// # Errors
 ///
@@ -376,127 +429,43 @@ pub fn op_time_sweep_stored(
     store: &Store,
 ) -> Result<OpTimeSweep, CarbonError> {
     let key = op_time_sweep_key(&points, &task_counts, ci_use);
-    let cached = store
-        .get(KIND_OP_TIME_SWEEP, key)
-        .and_then(|lines| decode_matrix(&lines, task_counts.len(), points.len()));
-    if let Some(matrix) = cached {
-        // `decode_matrix` returns exactly rows × points cells, so the size
-        // check cannot fail and the inputs move into the sweep uncloned;
-        // the error arm keeps this total without a panic path.
-        return OpTimeSweep::from_flat(points, task_counts, ci_use, matrix).ok_or(
-            CarbonError::Empty {
-                what: "tcdp matrix",
-            },
-        );
-    }
     let sweep = OpTimeSweep::new(points, task_counts, ci_use)?;
-    let _ = store.put(KIND_OP_TIME_SWEEP, key, &encode_matrix(&sweep));
+    let shape = format!(
+        "rows {} width {}",
+        sweep.task_counts.len(),
+        sweep.points.len()
+    );
+    let mut digest = KeyBuilder::new(KIND_OP_TIME_SWEEP);
+    for &cell in sweep.tcdp_matrix() {
+        digest.push_f64(cell);
+    }
+    publish_receipt(store, KIND_OP_TIME_SWEEP, key, shape, digest.finish());
     Ok(sweep)
 }
 
-fn encode_matrix(sweep: &OpTimeSweep) -> Vec<String> {
-    let width = sweep.points.len();
-    let mut lines = vec![format!("rows {} width {}", sweep.task_counts.len(), width)];
-    for row in sweep.tcdp_matrix().chunks_exact(width.max(1)) {
-        let mut line = String::with_capacity(1 + CELL * row.len());
-        line.push('r');
-        for &cell in row {
-            push_cell(&mut line, cell);
-        }
-        lines.push(line);
-    }
-    lines
-}
-
-/// Decodes [`encode_matrix`] output. Each row is `'r'` followed by exactly
-/// `width` cells, so its length is checked once and the cells are parsed
-/// at a fixed stride instead of being split on separators.
-fn decode_matrix(lines: &[String], rows: usize, width: usize) -> Option<Vec<f64>> {
-    let mut it = lines.iter();
-    let header = it.next()?;
-    if *header != format!("rows {rows} width {width}") {
-        return None;
-    }
-    let row_bytes = CELL.checked_mul(width)?;
-    let mut matrix = Vec::with_capacity(rows.checked_mul(width)?);
-    for _ in 0..rows {
-        let cells = it.next()?.as_bytes().strip_prefix(b"r")?;
-        if cells.len() != row_bytes {
-            return None;
-        }
-        for cell in cells.chunks_exact(CELL) {
-            matrix.push(parse_cell(cell)?);
-        }
-    }
-    it.next().is_none().then_some(matrix)
-}
-
-/// [`BetaSweep::run`] with a persistent warm path.
+/// [`BetaSweep::run`], recorded in `store` as a receipt (point count and
+/// a digest of the objectives, front and support set); like the op-time
+/// sweep, it costs less to rerun than to read back. The point names are
+/// copies of the candidates' names, so the digest, like the key, skips
+/// them.
 #[must_use]
 pub fn beta_sweep_stored(candidates: &[DesignPoint], store: &Store) -> BetaSweep {
     let key = beta_sweep_key(candidates);
-    if let Some(lines) = store.get(KIND_BETA_SWEEP, key) {
-        if let Some(sweep) = decode_beta(&lines, candidates) {
-            return sweep;
-        }
-    }
     let sweep = BetaSweep::run(candidates);
-    let _ = store.put(KIND_BETA_SWEEP, key, &encode_beta(&sweep));
-    sweep
-}
-
-fn encode_beta(sweep: &BetaSweep) -> Vec<String> {
-    let mut lines = Vec::with_capacity(sweep.points.len() + 3);
-    lines.push(format!("points {}", sweep.points.len()));
+    let mut digest = KeyBuilder::new(KIND_BETA_SWEEP);
     for p in &sweep.points {
-        lines.push(point_line(&[p.x, p.y], &p.name));
+        digest.push_f64(p.x);
+        digest.push_f64(p.y);
     }
-    let render = |tag: &str, indices: &[usize]| {
-        let mut line = tag.to_string();
-        for i in indices {
-            line.push(' ');
-            line.push_str(&i.to_string());
+    for indices in [&sweep.pareto, &sweep.support] {
+        digest.push_u64(indices.len() as u64);
+        for &i in indices {
+            digest.push_u64(i as u64);
         }
-        line
-    };
-    lines.push(render("pareto", &sweep.pareto));
-    lines.push(render("support", &sweep.support));
-    lines
-}
-
-fn decode_beta(lines: &[String], candidates: &[DesignPoint]) -> Option<BetaSweep> {
-    let mut it = lines.iter();
-    let count: usize = it.next()?.strip_prefix("points ")?.parse().ok()?;
-    if count != candidates.len() {
-        return None;
     }
-    let mut points = Vec::with_capacity(count);
-    for candidate in candidates {
-        let ([x, y], name) = parse_point_line(it.next()?)?;
-        if name != candidate.name {
-            return None;
-        }
-        points.push(Point2::new(name, x, y));
-    }
-    let indices = |line: &str, tag: &str| -> Option<Vec<usize>> {
-        let rest = line.strip_prefix(tag)?;
-        let mut out = Vec::new();
-        for field in rest.split(' ').filter(|f| !f.is_empty()) {
-            let idx: usize = field.parse().ok()?;
-            if idx >= count {
-                return None;
-            }
-            out.push(idx);
-        }
-        Some(out)
-    };
-    let pareto = indices(it.next()?, "pareto")?;
-    let support = indices(it.next()?, "support")?;
-    it.next().is_none().then_some(BetaSweep {
-        points,
-        pareto,
-        support,
-    })
+    let shape = format!("points {}", sweep.points.len());
+    publish_receipt(store, KIND_BETA_SWEEP, key, shape, digest.finish());
+    sweep
 }
 
 #[cfg(test)]
@@ -602,6 +571,26 @@ mod tests {
             sweep_base,
             op_time_sweep_key(&points, &log_sweep(4, 6, 2), grids::US_AVERAGE)
         );
+        // Point values participate; point names do not.
+        let mut changed = points.clone();
+        let bits = |p: &DesignPoint| p.delay.value().to_bits();
+        changed[0].delay = points
+            .iter()
+            .find(|p| bits(p) != bits(&points[0]))
+            .unwrap()
+            .delay;
+        assert_ne!(
+            sweep_base,
+            op_time_sweep_key(&changed, &counts, grids::US_AVERAGE)
+        );
+        assert_ne!(beta_sweep_key(&points), beta_sweep_key(&changed));
+        let mut renamed = points.clone();
+        renamed[0].name.push('x');
+        assert_eq!(
+            sweep_base,
+            op_time_sweep_key(&renamed, &counts, grids::US_AVERAGE)
+        );
+        assert_eq!(beta_sweep_key(&points), beta_sweep_key(&renamed));
     }
 
     #[test]
@@ -764,8 +753,8 @@ mod tests {
         );
     }
 
-    /// The table-driven writers emit exactly what the `format!`-based
-    /// writers they replaced did, so entries stay byte-identical.
+    /// The table-driven point writer emits exactly what the `format!`-based
+    /// writer it replaced did, so entries stay byte-identical.
     #[test]
     fn payload_lines_match_the_formatted_rendering() {
         let hex = |v: f64| format!("{:016x}", v.to_bits());
@@ -788,30 +777,120 @@ mod tests {
             );
             assert_eq!(*line, expected);
         }
+    }
 
+    /// A receipt entry that frames correctly but holds the wrong digest,
+    /// and an entry still holding a whole stored result (the layout used
+    /// before receipts), are each served fresh bits and replaced by the
+    /// correct receipt.
+    #[test]
+    fn stale_receipts_and_old_payloads_are_replaced() {
+        let store = temp_store("stale");
+        let hex = |v: f64| format!("{:016x}", v.to_bits());
+        let points = evaluate_space(
+            &design_space(),
+            &Task::xr_5_kernels(),
+            &EmbodiedModel::default(),
+        )
+        .unwrap();
+        let counts = log_sweep(4, 9, 2);
+        let fresh = OpTimeSweep::new(points.clone(), counts.clone(), grids::US_AVERAGE).unwrap();
         let beta = BetaSweep::run(&points);
-        let lines = encode_beta(&beta);
-        for (line, p) in lines[1..].iter().zip(&beta.points) {
-            assert_eq!(*line, format!("p {} {} {}", hex(p.x), hex(p.y), p.name));
-        }
-        let render = |tag: &str, idx: &[usize]| {
-            std::iter::once(tag.to_string())
-                .chain(idx.iter().map(usize::to_string))
-                .collect::<Vec<_>>()
-                .join(" ")
+        let run_sweep = || {
+            op_time_sweep_stored(points.clone(), counts.clone(), grids::US_AVERAGE, &store).unwrap()
         };
-        assert_eq!(lines[lines.len() - 2], render("pareto", &beta.pareto));
-        assert_eq!(lines[lines.len() - 1], render("support", &beta.support));
+        let sweep_key = op_time_sweep_key(&points, &counts, grids::US_AVERAGE);
+        let beta_key = beta_sweep_key(&points);
+        assert_eq!(run_sweep(), fresh);
+        assert_eq!(beta_sweep_stored(&points, &store), beta);
+        let sweep_receipt = store.get(KIND_OP_TIME_SWEEP, sweep_key).unwrap();
+        let beta_receipt = store.get(KIND_BETA_SWEEP, beta_key).unwrap();
 
-        let sweep = OpTimeSweep::new(points, log_sweep(4, 9, 2), grids::US_AVERAGE).unwrap();
-        let lines = encode_matrix(&sweep);
-        let width = sweep.points.len();
-        for (line, row) in lines[1..]
-            .iter()
-            .zip(sweep.tcdp_matrix().chunks_exact(width))
-        {
+        // Valid framing, wrong digest (the digest of a different result),
+        // and the right digest under a wrong shape line.
+        for (kind, key, good) in [
+            (KIND_OP_TIME_SWEEP, sweep_key, &sweep_receipt),
+            (KIND_BETA_SWEEP, beta_key, &beta_receipt),
+        ] {
+            let mut other = KeyBuilder::new(kind);
+            other.push_f64(1.0);
+            let wrong_digest = receipt(good[0].clone(), other.finish());
+            let wrong_shape = vec![format!("{}0", good[0]), good[1].clone()];
+            for wrong in [wrong_digest, wrong_shape] {
+                assert_ne!(&wrong, good);
+                store.put(kind, key, &wrong).unwrap();
+                if kind == KIND_OP_TIME_SWEEP {
+                    assert_eq!(run_sweep(), fresh);
+                } else {
+                    assert_eq!(beta_sweep_stored(&points, &store), beta);
+                }
+                assert_eq!(store.get(kind, key).as_ref(), Some(good), "{kind}");
+            }
+        }
+
+        // The whole tCDP matrix, as it was stored before receipts.
+        let width = fresh.points.len();
+        let mut old = vec![format!("rows {} width {width}", counts.len())];
+        for row in fresh.tcdp_matrix().chunks_exact(width) {
             let cells: Vec<String> = row.iter().map(|&c| hex(c)).collect();
-            assert_eq!(*line, format!("r {}", cells.join(" ")));
+            old.push(format!("r {}", cells.join(" ")));
+        }
+        store.put(KIND_OP_TIME_SWEEP, sweep_key, &old).unwrap();
+        let served = run_sweep();
+        for (x, y) in served.tcdp_matrix().iter().zip(fresh.tcdp_matrix()) {
+            assert_eq!(x.to_bits(), y.to_bits());
+        }
+        assert_eq!(
+            store.get(KIND_OP_TIME_SWEEP, sweep_key),
+            Some(sweep_receipt)
+        );
+
+        // The whole β-sweep, as it was stored before receipts.
+        let mut old = vec![format!("points {}", beta.points.len())];
+        for p in &beta.points {
+            old.push(format!("p {} {} {}", hex(p.x), hex(p.y), p.name));
+        }
+        for (tag, indices) in [("pareto", &beta.pareto), ("support", &beta.support)] {
+            let rendered: Vec<String> = indices.iter().map(usize::to_string).collect();
+            old.push(format!("{tag} {}", rendered.join(" ")));
+        }
+        store.put(KIND_BETA_SWEEP, beta_key, &old).unwrap();
+        assert_eq!(beta_sweep_stored(&points, &store), beta);
+        assert_eq!(store.get(KIND_BETA_SWEEP, beta_key), Some(beta_receipt));
+    }
+
+    /// A receipt is the shape line plus one digest line: two lines and
+    /// well under 128 bytes, whatever the size of the result.
+    #[test]
+    fn receipts_are_two_short_lines() {
+        let store = temp_store("receipt-size");
+        let points = evaluate_space(
+            &design_space(),
+            &Task::ai_5_kernels(),
+            &EmbodiedModel::default(),
+        )
+        .unwrap();
+        let counts = log_sweep(4, 11, 2);
+        op_time_sweep_stored(points.clone(), counts.clone(), grids::US_AVERAGE, &store).unwrap();
+        let _ = beta_sweep_stored(&points, &store);
+        for (kind, key, shape) in [
+            (
+                KIND_OP_TIME_SWEEP,
+                op_time_sweep_key(&points, &counts, grids::US_AVERAGE),
+                format!("rows {} width {}", counts.len(), points.len()),
+            ),
+            (
+                KIND_BETA_SWEEP,
+                beta_sweep_key(&points),
+                format!("points {}", points.len()),
+            ),
+        ] {
+            let lines = store.get(kind, key).expect("receipt published");
+            assert_eq!(lines.len(), 2, "{kind}");
+            assert_eq!(lines[0], shape, "{kind}");
+            assert!(lines[1].starts_with('d'), "{kind}");
+            let bytes: usize = lines.iter().map(|l| l.len() + 1).sum();
+            assert!(bytes < 128, "{kind}: {bytes} bytes");
         }
     }
 }

@@ -710,8 +710,10 @@ impl<'a> McRun<'a, Vec<f64>> {
             fold_regret,
             move |block| {
                 let mut regret_sums = vec![0.0f64; points.len()];
+                let mut tcdps = Vec::with_capacity(points.len());
                 for ctx in spec.block_scenarios(block) {
-                    let tcdps: Vec<f64> = points.iter().map(|p| p.tcdp(&ctx).value()).collect();
+                    tcdps.clear();
+                    tcdps.extend(points.iter().map(|p| p.tcdp(&ctx).value()));
                     let best = tcdps.iter().copied().fold(f64::INFINITY, f64::min);
                     for (sum, tcdp) in regret_sums.iter_mut().zip(&tcdps) {
                         *sum += tcdp / best;
