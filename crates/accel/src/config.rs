@@ -11,6 +11,7 @@ use cordoba_carbon::units::{
     Bytes, GramsCo2e, Seconds, SquareCentimeters, SquareMillimeters, Watts,
 };
 use cordoba_carbon::CarbonError;
+use cordoba_obs::Name;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -50,7 +51,7 @@ impl MemoryIntegration {
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AcceleratorConfig {
-    name: String,
+    name: Name,
     mac_units: u32,
     sram: Bytes,
     integration: MemoryIntegration,
@@ -69,11 +70,7 @@ impl AcceleratorConfig {
     /// # Errors
     ///
     /// Returns an error if `mac_units` is zero or `sram` is not positive.
-    pub fn on_die(
-        name: impl Into<String>,
-        mac_units: u32,
-        sram: Bytes,
-    ) -> Result<Self, CarbonError> {
+    pub fn on_die(name: impl Into<Name>, mac_units: u32, sram: Bytes) -> Result<Self, CarbonError> {
         Self::with_tuning(
             name,
             mac_units,
@@ -91,7 +88,7 @@ impl AcceleratorConfig {
     /// Returns an error if `mac_units` or `dies` is zero or the SRAM size
     /// is not positive.
     pub fn stacked_3d(
-        name: impl Into<String>,
+        name: impl Into<Name>,
         mac_units: u32,
         sram_per_die: Bytes,
         dies: u32,
@@ -112,7 +109,7 @@ impl AcceleratorConfig {
     ///
     /// Returns an error if `mac_units` is zero or `sram` is not positive.
     pub fn with_tuning(
-        name: impl Into<String>,
+        name: impl Into<Name>,
         mac_units: u32,
         sram: Bytes,
         integration: MemoryIntegration,
@@ -132,6 +129,14 @@ impl AcceleratorConfig {
     /// The configuration's name (e.g. `"a48"` or `"3D_2K_8M"`).
     #[must_use]
     pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// The configuration's name as a shared handle: every result built
+    /// from this configuration clones it (a pointer copy) rather than
+    /// copying the text.
+    #[must_use]
+    pub fn shared_name(&self) -> &Name {
         &self.name
     }
 

@@ -74,8 +74,8 @@ fn mix_study() {
     for n in 0..sweep.task_counts.len() {
         let best = &sweep.points[sweep.optimal_at(n)];
         if best.name != last {
-            t.row(vec![fmt_num(sweep.task_counts[n]), best.name.clone()]);
-            last = best.name.clone();
+            t.row(vec![fmt_num(sweep.task_counts[n]), best.name.to_string()]);
+            last = best.name.to_string();
         }
     }
     emit(&t, "ext_mix");
@@ -96,7 +96,7 @@ fn two_factor_study() {
             let sim = simulate(cfg, &kernel);
             let energy = sim.dynamic_energy + cfg.leakage_power() * sim.latency;
             let point = DesignPoint::new(
-                cfg.name(),
+                cfg.shared_name(),
                 sim.latency,
                 energy,
                 cfg.embodied_carbon(&model).unwrap(),
@@ -116,7 +116,7 @@ fn two_factor_study() {
     ]);
     for (i, p) in two.points.iter().enumerate() {
         t.row(vec![
-            p.name.clone(),
+            p.name.to_string(),
             fmt_num(p.objectives[0]),
             fmt_num(p.objectives[1]),
             fmt_num(p.objectives[2]),

@@ -24,7 +24,7 @@ fn main() {
     ]);
     for row in &study.rows {
         a.row(vec![
-            row.point.name.clone(),
+            row.point.name.to_string(),
             fmt_num(row.point.delay.value()),
             fmt_num(row.point.energy.value()),
             fmt_num(row.point.embodied.value()),
@@ -48,7 +48,7 @@ fn main() {
     let base = study.baseline().clone();
     for row in &study.rows {
         b.row(vec![
-            row.point.name.clone(),
+            row.point.name.to_string(),
             fmt_num(row.tcdp_embodied_case),
             fmt_ratio(base.tcdp_embodied_case / row.tcdp_embodied_case),
             fmt_num(row.tcdp_operational_case),

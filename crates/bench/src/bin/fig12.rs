@@ -25,7 +25,7 @@ fn main() {
     ]);
     for (i, p) in sweep.points.iter().enumerate() {
         t.row(vec![
-            p.name.clone(),
+            p.name.to_string(),
             fmt_num(p.x),
             fmt_num(p.y),
             sweep.pareto.contains(&i).to_string(),
@@ -54,7 +54,7 @@ fn main() {
     let name_for = |beta: f64| {
         sweep
             .optimal_for_beta(beta)
-            .map(|i| sweep.points[i].name.clone())
+            .map(|i| sweep.points[i].name.to_string())
             .unwrap_or_default()
     };
     println!(

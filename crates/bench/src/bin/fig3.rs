@@ -43,7 +43,7 @@ fn main() {
     ]);
     for p in &points {
         b.row(vec![
-            p.name.clone(),
+            p.name.to_string(),
             fmt_num(p.edp().value() / min_edp),
             fmt_num(p.tcdp(&ctx).value() / min_tcdp),
         ]);

@@ -45,8 +45,8 @@ fn main() {
             fmt_num(analysis.context.tasks),
             format!("{:.3}", analysis.correlation),
             fmt_ratio(analysis.iso_edp_tcdp_spread),
-            analysis.edp_optimal.clone(),
-            analysis.tcdp_optimal.clone(),
+            analysis.edp_optimal.to_string(),
+            analysis.tcdp_optimal.to_string(),
         ]);
         for (p, (edp, tcdp)) in points
             .iter()
@@ -54,7 +54,7 @@ fn main() {
         {
             scatter.row(vec![
                 domain.label().into(),
-                p.name.clone(),
+                p.name.to_string(),
                 fmt_num(*edp),
                 fmt_num(*tcdp),
             ]);

@@ -40,9 +40,9 @@ fn main() {
         let best = argmin(&points, MetricKind::Tcdp, &ctx).expect("non-empty");
         a.row(vec![
             fmt_num(n),
-            best.name.clone(),
+            best.name.to_string(),
             fmt_num(best.area.value()),
-            min_area.name.clone(),
+            min_area.name.to_string(),
             fmt_num(min_area.area.value()),
             (best.name == min_area.name).to_string(),
         ]);
@@ -56,7 +56,7 @@ fn main() {
         let best = argmin(&points, MetricKind::Edp, &ctx).expect("non-empty");
         b.row(vec![
             fmt_num(n),
-            best.name.clone(),
+            best.name.to_string(),
             fmt_num(best.edp().value()),
         ]);
     }
@@ -74,7 +74,7 @@ fn main() {
     ]);
     for p in &points {
         scatter.row(vec![
-            p.name.clone(),
+            p.name.to_string(),
             fmt_num(p.area.value()),
             fmt_num(p.edp().value()),
             fmt_num(p.tcdp(&ctx_lo).value()),

@@ -49,12 +49,12 @@ fn main() {
                 optima.row(vec![
                     task.name().into(),
                     fmt_num(sweep.task_counts[n]),
-                    best.name.clone(),
+                    best.name.to_string(),
                     cfg.mac_units().to_string(),
                     fmt_num(cfg.sram().to_mebibytes()),
                     fmt_num(1.0 / sweep.tcdp_at(n, sweep.optimal_at(n))),
                 ]);
-                last = best.name.clone();
+                last = best.name.to_string();
             }
         }
         let survivors = sweep.ever_optimal();
@@ -160,8 +160,8 @@ fn main() {
             x.row(vec![
                 fmt_num(n_target),
                 name.clone(),
-                general_opt.clone(),
-                sweep.points[own].name.clone(),
+                general_opt.to_string(),
+                sweep.points[own].name.to_string(),
                 fmt_ratio(sweep.tcdp_at(idx, cross) / sweep.tcdp_at(idx, own)),
             ]);
         }

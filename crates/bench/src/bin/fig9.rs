@@ -46,10 +46,10 @@ fn main() {
             .fold(0.0f64, f64::max);
         robust.row(vec![
             task.name().into(),
-            sweep.points[early].name.clone(),
-            sweep.points[late].name.clone(),
+            sweep.points[early].name.to_string(),
+            sweep.points[late].name.to_string(),
             fmt_ratio(worst_early),
-            sweep.points[robust_idx].name.clone(),
+            sweep.points[robust_idx].name.to_string(),
             fmt_num(sweep.robustness_score(robust_idx)),
         ]);
         // Emit curves for the interesting designs.
@@ -59,7 +59,7 @@ fn main() {
             for n in (0..sweep.task_counts.len()).step_by(4) {
                 curves.row(vec![
                     task.name().into(),
-                    sweep.points[p].name.clone(),
+                    sweep.points[p].name.to_string(),
                     fmt_num(sweep.task_counts[n]),
                     fmt_num(sweep.normalized_at(n)[p]),
                 ]);

@@ -63,7 +63,7 @@ impl StackingStudy {
             // Charge leakage over the inference for the task energy.
             let energy = sim.dynamic_energy + cfg.leakage_power() * sim.latency;
             points.push(DesignPoint::new(
-                cfg.name(),
+                cfg.shared_name(),
                 sim.latency,
                 energy,
                 cfg.embodied_carbon(&embodied_model)?,

@@ -8,6 +8,7 @@ use cordoba::prelude::*;
 use cordoba_accel::cache::EmbodiedCache;
 use cordoba_accel::space::{config_by_name, design_space};
 use cordoba_carbon::prelude::*;
+use cordoba_obs::Layer;
 use cordoba_par::supervise::{Outcome, Supervisor};
 use cordoba_soc::prelude::*;
 use cordoba_store::{KeyBuilder, Store, StoreKey};
@@ -153,6 +154,13 @@ pub fn run(argv: &[String]) -> Result<String, CliError> {
 /// into a per-name self/total-time profile written as JSON.
 /// Observation is a pure side channel: enabling any of them never changes
 /// a command's computed results, only what is reported about them.
+///
+/// The switches are process-global, so each run holds its layers through
+/// [`cordoba_obs::acquire`]: a layer stays on until the last overlapping
+/// in-process [`run`] finishes, and one run finishing never stops another
+/// run's counters. Traced runs also share one span buffer, which each
+/// drains when it finishes; their traces are only separate when the runs
+/// do not overlap.
 struct ObsOptions {
     trace_out: Option<String>,
     profile_out: Option<String>,
@@ -168,21 +176,27 @@ impl ObsOptions {
         }
     }
 
+    /// Whether this run records counters (`--trace-out` implies them).
+    fn counts(&self) -> bool {
+        self.metrics || self.trace_out.is_some()
+    }
+
+    /// Whether this run records spans.
+    fn traces(&self) -> bool {
+        self.trace_out.is_some() || self.profile_out.is_some()
+    }
+
     fn enable(&self) {
-        if self.trace_out.is_some() {
-            cordoba_obs::set_tracing_enabled(true);
-            cordoba_obs::set_metrics_enabled(true);
+        if self.traces() {
+            cordoba_obs::acquire(Layer::Tracing);
         }
-        if self.profile_out.is_some() {
-            cordoba_obs::set_tracing_enabled(true);
-        }
-        if self.metrics {
-            cordoba_obs::set_metrics_enabled(true);
+        if self.counts() {
+            cordoba_obs::acquire(Layer::Metrics);
         }
     }
 
     /// Appends the metrics dump, writes the profile and trace files, then
-    /// switches both layers back off (draining the span buffer) so repeated
+    /// releases both layers (draining the span buffer) so repeated
     /// in-process `run` calls start from a clean slate.
     fn finish(&self, mut result: Result<String, CliError>) -> Result<String, CliError> {
         if self.metrics {
@@ -190,8 +204,8 @@ impl ObsOptions {
                 out.push_str(&cordoba_obs::dump_json_lines());
             }
         }
-        if self.metrics || self.trace_out.is_some() {
-            cordoba_obs::set_metrics_enabled(false);
+        if self.counts() {
+            cordoba_obs::release(Layer::Metrics);
         }
         // The profile aggregates the same span buffer the trace exports,
         // so it must be computed before the drain below.
@@ -212,7 +226,7 @@ impl ObsOptions {
         }
         if let Some(path) = &self.trace_out {
             let trace = cordoba_obs::drain_chrome_trace();
-            cordoba_obs::set_tracing_enabled(false);
+            cordoba_obs::release(Layer::Tracing);
             if result.is_ok() {
                 match std::fs::write(path, &trace) {
                     Ok(()) => {
@@ -227,7 +241,7 @@ impl ObsOptions {
             }
         } else if self.profile_out.is_some() {
             cordoba_obs::clear_trace();
-            cordoba_obs::set_tracing_enabled(false);
+            cordoba_obs::release(Layer::Tracing);
         }
         result
     }
@@ -590,7 +604,7 @@ fn write_attribution(
 /// Renders a completed operational-time sweep: the optimal-design
 /// crossover table plus the elimination summary.
 fn render_sweep(sweep: &OpTimeSweep, out: &mut String) -> Result<(), CliError> {
-    let mut last = String::new();
+    let mut last = "";
     for n in 0..sweep.task_counts.len() {
         let best = &sweep.points[sweep.optimal_at(n)];
         if best.name != last {
@@ -604,7 +618,7 @@ fn render_sweep(sweep: &OpTimeSweep, out: &mut String) -> Result<(), CliError> {
                 cfg.mac_units(),
                 cfg.sram().to_mebibytes()
             );
-            last = best.name.clone();
+            last = &best.name;
         }
     }
     let survivors = sweep.ever_optimal();
@@ -832,7 +846,7 @@ fn cmd_stacking(args: &Args) -> Result<String, CliError> {
         let sim = cordoba_accel::sim::simulate(&cfg, &kernel);
         let energy = sim.dynamic_energy + cfg.leakage_power() * sim.latency;
         points.push(DesignPoint::new(
-            cfg.name(),
+            cfg.shared_name(),
             sim.latency,
             energy,
             cfg.embodied_carbon(&model)?,
@@ -1761,6 +1775,21 @@ mod tests {
         let missing = format!("{:032x}", 7u128);
         assert!(run_str(&format!("replay {missing} --store {}", dir.display())).is_err());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A run that finishes must not switch the metrics registry off under
+    /// another in-process run that is still counting (before the layers
+    /// were reference-counted, a `replay --metrics` beside a looping
+    /// `kernels --metrics` run lost store hits).
+    #[test]
+    fn a_finishing_run_leaves_overlapping_runs_counting() {
+        // Stands in for a `--metrics` run still in progress elsewhere.
+        cordoba_obs::acquire(Layer::Metrics);
+        let finished = run_str("kernels --metrics");
+        let still_counting = cordoba_obs::metrics_enabled();
+        cordoba_obs::release(Layer::Metrics);
+        finished.unwrap();
+        assert!(still_counting, "a finishing run switched metrics off");
     }
 
     #[test]

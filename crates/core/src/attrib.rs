@@ -29,12 +29,13 @@ use crate::dse::{EvalFailure, OpTimeSweep};
 use crate::lagrange::BetaSweep;
 use crate::metrics::OperationalContext;
 use cordoba_carbon::error::CarbonError;
+use cordoba_obs::Name;
 
 /// Embodied/operational decomposition for one candidate design.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ConfigAttribution {
-    /// Design name.
-    pub name: String,
+    /// Design name, shared with the sweep's design point.
+    pub name: Name,
     /// Embodied carbon, gCO2e (task-count independent).
     pub embodied: f64,
     /// Per-task delay, seconds.
@@ -81,8 +82,8 @@ pub struct TaskCountTotals {
 /// cannot attribute because the candidate never evaluated.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QuarantinedLoss {
-    /// Design name.
-    pub name: String,
+    /// Design name, shared with the evaluation failure.
+    pub name: Name,
     /// Rendered evaluation error.
     pub error: String,
 }
@@ -387,7 +388,7 @@ impl AttributionReport {
             ]);
             for config in &self.configs {
                 configs.row(vec![
-                    config.name.clone(),
+                    config.name.to_string(),
                     fmt_num(config.embodied),
                     fmt_num(config.operational.get(last).copied().unwrap_or(0.0)),
                     fmt_num(config.delay),

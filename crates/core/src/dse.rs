@@ -18,6 +18,7 @@ use cordoba_carbon::embodied::EmbodiedModel;
 use cordoba_carbon::integral::CiIntegral;
 use cordoba_carbon::units::{CarbonIntensity, Seconds};
 use cordoba_carbon::CarbonError;
+use cordoba_obs::Name;
 use cordoba_par::CostHint;
 use cordoba_workloads::task::Task;
 use serde::{Deserialize, Serialize};
@@ -85,7 +86,7 @@ impl<'a> EvalBatch<'a> {
         let costs = self.batch.slab_costs(idx, &self.slab);
         let (delay, energy) = self.batch.task_cost(idx, &costs, &self.plans[0]);
         Ok(DesignPoint::new(
-            config.name(),
+            config.shared_name(),
             delay,
             energy,
             self.cache.embodied(config)?,
@@ -122,7 +123,7 @@ impl<'a> EvalBatch<'a> {
             for (points, plan) in per_task.iter_mut().zip(&self.plans) {
                 let (delay, energy) = self.batch.task_cost(idx, costs, plan);
                 points.push(DesignPoint::new(
-                    config.name(),
+                    config.shared_name(),
                     delay,
                     energy,
                     carbon,
@@ -156,7 +157,7 @@ pub fn accel_design_point(
     let delay = table.task_delay(task)?;
     let energy = table.task_energy(task)?;
     Ok(DesignPoint::new(
-        config.name(),
+        config.shared_name(),
         delay,
         energy,
         config.embodied_carbon(embodied)?,
@@ -249,7 +250,7 @@ pub fn evaluate_space_multi(
 #[derive(Debug, Clone, PartialEq)]
 pub struct EvalFailure {
     /// Name of the failing configuration.
-    pub name: String,
+    pub name: Name,
     /// Why it failed.
     pub error: CoreError,
 }
@@ -406,7 +407,7 @@ impl OpTimeSweep {
     /// Names of all designs that are optimal at some operational time —
     /// the survivors of the Fig. 8 elimination.
     #[must_use]
-    pub fn ever_optimal(&self) -> BTreeSet<String> {
+    pub fn ever_optimal(&self) -> BTreeSet<Name> {
         (0..self.task_counts.len())
             .map(|n| self.points[self.optimal_at(n)].name.clone())
             .collect()

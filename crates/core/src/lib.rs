@@ -111,4 +111,5 @@ pub mod prelude {
         DomainAnalysis, DomainClass, McRun, MonteCarloSpec, MonteCarloSummary,
         SourceMonteCarloSpec,
     };
+    pub use cordoba_obs::Name;
 }

@@ -18,14 +18,16 @@ use cordoba_carbon::units::{
     Watts,
 };
 use cordoba_carbon::CarbonError;
+use cordoba_obs::Name;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One candidate hardware design, characterized for a fixed task.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DesignPoint {
-    /// Candidate name (e.g. `"a48"`, `"3D_2K_8M"`, `"IC-E"`).
-    pub name: String,
+    /// Candidate name (e.g. `"a48"`, `"3D_2K_8M"`, `"IC-E"`), shared with
+    /// the configuration it was built from.
+    pub name: Name,
     /// Execution time of one task (`D`).
     pub delay: Seconds,
     /// Energy of one task execution (`E`).
@@ -44,7 +46,7 @@ impl DesignPoint {
     /// Returns an error if delay/energy/area are not positive or embodied
     /// carbon is negative.
     pub fn new(
-        name: impl Into<String>,
+        name: impl Into<Name>,
         delay: Seconds,
         energy: Joules,
         embodied: GramsCo2e,

@@ -107,7 +107,7 @@ impl LifetimeMix {
         }
         let base = base.expect("mix is non-empty"); // cordoba-lint: allow(no-panic) — Mix::new rejects empty entry lists
         Ok(DesignPoint::new(
-            config.name(),
+            config.shared_name(),
             delay,
             energy,
             base.embodied,

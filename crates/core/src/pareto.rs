@@ -6,13 +6,14 @@
 //! selects the *lower convex hull* of that point set — a subset of the
 //! Pareto frontier. Both are provided; the ablation bench compares them.
 
+use cordoba_obs::Name;
 use serde::{Deserialize, Serialize};
 
 /// A named point in a 2-D minimize-both objective space.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Point2 {
-    /// Candidate name.
-    pub name: String,
+    /// Candidate name, shared with the design point it was built from.
+    pub name: Name,
     /// First objective (lower is better).
     pub x: f64,
     /// Second objective (lower is better).
@@ -22,7 +23,7 @@ pub struct Point2 {
 impl Point2 {
     /// Creates a point.
     #[must_use]
-    pub fn new(name: impl Into<String>, x: f64, y: f64) -> Self {
+    pub fn new(name: impl Into<Name>, x: f64, y: f64) -> Self {
         Self {
             name: name.into(),
             x,
@@ -256,8 +257,8 @@ pub fn lower_hull_indices(points: &[Point2]) -> Vec<usize> {
 /// A named point in a k-dimensional minimize-all objective space.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PointK {
-    /// Candidate name.
-    pub name: String,
+    /// Candidate name, shared with the design point it was built from.
+    pub name: Name,
     /// Objective values (all lower-is-better).
     pub objectives: Vec<f64>,
 }
@@ -265,7 +266,7 @@ pub struct PointK {
 impl PointK {
     /// Creates a point.
     #[must_use]
-    pub fn new(name: impl Into<String>, objectives: Vec<f64>) -> Self {
+    pub fn new(name: impl Into<Name>, objectives: Vec<f64>) -> Self {
         Self {
             name: name.into(),
             objectives,

@@ -264,16 +264,30 @@ fn encode_points(points: &[DesignPoint]) -> Vec<String> {
     lines
 }
 
-/// Decodes one section written by [`encode_points`], consuming lines from
-/// the iterator. Returns `None` on any structural damage.
-fn decode_points<'a>(lines: &mut impl Iterator<Item = &'a String>) -> Option<Vec<DesignPoint>> {
+/// Decodes one section written by [`encode_points`] for `configs`,
+/// consuming lines from the iterator: one point per configuration, in
+/// order. A point's name is the verbatim rest of its line, so checking it
+/// against its configuration's name is what catches a line whose cells
+/// were shifted into (or out of) the name; a matching point then shares
+/// the configuration's name instead of allocating its own. Returns `None`
+/// on any structural damage.
+fn decode_points<'a>(
+    lines: &mut impl Iterator<Item = &'a String>,
+    configs: &[AcceleratorConfig],
+) -> Option<Vec<DesignPoint>> {
     let count: usize = lines.next()?.strip_prefix("points ")?.parse().ok()?;
+    if count != configs.len() {
+        return None;
+    }
     let mut points = Vec::with_capacity(count);
-    for _ in 0..count {
+    for config in configs {
         let ([delay, energy, embodied, area], name) = parse_point_line(lines.next()?)?;
+        if name != config.name() {
+            return None;
+        }
         points.push(
             DesignPoint::new(
-                name,
+                config.shared_name(),
                 Seconds::new(delay),
                 Joules::new(energy),
                 GramsCo2e::new(embodied),
@@ -283,13 +297,6 @@ fn decode_points<'a>(lines: &mut impl Iterator<Item = &'a String>) -> Option<Vec
         );
     }
     Some(points)
-}
-
-/// Whether decoded points are one per configuration, in order. A point's
-/// name is the verbatim rest of its line, so this is what catches a line
-/// whose cells were shifted into (or out of) the name.
-fn names_match(points: &[DesignPoint], configs: &[AcceleratorConfig]) -> bool {
-    points.len() == configs.len() && points.iter().zip(configs).all(|(p, c)| p.name == c.name())
 }
 
 /// [`evaluate_space`] with a persistent warm path: a prior result for the
@@ -309,10 +316,8 @@ pub fn evaluate_space_stored(
     let key = evaluate_space_key(configs, task, embodied);
     if let Some(lines) = store.get(KIND_EVAL_SPACE, key) {
         let mut it = lines.iter();
-        if let Some(points) = decode_points(&mut it).filter(|p| {
-            names_match(p, configs) && it.next().is_none() // fully consumed
-        }) {
-            return Ok(points);
+        if let Some(points) = decode_points(&mut it, configs).filter(|_| it.next().is_none()) {
+            return Ok(points); // fully consumed
         }
     }
     let points = evaluate_space(configs, task, embodied)?;
@@ -359,11 +364,7 @@ fn decode_multi(
     }
     let mut per_task = Vec::with_capacity(tasks);
     for _ in 0..tasks {
-        let points = decode_points(&mut it)?;
-        if !names_match(&points, configs) {
-            return None;
-        }
-        per_task.push(points);
+        per_task.push(decode_points(&mut it, configs)?);
     }
     it.next().is_none().then_some(per_task)
 }
@@ -585,7 +586,7 @@ mod tests {
         );
         assert_ne!(beta_sweep_key(&points), beta_sweep_key(&changed));
         let mut renamed = points.clone();
-        renamed[0].name.push('x');
+        renamed[0].name = format!("{}x", renamed[0].name).into();
         assert_eq!(
             sweep_base,
             op_time_sweep_key(&renamed, &counts, grids::US_AVERAGE)
@@ -689,7 +690,7 @@ mod tests {
                     p.embodied.value(),
                     p.area.value(),
                 ];
-                (p.name.clone(), values.map(f64::to_bits))
+                (p.name.to_string(), values.map(f64::to_bits))
             })
             .collect()
     }
@@ -716,7 +717,7 @@ mod tests {
             let mut bits: Vec<_> = sweep
                 .points
                 .iter()
-                .map(|p| (p.name.clone(), p.x.to_bits(), p.y.to_bits()))
+                .map(|p| (p.name.to_string(), p.x.to_bits(), p.y.to_bits()))
                 .collect();
             bits.extend(sweep.pareto.iter().map(|&i| (String::new(), i as u64, 0)));
             bits.extend(sweep.support.iter().map(|&i| (String::new(), 0, i as u64)));

@@ -231,7 +231,7 @@ impl<'a> SupervisedEval<'a> {
             };
             cordoba_obs::record(&Event::Quarantine);
             result.failures.push(EvalFailure {
-                name: config.name().to_string(),
+                name: config.shared_name().clone(),
                 error,
             });
         }

@@ -8,6 +8,7 @@ use cordoba_carbon::integral::CiIntegral;
 use cordoba_carbon::intensity::{grids, CiSource};
 use cordoba_carbon::units::{CarbonIntensity, Seconds};
 use cordoba_carbon::CarbonError;
+use cordoba_obs::Name;
 use cordoba_par::supervise::{Outcome, StopReason, Supervisor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -111,9 +112,9 @@ pub struct DomainAnalysis {
     /// paper's "100x difference at equal EDP" observation).
     pub iso_edp_tcdp_spread: f64,
     /// Name of the EDP-optimal design.
-    pub edp_optimal: String,
+    pub edp_optimal: Name,
     /// Name of the tCDP-optimal design.
-    pub tcdp_optimal: String,
+    pub tcdp_optimal: Name,
 }
 
 /// Runs the Fig. 6 analysis for one domain over a design space.

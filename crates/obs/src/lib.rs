@@ -21,11 +21,12 @@
 //!   watchdog truncation, an embodied-carbon cache hit or miss.
 //!
 //! Both layers are **opt-in at runtime**: nothing is recorded until
-//! [`set_metrics_enabled`] / [`set_tracing_enabled`] is called (the CLI
-//! wires these to `--metrics` and `--trace-out`). Instrumentation never
-//! changes results — observation is a side channel, and the sweep engine's
-//! determinism contract (bit-identical output at every thread count) holds
-//! with every layer enabled.
+//! [`set_metrics_enabled`] / [`set_tracing_enabled`] is called, or a
+//! reference-counted hold is taken with [`acquire`] (the CLI holds the
+//! layers for the length of a `--metrics` or `--trace-out` run).
+//! Instrumentation never changes results — observation is a side channel,
+//! and the sweep engine's determinism contract (bit-identical output at
+//! every thread count) holds with every layer enabled.
 //!
 //! # Examples
 //!
@@ -50,11 +51,13 @@ pub mod chrome;
 pub mod event;
 pub mod json;
 pub mod metrics;
+pub mod name;
 pub mod profile;
 pub mod prom;
 pub mod span;
 
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 pub use chrome::{drain_chrome_trace, export_chrome_trace, validate_chrome_trace, TraceCheck};
 pub use event::{record, Event};
@@ -62,6 +65,7 @@ pub use metrics::{
     counter_snapshot, dump_json_lines, gauge_snapshot, labeled_counter_snapshot, Counter, Gauge,
     Histogram, LabeledCounter, MAX_LABEL_CELLS,
 };
+pub use name::Name;
 pub use profile::{profile_chrome_trace, profile_report, ProfileEntry, ProfileReport};
 pub use prom::{
     parse_prometheus_text, registry_snapshot, render_prometheus, render_snapshot,
@@ -106,6 +110,50 @@ pub fn tracing_enabled() -> bool {
     TRACING_ENABLED.load(Ordering::Relaxed)
 }
 
+/// A global observation layer, for [`acquire`] and [`release`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Layer {
+    /// Counters and histograms ([`set_metrics_enabled`]).
+    Metrics,
+    /// Spans and structured events ([`set_tracing_enabled`]).
+    Tracing,
+}
+
+/// Outstanding [`acquire`] holds on each layer, indexed by `Layer as usize`.
+static HOLDS: Mutex<[usize; 2]> = Mutex::new([0; 2]);
+
+fn switch(layer: Layer, on: bool) {
+    match layer {
+        Layer::Metrics => set_metrics_enabled(on),
+        Layer::Tracing => set_tracing_enabled(on),
+    }
+}
+
+/// Takes one hold on `layer` and switches it on.
+///
+/// Holds are reference-counted, so callers that overlap in one process
+/// (say, concurrent in-process CLI runs) never switch a layer off under
+/// each other: the layer stays on until the last hold is [`release`]d.
+/// The plain `set_*_enabled` switches bypass the count.
+pub fn acquire(layer: Layer) {
+    let mut holds = HOLDS.lock().unwrap_or_else(PoisonError::into_inner);
+    holds[layer as usize] += 1;
+    switch(layer, true);
+}
+
+/// Drops one [`acquire`] hold on `layer`, switching the layer off when it
+/// was the last one. A release without a hold is ignored.
+pub fn release(layer: Layer) {
+    let mut holds = HOLDS.lock().unwrap_or_else(PoisonError::into_inner);
+    let count = &mut holds[layer as usize];
+    if *count > 0 {
+        *count -= 1;
+        if *count == 0 {
+            switch(layer, false);
+        }
+    }
+}
+
 /// Serializes tests that toggle the global switches, which would otherwise
 /// race across the parallel test harness.
 #[cfg(test)]
@@ -114,5 +162,36 @@ pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
     match LOCK.lock() {
         Ok(guard) => guard,
         Err(poisoned) => poisoned.into_inner(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn layers_stay_on_until_the_last_hold_is_released() {
+        let _guard = test_lock();
+        set_metrics_enabled(false);
+        acquire(Layer::Metrics);
+        acquire(Layer::Metrics);
+        release(Layer::Metrics);
+        assert!(metrics_enabled(), "one hold remains");
+        release(Layer::Metrics);
+        assert!(!metrics_enabled(), "the last hold switches the layer off");
+        release(Layer::Metrics);
+        acquire(Layer::Metrics);
+        assert!(metrics_enabled(), "a stray release does not go below zero");
+        release(Layer::Metrics);
+        assert!(!metrics_enabled());
+
+        set_tracing_enabled(false);
+        acquire(Layer::Tracing);
+        assert!(
+            tracing_enabled() && !metrics_enabled(),
+            "layers count apart"
+        );
+        release(Layer::Tracing);
+        assert!(!tracing_enabled());
     }
 }

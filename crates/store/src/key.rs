@@ -22,13 +22,28 @@ const FNV_OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
 /// FNV-1a 128-bit prime.
 const FNV_PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
 
-/// Packs at most 8 bytes into a little-endian word, zero-padded.
+/// Packs at most 8 bytes into a little-endian word, zero-padded, with at
+/// most three loads and no per-byte loop: two overlapping 4-byte loads
+/// cover 4–8 bytes, and the first, middle and last byte cover 1–3. An
+/// overlapped byte lands at the same position from both loads, so OR-ing
+/// them cannot change it.
+#[inline]
 fn le_word(bytes: &[u8]) -> u64 {
-    let mut word = [0u8; 8];
-    for (slot, &byte) in word.iter_mut().zip(bytes) {
-        *slot = byte;
+    let n = bytes.len();
+    debug_assert!(n <= 8, "le_word packs at most one word");
+    let lo32 = |at: usize| {
+        let mut four = [0u8; 4];
+        four.copy_from_slice(&bytes[at..at + 4]);
+        u64::from(u32::from_le_bytes(four))
+    };
+    if n >= 4 {
+        lo32(0) | lo32(n - 4) << (8 * (n - 4))
+    } else if n > 0 {
+        let byte = |at: usize| u64::from(bytes[at]) << (8 * at);
+        byte(0) | byte(n / 2) | byte(n - 1)
+    } else {
+        0
     }
-    u64::from_le_bytes(word)
 }
 
 /// A stable 128-bit content hash identifying one store entry.
@@ -120,8 +135,32 @@ impl KeyBuilder {
         self.state = self.state.wrapping_mul(FNV_PRIME);
     }
 
+    /// Feeds the low `n` bytes of `word` (`n <= 8`, higher bytes zero):
+    /// they complete the pending tail, absorbing at most one word.
+    #[inline]
+    fn push_short(&mut self, word: u64, n: usize) {
+        self.len = self.len.wrapping_add(n as u64);
+        let shift = 8 * self.tail_len;
+        let merged = self.tail | word << shift;
+        let total = self.tail_len + n;
+        if total < 8 {
+            self.tail = merged;
+            self.tail_len = total;
+        } else {
+            self.absorb(merged);
+            // The bytes that did not fit; `>> 1 >> 63 - shift` is
+            // `>> 64 - shift` without overflowing at `shift == 0`.
+            self.tail = word >> 1 >> (63 - shift);
+            self.tail_len = total - 8;
+        }
+    }
+
     /// Feeds raw bytes into the hash.
     pub fn push_bytes(&mut self, bytes: &[u8]) {
+        if bytes.len() <= 8 {
+            self.push_short(le_word(bytes), bytes.len());
+            return;
+        }
         self.len = self.len.wrapping_add(bytes.len() as u64);
         let mut rest = bytes;
         // Top up a partial tail first, so whole words stay aligned to the

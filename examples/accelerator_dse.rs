@@ -36,7 +36,7 @@ fn main() -> Result<(), CoreError> {
                 cfg.sram().to_mebibytes(),
                 best.area.value()
             );
-            last = best.name.clone();
+            last = best.name.to_string();
         }
     }
 

@@ -31,7 +31,7 @@ fn winner_at_share(points: &[DesignPoint], share: f64) -> (String, f64) {
     let ctx = context_for_embodied_share(points, grids::US_AVERAGE, share).unwrap();
     let best = argmin(points, MetricKind::Tcdp, &ctx).unwrap();
     let improvement = points[0].tcdp(&ctx).value() / best.tcdp(&ctx).value();
-    (best.name.clone(), improvement)
+    (best.name.to_string(), improvement)
 }
 
 #[test]

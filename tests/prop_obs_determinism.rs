@@ -117,7 +117,7 @@ fn run_case(seed: u64, threads: usize) -> CaseResult {
     let quarantined = resilient
         .failures
         .iter()
-        .map(|f| f.name.clone())
+        .map(|f| f.name.to_string())
         .collect::<Vec<_>>();
 
     let counts: Vec<f64> = (0..1 + index(&mut rng, 10))
