@@ -219,7 +219,7 @@ impl EmbodiedCache {
 
 /// Content-address for one `(config shape, model)` embodied-carbon result.
 ///
-/// Unlike [`fingerprint`] — which keys the in-memory map of a cache already
+/// Unlike the shape key — which keys the in-memory map of a cache already
 /// bound to one model — the persistent store outlives the process, so the
 /// model's own parameters (fab carbon intensity, yield model, packaging)
 /// must participate in the hash alongside the config shape. The display

@@ -9,7 +9,8 @@ use cordoba_accel::cache::EmbodiedCache;
 use cordoba_accel::space::{config_by_name, design_space};
 use cordoba_carbon::prelude::*;
 use cordoba_obs::Layer;
-use cordoba_par::supervise::{Outcome, Supervisor};
+use cordoba_par::supervise::{Outcome, SupervisedMap, Supervisor};
+use cordoba_par::CostHint;
 use cordoba_soc::prelude::*;
 use cordoba_store::{KeyBuilder, Store, StoreKey};
 use cordoba_workloads::kernel::KernelId;
@@ -122,7 +123,8 @@ pub fn run(argv: &[String]) -> Result<String, CliError> {
     let args = Args::parse(argv[1..].iter().cloned());
     apply_threads(&args)?;
     let obs = ObsOptions::from_args(&args);
-    obs.enable();
+    // Held to the end of the run, and released on unwind.
+    let _trace = obs.enable();
     let result = match command.as_str() {
         "metrics" => cmd_metrics(&args),
         "dse" => cmd_dse(&args),
@@ -155,12 +157,13 @@ pub fn run(argv: &[String]) -> Result<String, CliError> {
 /// Observation is a pure side channel: enabling any of them never changes
 /// a command's computed results, only what is reported about them.
 ///
-/// The switches are process-global, so each run holds its layers through
-/// [`cordoba_obs::acquire`]: a layer stays on until the last overlapping
-/// in-process [`run`] finishes, and one run finishing never stops another
-/// run's counters. Traced runs also share one span buffer, which each
-/// drains when it finishes; their traces are only separate when the runs
-/// do not overlap.
+/// The switches are process-global. A counting run holds metrics through
+/// [`cordoba_obs::acquire`], so the registry stays on until the last
+/// overlapping in-process [`run`] finishes. A traced run owns the span
+/// buffer through a [`cordoba_obs::TraceSession`], so overlapping traced
+/// runs take turns and each exports only its own spans. Untraced runs that
+/// overlap a traced one still add their spans to its trace, because the
+/// tracing switch is process-wide.
 struct ObsOptions {
     trace_out: Option<String>,
     profile_out: Option<String>,
@@ -186,18 +189,19 @@ impl ObsOptions {
         self.trace_out.is_some() || self.profile_out.is_some()
     }
 
-    fn enable(&self) {
-        if self.traces() {
-            cordoba_obs::acquire(Layer::Tracing);
-        }
+    /// Takes this run's metrics hold and, for a traced run, the trace
+    /// session, waiting while another traced run holds it.
+    fn enable(&self) -> Option<cordoba_obs::TraceSession> {
+        let session = self.traces().then(cordoba_obs::TraceSession::begin);
         if self.counts() {
             cordoba_obs::acquire(Layer::Metrics);
         }
+        session
     }
 
-    /// Appends the metrics dump, writes the profile and trace files, then
-    /// releases both layers (draining the span buffer) so repeated
-    /// in-process `run` calls start from a clean slate.
+    /// Appends the metrics dump, writes the profile and trace files, and
+    /// releases the metrics hold. The caller still holds the trace
+    /// session, so the files hold this run's spans.
     fn finish(&self, mut result: Result<String, CliError>) -> Result<String, CliError> {
         if self.metrics {
             if let Ok(out) = &mut result {
@@ -226,7 +230,6 @@ impl ObsOptions {
         }
         if let Some(path) = &self.trace_out {
             let trace = cordoba_obs::drain_chrome_trace();
-            cordoba_obs::release(Layer::Tracing);
             if result.is_ok() {
                 match std::fs::write(path, &trace) {
                     Ok(()) => {
@@ -239,9 +242,6 @@ impl ObsOptions {
                     }
                 }
             }
-        } else if self.profile_out.is_some() {
-            cordoba_obs::clear_trace();
-            cordoba_obs::release(Layer::Tracing);
         }
         result
     }
@@ -1276,8 +1276,8 @@ fn doctor_supervision(out: &mut String) -> Result<(), CliError> {
     // Panic isolation: a deliberately panicking work unit must land as a
     // quarantined outcome with the process intact and its peers computed.
     install_panic_probe_filter();
-    let items = [0u32, 1, 2];
-    let run = cordoba_par::par_map_supervised_with(&items, 1, &Supervisor::unbounded(), |_, &x| {
+    let mut run = SupervisedMap::new(3);
+    run.advance(1, CostHint::per_item_ns(1), &Supervisor::unbounded(), |x| {
         if x == 1 {
             // Deliberate: this probe exists to prove panics are isolated.
             panic!("{PANIC_PROBE} deliberate probe panic"); // cordoba-lint: allow(no-panic)
@@ -1285,8 +1285,8 @@ fn doctor_supervision(out: &mut String) -> Result<(), CliError> {
         x * 2
     });
     let isolation_ok = run.is_complete()
-        && matches!(run.outcomes.get(1), Some(Outcome::Panicked(_)))
-        && run.outcomes.iter().filter(|o| o.done().is_some()).count() == 2;
+        && matches!(run.outcomes().get(1), Some(Outcome::Panicked(_)))
+        && run.outcomes().iter().filter(|o| o.done().is_some()).count() == 2;
     let _ = writeln!(
         out,
         "  panic isolation: {}",
@@ -1706,14 +1706,6 @@ mod tests {
         assert!(run_str("dse --lo 8 --hi 5").is_err());
     }
 
-    /// Serializes tests that enable the global tracing layer: one run's
-    /// drain must not swallow another run's spans.
-    fn trace_test_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        LOCK.lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
     /// Value of a named global counter (0 if it never registered).
     fn counter_value(name: &str) -> u64 {
         cordoba_obs::counter_snapshot()
@@ -2124,7 +2116,6 @@ mod tests {
 
     #[test]
     fn profile_verb_aggregates_a_captured_trace() {
-        let _guard = trace_test_lock();
         let dir = std::env::temp_dir().join("cordoba-cli-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("profile-trace.json");
@@ -2154,7 +2145,6 @@ mod tests {
 
     #[test]
     fn profile_out_writes_profile_json() {
-        let _guard = trace_test_lock();
         let dir = std::env::temp_dir().join("cordoba-cli-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("sweep-profile.json");

@@ -17,8 +17,9 @@
 //!    recomputes the number it is attributing.
 //! 2. The decomposition recomposes to the same bits:
 //!    `(embodied + operational) · delay` evaluated in plain `f64` is the
-//!    exact operation chain [`DesignPoint::tcdp`] uses (the unit newtypes
-//!    add and multiply their raw `f64`s in the same order), so
+//!    exact operation chain
+//!    [`DesignPoint::tcdp`](crate::metrics::DesignPoint::tcdp) uses (the
+//!    unit newtypes add and multiply their raw `f64`s in the same order), so
 //!    [`AttributionReport::check_against`] can require bitwise equality,
 //!    not approximate agreement.
 //!

@@ -19,7 +19,7 @@ use cordoba_carbon::integral::CiIntegral;
 use cordoba_carbon::units::{CarbonIntensity, Seconds};
 use cordoba_carbon::CarbonError;
 use cordoba_obs::Name;
-use cordoba_par::CostHint;
+use cordoba_par::{CostHint, SupervisedMap, Supervisor};
 use cordoba_workloads::task::Task;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
@@ -231,9 +231,14 @@ pub fn evaluate_space_multi(
         .map(|start| start..configs.len().min(start + chunk_len))
         .collect();
     let hint = CostHint::per_item_ns(ns_per_config.saturating_mul(chunk_len as u64));
-    let mut parts = cordoba_par::try_par_map_indexed_hinted(&chunks, workers, hint, |_, range| {
-        batch.chunk(range.clone())
-    })?;
+    let mut map = SupervisedMap::new(chunks.len());
+    map.advance(workers, hint, &Supervisor::unbounded(), |c| {
+        batch.chunk(chunks[c].clone())
+    });
+    let mut parts = map
+        .into_values()
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?;
     if parts.len() == 1 {
         return Ok(parts.swap_remove(0));
     }

@@ -13,11 +13,17 @@ use cordoba_carbon::embodied::EmbodiedBreakdown;
 use cordoba_carbon::units::CarbonIntensity;
 use cordoba_carbon::CarbonError;
 use cordoba_obs::{Counter, Event};
-use cordoba_par::Supervisor;
+use cordoba_par::{CostHint, SupervisedMap, Supervisor};
 use serde::{Deserialize, Serialize};
 
 /// Total argmin evaluations spent across all β-sweep solves.
 static BETA_EVALUATIONS: Counter = Counter::new("core/beta_evaluations");
+
+/// Estimated cost of one candidate in one argmin evaluation (a multiply-add
+/// and a compare), for the midpoint map's `CostHint`. It is taken to match
+/// one tCDP matrix cell: bench_smoke's `dse/op_time_sweep_121x29/threads=1`
+/// fills 3,509 cells in 11,947 ns (`BENCH_9.json`), 3.4 ns each.
+const ARGMIN_NS_PER_POINT: u64 = 4;
 
 /// The two Fig. 12 objectives for a design point.
 #[must_use]
@@ -194,6 +200,8 @@ impl BetaSweep {
         // The argmin exists because `points` is non-empty (checked above),
         // so the fallback index is never used.
         let argmin = |beta: f64| self.optimal_for_beta(beta).unwrap_or(0);
+        let hint =
+            CostHint::per_item_ns(ARGMIN_NS_PER_POINT.saturating_mul(self.points.len() as u64));
 
         let not_converged = |transitions: Vec<BetaTransition>, evaluations: usize| {
             BETA_EVALUATIONS.add(u64::try_from(evaluations).unwrap_or(u64::MAX));
@@ -255,7 +263,11 @@ impl BetaSweep {
                 .iter()
                 .map(|&(lo, _, hi, _)| f64::midpoint(lo, hi))
                 .collect();
-            let mid_args = cordoba_par::par_map_with(&mids, threads, |&beta| argmin(beta));
+            // The solve stops only at wave boundaries, so the midpoints run
+            // under a supervisor that never trips; progress is noted below.
+            let mut mid_args = SupervisedMap::new(k);
+            mid_args.advance(threads, hint, &Supervisor::unbounded(), |i| argmin(mids[i]));
+            let mid_args = mid_args.into_values();
             evaluations += k;
             sup.note_completed(u64::try_from(k).unwrap_or(u64::MAX));
             if k < bisect.len() {

@@ -99,9 +99,7 @@ pub mod prelude {
         pareto_indices_kd_naive, pareto_indices_naive, Point2, PointK,
     };
     pub use crate::report::{fmt_num, fmt_ratio, Table};
-    pub use crate::store::{
-        beta_sweep_stored, evaluate_space_multi_stored, evaluate_space_stored, op_time_sweep_stored,
-    };
+    pub use crate::store::{beta_sweep_stored, evaluate_space_stored, op_time_sweep_stored};
     pub use crate::supervise::{
         op_time_sweep_supervised, PartialSweep, SupervisedEval, SupervisedSweep, SweepCheckpoint,
     };

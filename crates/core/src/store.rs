@@ -3,8 +3,8 @@
 //!
 //! The DSE pipeline is deterministic and bit-reproducible at every thread
 //! count (pinned by the `par`/`obs`/supervision property suites), so each
-//! stage — [`evaluate_space`], [`evaluate_space_multi`], [`OpTimeSweep`],
-//! [`BetaSweep`] — is a pure function of its typed inputs. The `*_stored`
+//! stage — [`evaluate_space`], [`OpTimeSweep`], [`BetaSweep`] — is a
+//! pure function of its typed inputs. The `*_stored`
 //! wrappers below derive a canonical [`StoreKey`] over *everything* the
 //! stored entry depends on (config shapes including the full
 //! `TechTuning`, task kernel mixes, the embodied model, the use-phase
@@ -33,7 +33,7 @@
 //!   store write failures are swallowed because persistence is an
 //!   accelerant, not a correctness dependency.
 
-use crate::dse::{evaluate_space, evaluate_space_multi, OpTimeSweep};
+use crate::dse::{evaluate_space, OpTimeSweep};
 use crate::error::CoreError;
 use crate::lagrange::BetaSweep;
 use crate::metrics::DesignPoint;
@@ -47,8 +47,6 @@ use cordoba_workloads::task::Task;
 
 /// Store kind for [`evaluate_space_stored`] entries.
 pub const KIND_EVAL_SPACE: &str = "eval_space";
-/// Store kind for [`evaluate_space_multi_stored`] entries.
-pub const KIND_EVAL_SPACE_MULTI: &str = "eval_space_multi";
 /// Store kind for [`op_time_sweep_stored`] entries.
 pub const KIND_OP_TIME_SWEEP: &str = "op_time_sweep";
 /// Store kind for [`beta_sweep_stored`] entries.
@@ -147,26 +145,6 @@ pub fn evaluate_space_key(
     let mut k = KeyBuilder::new(KIND_EVAL_SPACE);
     push_model(&mut k, embodied);
     push_task(&mut k, task);
-    k.push_u64(configs.len() as u64);
-    for config in configs {
-        push_config(&mut k, config);
-    }
-    k.finish()
-}
-
-/// The content-address of one [`evaluate_space_multi`] call.
-#[must_use]
-pub fn evaluate_space_multi_key(
-    configs: &[AcceleratorConfig],
-    tasks: &[Task],
-    embodied: &EmbodiedModel,
-) -> StoreKey {
-    let mut k = KeyBuilder::new(KIND_EVAL_SPACE_MULTI);
-    push_model(&mut k, embodied);
-    k.push_u64(tasks.len() as u64);
-    for task in tasks {
-        push_task(&mut k, task);
-    }
     k.push_u64(configs.len() as u64);
     for config in configs {
         push_config(&mut k, config);
@@ -325,50 +303,6 @@ pub fn evaluate_space_stored(
     Ok(points)
 }
 
-/// [`evaluate_space_multi`] with a persistent warm path; one entry covers
-/// the whole multi-task call.
-///
-/// # Errors
-///
-/// Exactly the errors of [`evaluate_space_multi`].
-pub fn evaluate_space_multi_stored(
-    configs: &[AcceleratorConfig],
-    tasks: &[Task],
-    embodied: &EmbodiedModel,
-    store: &Store,
-) -> Result<Vec<Vec<DesignPoint>>, CoreError> {
-    let key = evaluate_space_multi_key(configs, tasks, embodied);
-    if let Some(lines) = store.get(KIND_EVAL_SPACE_MULTI, key) {
-        if let Some(per_task) = decode_multi(&lines, tasks.len(), configs) {
-            return Ok(per_task);
-        }
-    }
-    let per_task = evaluate_space_multi(configs, tasks, embodied)?;
-    let mut lines = vec![format!("tasks {}", per_task.len())];
-    for points in &per_task {
-        lines.extend(encode_points(points));
-    }
-    let _ = store.put(KIND_EVAL_SPACE_MULTI, key, &lines);
-    Ok(per_task)
-}
-
-fn decode_multi(
-    lines: &[String],
-    task_count: usize,
-    configs: &[AcceleratorConfig],
-) -> Option<Vec<Vec<DesignPoint>>> {
-    let mut it = lines.iter();
-    let tasks: usize = it.next()?.strip_prefix("tasks ")?.parse().ok()?;
-    if tasks != task_count {
-        return None;
-    }
-    let mut per_task = Vec::with_capacity(tasks);
-    for _ in 0..tasks {
-        per_task.push(decode_points(&mut it, configs)?);
-    }
-    it.next().is_none().then_some(per_task)
-}
-
 /// Renders a receipt: the result's shape line, then `'d'` and the two
 /// 64-bit halves of its digest as [`push_cell`] cells (raw bits, so the
 /// damage handling of the cell codec applies unchanged).
@@ -522,20 +456,14 @@ mod tests {
     }
 
     #[test]
-    fn multi_and_beta_round_trip() {
-        let store = temp_store("multi-beta");
-        let configs = design_space();
-        let tasks = [Task::ai_5_kernels(), Task::xr_5_kernels()];
-        let model = EmbodiedModel::default();
-        let cold = evaluate_space_multi_stored(&configs, &tasks, &model, &store).unwrap();
-        let warm = evaluate_space_multi_stored(&configs, &tasks, &model, &store).unwrap();
-        assert_eq!(cold, warm);
-        assert_eq!(
-            cold,
-            evaluate_space_multi(&configs, &tasks, &model).unwrap()
-        );
-
-        let candidates = &cold[0];
+    fn beta_round_trip() {
+        let store = temp_store("beta");
+        let candidates = &evaluate_space(
+            &design_space(),
+            &Task::ai_5_kernels(),
+            &EmbodiedModel::default(),
+        )
+        .unwrap();
         let beta_cold = beta_sweep_stored(candidates, &store);
         let beta_warm = beta_sweep_stored(candidates, &store);
         assert_eq!(beta_cold, beta_warm);

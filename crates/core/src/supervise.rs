@@ -41,7 +41,7 @@ use cordoba_carbon::embodied::EmbodiedModel;
 use cordoba_carbon::units::{CarbonIntensity, Seconds};
 use cordoba_carbon::CarbonError;
 use cordoba_obs::{Event, Histogram};
-use cordoba_par::supervise::{Outcome, StopReason, Supervisor};
+use cordoba_par::supervise::{Outcome, StopReason, SupervisedMap, Supervisor};
 use cordoba_par::CostHint;
 use cordoba_store::{parse_hex_f64, push_hex_f64};
 use cordoba_workloads::task::Task;
@@ -68,7 +68,8 @@ const TCDP_NS_PER_POINT: u64 = 40;
 /// once, so an advance cannot mix configurations of different spaces,
 /// tasks, or carbon models. A configuration that returns an error or
 /// panics is recorded as failed; the supervised map isolates the panic and
-/// the rest of the space is still evaluated.
+/// the rest of the space is still evaluated. A failed configuration is not
+/// retried by a later advance.
 ///
 /// The two consuming finishers complete any pending configurations under
 /// [`Supervisor::unbounded`] at [`cordoba_par::effective_threads`] and
@@ -77,10 +78,7 @@ const TCDP_NS_PER_POINT: u64 = 40;
 pub struct SupervisedEval<'a> {
     batch: EvalBatch<'a>,
     /// One outcome per configuration, [`Outcome::Skipped`] while pending.
-    /// Empty until the first advance, which adopts the map's outcomes
-    /// as they are.
-    slots: Vec<Outcome<Result<DesignPoint, CoreError>>>,
-    stop: Option<StopReason>,
+    slots: SupervisedMap<Result<DesignPoint, CoreError>>,
 }
 
 impl fmt::Debug for SupervisedEval<'_> {
@@ -88,7 +86,7 @@ impl fmt::Debug for SupervisedEval<'_> {
         f.debug_struct("SupervisedEval")
             .field("attempted", &self.attempted())
             .field("total", &self.total())
-            .field("stop", &self.stop)
+            .field("stop", &self.stop())
             .finish_non_exhaustive()
     }
 }
@@ -99,8 +97,7 @@ impl<'a> SupervisedEval<'a> {
     pub fn new(configs: &'a [AcceleratorConfig], task: &Task, embodied: &EmbodiedModel) -> Self {
         Self {
             batch: EvalBatch::new(configs, std::slice::from_ref(task), embodied),
-            slots: Vec::new(),
-            stop: None,
+            slots: SupervisedMap::new(configs.len()),
         }
     }
 
@@ -111,60 +108,38 @@ impl<'a> SupervisedEval<'a> {
     /// interrupted advances ends on an uninterrupted run's bits.
     pub fn advance(&mut self, sup: &Supervisor, threads: usize) {
         let _span = cordoba_obs::span_timed("core/evaluate_space", &EVALUATE_SPACE_NS);
-        let pending = self.pending_indices();
         let batch = &self.batch;
-        let run = cordoba_par::par_map_supervised_hinted(
-            &pending,
+        self.slots.advance(
             threads,
             CostHint::per_item_ns(EVAL_NS_PER_CONFIG),
             sup,
-            |_, &idx| batch.design_point(idx),
+            |idx| batch.design_point(idx),
         );
-        if self.slots.is_empty() {
-            self.slots = run.outcomes;
-        } else {
-            for (&idx, outcome) in pending.iter().zip(run.outcomes) {
-                if !matches!(outcome, Outcome::Skipped) {
-                    self.slots[idx] = outcome;
-                }
-            }
-        }
-        self.stop = run.stop;
     }
 
     /// Why the last advance stopped early, or `None` if it was not
     /// interrupted.
     #[must_use]
     pub fn stop(&self) -> Option<StopReason> {
-        self.stop
+        self.slots.stop()
     }
 
     /// `true` when every configuration was attempted (done or failed).
     #[must_use]
     pub fn is_complete(&self) -> bool {
-        self.attempted() == self.total()
+        self.slots.is_complete()
     }
 
     /// Indices of configurations not yet attempted, ascending.
     #[must_use]
     pub fn pending_indices(&self) -> Vec<usize> {
-        if self.slots.is_empty() {
-            return (0..self.total()).collect();
-        }
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| matches!(s, Outcome::Skipped).then_some(i))
-            .collect()
+        self.slots.pending_indices()
     }
 
     /// Configurations attempted so far (done + failed).
     #[must_use]
     pub fn attempted(&self) -> usize {
-        self.slots
-            .iter()
-            .filter(|s| !matches!(s, Outcome::Skipped))
-            .count()
+        self.slots.attempted()
     }
 
     /// Total configurations in the evaluation.
@@ -191,21 +166,11 @@ impl<'a> SupervisedEval<'a> {
     ///
     /// # Panics
     ///
-    /// Re-raises the panic of a configuration that panicked before the
-    /// first error, as an unsupervised map would.
+    /// Re-raises the first (in input order) panicking configuration's
+    /// panic on the caller ([`SupervisedMap::into_values`]).
     pub fn into_points(mut self) -> Result<Vec<DesignPoint>, CoreError> {
         self.complete();
-        self.slots
-            .into_iter()
-            .map(|slot| match slot {
-                Outcome::Done(result) => result,
-                Outcome::Panicked(message) => std::panic::resume_unwind(Box::new(message)),
-                // A completed run has no pending slot.
-                Outcome::Skipped => Err(CoreError::Supervision(
-                    "configuration left unevaluated".to_string(),
-                )),
-            })
-            .collect()
+        self.slots.into_values().into_iter().collect()
     }
 
     /// Quarantine finisher: the points that evaluated cleanly plus one
@@ -215,10 +180,10 @@ impl<'a> SupervisedEval<'a> {
     pub fn into_resilient(mut self) -> ResilientEval {
         self.complete();
         let mut result = ResilientEval {
-            points: Vec::with_capacity(self.slots.len()),
+            points: Vec::with_capacity(self.total()),
             failures: Vec::new(),
         };
-        for (config, slot) in self.batch.configs().iter().zip(self.slots) {
+        for (config, slot) in self.batch.configs().iter().zip(self.slots.into_outcomes()) {
             let error = match slot {
                 Outcome::Done(Ok(point)) => {
                     result.points.push(point);
@@ -317,10 +282,12 @@ pub struct SweepCheckpoint {
     ci_use: CarbonIntensity,
     /// `contexts[n]` is the validated context of `task_counts[n]`.
     contexts: Vec<OperationalContext>,
-    /// Flat row-major tCDP matrix; row `n` holds results once `done[n]`
-    /// and zeros before.
+    /// Flat row-major tCDP matrix; row `n` holds results once row `n` of
+    /// `rows` is done and zeros before.
     tcdp: Vec<f64>,
-    done: Vec<bool>,
+    /// One slot per row; the rows themselves are written in place into
+    /// `tcdp`.
+    rows: SupervisedMap<()>,
     /// Why the originating run stopped.
     reason: StopReason,
 }
@@ -366,7 +333,7 @@ impl SweepCheckpoint {
             .collect::<Result<Vec<_>, _>>()?;
         Ok(Self {
             tcdp: vec![0.0; points.len() * task_counts.len()],
-            done: vec![false; task_counts.len()],
+            rows: SupervisedMap::new(task_counts.len()),
             points,
             task_counts,
             ci_use,
@@ -402,13 +369,13 @@ impl SweepCheckpoint {
     /// Rows already computed.
     #[must_use]
     pub fn completed_rows(&self) -> usize {
-        self.done.iter().filter(|&&d| d).count()
+        self.rows.attempted()
     }
 
     /// Total rows in the sweep.
     #[must_use]
     pub fn total_rows(&self) -> usize {
-        self.done.len()
+        self.task_counts.len()
     }
 
     /// Completed fraction in `[0, 1]`.
@@ -420,11 +387,7 @@ impl SweepCheckpoint {
     /// Indices of rows still pending, ascending.
     #[must_use]
     pub fn pending_rows(&self) -> Vec<usize> {
-        self.done
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &d)| (!d).then_some(i))
-            .collect()
+        self.rows.pending_indices()
     }
 
     /// A one-paragraph human-readable coverage report.
@@ -455,7 +418,11 @@ impl SweepCheckpoint {
         sup: &Supervisor,
         threads: usize,
     ) -> Result<SupervisedSweep, CoreError> {
-        match self.fill(sup, threads).map_err(CoreError::Panicked)? {
+        self.fill(sup, threads);
+        if let Some(message) = self.rows.first_panic() {
+            return Err(CoreError::Panicked(message.to_owned()));
+        }
+        match self.rows.stop() {
             None => Ok(SupervisedSweep::Complete(self.into_sweep())),
             Some(reason) => {
                 self.reason = reason;
@@ -469,57 +436,41 @@ impl SweepCheckpoint {
 
     /// Completes the sweep under a supervisor that never trips at
     /// [`cordoba_par::effective_threads`]; a panicking row re-raises on the
-    /// caller, as an unsupervised map would.
+    /// caller.
     pub(crate) fn finish(mut self) -> OpTimeSweep {
-        if let Err(message) = self.fill(&Supervisor::unbounded(), cordoba_par::effective_threads())
-        {
-            std::panic::resume_unwind(Box::new(message));
-        }
+        self.fill(&Supervisor::unbounded(), cordoba_par::effective_threads());
         self.into_sweep()
     }
 
     /// The sweep engine: writes every pending row in place into the flat
     /// matrix (no per-row allocation and no merge copy, sequential or
     /// parallel) under the supervised map's stop checks and per-row panic
-    /// isolation. Returns the stop reason when interrupted, or the first
-    /// (in row order) panic message.
-    fn fill(&mut self, sup: &Supervisor, threads: usize) -> Result<Option<StopReason>, String> {
+    /// isolation.
+    fn fill(&mut self, sup: &Supervisor, threads: usize) {
         let _span = cordoba_obs::span_timed("core/op_time_sweep", &OP_TIME_SWEEP_NS);
-        let (points, contexts, done) = (&self.points, &self.contexts, &mut self.done);
-        // Each pending row is handed out once, behind its own uncontended
-        // lock, so workers write disjoint rows through a shared slice. A
-        // row is locked exactly once, so no lock is ever seen poisoned.
-        let pending: Vec<(usize, Mutex<&mut [f64]>)> = self
+        let (points, contexts) = (&self.points, &self.contexts);
+        // Each row is handed out once, behind its own uncontended lock, so
+        // workers write disjoint rows through a shared slice. A row is
+        // locked at most once, so no lock is ever seen poisoned.
+        let matrix: Vec<Mutex<&mut [f64]>> = self
             .tcdp
             .chunks_exact_mut(points.len())
-            .enumerate()
-            .filter(|(n, _)| !done[*n])
-            .map(|(n, row)| (n, Mutex::new(row)))
+            .map(Mutex::new)
             .collect();
         let hint = CostHint::per_item_ns(TCDP_NS_PER_POINT.saturating_mul(points.len() as u64));
-        let run =
-            cordoba_par::par_map_supervised_hinted(&pending, threads, hint, sup, |_, (n, row)| {
-                let ctx = &contexts[*n];
-                let mut row = row.lock().unwrap_or_else(PoisonError::into_inner);
-                for (cell, p) in row.iter_mut().zip(points) {
-                    *cell = p.tcdp(ctx).value();
-                }
-            });
-        let mut first_panic = None;
-        for ((n, _), outcome) in pending.iter().zip(run.outcomes) {
-            match outcome {
-                Outcome::Done(()) => done[*n] = true,
-                Outcome::Panicked(message) => {
-                    first_panic.get_or_insert(message);
-                }
-                Outcome::Skipped => {}
+        self.rows.advance(threads, hint, sup, |n| {
+            let ctx = &contexts[n];
+            let mut row = matrix[n].lock().unwrap_or_else(PoisonError::into_inner);
+            for (cell, p) in row.iter_mut().zip(points) {
+                *cell = p.tcdp(ctx).value();
             }
-        }
-        first_panic.map_or(Ok(run.stop), Err)
+        });
     }
 
-    /// The completed sweep; callers have filled every row.
+    /// The completed sweep; callers have filled every row. Re-raises the
+    /// first panicked row on the caller.
     fn into_sweep(self) -> OpTimeSweep {
+        let _: Vec<()> = self.rows.into_values();
         OpTimeSweep {
             points: self.points,
             task_counts: self.task_counts,
@@ -561,8 +512,14 @@ impl SweepCheckpoint {
             let _ = writeln!(out, " {}", p.name);
         }
         let _ = writeln!(out, "rows {}", self.completed_rows());
-        let rows = self.tcdp.chunks_exact(self.points.len());
-        for (idx, values) in rows.enumerate().filter(|(n, _)| self.done[*n]) {
+        let rows = self
+            .tcdp
+            .chunks_exact(self.points.len())
+            .zip(self.rows.outcomes());
+        for (idx, (values, _)) in rows
+            .enumerate()
+            .filter(|(_, (_, row))| row.done().is_some())
+        {
             let _ = write!(out, "r {idx}");
             for v in values {
                 out.push(' ');
@@ -682,7 +639,7 @@ impl SweepCheckpoint {
             if idx >= n {
                 return Err(bad(format!("row index {idx} out of range (rows: {n})")));
             }
-            if checkpoint.done[idx] {
+            if checkpoint.rows.outcomes()[idx].done().is_some() {
                 return Err(bad(format!("duplicate row index {idx}")));
             }
             let values = tokens
@@ -695,7 +652,7 @@ impl SweepCheckpoint {
                 )));
             }
             checkpoint.tcdp[idx * m..(idx + 1) * m].copy_from_slice(&values);
-            checkpoint.done[idx] = true;
+            checkpoint.rows.restore(idx, ());
         }
         if next("end")? != "end" {
             return Err(bad("missing end marker".to_string()));

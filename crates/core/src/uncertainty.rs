@@ -9,7 +9,8 @@ use cordoba_carbon::intensity::{grids, CiSource};
 use cordoba_carbon::units::{CarbonIntensity, Seconds};
 use cordoba_carbon::CarbonError;
 use cordoba_obs::Name;
-use cordoba_par::supervise::{Outcome, StopReason, Supervisor};
+use cordoba_par::supervise::{Outcome, StopReason, SupervisedMap, Supervisor};
+use cordoba_par::CostHint;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -252,6 +253,25 @@ pub fn scenario_regret(
 /// matter which worker thread evaluates it.
 const MC_BLOCK: usize = 64;
 
+// Per-draw cost estimates behind each Monte Carlo run's `CostHint` (one
+// block is `MC_BLOCK` draws). They steer only how many workers a run uses,
+// never its bits. Measured on a shared 2-vCPU x86-64 host:
+
+/// A constant-CI tCDP draw: one `10f64.powf` (15.5 ns) plus one tCDP
+/// evaluation (6.2 ns), from the scratch microbenchmark ROADMAP.md records
+/// for prepared intensity sources.
+const MC_TCDP_NS_PER_DRAW: u64 = 22;
+/// An exact-integral source draw: `core.uncertainty.source` in perfbench's
+/// `uncertainty` workload, 19.3 ms over 150,000 draws.
+const MC_SOURCE_NS_PER_DRAW: u64 = 129;
+/// One midpoint lookup of the sampled source spec: bench_smoke's
+/// `uncertainty/source_mc_256/sampled_10000/threads=1`, 42.8 ms over 256
+/// draws of 10,000 lookups each.
+const MC_LOOKUP_NS: u64 = 17;
+/// One design in one regret draw: `core.uncertainty.regret` in perfbench's
+/// `uncertainty` workload, 4.4 ms over 12,000 draws of 121 designs.
+const MC_REGRET_NS_PER_DRAW_AND_POINT: u64 = 3;
+
 /// The generator and length of RNG block `block` of a `samples`-long
 /// stream seeded with `seed` (the last block may be short). The generator
 /// is a pure function of `(seed, block)`, which is what makes both Monte
@@ -370,12 +390,15 @@ fn moments(values: impl Iterator<Item = f64>) -> Vec<f64> {
     vec![sum, sum_sq, min, max]
 }
 
+/// The per-block partials of a Monte Carlo run, in block order.
+type Partials<'p> = &'p mut dyn Iterator<Item = &'p Vec<f64>>;
+
 /// Folds per-block [`moments`] sequentially in block order, so the final
 /// statistics are bit-identical at every thread count.
-fn fold_summary(partials: &[Option<Vec<f64>>], samples: usize) -> MonteCarloSummary {
+fn fold_summary(partials: Partials<'_>, samples: usize) -> MonteCarloSummary {
     let (mut sum, mut sum_sq) = (0.0f64, 0.0f64);
     let (mut min, mut max) = (f64::INFINITY, f64::NEG_INFINITY);
-    for p in partials.iter().flatten() {
+    for p in partials {
         sum += p[0];
         sum_sq += p[1];
         min = min.min(p[2]);
@@ -394,10 +417,10 @@ fn fold_summary(partials: &[Option<Vec<f64>>], samples: usize) -> MonteCarloSumm
 }
 
 /// Folds per-block regret sums in block order into per-design means.
-fn fold_regret(partials: &[Option<Vec<f64>>], samples: usize) -> Vec<f64> {
-    let width = partials.iter().flatten().next().map_or(0, Vec::len);
-    let mut totals = vec![0.0f64; width];
-    for sums in partials.iter().flatten() {
+fn fold_regret(partials: Partials<'_>, samples: usize) -> Vec<f64> {
+    let mut partials = partials.peekable();
+    let mut totals = vec![0.0f64; partials.peek().map_or(0, |sums| sums.len())];
+    for sums in partials {
         for (total, sum) in totals.iter_mut().zip(sums) {
             *total += sum;
         }
@@ -574,10 +597,10 @@ pub fn monte_carlo_regret(
 pub struct McRun<'a, O> {
     span: &'static str,
     samples: usize,
+    hint: CostHint,
     block: Box<dyn Fn(u64) -> Vec<f64> + Sync + 'a>,
-    fold: fn(&[Option<Vec<f64>>], usize) -> O,
-    partials: Vec<Option<Vec<f64>>>,
-    stop: Option<StopReason>,
+    fold: fn(Partials<'_>, usize) -> O,
+    partials: SupervisedMap<Vec<f64>>,
 }
 
 impl<O> fmt::Debug for McRun<'_, O> {
@@ -587,7 +610,7 @@ impl<O> fmt::Debug for McRun<'_, O> {
             .field("samples", &self.samples)
             .field("completed_blocks", &self.completed_blocks())
             .field("total_blocks", &self.total_blocks())
-            .field("stop", &self.stop)
+            .field("stop", &self.stop())
             .finish_non_exhaustive()
     }
 }
@@ -605,6 +628,7 @@ impl<'a> McRun<'a, MonteCarloSummary> {
         Ok(Self::new(
             "core/monte_carlo_tcdp",
             spec.samples,
+            MC_TCDP_NS_PER_DRAW,
             fold_summary,
             move |block| {
                 moments(
@@ -633,6 +657,7 @@ impl<'a> McRun<'a, MonteCarloSummary> {
         Ok(Self::new(
             "core/monte_carlo_source_tcdp",
             spec.samples,
+            MC_SOURCE_NS_PER_DRAW,
             fold_summary,
             move |block| {
                 moments(
@@ -671,11 +696,15 @@ impl<'a> McRun<'a, MonteCarloSummary> {
         }
         let spec = *spec;
         let span = "core/monte_carlo_source_tcdp_sampled";
-        Ok(Self::new(span, spec.samples, fold_summary, move |block| {
-            moments(
-                spec.block_draws(block, sources.len())
-                    .into_iter()
-                    .map(|(idx, tasks, life)| {
+        let ns_per_draw = MC_LOOKUP_NS.saturating_mul(samples_per_draw as u64);
+        Ok(Self::new(
+            span,
+            spec.samples,
+            ns_per_draw,
+            fold_summary,
+            move |block| {
+                moments(spec.block_draws(block, sources.len()).into_iter().map(
+                    |(idx, tasks, life)| {
                         tcdp_under_source_sampled(
                             point,
                             sources[idx],
@@ -683,9 +712,10 @@ impl<'a> McRun<'a, MonteCarloSummary> {
                             life,
                             samples_per_draw,
                         )
-                    }),
-            )
-        }))
+                    },
+                ))
+            },
+        ))
     }
 }
 
@@ -708,6 +738,7 @@ impl<'a> McRun<'a, Vec<f64>> {
         Ok(Self::new(
             "core/monte_carlo_regret",
             spec.samples,
+            MC_REGRET_NS_PER_DRAW_AND_POINT.saturating_mul(points.len() as u64),
             fold_regret,
             move |block| {
                 let mut regret_sums = vec![0.0f64; points.len()];
@@ -730,16 +761,17 @@ impl<'a, O> McRun<'a, O> {
     fn new(
         span: &'static str,
         samples: usize,
-        fold: fn(&[Option<Vec<f64>>], usize) -> O,
+        ns_per_draw: u64,
+        fold: fn(Partials<'_>, usize) -> O,
         block: impl Fn(u64) -> Vec<f64> + Sync + 'a,
     ) -> Self {
         Self {
             span,
             samples,
+            hint: CostHint::per_item_ns(ns_per_draw.saturating_mul(MC_BLOCK as u64)),
             block: Box::new(block),
             fold,
-            partials: vec![None; samples.div_ceil(MC_BLOCK)],
-            stop: None,
+            partials: SupervisedMap::new(samples.div_ceil(MC_BLOCK)),
         }
     }
 
@@ -751,72 +783,62 @@ impl<'a, O> McRun<'a, O> {
     /// # Errors
     ///
     /// Returns [`CoreError::Panicked`] with the first (in block order)
-    /// panicking block's message; that block stays pending.
+    /// panicking block's message. A panicked block is final: a later
+    /// advance does not re-run it and reports the same error.
     pub fn advance(&mut self, sup: &Supervisor, threads: usize) -> Result<Option<O>, CoreError> {
-        if let Some(message) = self.run_pending(sup, threads) {
-            return Err(CoreError::Panicked(message));
+        self.run_pending(sup, threads);
+        if let Some(message) = self.partials.first_panic() {
+            return Err(CoreError::Panicked(message.to_owned()));
         }
-        Ok((self.completed_blocks() == self.total_blocks())
-            .then(|| (self.fold)(&self.partials, self.samples)))
+        Ok(self.partials.is_complete().then(|| {
+            let mut blocks = self.partials.outcomes().iter().filter_map(Outcome::done);
+            (self.fold)(&mut blocks, self.samples)
+        }))
     }
 
     /// Why the last advance stopped early, or `None` if it was not
     /// interrupted.
     #[must_use]
     pub fn stop(&self) -> Option<StopReason> {
-        self.stop
+        self.partials.stop()
     }
 
     /// RNG blocks computed so far.
     #[must_use]
     pub fn completed_blocks(&self) -> usize {
-        self.partials.iter().filter(|p| p.is_some()).count()
+        self.partials
+            .outcomes()
+            .iter()
+            .filter(|p| p.done().is_some())
+            .count()
     }
 
     /// Total RNG blocks in the experiment.
     #[must_use]
     pub fn total_blocks(&self) -> usize {
-        self.partials.len()
+        self.partials.outcomes().len()
     }
 
     /// Runs every block under a supervisor that never trips at
     /// [`cordoba_par::effective_threads`]; a panicking block re-raises on
-    /// the caller, as an unsupervised map would.
+    /// the caller ([`SupervisedMap::into_values`]).
     fn finish(mut self) -> O {
-        if let Some(message) =
-            self.run_pending(&Supervisor::unbounded(), cordoba_par::effective_threads())
-        {
-            std::panic::resume_unwind(Box::new(message));
-        }
-        (self.fold)(&self.partials, self.samples)
+        self.run_pending(&Supervisor::unbounded(), cordoba_par::effective_threads());
+        let blocks = self.partials.into_values();
+        (self.fold)(&mut blocks.iter(), self.samples)
     }
 
     /// Computes the pending blocks under `sup`, filling slots by block
-    /// index; returns the first panicking block's message in block order.
-    fn run_pending(&mut self, sup: &Supervisor, threads: usize) -> Option<String> {
+    /// index.
+    fn run_pending(&mut self, sup: &Supervisor, threads: usize) {
         let _span = cordoba_obs::span_with(
             self.span,
             "samples",
             u64::try_from(self.samples).unwrap_or(u64::MAX),
         );
-        let pending: Vec<u64> = (0u64..)
-            .zip(&self.partials)
-            .filter_map(|(block, p)| p.is_none().then_some(block))
-            .collect();
         let block = &self.block;
-        let run = cordoba_par::par_map_supervised_with(&pending, threads, sup, |_, &b| block(b));
-        self.stop = run.stop;
-        let mut first_panic = None;
-        for (&b, outcome) in pending.iter().zip(run.outcomes) {
-            match outcome {
-                Outcome::Done(partial) => self.partials[b as usize] = Some(partial),
-                Outcome::Panicked(message) => {
-                    first_panic.get_or_insert(message);
-                }
-                Outcome::Skipped => {}
-            }
-        }
-        first_panic
+        self.partials
+            .advance(threads, self.hint, sup, |b| block(b as u64));
     }
 }
 
@@ -1194,7 +1216,7 @@ mod tests {
         let sources: [&dyn CiIntegral; 1] = [&poisoned];
         // One block, so each form reports one panic.
         let spec = SourceMonteCarloSpec::new(64, 7);
-        // The plain form re-raises the panic, as an unsupervised map would.
+        // The plain form re-raises the panic on the caller.
         let raised = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             monte_carlo_source_tcdp(&p, &sources, &spec)
         }));

@@ -1,14 +1,13 @@
 //! `raw-thread`: forbids raw `std::thread` / `mpsc` use outside
 //! `cordoba-par`.
 //!
-//! PR 3 pinned bit-identical parallel/sequential results by funnelling all
+//! Bit-identical parallel/sequential results rest on funnelling all
 //! concurrency through `cordoba_par`'s deterministic, order-preserving
-//! chunked map. A stray `thread::spawn` or `mpsc::channel` reintroduces
+//! map. A stray `thread::spawn` or `mpsc::channel` reintroduces
 //! scheduling-order dependence that no property suite can exhaustively
-//! test. Library code must express parallelism as one of `cordoba_par`'s
-//! maps (`par_map_with`, `try_par_map_indexed_hinted`,
-//! `par_map_supervised_with`, `par_map_supervised_hinted`) over pure
-//! closures; only the `par` crate itself may touch the std primitives.
+//! test. Library code must express parallelism as a
+//! `cordoba_par::SupervisedMap` advance over a pure closure; only the
+//! `par` crate itself may touch the std primitives.
 
 use crate::diagnostics::Diagnostic;
 use crate::rules::determinism::{in_scope, path_ending_at};
@@ -30,7 +29,7 @@ impl Rule for RawThread {
     }
 
     fn description(&self) -> &'static str {
-        "std::thread spawn/scope or mpsc channels outside cordoba-par — use a cordoba_par map"
+        "std::thread spawn/scope or mpsc channels outside cordoba-par — use cordoba_par::SupervisedMap"
     }
 
     fn check(&self, inputs: &RuleInputs<'_>) -> Vec<Diagnostic> {
@@ -66,8 +65,8 @@ impl Rule for RawThread {
                     self.name(),
                     format!(
                         "`{}` creates raw threads/channels whose scheduling order is \
-                         nondeterministic; route parallelism through a `cordoba_par` map such \
-                         as `par_map_with` or `par_map_supervised_with` (only crates/par may use \
+                         nondeterministic; route parallelism through \
+                         `cordoba_par::SupervisedMap::advance` (only crates/par may use \
                          std::thread directly)",
                         resolved.join("::"),
                     ),

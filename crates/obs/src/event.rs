@@ -73,7 +73,7 @@ pub enum Event {
         /// Work units completed before the cancellation was observed.
         completed: u64,
     },
-    /// A parallel worker panicked inside a supervised map; the item was
+    /// An item panicked inside a `SupervisedMap` advance; the item was
     /// quarantined instead of aborting the process.
     ChunkPanic,
     /// A sweep checkpoint was serialized for later resumption.

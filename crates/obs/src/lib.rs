@@ -7,7 +7,7 @@
 //! loads when disabled so instrumented code stays bit-identical to (and
 //! within noise of) uninstrumented code:
 //!
-//! * **Spans** ([`span`], [`span_with`], [`span_timed`]): RAII timed scopes
+//! * **Spans** ([`span()`], [`span_with`], [`span_timed`]): RAII timed scopes
 //!   collected into a thread-aware, order-stable buffer and exported as
 //!   Chrome trace-event JSON ([`export_chrome_trace`]) loadable in Perfetto
 //!   or `chrome://tracing`.
@@ -22,8 +22,9 @@
 //!
 //! Both layers are **opt-in at runtime**: nothing is recorded until
 //! [`set_metrics_enabled`] / [`set_tracing_enabled`] is called, or a
-//! reference-counted hold is taken with [`acquire`] (the CLI holds the
-//! layers for the length of a `--metrics` or `--trace-out` run).
+//! reference-counted hold is taken with [`acquire`]. The CLI holds metrics
+//! for the length of a `--metrics` run, and a traced run owns the span
+//! buffer through a [`TraceSession`].
 //! Instrumentation never changes results — observation is a side channel,
 //! and the sweep engine's determinism contract (bit-identical output at
 //! every thread count) holds with every layer enabled.
@@ -72,7 +73,7 @@ pub use prom::{
     validate_prometheus_text, CounterState, GaugeState, HistogramState, PromCheck, PromDoc,
     PromSample, RegistrySnapshot,
 };
-pub use span::{clear_trace, span, span_timed, span_with, SpanGuard};
+pub use span::{clear_trace, span, span_timed, span_with, SpanGuard, TraceSession};
 
 /// Global metrics switch; off by default so instrumented code costs one
 /// relaxed load per counter touch.

@@ -3,7 +3,7 @@
 //! The trace buffer already carries everything a profiler needs: every
 //! span knows its thread, start offset, duration, and creation sequence,
 //! and nesting is reconstructible from `(tid, start_ns, seq)` alone (see
-//! [`crate::span`]). [`profile_report`] folds that tree into a per-name
+//! [`mod@crate::span`]). [`profile_report`] folds that tree into a per-name
 //! table of **total** time (span durations summed) and **self** time
 //! (total minus time spent in child spans) — the classic flat profile —
 //! without any sampling or extra instrumentation cost.

@@ -17,7 +17,7 @@ use crate::metrics::Histogram;
 use crate::tracing_enabled;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
 /// Cap on buffered trace records; excess records are counted in
@@ -154,6 +154,47 @@ pub(crate) fn snapshot_records() -> Vec<Record> {
 pub fn clear_trace() {
     lock_buf().clear();
     DROPPED.store(0, Ordering::Relaxed);
+}
+
+/// Guards the span buffer's one owner; see [`TraceSession`].
+static SESSION: Mutex<()> = Mutex::new(());
+
+/// Exclusive use of the span buffer for one traced run, from
+/// [`begin`](Self::begin) until the session is dropped.
+///
+/// A session clears the buffer when it begins and again when it ends, and
+/// holds the tracing layer on ([`crate::acquire`]) in between, so what its
+/// owner exports ([`crate::drain_chrome_trace`], [`crate::profile_report`])
+/// holds only spans recorded while it was open. A second session waits
+/// until the first is dropped, which also happens on unwind.
+///
+/// Spans are recorded by every thread while tracing is on: the switch is
+/// process-wide, so untraced work that overlaps a session (say, an
+/// untraced in-process CLI run beside a traced one) still adds its spans
+/// to the session's buffer. Only traced runs are kept apart.
+#[derive(Debug)]
+#[must_use = "the session ends when dropped"]
+pub struct TraceSession {
+    _owner: MutexGuard<'static, ()>,
+}
+
+impl TraceSession {
+    /// Waits for any open session to end, then clears the buffer and
+    /// switches tracing on.
+    pub fn begin() -> Self {
+        // The guarded value is `()`, so a poisoned lock carries no state.
+        let owner = SESSION.lock().unwrap_or_else(PoisonError::into_inner);
+        clear_trace();
+        crate::acquire(crate::Layer::Tracing);
+        Self { _owner: owner }
+    }
+}
+
+impl Drop for TraceSession {
+    fn drop(&mut self) {
+        clear_trace();
+        crate::release(crate::Layer::Tracing);
+    }
 }
 
 /// Number of currently buffered trace records.

@@ -2,7 +2,7 @@
 //!
 //! A [`Supervisor`] is a cheap, cloneable handle combining three concerns
 //! that every long-running CORDOBA pipeline (design-space sweeps, β-solves,
-//! Monte Carlo runs, event simulation) needs but none owned until now:
+//! Monte Carlo runs, event simulation) needs:
 //!
 //! * **cooperative cancellation** — [`Supervisor::cancel`] requests a stop;
 //!   workers observe it at the next item boundary via
@@ -13,24 +13,22 @@
 //!   through [`Supervisor::progress`] and attached to the supervision
 //!   events recorded through `cordoba-obs`.
 //!
-//! [`par_map_supervised_with`] is the supervised sibling of
-//! [`crate::par_map_with`]: same contiguous chunking, same
-//! input-order merge, plus per-item panic isolation
-//! (`std::panic::catch_unwind`) and cooperative stop checks before every
-//! item. It returns a [`SupervisedMap`] recording, per input index, whether
-//! the item completed, panicked, or was never attempted.
+//! [`SupervisedMap`] is the crate's one parallel map and the one place
+//! where a pipeline's progress is kept: one [`Outcome`] slot per input
+//! index, filled in place by [`SupervisedMap::advance`] with a stop check
+//! and per-item panic isolation (`std::panic::catch_unwind`) before every
+//! item, and finished by [`SupervisedMap::into_values`].
 //!
 //! # Determinism contract
 //!
 //! Supervision never changes *values*: an item that completes produces the
-//! exact bits the unsupervised map would have produced, because the closure
-//! runs unchanged and results are merged in input order. What a stop makes
+//! exact bits a sequential loop would have produced, because the closure
+//! runs unchanged and results are stored by input index. What a stop makes
 //! nondeterministic is only *which subset* of items completed before the
-//! cut (worker interleaving decides that). Every consumer in the workspace
-//! therefore treats the outcome vector as a partial result keyed by input
-//! index: re-running only the `Skipped`/`Panicked` slots and merging by
-//! index reproduces the uninterrupted output bit-for-bit at any thread
-//! count — the invariant the `cordoba-robust` property suite pins.
+//! cut (worker interleaving decides that). A later advance attempts only
+//! the `Skipped` slots, so any sequence of interrupted advances ends on the
+//! uninterrupted output bit for bit at any thread count — the invariant
+//! the `cordoba-robust` property suite pins.
 //!
 //! [`Supervisor::tripping_after`] stops after a fixed number of completed
 //! units instead of after elapsed time, which is what the fault-injection
@@ -46,6 +44,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+use crate::CostHint;
 
 /// Why a supervised run stopped early.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -169,8 +169,8 @@ impl Supervisor {
     #[must_use]
     pub fn with_deadline(budget: Duration) -> Self {
         // The budget is a robustness control, never an input to computed
-        // values: items either run to completion (bit-identical to the
-        // unsupervised map) or are skipped and recomputed on resume.
+        // values: items either run to completion (bit-identical to an
+        // uninterrupted run) or are skipped and computed on resume.
         // cordoba-lint: allow(wall-clock) — deadline anchor; cannot reach results
         Self::with_limits(u64::MAX, Some((Instant::now(), budget)))
     }
@@ -254,16 +254,16 @@ impl Supervisor {
     }
 }
 
-/// Per-item outcome of a supervised map.
+/// Per-slot outcome of a [`SupervisedMap`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Outcome<R> {
-    /// The closure completed; the value is bit-identical to what the
-    /// unsupervised map would have produced for this index.
+    /// The closure completed; the value is bit-identical at every thread
+    /// count.
     Done(R),
     /// The closure panicked; the payload message is quarantined here and
     /// the process survives.
     Panicked(String),
-    /// The run stopped before this item was attempted.
+    /// No advance has attempted this slot yet.
     Skipped,
 }
 
@@ -277,33 +277,218 @@ impl<R> Outcome<R> {
     }
 }
 
-/// Result of [`par_map_supervised_with`]: one [`Outcome`] per input index
-/// plus the stop reason when the run was cut short.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The one parallel map: one [`Outcome`] slot per input index, filled in
+/// place by [`advance`](Self::advance), which both starts and resumes the
+/// map.
+///
+/// An advance attempts only the [`Outcome::Skipped`] slots, checking the
+/// supervisor before every item and isolating each item's panic. Once
+/// attempted, a slot's outcome is final: a value (which may be an error
+/// the closure returned inside `R`) or a quarantined panic. A panicked
+/// item is never re-run; a pure item would only panic again.
+///
+/// Values are merged by input index, so for a pure closure every `Done`
+/// value is bit-identical at every thread count, and any sequence of
+/// interrupted advances ends on the bits of one uninterrupted advance.
+/// [`into_values`](Self::into_values) is the finisher.
+///
+/// Two maps are equal when their slots are: the stop reason of the last
+/// advance is not part of a map's value, so a map restored from saved
+/// values equals the interrupted map it was saved from.
+///
+/// ```
+/// use cordoba_par::{CostHint, SupervisedMap, Supervisor};
+///
+/// let items = [1u64, 2, 3, 4];
+/// let mut map = SupervisedMap::new(items.len());
+/// map.advance(2, CostHint::per_item_ns(1), &Supervisor::unbounded(), |i| {
+///     items[i] * items[i]
+/// });
+/// assert_eq!(map.into_values(), vec![1, 4, 9, 16]);
+/// ```
+#[derive(Debug, Clone)]
 pub struct SupervisedMap<R> {
-    /// One outcome per input item, in input order.
-    pub outcomes: Vec<Outcome<R>>,
-    /// `Some` when at least one item was skipped because the supervisor
-    /// stopped the run; `None` when every item was attempted.
-    pub stop: Option<StopReason>,
+    slots: Vec<Outcome<R>>,
+    /// Slots still [`Outcome::Skipped`].
+    pending: usize,
+    stop: Option<StopReason>,
 }
 
+impl<R: PartialEq> PartialEq for SupervisedMap<R> {
+    fn eq(&self, other: &Self) -> bool {
+        self.slots == other.slots
+    }
+}
+
+impl<R: Eq> Eq for SupervisedMap<R> {}
+
 impl<R> SupervisedMap<R> {
-    /// `true` when every item was attempted (completed or panicked).
+    /// A map over `len` inputs with every slot [`Outcome::Skipped`].
     #[must_use]
-    pub fn is_complete(&self) -> bool {
-        self.stop.is_none()
+    pub fn new(len: usize) -> Self {
+        Self {
+            slots: std::iter::repeat_with(|| Outcome::Skipped)
+                .take(len)
+                .collect(),
+            pending: len,
+            stop: None,
+        }
     }
 
-    /// Indices whose items were not attempted, in input order.
+    /// One outcome per input index, in input order.
     #[must_use]
-    pub fn skipped_indices(&self) -> Vec<usize> {
-        self.outcomes
+    pub fn outcomes(&self) -> &[Outcome<R>] {
+        &self.slots
+    }
+
+    /// Why the last advance stopped early, or `None` when it attempted
+    /// every slot it was given.
+    #[must_use]
+    pub fn stop(&self) -> Option<StopReason> {
+        self.stop
+    }
+
+    /// Slots attempted so far (done or panicked).
+    #[must_use]
+    pub fn attempted(&self) -> usize {
+        self.slots.len() - self.pending
+    }
+
+    /// `true` when every slot has been attempted.
+    #[must_use]
+    pub fn is_complete(&self) -> bool {
+        self.pending == 0
+    }
+
+    /// Indices of the slots not yet attempted, ascending.
+    #[must_use]
+    pub fn pending_indices(&self) -> Vec<usize> {
+        self.slots
             .iter()
             .enumerate()
             .filter_map(|(i, o)| matches!(o, Outcome::Skipped).then_some(i))
             .collect()
     }
+
+    /// The message of the first (in index order) panicked slot.
+    #[must_use]
+    pub fn first_panic(&self) -> Option<&str> {
+        self.slots.iter().find_map(|o| match o {
+            Outcome::Panicked(message) => Some(message.as_str()),
+            _ => None,
+        })
+    }
+
+    /// Records `value` for slot `index` as if an advance had computed it:
+    /// how a value saved by an earlier run (a checkpoint row, say) is put
+    /// back.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is out of range.
+    pub fn restore(&mut self, index: usize, value: R) {
+        if matches!(self.slots[index], Outcome::Skipped) {
+            self.pending -= 1;
+        }
+        self.slots[index] = Outcome::Done(value);
+    }
+
+    /// The outcomes, in input order.
+    #[must_use]
+    pub fn into_outcomes(self) -> Vec<Outcome<R>> {
+        self.slots
+    }
+
+    /// The finisher: every value in input order.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises the first (in index order) panicked slot's message on the
+    /// caller, as a sequential loop would have raised it. Panics if a slot
+    /// was never attempted, which an advance under a supervisor that never
+    /// trips rules out.
+    #[must_use]
+    pub fn into_values(self) -> Vec<R> {
+        if let Some(message) = self.first_panic() {
+            std::panic::resume_unwind(Box::new(message.to_owned()));
+        }
+        self.slots
+            .into_iter()
+            .map(|slot| match slot {
+                Outcome::Done(value) => value,
+                // cordoba-lint: allow(no-panic) — documented contract: finishing an interrupted map is a caller bug
+                _ => panic!("SupervisedMap::into_values on a map with unattempted slots"),
+            })
+            .collect()
+    }
+
+    /// Attempts every [`Outcome::Skipped`] slot `i` as `f(i)` under `sup`,
+    /// with as many workers (at most `threads`, 1 = the calling thread) as
+    /// `hint` says the pending work pays for.
+    ///
+    /// The pending slots are split into one contiguous run per worker,
+    /// each walked front to back with a stop check and a `catch_unwind`
+    /// per item, writing outcomes in place. When the supervisor stops the
+    /// advance, the stop is recorded once as a supervision event and kept
+    /// in [`stop`](Self::stop); the unattempted slots stay `Skipped` for
+    /// the next advance.
+    pub fn advance<F>(&mut self, threads: usize, hint: CostHint, sup: &Supervisor, f: F)
+    where
+        R: Send,
+        F: Fn(usize) -> R + Sync,
+    {
+        let workers = hint.workers(self.pending, threads);
+        let attempted = if workers <= 1 {
+            advance_run(0, &mut self.slots, sup, &f)
+        } else {
+            let per_worker = self.pending.div_ceil(workers);
+            let f = &f;
+            std::thread::scope(|scope| {
+                let mut handles = Vec::with_capacity(workers);
+                let (mut rest, mut base, mut left) = (&mut self.slots[..], 0, self.pending);
+                while left > 0 {
+                    let take = per_worker.min(left);
+                    let cut = end_of_nth_pending(rest, take);
+                    let (run, tail) = std::mem::take(&mut rest).split_at_mut(cut);
+                    handles.push(scope.spawn(move || {
+                        // Observability side channel only: the span never
+                        // touches the mapped values.
+                        let _span = cordoba_obs::span_with(
+                            "par/chunk",
+                            "items",
+                            u64::try_from(take).unwrap_or(u64::MAX),
+                        );
+                        advance_run(base, run, sup, f)
+                    }));
+                    (rest, base, left) = (tail, base + cut, left - take);
+                }
+                handles
+                    .into_iter()
+                    // Items isolate their own panics, so a join failure
+                    // is a panic outside `f` (say, in obs plumbing):
+                    // re-raise it on the caller.
+                    .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                    .sum()
+            })
+        };
+        self.pending -= attempted;
+        // A slot left pending implies a latched cancel, a tripped
+        // threshold, or an elapsed deadline, all sticky, so this re-check
+        // agrees with what the worker saw. The fallback cannot fire but
+        // keeps this total.
+        self.stop = (self.pending > 0)
+            .then(|| sup.record_stop(sup.should_stop().unwrap_or(StopReason::Cancelled)));
+    }
+}
+
+/// The length of the shortest prefix of `slots` holding `n` pending slots.
+fn end_of_nth_pending<R>(slots: &[Outcome<R>], n: usize) -> usize {
+    slots
+        .iter()
+        .enumerate()
+        .filter(|(_, o)| matches!(o, Outcome::Skipped))
+        .nth(n - 1)
+        .map_or(slots.len(), |(i, _)| i + 1)
 }
 
 /// Renders a panic payload into a stable, storable message.
@@ -317,137 +502,41 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Maps one chunk front to back with stop checks and per-item panic
-/// isolation; shared by the sequential and parallel paths so supervision
-/// semantics never depend on input size or thread count.
-fn supervised_chunk<T, R, F>(base: usize, chunk: &[T], sup: &Supervisor, f: &F) -> Vec<Outcome<R>>
+/// Attempts the pending slots of one contiguous run (`slots[0]` is input
+/// index `base`) front to back, stopping at the first positive stop check;
+/// returns how many slots it attempted. The sequential and parallel paths
+/// share it, so supervision semantics never depend on the worker count.
+fn advance_run<R, F>(base: usize, slots: &mut [Outcome<R>], sup: &Supervisor, f: &F) -> usize
 where
-    F: Fn(usize, &T) -> R + Sync,
+    F: Fn(usize) -> R,
 {
-    let mut out = Vec::with_capacity(chunk.len());
-    for (offset, item) in chunk.iter().enumerate() {
+    let mut attempted = 0;
+    for (offset, slot) in slots.iter_mut().enumerate() {
+        if !matches!(slot, Outcome::Skipped) {
+            continue;
+        }
         if sup.should_stop().is_some() {
             break;
         }
-        // Per *item*, not per chunk: chunk boundaries move with the thread
-        // count, so quarantining whole chunks would make the set of
-        // salvaged results thread-count-dependent. AssertUnwindSafe is
-        // sound because a panicked item contributes nothing but its
-        // message — no state touched by `f` for that item is reused.
-        match catch_unwind(AssertUnwindSafe(|| f(base + offset, item))) {
+        // Per *item*, not per run: run boundaries move with the thread
+        // count, so quarantining whole runs would make the set of salvaged
+        // results thread-count-dependent. AssertUnwindSafe is sound
+        // because a panicked item contributes nothing but its message — no
+        // state touched by `f` for that item is reused.
+        *slot = match catch_unwind(AssertUnwindSafe(|| f(base + offset))) {
             Ok(value) => {
                 sup.note_completed(1);
-                out.push(Outcome::Done(value));
+                Outcome::Done(value)
             }
             Err(payload) => {
                 sup.note_panicked();
                 cordoba_obs::record(&cordoba_obs::Event::ChunkPanic);
-                out.push(Outcome::Panicked(panic_message(payload.as_ref())));
+                Outcome::Panicked(panic_message(payload.as_ref()))
             }
-        }
+        };
+        attempted += 1;
     }
-    out.resize_with(chunk.len(), || Outcome::Skipped);
-    out
-}
-
-/// Supervised sibling of [`crate::par_map_with`] with `threads` workers
-/// (1 = sequential): cooperative stop checks before every item, per-item
-/// panic isolation, input-order merge.
-///
-/// Chunking and merge order are identical to [`crate::par_map_with`], so
-/// for every index whose outcome is
-/// [`Outcome::Done`] the value is bit-identical to the unsupervised map's
-/// at any thread count. When the supervisor stops the run, the stop is
-/// recorded once as a supervision event and returned in
-/// [`SupervisedMap::stop`].
-pub fn par_map_supervised_with<T, R, F>(
-    items: &[T],
-    threads: usize,
-    sup: &Supervisor,
-    f: F,
-) -> SupervisedMap<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    run_supervised(items, crate::length_workers(items.len(), threads), sup, f)
-}
-
-/// [`par_map_supervised_with`] steered by a [`crate::CostHint`] instead of
-/// the length-only cutoff (see [`crate::try_par_map_indexed_hinted`]): small
-/// estimated workloads run on the calling thread, larger ones use only as
-/// many workers as the estimated work pays for. Chunking and merge order
-/// are otherwise identical, so completed outcomes stay bit-identical to the
-/// unsupervised map's at any thread count.
-pub fn par_map_supervised_hinted<T, R, F>(
-    items: &[T],
-    threads: usize,
-    hint: crate::CostHint,
-    sup: &Supervisor,
-    f: F,
-) -> SupervisedMap<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    run_supervised(items, hint.workers(items.len(), threads), sup, f)
-}
-
-/// Supervised chunked map over exactly `workers` contiguous chunks (1 = the
-/// sequential path); the shared engine behind both supervised entry points.
-fn run_supervised<T, R, F>(items: &[T], workers: usize, sup: &Supervisor, f: F) -> SupervisedMap<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let outcomes = if workers <= 1 {
-        supervised_chunk(0, items, sup, &f)
-    } else {
-        let chunk_len = items.len().div_ceil(workers);
-        let f = &f;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = items
-                .chunks(chunk_len)
-                .enumerate()
-                .map(|(chunk_idx, chunk)| {
-                    let base = chunk_idx * chunk_len;
-                    let sup = sup.clone();
-                    scope.spawn(move || {
-                        let _span = cordoba_obs::span_with(
-                            "par/supervised_chunk",
-                            "items",
-                            u64::try_from(chunk.len()).unwrap_or(u64::MAX),
-                        );
-                        supervised_chunk(base, chunk, &sup, f)
-                    })
-                })
-                .collect();
-            let mut out = Vec::with_capacity(items.len());
-            for handle in handles {
-                match handle.join() {
-                    Ok(part) => out.extend(part),
-                    // Workers isolate item panics, so a join failure means
-                    // a panic outside `f` (e.g. in obs plumbing) — re-raise
-                    // it like the unsupervised map does.
-                    Err(payload) => std::panic::resume_unwind(payload),
-                }
-            }
-            out
-        })
-    };
-    let any_skipped = outcomes.iter().any(|o| matches!(o, Outcome::Skipped));
-    let stop = if any_skipped {
-        // A skip implies a latched cancel, a tripped threshold, or an
-        // elapsed deadline — all sticky, so this re-check agrees with what
-        // the worker saw. The fallback cannot fire but keeps this total.
-        Some(sup.record_stop(sup.should_stop().unwrap_or(StopReason::Cancelled)))
-    } else {
-        None
-    };
-    SupervisedMap { outcomes, stop }
+    attempted
 }
 
 #[cfg(test)]
@@ -479,17 +568,34 @@ mod tests {
         });
     }
 
+    /// A hint heavy enough that every requested thread count fans out.
+    const HEAVY: CostHint = CostHint::per_item_ns(1_000_000);
+
+    /// One advance of a fresh map over `len` items under `sup`.
+    fn run<R: Send>(
+        len: usize,
+        threads: usize,
+        hint: CostHint,
+        sup: &Supervisor,
+        f: impl Fn(usize) -> R + Sync,
+    ) -> SupervisedMap<R> {
+        let mut map = SupervisedMap::new(len);
+        map.advance(threads, hint, sup, f);
+        map
+    }
+
     #[test]
     fn unbounded_supervisor_matches_unsupervised_map() {
         let items: Vec<u64> = (0..600).collect();
         let expected: Vec<u64> = items.iter().map(|x| x.wrapping_mul(37) ^ 11).collect();
         for threads in [1, 2, 5, 64] {
             let sup = Supervisor::unbounded();
-            let run =
-                par_map_supervised_with(&items, threads, &sup, |_, x| x.wrapping_mul(37) ^ 11);
+            let run = run(items.len(), threads, HEAVY, &sup, |i| {
+                items[i].wrapping_mul(37) ^ 11
+            });
             assert!(run.is_complete(), "threads = {threads}");
             let got: Vec<u64> = run
-                .outcomes
+                .into_outcomes()
                 .into_iter()
                 .map(|o| match o {
                     Outcome::Done(v) => v,
@@ -503,55 +609,51 @@ mod tests {
 
     #[test]
     fn cancellation_skips_remaining_items() {
-        let items: Vec<u32> = (0..100).collect();
         let sup = Supervisor::unbounded();
         sup.cancel();
-        let run = par_map_supervised_with(&items, 4, &sup, |_, x| *x);
-        assert_eq!(run.stop, Some(StopReason::Cancelled));
-        assert_eq!(run.skipped_indices().len(), items.len());
+        let run = run(100, 4, HEAVY, &sup, |i| i);
+        assert_eq!(run.stop(), Some(StopReason::Cancelled));
+        assert_eq!(run.pending_indices().len(), 100);
     }
 
     #[test]
     fn trip_after_stops_at_exact_point_sequentially() {
-        let items: Vec<u32> = (0..50).collect();
         let sup = Supervisor::tripping_after(17);
-        let run = par_map_supervised_with(&items, 1, &sup, |_, x| x * 2);
-        assert_eq!(run.stop, Some(StopReason::Cancelled));
-        let done = run.outcomes.iter().filter(|o| o.done().is_some()).count();
+        let run = run(50, 1, HEAVY, &sup, |i| i * 2);
+        assert_eq!(run.stop(), Some(StopReason::Cancelled));
+        let done = run.outcomes().iter().filter(|o| o.done().is_some()).count();
         assert_eq!(done, 17);
-        assert_eq!(run.skipped_indices(), (17..50).collect::<Vec<_>>());
+        assert_eq!(run.pending_indices(), (17..50).collect::<Vec<_>>());
         assert_eq!(sup.progress().completed, 17);
     }
 
     #[test]
     fn zero_deadline_skips_everything() {
-        let items: Vec<u32> = (0..40).collect();
         let sup = Supervisor::with_deadline(Duration::ZERO);
-        let run = par_map_supervised_with(&items, 4, &sup, |_, x| *x);
-        assert_eq!(run.stop, Some(StopReason::DeadlineExceeded));
-        assert_eq!(run.skipped_indices().len(), items.len());
+        let run = run(40, 4, HEAVY, &sup, |i| i);
+        assert_eq!(run.stop(), Some(StopReason::DeadlineExceeded));
+        assert_eq!(run.pending_indices().len(), 40);
         assert_eq!(sup.progress().completed, 0);
     }
 
     #[test]
     fn panics_are_quarantined_per_item_in_input_order() {
         install_quiet_hook();
-        let items: Vec<u32> = (0..200).collect();
         for threads in [1, 3, 8] {
             let sup = Supervisor::unbounded();
-            let run = par_map_supervised_with(&items, threads, &sup, |_, x| {
+            let run = run(200, threads, HEAVY, &sup, |x| {
                 assert!(x % 61 != 13, "{QUIET} poisoned item {x}");
                 x * 3
             });
             assert!(run.is_complete());
-            for (i, outcome) in run.outcomes.iter().enumerate() {
+            for (i, outcome) in run.outcomes().iter().enumerate() {
                 if i % 61 == 13 {
                     match outcome {
                         Outcome::Panicked(msg) => assert!(msg.contains("poisoned item")),
                         other => panic!("index {i}: expected panic, got {other:?}"),
                     }
                 } else {
-                    assert_eq!(outcome.done(), Some(&(i as u32 * 3)), "index {i}");
+                    assert_eq!(outcome.done(), Some(&(i * 3)), "index {i}");
                 }
             }
             assert_eq!(sup.progress().panicked, 4); // 13, 74, 135, 196
@@ -564,16 +666,12 @@ mod tests {
         let expected: Vec<u64> = items.iter().map(|x| x.wrapping_mul(41) ^ 5).collect();
         for hint_ns in [1, 2_000] {
             let sup = Supervisor::unbounded();
-            let run = par_map_supervised_hinted(
-                &items,
-                4,
-                crate::CostHint::per_item_ns(hint_ns),
-                &sup,
-                |_, x| x.wrapping_mul(41) ^ 5,
-            );
+            let run = run(items.len(), 4, CostHint::per_item_ns(hint_ns), &sup, |i| {
+                items[i].wrapping_mul(41) ^ 5
+            });
             assert!(run.is_complete(), "hint = {hint_ns}");
             let got: Vec<u64> = run
-                .outcomes
+                .into_outcomes()
                 .into_iter()
                 .map(|o| match o {
                     Outcome::Done(v) => v,
@@ -585,10 +683,73 @@ mod tests {
         // A tripping supervisor still stops a hinted sequential run at the
         // exact unit count.
         let sup = Supervisor::tripping_after(9);
-        let run =
-            par_map_supervised_hinted(&items, 8, crate::CostHint::per_item_ns(1), &sup, |_, x| *x);
-        assert_eq!(run.stop, Some(StopReason::Cancelled));
-        assert_eq!(run.skipped_indices(), (9..400).collect::<Vec<_>>());
+        let run = run(items.len(), 8, CostHint::per_item_ns(1), &sup, |i| items[i]);
+        assert_eq!(run.stop(), Some(StopReason::Cancelled));
+        assert_eq!(run.pending_indices(), (9..400).collect::<Vec<_>>());
+    }
+
+    /// The slot contract: over an interrupted advance and a resuming one,
+    /// every index runs exactly once, `Done` and `Panicked` slots are never
+    /// re-run, and `into_values` re-raises the lowest panicked index.
+    #[test]
+    fn every_index_runs_once_across_interrupted_advances() {
+        use std::sync::atomic::AtomicUsize;
+        install_quiet_hook();
+        let len = 300;
+        let poisoned = |i: usize| i % 53 == 20; // 20, 73, 126, 179, 232, 285
+        for threads in [1, 4] {
+            for trip in [0u64, 1, 37, 150, 299] {
+                let calls: Vec<AtomicUsize> = (0..len).map(|_| AtomicUsize::new(0)).collect();
+                let f = |i: usize| {
+                    calls[i].fetch_add(1, Ordering::Relaxed);
+                    assert!(!poisoned(i), "{QUIET} poisoned item {i}");
+                    i * 7
+                };
+                let mut map = SupervisedMap::new(len);
+                map.advance(threads, HEAVY, &Supervisor::tripping_after(trip), f);
+                assert_eq!(map.stop().is_some(), !map.is_complete(), "trip {trip}");
+                if threads == 1 {
+                    assert_eq!(map.attempted() as u64, trip, "trip {trip}");
+                }
+                let before = map.outcomes().to_vec();
+                map.advance(threads, HEAVY, &Supervisor::unbounded(), f);
+                assert!(map.is_complete() && map.stop().is_none(), "trip {trip}");
+                for (i, count) in calls.iter().enumerate() {
+                    let what = format!("threads {threads}, trip {trip}, index {i}");
+                    assert_eq!(count.load(Ordering::Relaxed), 1, "{what}");
+                    if !matches!(before[i], Outcome::Skipped) {
+                        assert_eq!(before[i], map.outcomes()[i], "{what}");
+                    }
+                    match &map.outcomes()[i] {
+                        Outcome::Done(v) => assert!(!poisoned(i) && *v == i * 7, "{what}"),
+                        Outcome::Panicked(m) => {
+                            assert!(poisoned(i) && m.contains("item"), "{what}")
+                        }
+                        Outcome::Skipped => panic!("{what}: left pending"),
+                    }
+                }
+                // A third advance finds nothing to do.
+                map.advance(threads, HEAVY, &Supervisor::unbounded(), f);
+                assert!(calls.iter().all(|c| c.load(Ordering::Relaxed) == 1));
+                let raised = std::panic::catch_unwind(AssertUnwindSafe(|| map.into_values()))
+                    .expect_err("a panicked slot re-raises");
+                assert_eq!(
+                    raised.downcast_ref::<String>().map(String::as_str),
+                    Some(format!("{QUIET} poisoned item 20").as_str())
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn restored_slots_are_not_rerun() {
+        let mut map = SupervisedMap::new(5);
+        map.restore(1, 100);
+        map.restore(3, 300);
+        assert_eq!(map.attempted(), 2);
+        assert_eq!(map.pending_indices(), vec![0, 2, 4]);
+        map.advance(1, HEAVY, &Supervisor::unbounded(), |i| i);
+        assert_eq!(map.into_values(), vec![0, 100, 2, 300, 4]);
     }
 
     #[test]

@@ -25,7 +25,9 @@
 //!   at seeded trip points ([`fault::FaultPlan::trip_point`]) to prove
 //!   that checkpoint/resume reproduces the uninterrupted result bit for
 //!   bit (the [`supervise`] module, re-exported from `cordoba-par`,
-//!   provides the [`supervise::Supervisor`] handle itself).
+//!   provides the [`supervise::Supervisor`] handle and
+//!   [`supervise::SupervisedMap`], the one parallel map whose slots every
+//!   interrupted pipeline resumes from).
 //!
 //! Everything is derived from a single `u64` seed, so any failure found by
 //! the suite reproduces exactly from its seed alone.

@@ -17,8 +17,9 @@ use cordoba_carbon::embodied::EmbodiedModel;
 use cordoba_carbon::integral::CiIntegral;
 use cordoba_carbon::intensity::{ConstantCi, SeasonalCi, TrendCi};
 use cordoba_carbon::prelude::{grids, GramsCo2e, Joules, Seconds, SquareCentimeters};
+use cordoba_par::CostHint;
 use cordoba_robust::prelude::*;
-use cordoba_robust::supervise::{par_map_supervised_with, Outcome};
+use cordoba_robust::supervise::{Outcome, SupervisedMap};
 use cordoba_soc::apps::VrApp;
 use cordoba_soc::provisioning::{sweep, sweep_supervised, Deployment};
 use cordoba_workloads::task::Task;
@@ -233,12 +234,14 @@ fn seeded_panic_faults_are_quarantined_in_input_order_at_any_thread_count() {
         let phase = seed % modulus;
         let classify = |threads: usize| -> Vec<Option<u64>> {
             let sup = Supervisor::unbounded();
-            let run = par_map_supervised_with(&items, threads, &sup, |_, &x| {
+            let mut run = SupervisedMap::new(items.len());
+            run.advance(threads, CostHint::per_item_ns(1_000_000), &sup, |i| {
+                let x = items[i];
                 assert!(x % modulus != phase, "{QUIET} poisoned item {x}");
                 x.wrapping_mul(31) ^ seed
             });
             assert!(run.is_complete(), "seed {seed}: no unit skipped");
-            run.outcomes
+            run.into_outcomes()
                 .into_iter()
                 .enumerate()
                 .map(|(i, outcome)| match outcome {

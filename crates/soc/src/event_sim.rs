@@ -65,7 +65,8 @@ pub struct SupervisedSimResult {
     pub stop: Option<StopReason>,
 }
 
-/// Replays `trace` on `soc` with a time-stepped scheduler.
+/// Replays `trace` on `soc` with a time-stepped scheduler:
+/// [`simulate_events_supervised`] under a supervisor that never trips.
 ///
 /// `ticks_per_segment` controls fidelity (the tests use 200+).
 ///
@@ -79,7 +80,7 @@ pub fn simulate_events(
     soc: &SocConfig,
     ticks_per_segment: u32,
 ) -> EventSimResult {
-    simulate_inner(trace, app, soc, ticks_per_segment, None).result
+    simulate_events_supervised(trace, app, soc, ticks_per_segment, &Supervisor::unbounded()).result
 }
 
 /// [`simulate_events`] under a [`Supervisor`]: cancellation and deadline
@@ -98,16 +99,6 @@ pub fn simulate_events_supervised(
     soc: &SocConfig,
     ticks_per_segment: u32,
     sup: &Supervisor,
-) -> SupervisedSimResult {
-    simulate_inner(trace, app, soc, ticks_per_segment, Some(sup))
-}
-
-fn simulate_inner(
-    trace: &ActivityTrace,
-    app: &VrApp,
-    soc: &SocConfig,
-    ticks_per_segment: u32,
-    sup: Option<&Supervisor>,
 ) -> SupervisedSimResult {
     assert!(ticks_per_segment > 0, "ticks_per_segment must be > 0");
     let _span = cordoba_obs::span_with(
@@ -128,21 +119,17 @@ fn simulate_inner(
     let mut stop = None;
 
     'segments: for segment in trace.segments() {
-        if let Some(s) = sup {
-            if let Some(reason) = s.should_stop() {
-                stop = Some(s.record_stop(reason));
-                truncated = true;
-                break 'segments;
-            }
+        if let Some(reason) = sup.should_stop() {
+            stop = Some(sup.record_stop(reason));
+            truncated = true;
+            break 'segments;
         }
         let demands = app.thread_demands(segment.threads);
         let k = demands.len();
         if k == 0 {
             duration += segment.duration;
             energy += leakage * segment.duration;
-            if let Some(s) = sup {
-                s.note_completed(1);
-            }
+            sup.note_completed(1);
             continue;
         }
         // Work each thread must complete in this segment
@@ -173,13 +160,11 @@ fn simulate_inner(
             // Tick-level supervision: a deadline or cancellation lands
             // mid-segment, not only at segment boundaries, so one runaway
             // segment cannot blow through the budget.
-            if let Some(s) = sup {
-                if let Some(reason) = s.should_stop() {
-                    stop = Some(s.record_stop(reason));
-                    truncated = true;
-                    duration += Seconds::new(t);
-                    break 'segments;
-                }
+            if let Some(reason) = sup.should_stop() {
+                stop = Some(sup.record_stop(reason));
+                truncated = true;
+                duration += Seconds::new(t);
+                break 'segments;
             }
             // Greedy assignment: most-loaded runnable threads onto the
             // fastest cores, round-robin when oversubscribed.
@@ -218,9 +203,7 @@ fn simulate_inner(
             cordoba_obs::record(&cordoba_obs::Event::WatchdogTruncation);
         }
         duration += Seconds::new(t);
-        if let Some(s) = sup {
-            s.note_completed(1);
-        }
+        sup.note_completed(1);
     }
 
     SupervisedSimResult {

@@ -13,7 +13,8 @@ use cordoba_carbon::lifetime::UsageProfile;
 use cordoba_carbon::operational::operational_carbon;
 use cordoba_carbon::units::{CarbonIntensity, GramSecondsCo2e, GramsCo2e, Joules, Seconds};
 use cordoba_carbon::CarbonError;
-use cordoba_par::supervise::{Outcome, StopReason, Supervisor};
+use cordoba_par::supervise::{Outcome, StopReason, SupervisedMap, Supervisor};
+use cordoba_par::CostHint;
 use serde::{Deserialize, Serialize};
 
 /// Deployment assumptions for the provisioning study.
@@ -79,13 +80,20 @@ impl ProvisioningRow {
 /// The core counts every provisioning sweep evaluates, in row order.
 const CORE_COUNTS: [u32; 5] = [4, 5, 6, 7, 8];
 
+/// Estimated cost of one core count's trace replay and carbon accounting,
+/// for the sweep's `CostHint`: perfbench's `cli_session` workload measures
+/// `soc.provisioning.ms` at 0.019 ms per op over four apps of five core
+/// counts (shared 2-vCPU x86-64 host), about 0.9 µs per core count. A
+/// five-row sweep therefore stays on the calling thread.
+const PROVISION_NS_PER_CORE_COUNT: u64 = 900;
+
 /// Sweeps core counts 4..=8 for `app` under `deployment`.
 ///
-/// Each core count is an independent trace replay, so the rows are
-/// evaluated in parallel (see [`cordoba_par`]); the returned list is in
-/// ascending core order and identical to the sequential sweep at every
-/// thread count. This is [`sweep_supervised`] under a supervisor that never
-/// trips, at [`cordoba_par::effective_threads`] workers.
+/// Each core count is an independent trace replay, evaluated through
+/// [`cordoba_par::SupervisedMap`]; the returned list is in ascending core
+/// order and identical to the sequential sweep at every thread count. This
+/// is [`sweep_supervised`] under a supervisor that never trips, at
+/// [`cordoba_par::effective_threads`] workers.
 ///
 /// # Errors
 ///
@@ -97,26 +105,18 @@ const CORE_COUNTS: [u32; 5] = [4, 5, 6, 7, 8];
 /// Re-raises a panicking trace replay on the caller.
 pub fn sweep(app: &VrApp, deployment: &Deployment) -> Result<Vec<ProvisioningRow>, CarbonError> {
     let mut run = SupervisedProvisioning::new(app, deployment);
-    let result = run.resume(&Supervisor::unbounded(), cordoba_par::effective_threads());
-    if let Some((_, message)) = run.panics.into_iter().next() {
-        std::panic::resume_unwind(Box::new(message));
-    }
-    result?;
-    // A supervisor that never trips attempts every core count, and none
-    // panicked or failed, so every slot is filled.
-    Ok(run.slots.into_iter().flatten().collect())
+    run.resume(&Supervisor::unbounded(), cordoba_par::effective_threads())?;
+    run.rows.into_values().into_iter().collect()
 }
 
 /// A supervised provisioning sweep in flight: one slot per core count,
-/// resumable until every configuration is evaluated. The sweep borrows its
+/// resumable until every configuration is attempted. The sweep borrows its
 /// app and deployment, so a resume cannot mix rows of different inputs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SupervisedProvisioning<'a> {
     app: &'a VrApp,
     deployment: &'a Deployment,
-    slots: Vec<Option<ProvisioningRow>>,
-    stop: Option<StopReason>,
-    panics: Vec<(u32, String)>,
+    rows: SupervisedMap<Result<ProvisioningRow, CarbonError>>,
 }
 
 impl<'a> SupervisedProvisioning<'a> {
@@ -124,52 +124,63 @@ impl<'a> SupervisedProvisioning<'a> {
         Self {
             app,
             deployment,
-            slots: vec![None; CORE_COUNTS.len()],
-            stop: None,
-            panics: Vec::new(),
+            rows: SupervisedMap::new(CORE_COUNTS.len()),
         }
     }
 
-    /// Why the last run/resume stopped early, or `None` when complete.
+    /// Why the last run/resume stopped early, or `None` when it attempted
+    /// every pending core count.
     #[must_use]
     pub fn stop(&self) -> Option<StopReason> {
-        self.stop
+        self.rows.stop()
     }
 
-    /// `true` when every core count has been evaluated.
+    /// `true` when every core count has been attempted.
     #[must_use]
     pub fn is_complete(&self) -> bool {
-        self.stop.is_none()
+        self.rows.is_complete()
     }
 
-    /// Core counts evaluated so far.
+    /// Core counts evaluated to a row so far.
     #[must_use]
     pub fn completed(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count()
+        self.rows
+            .outcomes()
+            .iter()
+            .filter(|o| matches!(o, Outcome::Done(Ok(_))))
+            .count()
     }
 
     /// Total core counts in the sweep.
     #[must_use]
     pub fn total(&self) -> usize {
-        self.slots.len()
+        CORE_COUNTS.len()
     }
 
-    /// Core counts whose trace replay panicked during the last
-    /// run/resume, with the isolated panic messages, in ascending core
-    /// order. The process survives; a resume retries these counts.
+    /// Core counts whose trace replay panicked, with the isolated panic
+    /// messages, in ascending core order. The process survives; a
+    /// panicked core count is final, and a resume does not retry it.
     #[must_use]
-    pub fn panicked(&self) -> &[(u32, String)] {
-        &self.panics
+    pub fn panicked(&self) -> Vec<(u32, String)> {
+        CORE_COUNTS
+            .iter()
+            .zip(self.rows.outcomes())
+            .filter_map(|(&cores, o)| match o {
+                Outcome::Panicked(message) => Some((cores, message.clone())),
+                _ => None,
+            })
+            .collect()
     }
 
-    /// The finished rows in ascending core order, or `None` while
-    /// configurations are pending or quarantined.
+    /// The finished rows in ascending core order, or `None` while a core
+    /// count is pending, failed or panicked.
     #[must_use]
     pub fn rows(&self) -> Option<Vec<ProvisioningRow>> {
-        if !self.is_complete() {
-            return None;
-        }
-        self.slots.iter().cloned().collect()
+        self.rows
+            .outcomes()
+            .iter()
+            .map(|o| o.done()?.as_ref().ok().cloned())
+            .collect()
     }
 
     /// Evaluates the still-pending core counts under `sup` with `threads`
@@ -180,53 +191,26 @@ impl<'a> SupervisedProvisioning<'a> {
     ///
     /// # Errors
     ///
-    /// Propagates model-construction errors for the first (lowest) failing
-    /// pending core count.
+    /// Propagates model-construction errors: the deployment's, or the
+    /// first (lowest) failing core count's.
     pub fn resume(&mut self, sup: &Supervisor, threads: usize) -> Result<(), CarbonError> {
         let _span = cordoba_obs::span("soc/provisioning_sweep");
         let (app, deployment) = (self.app, self.deployment);
         let usage = UsageProfile::from_daily_hours(deployment.lifetime_years, app.daily_hours)?;
         let sessions = usage.operational_time().value() / app.session.value();
-        let pending: Vec<usize> = self
-            .slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.is_none().then_some(i))
-            .collect();
-        let run = cordoba_par::par_map_supervised_with(&pending, threads, sup, |_, &idx| {
+        let hint = CostHint::per_item_ns(PROVISION_NS_PER_CORE_COUNT);
+        self.rows.advance(threads, hint, sup, |idx| {
             provision_row(CORE_COUNTS[idx], app, deployment, sessions)
         });
-        let mut first_error: Option<CarbonError> = None;
-        self.panics.clear();
-        for (&idx, outcome) in pending.iter().zip(run.outcomes) {
-            match outcome {
-                Outcome::Done(Ok(row)) => self.slots[idx] = Some(row),
-                Outcome::Done(Err(error)) => {
-                    if first_error.is_none() {
-                        first_error = Some(error);
-                    }
-                }
-                // A panicking replay has no carbon-level error variant to
-                // carry its message; quarantine it here (the process
-                // survives) and leave the slot pending so a resume retries.
-                Outcome::Panicked(message) => {
-                    self.panics.push((CORE_COUNTS[idx], message));
-                }
-                Outcome::Skipped => {}
-            }
+        match self
+            .rows
+            .outcomes()
+            .iter()
+            .find_map(|o| o.done()?.as_ref().err())
+        {
+            Some(error) => Err(error.clone()),
+            None => Ok(()),
         }
-        if let Some(error) = first_error {
-            return Err(error);
-        }
-        self.stop = match run.stop {
-            Some(reason) => Some(reason),
-            // Quarantined counts are still unresolved: report a
-            // cancellation-shaped stop so `rows()` stays `None` and a
-            // resume knows there is work left.
-            None if !self.panics.is_empty() => Some(StopReason::Cancelled),
-            None => None,
-        };
-        Ok(())
     }
 }
 

@@ -160,14 +160,6 @@ fn warm_reads_share_the_configuration_names() {
         &configs,
         warm.iter().map(|p| &p.name),
     );
-    let tasks = [task, Task::ai_5_kernels()];
-    let cold = evaluate_space_multi_stored(&configs, &tasks, &model, &store).unwrap();
-    let warm = evaluate_space_multi_stored(&configs, &tasks, &model, &store).unwrap();
-    assert_eq!(warm, cold);
-    for points in &warm {
-        let what = "warm evaluate_space_multi_stored";
-        assert_shared(what, &configs, points.iter().map(|p| &p.name));
-    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
