@@ -1,17 +1,21 @@
-//! Minimal dependency-free argument parsing for the `cordoba` CLI.
-//!
-//! Supports `--flag`, `--key value`, `--key=value`, and positional
-//! arguments, with typed accessors and unknown-option detection.
+//! Minimal dependency-free argument parsing for the `cordoba` CLI: each
+//! command line is checked against the flags, valued options and
+//! positional count its verb declares.
 
-use std::collections::BTreeMap;
 use std::fmt;
+use std::str::FromStr;
 
-/// A parsed argument list.
+/// Valued options every verb accepts besides its own.
+pub(crate) const GLOBAL_OPTIONS: [&str; 3] = ["threads", "trace-out", "profile-out"];
+/// Flags every verb accepts besides its own.
+pub(crate) const GLOBAL_FLAGS: [&str; 2] = ["metrics", "help"];
+
+/// A parsed argument list, borrowing its values from the raw tokens.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Args {
-    positional: Vec<String>,
-    options: BTreeMap<String, String>,
-    flags: Vec<String>,
+pub struct Args<'a> {
+    positional: Vec<&'a str>,
+    options: Vec<(&'static str, &'a str)>,
+    flags: Vec<&'static str>,
 }
 
 /// Errors produced while parsing or validating CLI arguments.
@@ -30,6 +34,8 @@ pub enum ArgError {
     },
     /// An option the command does not understand.
     UnknownOption(String),
+    /// A positional argument beyond the ones the command takes.
+    UnexpectedArgument(String),
     /// A required positional/option was absent.
     Missing(&'static str),
 }
@@ -44,6 +50,7 @@ impl fmt::Display for ArgError {
                 expected,
             } => write!(f, "option --{key}: expected {expected}, got `{value}`"),
             Self::UnknownOption(k) => write!(f, "unknown option --{k}"),
+            Self::UnexpectedArgument(a) => write!(f, "unexpected argument `{a}`"),
             Self::Missing(what) => write!(f, "missing required {what}"),
         }
     }
@@ -51,53 +58,105 @@ impl fmt::Display for ArgError {
 
 impl std::error::Error for ArgError {}
 
-impl Args {
-    /// Parses raw arguments (excluding the program/subcommand names).
+/// The declared name equal to `name` in `lists`, if any.
+fn declared(name: &str, lists: [&[&'static str]; 2]) -> Option<&'static str> {
+    lists.into_iter().flatten().copied().find(|&d| d == name)
+}
+
+impl<'a> Args<'a> {
+    /// Parses raw arguments (without the program and verb names) given
+    /// the verb's `flags` and valued `options`, beside the global ones. A
+    /// valued option takes `--key=value` or the next token unless that is
+    /// another `--name`; a flag takes no value.
     ///
-    /// Every `--key` consumes the following token as its value unless it is
-    /// written as `--key=value` or the next token is another option; a
-    /// trailing valueless `--key` is recorded as a flag.
-    #[must_use]
-    pub fn parse<I: IntoIterator<Item = String>>(raw: I) -> Self {
+    /// # Errors
+    ///
+    /// An undeclared name, a valued option without a value, `--flag=value`
+    /// or more than `positionals` positional arguments.
+    pub fn parse(
+        raw: &'a [String],
+        flags: &[&'static str],
+        options: &[&'static str],
+        positionals: usize,
+    ) -> Result<Self, ArgError> {
         let mut args = Args::default();
-        let tokens: Vec<String> = raw.into_iter().collect();
-        let mut i = 0;
-        while i < tokens.len() {
-            let tok = &tokens[i];
-            if let Some(stripped) = tok.strip_prefix("--") {
-                if let Some((k, v)) = stripped.split_once('=') {
-                    args.options.insert(k.to_owned(), v.to_owned());
-                } else if i + 1 < tokens.len() && !tokens[i + 1].starts_with("--") {
-                    args.options
-                        .insert(stripped.to_owned(), tokens[i + 1].clone());
-                    i += 1;
-                } else {
-                    args.flags.push(stripped.to_owned());
+        let mut tokens = raw.iter();
+        while let Some(tok) = tokens.next() {
+            let Some(stripped) = tok.strip_prefix("--") else {
+                if args.positional.len() == positionals {
+                    return Err(ArgError::UnexpectedArgument(tok.clone()));
                 }
+                args.positional.push(tok);
+                continue;
+            };
+            let (name, inline) = stripped
+                .split_once('=')
+                .map_or((stripped, None), |(k, v)| (k, Some(v)));
+            if let Some(flag) = declared(name, [flags, &GLOBAL_FLAGS]) {
+                if let Some(value) = inline {
+                    return Err(ArgError::InvalidValue {
+                        key: flag.to_owned(),
+                        value: value.to_owned(),
+                        expected: "no value (it is a flag)",
+                    });
+                }
+                args.flags.push(flag);
+            } else if let Some(option) = declared(name, [options, &GLOBAL_OPTIONS]) {
+                let value = match inline {
+                    Some(v) => v,
+                    None => tokens
+                        .next()
+                        .filter(|next| !next.starts_with("--"))
+                        .ok_or_else(|| ArgError::MissingValue(option.to_owned()))?,
+                };
+                args.options.push((option, value));
             } else {
-                args.positional.push(tok.clone());
+                return Err(ArgError::UnknownOption(name.to_owned()));
             }
-            i += 1;
         }
-        args
+        Ok(args)
     }
 
     /// The positional arguments.
     #[must_use]
-    pub fn positional(&self) -> &[String] {
+    pub fn positional(&self) -> &[&'a str] {
         &self.positional
     }
 
-    /// Whether `--name` was given as a valueless flag.
+    /// Whether the flag `--name` was given.
     #[must_use]
     pub fn flag(&self, name: &str) -> bool {
-        self.flags.iter().any(|f| f == name)
+        self.flags.contains(&name)
     }
 
-    /// String value of `--name`, if present.
+    /// String value of `--name`, if present (the last one given wins).
     #[must_use]
-    pub fn get(&self, name: &str) -> Option<&str> {
-        self.options.get(name).map(String::as_str)
+    pub fn get(&self, name: &str) -> Option<&'a str> {
+        self.options
+            .iter()
+            .rev()
+            .find(|(k, _)| *k == name)
+            .map(|&(_, v)| v)
+    }
+
+    /// The value of `--name` parsed as `T`, if given.
+    ///
+    /// # Errors
+    ///
+    /// [`ArgError::InvalidValue`], expecting `what`, when it does not parse.
+    pub fn get_as<T: FromStr>(
+        &self,
+        name: &str,
+        what: &'static str,
+    ) -> Result<Option<T>, ArgError> {
+        let parse = |v: &str| {
+            v.parse().map_err(|_| ArgError::InvalidValue {
+                key: name.to_owned(),
+                value: v.to_owned(),
+                expected: what,
+            })
+        };
+        self.get(name).map(parse).transpose()
     }
 
     /// `f64` value of `--name`, or `default` when absent.
@@ -106,14 +165,7 @@ impl Args {
     ///
     /// Returns [`ArgError::InvalidValue`] when the value does not parse.
     pub fn get_f64(&self, name: &str, default: f64) -> Result<f64, ArgError> {
-        match self.get(name) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|_| ArgError::InvalidValue {
-                key: name.to_owned(),
-                value: v.to_owned(),
-                expected: "a number",
-            }),
-        }
+        Ok(self.get_as(name, "a number")?.unwrap_or(default))
     }
 
     /// `u32` value of `--name`, or `default` when absent.
@@ -122,28 +174,7 @@ impl Args {
     ///
     /// Returns [`ArgError::InvalidValue`] when the value does not parse.
     pub fn get_u32(&self, name: &str, default: u32) -> Result<u32, ArgError> {
-        match self.get(name) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|_| ArgError::InvalidValue {
-                key: name.to_owned(),
-                value: v.to_owned(),
-                expected: "an integer",
-            }),
-        }
-    }
-
-    /// Rejects any option/flag not in `allowed`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ArgError::UnknownOption`] naming the first offender.
-    pub fn expect_only(&self, allowed: &[&str]) -> Result<(), ArgError> {
-        for key in self.options.keys().chain(self.flags.iter()) {
-            if !allowed.contains(&key.as_str()) {
-                return Err(ArgError::UnknownOption(key.clone()));
-            }
-        }
-        Ok(())
+        Ok(self.get_as(name, "an integer")?.unwrap_or(default))
     }
 }
 
@@ -151,61 +182,94 @@ impl Args {
 mod tests {
     use super::*;
 
-    fn parse(s: &str) -> Args {
-        Args::parse(s.split_whitespace().map(str::to_owned))
+    fn tokens(s: &str) -> Vec<String> {
+        s.split_whitespace().map(str::to_owned).collect()
+    }
+
+    const FLAGS: &[&str] = &["verbose"];
+    const OPTIONS: &[&str] = &["tasks", "grid", "cores"];
+
+    fn parse(raw: &[String]) -> Result<Args<'_>, ArgError> {
+        Args::parse(raw, FLAGS, OPTIONS, 1)
     }
 
     #[test]
     fn parses_positionals_options_and_flags() {
-        let a = parse("task --tasks 1e8 --grid=solar --verbose");
+        let raw = tokens("task --tasks 1e8 --grid=solar --verbose --threads 2");
+        let a = parse(&raw).unwrap();
         assert_eq!(a.positional(), ["task"]);
         assert_eq!(a.get("tasks"), Some("1e8"));
         assert_eq!(a.get("grid"), Some("solar"));
+        assert_eq!(a.get("threads"), Some("2"));
         assert!(a.flag("verbose"));
-        assert!(!a.flag("quiet"));
+        assert!(!a.flag("metrics"));
     }
 
     #[test]
     fn typed_accessors() {
-        let a = parse("--tasks 1e8 --cores 6");
+        let raw = tokens("--tasks 1e8 --cores 6");
+        let a = parse(&raw).unwrap();
         assert_eq!(a.get_f64("tasks", 0.0).unwrap(), 1e8);
         assert_eq!(a.get_u32("cores", 0).unwrap(), 6);
-        assert_eq!(a.get_f64("absent", 7.0).unwrap(), 7.0);
-        assert_eq!(a.get_u32("absent", 9).unwrap(), 9);
+        assert_eq!(a.get_f64("grid", 7.0).unwrap(), 7.0);
+        assert_eq!(a.get_u32("grid", 9).unwrap(), 9);
     }
 
     #[test]
     fn invalid_values_error() {
-        let a = parse("--tasks banana");
-        let err = a.get_f64("tasks", 0.0).unwrap_err();
+        let raw = tokens("--tasks banana");
+        let err = parse(&raw).unwrap().get_f64("tasks", 0.0).unwrap_err();
         assert!(matches!(err, ArgError::InvalidValue { .. }));
         assert!(err.to_string().contains("banana"));
     }
 
     #[test]
     fn unknown_option_detection() {
-        let a = parse("--tasks 1 --bogus 2");
-        assert!(a.expect_only(&["tasks"]).is_err());
-        assert!(a.expect_only(&["tasks", "bogus"]).is_ok());
-        let a = parse("--quiet");
+        let raw = tokens("--tasks 1 --bogus 2");
+        assert_eq!(
+            parse(&raw).unwrap_err(),
+            ArgError::UnknownOption("bogus".to_owned())
+        );
+        let raw = tokens("--quiet");
         assert!(matches!(
-            a.expect_only(&[]),
+            Args::parse(&raw, &[], &[], 0),
             Err(ArgError::UnknownOption(k)) if k == "quiet"
         ));
     }
 
     #[test]
     fn option_followed_by_option_is_a_flag() {
-        let a = parse("--fast --tasks 3");
-        assert!(a.flag("fast"));
+        let raw = tokens("--verbose --tasks 3");
+        let a = parse(&raw).unwrap();
+        assert!(a.flag("verbose"));
         assert_eq!(a.get("tasks"), Some("3"));
+    }
+
+    #[test]
+    fn a_valued_option_needs_its_value() {
+        for raw in ["--tasks", "--tasks --verbose", "--grid --tasks 3"] {
+            let raw = tokens(raw);
+            assert!(
+                matches!(parse(&raw), Err(ArgError::MissingValue(_))),
+                "{raw:?}"
+            );
+        }
+        // `--key=` is an explicit empty value, not a missing one.
+        let raw = tokens("--grid=");
+        assert_eq!(parse(&raw).unwrap().get("grid"), Some(""));
+    }
+
+    #[test]
+    fn the_last_repeated_option_wins() {
+        let raw = tokens("--grid coal --grid=solar");
+        assert_eq!(parse(&raw).unwrap().get("grid"), Some("solar"));
     }
 
     #[test]
     fn error_display() {
         assert!(ArgError::MissingValue("x".into())
             .to_string()
-            .contains("--x"));
+            .contains("--x requires a value"));
         assert!(ArgError::Missing("task name")
             .to_string()
             .contains("task name"));

@@ -4,6 +4,9 @@
 //! [`commands::run`], a pure function from argument vector to output text,
 //! so the CLI is fully unit-testable; `src/main.rs` is a thin shell.
 //!
+//! Each verb is declared once, in the verb table of [`commands`], and
+//! [`args::Args::parse`] holds every command line to that declaration.
+//!
 //! ```text
 //! $ cordoba dse --task xr5
 //! $ cordoba provision --app m1
@@ -14,4 +17,4 @@
 pub mod args;
 pub mod commands;
 
-pub use commands::{run, CliError, USAGE};
+pub use commands::{run, CliError};

@@ -56,8 +56,11 @@ static EVALUATE_SPACE_NS: Histogram = Histogram::new("core/evaluate_space_ns");
 static OP_TIME_SWEEP_NS: Histogram = Histogram::new("core/op_time_sweep_ns");
 
 /// Estimated cost of one tCDP matrix entry (one `DesignPoint::tcdp` call);
-/// a sweep row's hint is this times the point count.
-const TCDP_NS_PER_POINT: u64 = 40;
+/// a sweep row's hint is this times the point count. bench_smoke
+/// `--quick`'s `dse/op_time_sweep_121x29/threads=1` fills 3,509 cells in
+/// 12,937–16,347 ns (three runs on a shared 2-vCPU x86-64 host, median
+/// 15,162), 3.7–4.7 ns each, cloning the points included.
+const TCDP_NS_PER_POINT: u64 = 4;
 
 /// A design-space evaluation in flight: one slot per configuration, filled
 /// under a [`Supervisor`] by [`advance`](Self::advance), which both starts

@@ -15,9 +15,20 @@ fn sweep_for(task: &Task) -> OpTimeSweep {
 
 #[test]
 fn elimination_matches_paper_band_for_every_task() {
-    // Paper: 96.7%, 98.3%, 96.7%, 98.3%, 97.5% eliminated.
-    for task in Task::evaluation_suite() {
-        let sweep = sweep_for(&task);
+    // Paper: 96.7%, 98.3%, 96.7%, 98.3%, 97.5% eliminated. Our calibration
+    // keeps 5, 4, 3, 3 and 3 of the 121 designs on this 4-per-decade grid
+    // (`cordoba dse`'s 2-per-decade grid misses All's a61).
+    let survivors = [
+        ("All kernels", 5),
+        ("XR 10 kernels", 4),
+        ("AI 10 kernels", 3),
+        ("XR 5 kernels", 3),
+        ("AI 5 kernels", 3),
+    ];
+    let suite = Task::evaluation_suite();
+    assert_eq!(suite.len(), survivors.len());
+    for (task, (name, count)) in suite.iter().zip(survivors) {
+        let sweep = sweep_for(task);
         let frac = sweep.elimination_fraction();
         assert!(
             (0.93..=0.995).contains(&frac),
@@ -25,7 +36,16 @@ fn elimination_matches_paper_band_for_every_task() {
             task.name(),
             frac * 100.0
         );
+        assert_eq!(task.name(), name);
+        assert_eq!(sweep.points.len(), SPACE_SIZE);
+        assert_eq!(sweep.ever_optimal().len(), count, "{name} survivors");
     }
+    let all: Vec<String> = sweep_for(&Task::all_kernels())
+        .ever_optimal()
+        .iter()
+        .map(ToString::to_string)
+        .collect();
+    assert_eq!(all, ["a49", "a60", "a61", "a72", "a84"]);
 }
 
 #[test]
