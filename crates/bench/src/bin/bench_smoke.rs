@@ -29,8 +29,8 @@ use cordoba::prelude::*;
 use cordoba_accel::config::AcceleratorConfig;
 use cordoba_accel::space::design_space;
 use cordoba_carbon::embodied::EmbodiedModel;
-use cordoba_carbon::integral::CiIntegral;
-use cordoba_carbon::intensity::{grids, CiSource, ConstantCi, SeasonalCi, TraceCi, TrendCi};
+use cordoba_carbon::integral::{CiIntegral, Midpoint};
+use cordoba_carbon::intensity::{grids, ConstantCi, SeasonalCi, TraceCi, TrendCi};
 use cordoba_carbon::units::{CarbonIntensity, GramsCo2e, Joules, Seconds, SquareCentimeters};
 use cordoba_par::supervise::Supervisor;
 use cordoba_soc::prelude::{schedule, ActivityTrace, SocConfig, VrApp};
@@ -113,18 +113,6 @@ fn synthetic_trace(n: usize) -> TraceCi {
         })
         .collect();
     TraceCi::new(samples).expect("synthetic trace is monotonic")
-}
-
-/// The sampled interval-integral baseline the prefix-sum kernel replaced:
-/// midpoint integration with `samples` `at()` lookups.
-fn sampled_interval_integral(trace: &TraceCi, t0: Seconds, t1: Seconds, samples: usize) -> f64 {
-    let dt = (t1.value() - t0.value()) / samples as f64;
-    let mut sum = 0.0;
-    for i in 0..samples {
-        let tq = t0.value() + (i as f64 + 0.5) * dt;
-        sum += trace.at(Seconds::new(tq)).value();
-    }
-    sum * dt
 }
 
 /// Reads a flat `{"name": nanoseconds, ...}` bench record; empty when the
@@ -454,9 +442,10 @@ fn main() {
     ));
 
     // integral/trace_integral_10k_x256 — 256 interval integrals over a
-    // 10k-sample trace: two prefix-table lookups each vs the 1024-lookup
-    // midpoint baseline the kernel replaced. Single-threaded work; recorded
-    // under both modes so the file shape matches the other groups.
+    // 10k-sample trace: two prefix-table lookups each vs 1,024 lookups each
+    // through a `Midpoint` wrapper (the sampled baseline the kernel
+    // replaced). Single-threaded work; recorded under both modes so the
+    // file shape matches the other groups.
     let trace = synthetic_trace(10_000);
     let (first, last) = trace.span();
     let span = last.value() - first.value();
@@ -467,10 +456,11 @@ fn main() {
             (Seconds::new(a), Seconds::new(b))
         })
         .collect();
+    let sampled_trace = Midpoint::new(&trace, 1_024);
     // Sanity: the two integrators must agree before being timed.
     for &(a, b) in &intervals {
         let exact = trace.integral_over(a, b).value();
-        let approx = sampled_interval_integral(&trace, a, b, 1_024);
+        let approx = sampled_trace.integral_over(a, b).value();
         let scale = exact.abs().max(1.0);
         assert!(
             (exact - approx).abs() / scale < 1e-2,
@@ -494,7 +484,9 @@ fn main() {
             median_ns(iters, || {
                 let mut acc = 0.0;
                 for &(a, b) in &intervals {
-                    acc += sampled_interval_integral(&trace, black_box(a), black_box(b), 1_024);
+                    acc += sampled_trace
+                        .integral_over(black_box(a), black_box(b))
+                        .value();
                 }
                 black_box(acc);
             }),
@@ -502,8 +494,10 @@ fn main() {
     }
 
     // uncertainty/source_mc_256 — 256 Monte Carlo draws over time-varying
-    // sources: the exact kernel's O(1) lifetime means vs the 10k-lookup
-    // sampled means each draw used to cost.
+    // sources: the exact kernel's O(1) lifetime means vs `Midpoint` sources
+    // taking 10,000 lookups per draw. Both rows run `McRun::source` and so
+    // carry its per-draw `CostHint`, which keeps the sampled row's 4 blocks
+    // on one worker.
     let point = DesignPoint::new(
         "bench",
         Seconds::new(1e-3),
@@ -516,6 +510,9 @@ fn main() {
     let trend = TrendCi::new(grids::COAL, 0.10).expect("valid trend");
     let seasonal = SeasonalCi::solar_rich();
     let sources: [&dyn CiIntegral; 3] = [&flat, &trend, &seasonal];
+    let midpoints = sources.map(|s| Midpoint::new(s, 10_000));
+    let sampled_sources: Vec<&dyn CiIntegral> =
+        midpoints.iter().map(|s| s as &dyn CiIntegral).collect();
     let spec = SourceMonteCarloSpec::new(256, 42);
     for (label, threads) in thread_modes {
         cordoba_par::set_threads(threads);
@@ -529,7 +526,7 @@ fn main() {
             format!("uncertainty/source_mc_256/sampled_10000/{label}"),
             median_ns(heavy_iters, || {
                 black_box(
-                    McRun::source_sampled(black_box(&point), &sources, &spec, 10_000)
+                    McRun::source(black_box(&point), &sampled_sources, &spec)
                         .expect("valid sampled spec")
                         .advance(&Supervisor::unbounded(), cordoba_par::effective_threads())
                         .expect("no block panics"),

@@ -2,10 +2,11 @@
 //!
 //! A production deployment ideally runs on a live grid-intensity trace, but
 //! feeds go down, cover a bounded time window, and occasionally emit
-//! garbage. [`FallbackCi`] chains several [`CiSource`]s in priority order —
-//! typically trace → diurnal model → constant grid average — with an
-//! optional validity window per tier, so a trace outage degrades to a model
-//! instead of failing (or silently extrapolating) the run.
+//! garbage. [`FallbackCi`] chains several [`CiIntegral`] sources in
+//! priority order — typically trace → diurnal model → constant grid
+//! average — with an optional validity window per tier, so a trace outage
+//! degrades to a model instead of failing (or silently extrapolating) the
+//! run.
 //!
 //! Every query is counted per serving tier, so [`FallbackCi::health`] can
 //! report after the fact how often the chain degraded below its primary
@@ -17,7 +18,7 @@
 
 use crate::error::CarbonError;
 use crate::integral::CiIntegral;
-use crate::intensity::{CiSource, ConstantCi, DiurnalCi, TraceCi};
+use crate::intensity::{ConstantCi, DiurnalCi, TraceCi};
 use crate::units::{CarbonIntensity, CarbonIntensitySeconds, Seconds};
 use cordoba_obs::{Counter, Event, LabeledCounter};
 use std::fmt;
@@ -143,10 +144,10 @@ impl FallbackCiBuilder {
     }
 }
 
-/// A prioritized chain of [`CiSource`]s with per-tier validity windows and
-/// query accounting.
+/// A prioritized chain of [`CiIntegral`] sources with per-tier validity
+/// windows and query accounting.
 ///
-/// [`CiSource::at`] walks the tiers in order and returns the first finite,
+/// [`CiIntegral::at`] walks the tiers in order and returns the first finite,
 /// non-negative answer from a tier whose window covers `t`. If every tier
 /// declines, the chain returns [`CarbonIntensity::ZERO`] and counts the
 /// query as exhausted — callers watching [`FallbackCi::health`] can tell a
@@ -156,7 +157,8 @@ impl FallbackCiBuilder {
 ///
 /// ```
 /// use cordoba_carbon::fallback::FallbackCi;
-/// use cordoba_carbon::intensity::{grids, CiSource, TraceCi};
+/// use cordoba_carbon::integral::CiIntegral;
+/// use cordoba_carbon::intensity::{grids, TraceCi};
 /// use cordoba_carbon::units::{CarbonIntensity, Seconds};
 ///
 /// let trace = TraceCi::new(vec![
@@ -288,7 +290,7 @@ impl FallbackCi {
     }
 }
 
-impl CiSource for FallbackCi {
+impl CiIntegral for FallbackCi {
     fn at(&self, t: Seconds) -> CarbonIntensity {
         self.queries.fetch_add(1, Ordering::Relaxed);
         FALLBACK_QUERIES.incr();
@@ -314,9 +316,7 @@ impl CiSource for FallbackCi {
         cordoba_obs::record(&Event::FallbackExhausted);
         CarbonIntensity::ZERO
     }
-}
 
-impl CiIntegral for FallbackCi {
     /// Exact interval integral through the chain.
     ///
     /// `[t0, t1]` is split at every tier window endpoint that falls strictly
@@ -325,7 +325,7 @@ impl CiIntegral for FallbackCi {
     /// integral is finite and non-negative serves it (a hit); tiers
     /// producing invalid integrals are counted as rejected; a sub-interval
     /// no tier can serve contributes zero and counts as exhausted —
-    /// mirroring [`CiSource::at`]'s accounting so [`FallbackCi::health`]
+    /// mirroring [`CiIntegral::at`]'s accounting so [`FallbackCi::health`]
     /// sees the integral path too.
     fn integral_over(&self, t0: Seconds, t1: Seconds) -> CarbonIntensitySeconds {
         // `partial_cmp` keeps the guard NaN-safe: a NaN bound is not
@@ -456,6 +456,7 @@ impl fmt::Display for FallbackHealth {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::integral::Midpoint;
     use crate::intensity::grids;
 
     fn short_trace() -> TraceCi {
@@ -517,12 +518,10 @@ mod tests {
         /// A deliberately broken source for testing.
         #[derive(Debug)]
         struct NanCi;
-        impl CiSource for NanCi {
+        impl CiIntegral for NanCi {
             fn at(&self, _t: Seconds) -> CarbonIntensity {
                 CarbonIntensity::new(f64::NAN)
             }
-        }
-        impl CiIntegral for NanCi {
             fn integral_over(&self, _t0: Seconds, _t1: Seconds) -> CarbonIntensitySeconds {
                 CarbonIntensitySeconds::new(f64::NAN)
             }
@@ -544,12 +543,10 @@ mod tests {
     fn exhausted_chain_returns_zero_not_nan() {
         #[derive(Debug)]
         struct NegativeCi;
-        impl CiSource for NegativeCi {
+        impl CiIntegral for NegativeCi {
             fn at(&self, _t: Seconds) -> CarbonIntensity {
                 CarbonIntensity::new(-10.0)
             }
-        }
-        impl CiIntegral for NegativeCi {
             fn integral_over(&self, t0: Seconds, t1: Seconds) -> CarbonIntensitySeconds {
                 CarbonIntensity::new(-10.0) * (t1 - t0)
             }
@@ -637,7 +634,7 @@ mod tests {
     #[test]
     fn mean_over_integrates_through_the_chain() {
         let chain = FallbackCi::standard(short_trace(), None, grids::US_AVERAGE).unwrap();
-        let mean = chain.mean_over(Seconds::new(100.0), 100);
+        let mean = Midpoint::new(&chain, 100).mean_exact(Seconds::ZERO, Seconds::new(100.0));
         assert!(mean.value() > 100.0 && mean.value() < 200.0);
     }
 

@@ -1,31 +1,29 @@
-//! Exact-integration kernel for operational carbon (eq. IV.7 without
-//! sampling error).
+//! The integration kernel for operational carbon (eq. IV.7 without
+//! sampling error), and the one trait each kind of signal implements.
 //!
 //! Every time-varying operational-carbon number in CORDOBA is an integral
-//! `∫ CI(t)·P(t) dt`. The sampled estimators ([`CiSource::mean_over`],
-//! [`crate::operational::PowerProfile::energy_over`],
-//! [`crate::operational::operational_carbon_profile`]) approximate it with
-//! thousands of midpoint lookups per evaluation; this module computes it in
-//! closed form:
+//! `∫ CI(t)·P(t) dt`. This module computes it in closed form:
 //!
-//! * [`CiIntegral`] — exact `∫ CI(t) dt` over an arbitrary interval, with
-//!   closed-form antiderivatives for the analytic sources (cosine and
-//!   exponential terms integrate analytically) and an O(log n) prefix-sum
-//!   lookup for traces;
-//! * [`PowerIntegral`] — exact `∫ P(t) dt` plus enumeration of a profile's
-//!   maximal constant-power segments;
+//! * [`CiIntegral`] — a carbon-intensity signal: its point value `CI(t)`
+//!   and exact `∫ CI(t) dt` over an arbitrary interval, with closed-form
+//!   antiderivatives for the analytic sources (cosine and exponential terms
+//!   integrate analytically) and an O(log n) prefix-sum lookup for traces;
+//! * [`PowerIntegral`] — a power draw: its point value `P(t)`, exact
+//!   `∫ P(t) dt`, and enumeration of its maximal constant-power segments;
 //! * [`operational_carbon_exact`] — the eq. IV.7 product, computed by
 //!   splitting the lifetime at power-segment boundaries and applying the CI
 //!   integral exactly on each constant-power piece.
 //!
-//! The sampled defaults remain in the API as *executable specifications*:
-//! the property suite (`tests/prop_integral.rs`) asserts they converge to
-//! these kernels as the sample count grows, and match exactly for constant
-//! sources.
+//! [`Midpoint`] is the sampled reference: it wraps any source or profile and
+//! answers every integral by summing `at(t)` at the midpoints of `n` equal
+//! steps, so it plugs into every consumer of the two traits. The property
+//! suite (`tests/prop_integral.rs`) asserts that it converges to the exact
+//! kernels as `n` grows and matches them exactly for constant signals.
 
-use crate::intensity::CiSource;
-use crate::operational::PowerProfile;
-use crate::units::{CarbonIntensity, CarbonIntensitySeconds, GramsCo2e, Joules, Seconds, Watts};
+use crate::units::{
+    count_f64, CarbonIntensity, CarbonIntensitySeconds, GramsCo2e, Joules, Seconds, Watts,
+};
+use std::fmt;
 
 /// Antiderivative of `e^{k·t}` evaluated at `t`, for `k <= 0` (decline
 /// rates are non-negative, so the exponent never grows).
@@ -50,14 +48,16 @@ pub(crate) fn exp_cos_antideriv(k: f64, w: f64, t: f64) -> f64 {
     e * (k * (w * t).cos() + w * (w * t).sin()) / (k * k + w * w)
 }
 
-/// A carbon-intensity source whose time integral is available in closed
-/// form (or amortized closed form, for prefix-summed traces).
+/// A time-varying carbon-intensity signal `CI(t)` whose time integral is
+/// available in closed form (or amortized closed form, for prefix-summed
+/// traces).
 ///
-/// Implementations must satisfy `integral_over(a, b) + integral_over(b, c)
-/// == integral_over(a, c)` up to rounding, and agree with the sampled
-/// [`CiSource::mean_over`] estimator in the limit of infinitely many
-/// samples. `Send + Sync` is required so scenario sets can be evaluated by
-/// parallel Monte Carlo workers.
+/// `t = 0` is the moment the system enters service. `at` must return
+/// non-negative, finite intensities for all `t >= 0`. Implementations must
+/// satisfy `integral_over(a, b) + integral_over(b, c) == integral_over(a,
+/// c)` up to rounding, and agree with [`Midpoint`] in the limit of
+/// infinitely many samples. `Send + Sync` is required so scenario sets can
+/// be evaluated by parallel Monte Carlo workers.
 ///
 /// # Examples
 ///
@@ -67,17 +67,20 @@ pub(crate) fn exp_cos_antideriv(k: f64, w: f64, t: f64) -> f64 {
 /// use cordoba_carbon::units::Seconds;
 ///
 /// let ci = ConstantCi::new(grids::US_AVERAGE);
+/// assert_eq!(ci.at(Seconds::from_days(100.0)), grids::US_AVERAGE);
 /// let integral = ci.integral_over(Seconds::ZERO, Seconds::from_hours(1.0));
 /// assert!((integral.value() - 380.0 * 3_600.0).abs() < 1e-6);
 /// ```
-pub trait CiIntegral: CiSource + Send + Sync {
+pub trait CiIntegral: fmt::Debug + Send + Sync {
+    /// The intensity at time `t` after deployment.
+    fn at(&self, t: Seconds) -> CarbonIntensity;
+
     /// Exact `∫ CI(t) dt` over `[t0, t1]` (signed: swapping the bounds
     /// negates the result).
     #[must_use]
     fn integral_over(&self, t0: Seconds, t1: Seconds) -> CarbonIntensitySeconds;
 
-    /// Exact mean intensity over `[t0, t1]` — the closed-form counterpart
-    /// of [`CiSource::mean_over`].
+    /// Exact mean intensity over `[t0, t1]`.
     ///
     /// For an empty interval (`t1 <= t0`) this degenerates to the point
     /// value `at(t0)`.
@@ -111,16 +114,17 @@ impl PowerSegment {
     }
 }
 
-/// A power profile whose energy integral is available in closed form and
-/// whose shape decomposes into constant-power segments.
+/// A time-varying power draw `P(t)` whose energy integral is available in
+/// closed form and whose shape decomposes into constant-power segments.
 ///
 /// The segment decomposition is what makes the eq. IV.7 product integral
 /// exact: on a constant-power segment, `∫ CI(t)·P dt = P·∫ CI(t) dt`, and
 /// the CI factor comes from [`CiIntegral`].
-pub trait PowerIntegral: PowerProfile + Send + Sync {
-    /// Exact `∫ P(t) dt` over `[t0, t1]` — the closed-form counterpart of
-    /// the sampled [`PowerProfile::energy_over`] (which always starts at
-    /// `t = 0`).
+pub trait PowerIntegral: fmt::Debug + Send + Sync {
+    /// Power at time `t` after deployment.
+    fn at(&self, t: Seconds) -> Watts;
+
+    /// Exact `∫ P(t) dt` over `[t0, t1]`.
     #[must_use]
     fn energy_integral(&self, t0: Seconds, t1: Seconds) -> Joules;
 
@@ -135,9 +139,8 @@ pub trait PowerIntegral: PowerProfile + Send + Sync {
 /// the lifetime is split at the profile's segment boundaries and each
 /// constant-power segment contributes `P · ∫ CI(t) dt` exactly.
 ///
-/// This replaces the sampled
-/// [`crate::operational::operational_carbon_profile`], which remains as the
-/// executable specification the property suite checks convergence against.
+/// [`crate::operational::operational_carbon_profile`] is the sampled
+/// product integral the tests check this against.
 ///
 /// # Examples
 ///
@@ -167,6 +170,122 @@ pub fn operational_carbon_exact(
             .carbon_at_power(seg.power);
     });
     total
+}
+
+/// The midpoint rule as a source: wraps an intensity source or a power
+/// profile and answers every integral by summing the wrapped `at(t)` at the
+/// midpoints of `samples` equal steps.
+///
+/// It implements the same trait as what it wraps, so the consumers of the
+/// exact kernels ([`operational_carbon_exact`], the core crate's
+/// `tcdp_under_source` and `McRun::source`) also run the sampled reference.
+/// Over `[0, d]` its mean is `Σ at((i + ½)·d/n) / n`, summed in step order.
+///
+/// # Examples
+///
+/// ```
+/// use cordoba_carbon::integral::{CiIntegral, Midpoint};
+/// use cordoba_carbon::intensity::DiurnalCi;
+/// use cordoba_carbon::units::{CarbonIntensity, Seconds};
+///
+/// let ci = DiurnalCi::new(CarbonIntensity::new(400.0), CarbonIntensity::new(100.0))?;
+/// let day = Seconds::from_days(1.0);
+/// let sampled = Midpoint::new(&ci, 96).mean_exact(Seconds::ZERO, day);
+/// let exact = ci.mean_exact(Seconds::ZERO, day);
+/// assert!((sampled.value() - exact.value()).abs() < 1e-9);
+/// # Ok::<(), cordoba_carbon::CarbonError>(())
+/// ```
+#[derive(Debug)]
+pub struct Midpoint<'a, S: ?Sized + 'a> {
+    inner: &'a S,
+    samples: usize,
+}
+
+impl<'a, S: ?Sized + 'a> Midpoint<'a, S> {
+    /// Wraps `inner`, integrating every interval with `samples` midpoint
+    /// evaluations.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `samples == 0`.
+    #[must_use]
+    pub fn new(inner: &'a S, samples: usize) -> Self {
+        assert!(samples > 0, "samples must be > 0");
+        Self { inner, samples }
+    }
+}
+
+/// The step width and the midpoints of `steps` equal steps over
+/// `[t0, t1]`: the one midpoint loop behind [`Midpoint`] and
+/// [`crate::operational::operational_carbon_profile`].
+pub(crate) fn midpoints(
+    t0: Seconds,
+    t1: Seconds,
+    steps: usize,
+) -> (f64, impl Iterator<Item = Seconds>) {
+    let dt = (t1 - t0).value() / count_f64(steps);
+    let mids = (0..steps).map(move |i| t0 + Seconds::new((count_f64(i) + 0.5) * dt));
+    (dt, mids)
+}
+
+impl<S: CiIntegral + ?Sized> CiIntegral for Midpoint<'_, S> {
+    fn at(&self, t: Seconds) -> CarbonIntensity {
+        self.inner.at(t)
+    }
+
+    /// `Σ at(tᵢ)·Δt`, signed like the exact kernels.
+    fn integral_over(&self, t0: Seconds, t1: Seconds) -> CarbonIntensitySeconds {
+        let (dt, mids) = midpoints(t0, t1, self.samples);
+        let sum: f64 = mids.map(|t| self.inner.at(t).value()).sum();
+        CarbonIntensitySeconds::new(sum * dt)
+    }
+
+    /// `Σ at(tᵢ) / n`, or `at(t0)` for an empty or inverted interval.
+    fn mean_exact(&self, t0: Seconds, t1: Seconds) -> CarbonIntensity {
+        if (t1 - t0).value() > 0.0 {
+            let (_, mids) = midpoints(t0, t1, self.samples);
+            let sum: f64 = mids.map(|t| self.inner.at(t).value()).sum();
+            CarbonIntensity::new(sum / count_f64(self.samples))
+        } else {
+            self.inner.at(t0)
+        }
+    }
+}
+
+impl<P: PowerIntegral + ?Sized> PowerIntegral for Midpoint<'_, P> {
+    fn at(&self, t: Seconds) -> Watts {
+        self.inner.at(t)
+    }
+
+    /// `Σ at(tᵢ)·Δt`, signed like the exact kernels.
+    fn energy_integral(&self, t0: Seconds, t1: Seconds) -> Joules {
+        let (dt, mids) = midpoints(t0, t1, self.samples);
+        let sum: f64 = mids.map(|t| self.inner.at(t).value()).sum();
+        Joules::new(sum * dt)
+    }
+
+    /// Visits the `samples` equal steps tiling `[t0, t1]`, each at the
+    /// wrapped profile's power at its midpoint.
+    fn for_each_segment(&self, t0: Seconds, t1: Seconds, visit: &mut dyn FnMut(PowerSegment)) {
+        if t1.value().partial_cmp(&t0.value()) != Some(std::cmp::Ordering::Greater) {
+            return;
+        }
+        let (dt, mids) = midpoints(t0, t1, self.samples);
+        let mut start = t0;
+        for (i, mid) in mids.enumerate() {
+            let end = if i + 1 == self.samples {
+                t1
+            } else {
+                t0 + Seconds::new(count_f64(i + 1) * dt)
+            };
+            visit(PowerSegment {
+                start,
+                end,
+                power: self.inner.at(mid),
+            });
+            start = end;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -328,5 +447,97 @@ mod tests {
         let integral = flat.integral_over(Seconds::ZERO, life);
         let expected = grids::US_AVERAGE * life;
         assert!((integral.value() - expected.value()).abs() / expected.value() < 1e-15);
+    }
+
+    #[test]
+    fn midpoint_source_sums_at_the_step_midpoints() {
+        let ci = SeasonalCi::solar_rich();
+        let (n, d) = (37_usize, Seconds::from_days(3.5));
+        let mid = Midpoint::new(&ci, n);
+        // `at` passes through to the wrapped source.
+        let t = Seconds::from_hours(7.0);
+        assert_eq!(mid.at(t), ci.at(t));
+        // The mean over `[0, d]` is the step-order sum of the midpoint
+        // values divided by `n`, bit for bit.
+        let dt = d.value() / n as f64;
+        let sum: f64 = (0..n)
+            .map(|i| ci.at(Seconds::new((i as f64 + 0.5) * dt)).value())
+            .sum();
+        assert_eq!(
+            mid.mean_exact(Seconds::ZERO, d).value().to_bits(),
+            (sum / n as f64).to_bits()
+        );
+        assert_eq!(
+            mid.integral_over(Seconds::ZERO, d).value().to_bits(),
+            (sum * dt).to_bits()
+        );
+        // An offset interval samples its own midpoints, and swapping the
+        // bounds negates the integral.
+        let (a, b) = (Seconds::from_days(1.0), Seconds::from_days(2.0));
+        let forward = mid.integral_over(a, b);
+        let backward = mid.integral_over(b, a);
+        assert!((forward.value() + backward.value()).abs() / forward.value() < 1e-12);
+        let exact = ci.integral_over(a, b);
+        assert!((forward.value() - exact.value()).abs() / exact.value() < 1e-3);
+    }
+
+    #[test]
+    fn midpoint_mean_of_an_empty_or_inverted_interval_is_the_point_value() {
+        let ci = DiurnalCi::new(CarbonIntensity::new(400.0), CarbonIntensity::new(100.0)).unwrap();
+        let mid = Midpoint::new(&ci, 8);
+        let t = Seconds::from_hours(5.0);
+        assert_eq!(mid.mean_exact(t, t), ci.at(t));
+        assert_eq!(mid.mean_exact(t, Seconds::ZERO), ci.at(t));
+        assert_eq!(mid.integral_over(t, t), CarbonIntensitySeconds::ZERO);
+    }
+
+    #[test]
+    fn midpoint_profile_bills_each_step_at_its_midpoint_power() {
+        let p = DutyCycledPower::new(Watts::new(4.0), Watts::new(1.0), Seconds::new(10.0), 0.3)
+            .unwrap();
+        let (n, t0, t1) = (7_usize, Seconds::new(2.0), Seconds::new(27.0));
+        let mid = Midpoint::new(&p, n);
+        assert_eq!(mid.at(Seconds::new(1.0)), p.at(Seconds::new(1.0)));
+        let mut segments: Vec<PowerSegment> = Vec::new();
+        mid.for_each_segment(t0, t1, &mut |s| segments.push(s));
+        // Exactly n contiguous segments tile [t0, t1] ...
+        assert_eq!(segments.len(), n);
+        assert_eq!(segments[0].start, t0);
+        assert_eq!(segments[n - 1].end, t1);
+        for pair in segments.windows(2) {
+            assert_eq!(pair[0].end, pair[1].start);
+        }
+        // ... each at the profile's power at its midpoint, and their
+        // energies sum to the midpoint energy integral.
+        for seg in &segments {
+            assert!(seg.end > seg.start, "segment {seg:?}");
+            let centre = seg.start + seg.duration() / 2.0;
+            assert_eq!(seg.power, p.at(centre), "segment {seg:?}");
+        }
+        let summed: Joules = segments.iter().map(|s| s.power * s.duration()).sum();
+        let sampled = mid.energy_integral(t0, t1);
+        assert!((summed.value() - sampled.value()).abs() < 1e-9);
+        let exact = p.energy_integral(t0, t1);
+        assert!((sampled.value() - exact.value()).abs() / exact.value() < 0.2);
+        // Empty, inverted, and NaN intervals visit nothing.
+        let mut count = 0usize;
+        mid.for_each_segment(t1, t1, &mut |_| count += 1);
+        mid.for_each_segment(t1, t0, &mut |_| count += 1);
+        mid.for_each_segment(Seconds::new(f64::NAN), t1, &mut |_| count += 1);
+        assert_eq!(count, 0);
+    }
+
+    #[test]
+    fn midpoint_sources_drive_the_exact_consumers() {
+        // A Midpoint is itself a source and a profile, so the exact product
+        // integral runs over it; with one step per day on a constant source
+        // it bills each day at the duty cycle's mid-day power.
+        let ci = ConstantCi::new(grids::US_AVERAGE);
+        let p = DutyCycledPower::daily(Watts::new(8.0), Watts::new(1.0), 18.0).unwrap();
+        let days = 4;
+        let life = Seconds::from_days(f64::from(days));
+        let sampled = operational_carbon_exact(&Midpoint::new(&ci, 3), &Midpoint::new(&p, 4), life);
+        let expected = operational_carbon(grids::US_AVERAGE, Watts::new(8.0) * life);
+        assert!((sampled.value() - expected.value()).abs() / expected.value() < 1e-12);
     }
 }

@@ -2,23 +2,25 @@
 //!
 //! The paper (§IV-B) stresses that `CI_use` varies over a system's lifetime —
 //! diurnally with solar availability and annually as grids decarbonize — and
-//! builds its uncertainty techniques around that. This module provides a
-//! [`CiSource`] trait with constant, diurnal, trend, and trace-driven
-//! implementations, plus published grid-average constants in [`grids`].
+//! builds its uncertainty techniques around that. This module provides
+//! constant, diurnal, trend, seasonal, and trace-driven sources, plus
+//! published grid-average constants in [`grids`]. Each source implements
+//! the one intensity trait, [`CiIntegral`]: a point value `at(t)` and an
+//! exact interval integral. [`crate::integral::Midpoint`] wraps any of them
+//! as the sampled reference.
 
 use crate::error::CarbonError;
 use crate::integral::{exp_antideriv, exp_cos_antideriv, CiIntegral};
 use crate::units::{
-    count_f64, CarbonIntensity, CarbonIntensitySeconds, Seconds, SECONDS_PER_DAY, SECONDS_PER_YEAR,
+    CarbonIntensity, CarbonIntensitySeconds, Seconds, SECONDS_PER_DAY, SECONDS_PER_YEAR,
 };
 use cordoba_obs::Counter;
 use serde::{Deserialize, Serialize};
-use std::fmt;
 
 /// Integral-kernel traffic counters: how many point lookups and exact
 /// interval integrals the trace kernel served (`--metrics` surfaces these;
 /// a run dominated by lookups instead of integrals signals a consumer still
-/// on the sampled path).
+/// sampling the trace, e.g. through [`crate::integral::Midpoint`]).
 static TRACE_LOOKUPS: Counter = Counter::new("carbon/trace/lookups");
 static TRACE_INTEGRALS: Counter = Counter::new("carbon/trace/integrals");
 
@@ -49,40 +51,6 @@ pub mod grids {
     pub const TAIWAN: CarbonIntensity = CarbonIntensity::new(560.0);
 }
 
-/// A time-varying carbon-intensity signal `CI(t)`.
-///
-/// `t = 0` is the moment the system enters service. Implementations must
-/// return non-negative, finite intensities for all `t >= 0`.
-///
-/// # Examples
-///
-/// ```
-/// use cordoba_carbon::intensity::{CiSource, ConstantCi, grids};
-/// use cordoba_carbon::units::Seconds;
-///
-/// let ci = ConstantCi::new(grids::US_AVERAGE);
-/// assert_eq!(ci.at(Seconds::from_days(100.0)), grids::US_AVERAGE);
-/// ```
-pub trait CiSource: fmt::Debug {
-    /// The intensity at time `t` after deployment.
-    fn at(&self, t: Seconds) -> CarbonIntensity;
-
-    /// Mean intensity over `[0, duration]`, estimated with `samples`
-    /// midpoint evaluations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `samples == 0`.
-    fn mean_over(&self, duration: Seconds, samples: usize) -> CarbonIntensity {
-        assert!(samples > 0, "samples must be > 0");
-        let dt = duration.value() / count_f64(samples);
-        let sum: f64 = (0..samples)
-            .map(|i| self.at(Seconds::new((count_f64(i) + 0.5) * dt)).value())
-            .sum();
-        CarbonIntensity::new(sum / count_f64(samples))
-    }
-}
-
 /// A constant carbon intensity (a fixed grid mix).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ConstantCi {
@@ -97,13 +65,11 @@ impl ConstantCi {
     }
 }
 
-impl CiSource for ConstantCi {
+impl CiIntegral for ConstantCi {
     fn at(&self, _t: Seconds) -> CarbonIntensity {
         self.intensity
     }
-}
 
-impl CiIntegral for ConstantCi {
     fn integral_over(&self, t0: Seconds, t1: Seconds) -> CarbonIntensitySeconds {
         self.intensity * (t1 - t0)
     }
@@ -158,14 +124,12 @@ impl DiurnalCi {
     }
 }
 
-impl CiSource for DiurnalCi {
+impl CiIntegral for DiurnalCi {
     fn at(&self, t: Seconds) -> CarbonIntensity {
         let phase = core::f64::consts::TAU * t.value() / self.period.value();
         self.mean + self.amplitude * phase.cos()
     }
-}
 
-impl CiIntegral for DiurnalCi {
     /// `∫ (m + a·cos(ωt)) dt = m·Δt + (a/ω)·(sin ωt₁ − sin ωt₀)`, here via
     /// the shared `e^{kt}·cos(ωt)` antiderivative at `k = 0`.
     fn integral_over(&self, t0: Seconds, t1: Seconds) -> CarbonIntensitySeconds {
@@ -204,14 +168,12 @@ impl TrendCi {
     }
 }
 
-impl CiSource for TrendCi {
+impl CiIntegral for TrendCi {
     fn at(&self, t: Seconds) -> CarbonIntensity {
         let years = t.value() / SECONDS_PER_YEAR;
         self.start * (1.0 - self.annual_decline).powf(years)
     }
-}
 
-impl CiIntegral for TrendCi {
     /// `CI(t) = start·e^{kt}` with `k = ln(1 − decline)/year ≤ 0`, so
     /// `∫ = start·(e^{kt₁} − e^{kt₀})/k` (and exactly `start·Δt` for a
     /// zero decline, where `k` is exactly zero).
@@ -282,7 +244,7 @@ impl TraceCi {
 
     /// `∫ CI` from the first sample's timestamp to `t`, with the boundary
     /// values extended flat outside the covered span (matching
-    /// [`CiSource::at`]).
+    /// [`CiIntegral::at`]).
     fn cumulative(&self, t: Seconds) -> f64 {
         let (first_t, first_c) = self.samples[0];
         if t.value() <= first_t.value() {
@@ -317,7 +279,7 @@ impl TraceCi {
 
     /// The `[first, last]` timestamp range the trace actually covers.
     ///
-    /// Outside this span [`CiSource::at`] holds the boundary value flat, so
+    /// Outside this span [`CiIntegral::at`] holds the boundary value flat, so
     /// fallback chains use the span as the trace tier's validity window.
     #[must_use]
     pub fn span(&self) -> (Seconds, Seconds) {
@@ -327,7 +289,7 @@ impl TraceCi {
     }
 }
 
-impl CiSource for TraceCi {
+impl CiIntegral for TraceCi {
     /// O(log n) binary search for the bracketing samples, then the same
     /// linear interpolation (bit-identically the same arithmetic) as the
     /// linear scan it replaced.
@@ -345,9 +307,7 @@ impl CiSource for TraceCi {
         let frac = (t.value() - t0.value()) / (t1.value() - t0.value());
         c0 + (c1 - c0) * frac
     }
-}
 
-impl CiIntegral for TraceCi {
     /// Difference of two O(log n) prefix-table lookups; exact for the
     /// trace's piecewise-linear interpolation (each piece is a trapezoid).
     fn integral_over(&self, t0: Seconds, t1: Seconds) -> CarbonIntensitySeconds {
@@ -434,7 +394,7 @@ impl SeasonalCi {
     }
 }
 
-impl CiSource for SeasonalCi {
+impl CiIntegral for SeasonalCi {
     fn at(&self, t: Seconds) -> CarbonIntensity {
         let years = t.value() / SECONDS_PER_YEAR;
         let day_phase = core::f64::consts::TAU * t.value() / SECONDS_PER_DAY;
@@ -444,9 +404,7 @@ impl CiSource for SeasonalCi {
                 * (1.0 + self.diurnal_amplitude * day_phase.cos())
                 * (1.0 + self.seasonal_amplitude * year_phase.cos()))
     }
-}
 
-impl CiIntegral for SeasonalCi {
     /// Expanding `e^{kt}·(1 + a_d·cos ω_d t)(1 + a_s·cos ω_s t)` gives four
     /// analytically integrable terms; the cosine product folds into sum and
     /// difference frequencies via
@@ -473,6 +431,7 @@ impl CiIntegral for SeasonalCi {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::integral::Midpoint;
 
     #[test]
     fn seasonal_profile_oscillates_and_declines() {
@@ -483,7 +442,7 @@ mod tests {
         assert!(night.value() > 1.5 * noon.value());
         // Annual mean declines year over year (sample whole years so the
         // cycles average out).
-        let y0 = ci.mean_over(Seconds::from_years(1.0), 8_760);
+        let y0 = Midpoint::new(&ci, 8_760).mean_exact(Seconds::ZERO, Seconds::from_years(1.0));
         let shifted = SeasonalCi::solar_rich();
         let mut total = 0.0;
         let samples = 8_760;
@@ -533,7 +492,7 @@ mod tests {
         assert_eq!(ci.at(Seconds::ZERO), CarbonIntensity::new(380.0));
         assert_eq!(ci.at(Seconds::from_years(3.0)), CarbonIntensity::new(380.0));
         assert_eq!(
-            ci.mean_over(Seconds::from_days(10.0), 7),
+            Midpoint::new(&ci, 7).mean_exact(Seconds::ZERO, Seconds::from_days(10.0)),
             CarbonIntensity::new(380.0)
         );
     }
@@ -551,7 +510,7 @@ mod tests {
         assert!((ci.at(Seconds::ZERO).value() - 550.0).abs() < 1e-9);
         assert!((ci.at(Seconds::from_hours(12.0)).value() - 250.0).abs() < 1e-6);
         // Mean over a whole number of days recovers the mean.
-        let mean = ci.mean_over(Seconds::from_days(2.0), 4_800);
+        let mean = Midpoint::new(&ci, 4_800).mean_exact(Seconds::ZERO, Seconds::from_days(2.0));
         assert!((mean.value() - 400.0).abs() < 0.5);
         for h in 0..48 {
             assert!(ci.at(Seconds::from_hours(f64::from(h))).value() >= 0.0);
@@ -611,7 +570,7 @@ mod tests {
             CarbonIntensitySeconds::ZERO
         );
         // Sampled mean over a span that starts at 0 agrees too.
-        let sampled = trace.mean_over(Seconds::new(100.0), 16);
+        let sampled = Midpoint::new(&trace, 16).mean_exact(Seconds::ZERO, Seconds::new(100.0));
         assert!((sampled.value() - 321.0).abs() < 1e-12);
     }
 
@@ -619,8 +578,8 @@ mod tests {
     fn mean_over_zero_duration_returns_the_point_value() {
         let diurnal =
             DiurnalCi::new(CarbonIntensity::new(400.0), CarbonIntensity::new(100.0)).unwrap();
-        // Every midpoint of a zero-length interval is t = 0.
-        let sampled = diurnal.mean_over(Seconds::ZERO, 64);
+        // A zero-length interval degenerates to the point value at t = 0.
+        let sampled = Midpoint::new(&diurnal, 64).mean_exact(Seconds::ZERO, Seconds::ZERO);
         assert!((sampled.value() - diurnal.at(Seconds::ZERO).value()).abs() < 1e-12);
         assert_eq!(
             diurnal.mean_exact(Seconds::ZERO, Seconds::ZERO),
@@ -633,14 +592,17 @@ mod tests {
         let diurnal =
             DiurnalCi::new(CarbonIntensity::new(400.0), CarbonIntensity::new(100.0)).unwrap();
         let d = Seconds::from_hours(6.0);
-        assert_eq!(diurnal.mean_over(d, 1), diurnal.at(d / 2.0));
+        assert_eq!(
+            Midpoint::new(&diurnal, 1).mean_exact(Seconds::ZERO, d),
+            diurnal.at(d / 2.0)
+        );
     }
 
     #[test]
     #[should_panic(expected = "samples must be > 0")]
     fn mean_over_zero_samples_panics_as_documented() {
         let ci = ConstantCi::new(grids::US_AVERAGE);
-        let _ = ci.mean_over(Seconds::from_days(1.0), 0);
+        let _ = Midpoint::new(&ci, 0);
     }
 
     #[test]
@@ -665,7 +627,7 @@ mod tests {
 
     #[test]
     fn sources_are_object_safe() {
-        let sources: Vec<Box<dyn CiSource>> = vec![
+        let sources: Vec<Box<dyn CiIntegral>> = vec![
             Box::new(ConstantCi::new(grids::GAS)),
             Box::new(TrendCi::new(grids::GAS, 0.02).unwrap()),
         ];

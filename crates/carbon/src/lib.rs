@@ -65,15 +65,14 @@ pub mod prelude {
     pub use crate::fallback::{
         FallbackCi, FallbackCiBuilder, FallbackHealth, TierCoverage, TierHealth,
     };
-    pub use crate::integral::{operational_carbon_exact, CiIntegral, PowerIntegral, PowerSegment};
-    pub use crate::intensity::{
-        grids, CiSource, ConstantCi, DiurnalCi, SeasonalCi, TraceCi, TrendCi,
+    pub use crate::integral::{
+        operational_carbon_exact, CiIntegral, Midpoint, PowerIntegral, PowerSegment,
     };
+    pub use crate::intensity::{grids, ConstantCi, DiurnalCi, SeasonalCi, TraceCi, TrendCi};
     pub use crate::lifetime::UsageProfile;
     pub use crate::memory::{GramsCo2ePerGigabyte, MemoryDevice, MemoryKind, SystemBom};
     pub use crate::operational::{
         operational_carbon, operational_carbon_profile, ConstantPower, DutyCycledPower,
-        PowerProfile,
     };
     pub use crate::sanitize::{Gap, SanitizePolicy, SanitizeReport};
     pub use crate::units::{

@@ -5,11 +5,9 @@
 //! profile: `C_operational = ∫ CI_use(t) P(t) dt`.
 
 use crate::error::CarbonError;
-use crate::integral::{PowerIntegral, PowerSegment};
-use crate::intensity::CiSource;
-use crate::units::{count_f64, CarbonIntensity, GramsCo2e, Joules, Seconds, Watts};
+use crate::integral::{midpoints, CiIntegral, PowerIntegral, PowerSegment};
+use crate::units::{CarbonIntensity, GramsCo2e, Joules, Seconds, Watts};
 use serde::{Deserialize, Serialize};
-use std::fmt;
 
 /// Operational carbon for a known total energy at constant intensity
 /// (eq. IV.6).
@@ -29,27 +27,6 @@ pub fn operational_carbon(ci: CarbonIntensity, energy: Joules) -> GramsCo2e {
     ci * energy.to_kilowatt_hours()
 }
 
-/// A time-varying power draw `P(t)`.
-pub trait PowerProfile: fmt::Debug {
-    /// Power at time `t` after deployment.
-    fn at(&self, t: Seconds) -> Watts;
-
-    /// Total energy over `[0, duration]`, by midpoint integration with
-    /// `steps` samples.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `steps == 0`.
-    fn energy_over(&self, duration: Seconds, steps: usize) -> Joules {
-        assert!(steps > 0, "steps must be > 0");
-        let dt = duration.value() / count_f64(steps);
-        let sum: f64 = (0..steps)
-            .map(|i| self.at(Seconds::new((count_f64(i) + 0.5) * dt)).value())
-            .sum();
-        Joules::new(sum * dt)
-    }
-}
-
 /// A constant power draw.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ConstantPower {
@@ -64,13 +41,11 @@ impl ConstantPower {
     }
 }
 
-impl PowerProfile for ConstantPower {
+impl PowerIntegral for ConstantPower {
     fn at(&self, _t: Seconds) -> Watts {
         self.power
     }
-}
 
-impl PowerIntegral for ConstantPower {
     fn energy_integral(&self, t0: Seconds, t1: Seconds) -> Joules {
         self.power * (t1 - t0)
     }
@@ -156,7 +131,7 @@ impl DutyCycledPower {
     }
 }
 
-impl PowerProfile for DutyCycledPower {
+impl PowerIntegral for DutyCycledPower {
     fn at(&self, t: Seconds) -> Watts {
         let phase = (t.value() / self.period.value()).rem_euclid(1.0);
         if phase < self.duty {
@@ -165,9 +140,7 @@ impl PowerProfile for DutyCycledPower {
             self.idle
         }
     }
-}
 
-impl PowerIntegral for DutyCycledPower {
     fn energy_integral(&self, t0: Seconds, t1: Seconds) -> Joules {
         self.cumulative_energy(t1) - self.cumulative_energy(t0)
     }
@@ -175,7 +148,7 @@ impl PowerIntegral for DutyCycledPower {
     /// Walks the periods overlapping `[t0, t1]`, clipping the active
     /// (`[k·T, k·T + duty·T)`) and idle stretches of each to the requested
     /// interval — the half-open active window matches
-    /// [`PowerProfile::at`]'s `phase < duty` rule. Zero-width stretches
+    /// [`PowerIntegral::at`]'s `phase < duty` rule. Zero-width stretches
     /// (duty 0 or 1) are skipped, so degenerate cycles yield one segment
     /// per period. O((t1 − t0)/period) segments.
     fn for_each_segment(&self, t0: Seconds, t1: Seconds, visit: &mut dyn FnMut(PowerSegment)) {
@@ -215,25 +188,25 @@ impl PowerIntegral for DutyCycledPower {
 }
 
 /// Operational carbon for a time-varying intensity and power profile
-/// (eq. IV.7), by midpoint integration of `CI(t) * P(t)`.
+/// (eq. IV.7), by midpoint integration of `CI(t) * P(t)`: the sampled
+/// product integral that [`crate::integral::operational_carbon_exact`] is
+/// checked against.
 ///
 /// # Panics
 ///
 /// Panics if `steps == 0`.
 #[must_use]
 pub fn operational_carbon_profile(
-    ci: &dyn CiSource,
-    power: &dyn PowerProfile,
+    ci: &dyn CiIntegral,
+    power: &dyn PowerIntegral,
     lifetime: Seconds,
     steps: usize,
 ) -> GramsCo2e {
     assert!(steps > 0, "steps must be > 0");
-    let dt = lifetime.value() / count_f64(steps);
+    let (dt, mids) = midpoints(Seconds::ZERO, lifetime, steps);
     let mut grams = 0.0;
-    for i in 0..steps {
-        let t = Seconds::new((count_f64(i) + 0.5) * dt);
-        let p = power.at(t);
-        let e = (p * Seconds::new(dt)).to_kilowatt_hours();
+    for t in mids {
+        let e = (power.at(t) * Seconds::new(dt)).to_kilowatt_hours();
         grams += (ci.at(t) * e).value();
     }
     GramsCo2e::new(grams)
@@ -242,6 +215,7 @@ pub fn operational_carbon_profile(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::integral::Midpoint;
     use crate::intensity::{grids, ConstantCi, DiurnalCi};
 
     #[test]
@@ -266,7 +240,8 @@ mod tests {
     fn duty_cycle_energy() {
         // 2 h/day active at 8.3 W, idle at 0.5 W.
         let p = DutyCycledPower::daily(Watts::new(8.3), Watts::new(0.5), 2.0).unwrap();
-        let day = p.energy_over(Seconds::from_days(1.0), 24 * 60);
+        let day =
+            Midpoint::new(&p, 24 * 60).energy_integral(Seconds::ZERO, Seconds::from_days(1.0));
         let expected = 8.3 * 2.0 * crate::units::SECONDS_PER_HOUR
             + 0.5 * 22.0 * crate::units::SECONDS_PER_HOUR;
         assert!((day.value() - expected).abs() / expected < 1e-6);
@@ -322,8 +297,10 @@ mod tests {
         let life = Seconds::from_days(5.0);
         let night_c = operational_carbon_profile(&ci, &night, life, 24_000);
         // Same energy at constant mean CI.
-        let mean_c =
-            operational_carbon(CarbonIntensity::new(380.0), night.energy_over(life, 24_000));
+        let mean_c = operational_carbon(
+            CarbonIntensity::new(380.0),
+            Midpoint::new(&night, 24_000).energy_integral(Seconds::ZERO, life),
+        );
         // Overnight window catches the high-CI phase.
         assert!(night_c > mean_c);
     }
@@ -339,7 +316,10 @@ mod tests {
     #[test]
     fn energy_over_zero_duration_is_zero() {
         let p = DutyCycledPower::daily(Watts::new(8.3), Watts::new(0.5), 2.0).unwrap();
-        assert_eq!(p.energy_over(Seconds::ZERO, 100), Joules::ZERO);
+        assert_eq!(
+            Midpoint::new(&p, 100).energy_integral(Seconds::ZERO, Seconds::ZERO),
+            Joules::ZERO
+        );
         assert_eq!(
             p.energy_integral(Seconds::ZERO, Seconds::ZERO),
             Joules::ZERO
@@ -353,16 +333,16 @@ mod tests {
         let p = DutyCycledPower::new(Watts::new(4.0), Watts::new(1.0), Seconds::new(10.0), 0.3)
             .unwrap();
         let d = Seconds::new(8.0);
-        let one = p.energy_over(d, 1);
+        let one = Midpoint::new(&p, 1).energy_integral(Seconds::ZERO, d);
         let expected = p.at(Seconds::new(4.0)) * d;
         assert_eq!(one, expected);
     }
 
     #[test]
-    #[should_panic(expected = "steps must be > 0")]
+    #[should_panic(expected = "samples must be > 0")]
     fn energy_over_zero_steps_panics_as_documented() {
         let p = ConstantPower::new(Watts::new(1.0));
-        let _ = p.energy_over(Seconds::new(1.0), 0);
+        let _ = Midpoint::new(&p, 0);
     }
 
     #[test]

@@ -325,7 +325,7 @@ impl TraceCi {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::intensity::CiSource;
+    use crate::integral::CiIntegral;
 
     fn s(t: f64, ci: f64) -> (Seconds, CarbonIntensity) {
         (Seconds::new(t), CarbonIntensity::new(ci))

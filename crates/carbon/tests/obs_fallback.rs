@@ -8,7 +8,7 @@
 
 use cordoba_carbon::fallback::FallbackCi;
 use cordoba_carbon::integral::CiIntegral;
-use cordoba_carbon::intensity::{grids, CiSource, ConstantCi, TraceCi};
+use cordoba_carbon::intensity::{grids, ConstantCi, TraceCi};
 use cordoba_carbon::units::{CarbonIntensity, Seconds};
 
 /// Current value of a named counter in the global registry (0 if untouched).

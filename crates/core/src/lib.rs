@@ -105,9 +105,8 @@ pub mod prelude {
     };
     pub use crate::uncertainty::{
         context_for_embodied_share, domain_analysis, monte_carlo_regret, monte_carlo_source_tcdp,
-        monte_carlo_tcdp, scenario_regret, tcdp_under_source, tcdp_under_source_sampled,
-        DomainAnalysis, DomainClass, McRun, MonteCarloSpec, MonteCarloSummary,
-        SourceMonteCarloSpec,
+        monte_carlo_tcdp, scenario_regret, tcdp_under_source, DomainAnalysis, DomainClass, McRun,
+        MonteCarloSpec, MonteCarloSummary, SourceMonteCarloSpec,
     };
     pub use cordoba_obs::Name;
 }

@@ -5,7 +5,7 @@ use crate::error::CoreError;
 use crate::metrics::{DesignPoint, OperationalContext};
 use crate::stats::log_pearson;
 use cordoba_carbon::integral::CiIntegral;
-use cordoba_carbon::intensity::{grids, CiSource};
+use cordoba_carbon::intensity::grids;
 use cordoba_carbon::units::{CarbonIntensity, Seconds};
 use cordoba_carbon::CarbonError;
 use cordoba_obs::Name;
@@ -168,8 +168,8 @@ pub fn domain_analysis(
 ///
 /// The mean comes from the closed-form integration kernel
 /// ([`CiIntegral::mean_exact`]), so this is O(1) for the analytic sources
-/// and O(log n) for traces — [`tcdp_under_source_sampled`] is the sampled
-/// executable spec it replaced.
+/// and O(log n) for traces. Pass a [`cordoba_carbon::integral::Midpoint`]
+/// source for the sampled reference.
 #[must_use]
 pub fn tcdp_under_source(
     point: &DesignPoint,
@@ -178,32 +178,6 @@ pub fn tcdp_under_source(
     lifetime: Seconds,
 ) -> f64 {
     let mean_ci = source.mean_exact(Seconds::ZERO, lifetime);
-    let ctx = OperationalContext {
-        tasks,
-        ci_use: mean_ci,
-    };
-    point.tcdp(&ctx).value()
-}
-
-/// The sampled predecessor of [`tcdp_under_source`]: estimates the lifetime
-/// mean intensity by midpoint sampling with `samples` lookups.
-///
-/// Kept as an executable specification — property tests assert it converges
-/// to the exact kernel as `samples → ∞` and matches it exactly for constant
-/// sources.
-///
-/// # Panics
-///
-/// Panics if `samples == 0` (see [`CiSource::mean_over`]).
-#[must_use]
-pub fn tcdp_under_source_sampled(
-    point: &DesignPoint,
-    source: &dyn CiSource,
-    tasks: f64,
-    lifetime: Seconds,
-    samples: usize,
-) -> f64 {
-    let mean_ci = source.mean_over(lifetime, samples);
     let ctx = OperationalContext {
         tasks,
         ci_use: mean_ci,
@@ -264,10 +238,6 @@ const MC_TCDP_NS_PER_DRAW: u64 = 22;
 /// An exact-integral source draw: `core.uncertainty.source` in perfbench's
 /// `uncertainty` workload, 19.3 ms over 150,000 draws.
 const MC_SOURCE_NS_PER_DRAW: u64 = 129;
-/// One midpoint lookup of the sampled source spec: bench_smoke's
-/// `uncertainty/source_mc_256/sampled_10000/threads=1`, 42.8 ms over 256
-/// draws of 10,000 lookups each.
-const MC_LOOKUP_NS: u64 = 17;
 /// One design in one regret draw: `core.uncertainty.regret` in perfbench's
 /// `uncertainty` workload, 4.4 ms over 12,000 draws of 121 designs.
 const MC_REGRET_NS_PER_DRAW_AND_POINT: u64 = 3;
@@ -641,7 +611,9 @@ impl<'a> McRun<'a, MonteCarloSummary> {
     }
 
     /// The tCDP distribution of `point` across time-varying `sources`,
-    /// each draw's lifetime mean from the exact integration kernel.
+    /// each draw's lifetime mean from the source's
+    /// [`CiIntegral::mean_exact`] (the exact kernel, or a midpoint sum for
+    /// a [`cordoba_carbon::integral::Midpoint`] source).
     ///
     /// # Errors
     ///
@@ -667,53 +639,6 @@ impl<'a> McRun<'a, MonteCarloSummary> {
                             tcdp_under_source(point, sources[idx], tasks, life)
                         }),
                 )
-            },
-        ))
-    }
-
-    /// The sampled executable spec of [`McRun::source`]: identical draw
-    /// stream, but each draw's lifetime mean is estimated with
-    /// `samples_per_draw` midpoint lookups instead of the exact kernel.
-    ///
-    /// Exists for convergence property tests and as the benchmark
-    /// baseline; new code should use the exact variant.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for a zero-sample spec, an empty source set,
-    /// invalid scenario bounds, or `samples_per_draw == 0`.
-    pub fn source_sampled(
-        point: &'a DesignPoint,
-        sources: &'a [&'a dyn CiIntegral],
-        spec: &SourceMonteCarloSpec,
-        samples_per_draw: usize,
-    ) -> Result<Self, CarbonError> {
-        spec.validate(sources.len())?;
-        if samples_per_draw == 0 {
-            return Err(CarbonError::Empty {
-                what: "integration samples per draw",
-            });
-        }
-        let spec = *spec;
-        let span = "core/monte_carlo_source_tcdp_sampled";
-        let ns_per_draw = MC_LOOKUP_NS.saturating_mul(samples_per_draw as u64);
-        Ok(Self::new(
-            span,
-            spec.samples,
-            ns_per_draw,
-            fold_summary,
-            move |block| {
-                moments(spec.block_draws(block, sources.len()).into_iter().map(
-                    |(idx, tasks, life)| {
-                        tcdp_under_source_sampled(
-                            point,
-                            sources[idx],
-                            tasks,
-                            life,
-                            samples_per_draw,
-                        )
-                    },
-                ))
             },
         ))
     }
@@ -845,6 +770,7 @@ impl<'a, O> McRun<'a, O> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cordoba_carbon::integral::Midpoint;
     use cordoba_carbon::intensity::{ConstantCi, TrendCi};
     use cordoba_carbon::units::{GramsCo2e, Joules, SquareCentimeters, JOULES_PER_KILOWATT_HOUR};
 
@@ -927,7 +853,12 @@ mod tests {
         // The exact kernel recovers the constant bit-for-bit.
         assert!((via_source - direct).abs() / direct < f64::EPSILON);
         // ... and so does the sampled spec, for a constant source.
-        let sampled = tcdp_under_source_sampled(&p, &constant, 100.0, Seconds::from_years(3.0), 7);
+        let sampled = tcdp_under_source(
+            &p,
+            &Midpoint::new(&constant, 7),
+            100.0,
+            Seconds::from_years(3.0),
+        );
         assert!((sampled - direct).abs() / direct < f64::EPSILON);
     }
 
@@ -939,8 +870,8 @@ mod tests {
         let exact = tcdp_under_source(&p, &trend, 100.0, life);
         let mut prev = f64::INFINITY;
         for samples in [10, 100, 1_000, 10_000] {
-            let err =
-                (tcdp_under_source_sampled(&p, &trend, 100.0, life, samples) - exact).abs() / exact;
+            let sampled = Midpoint::new(&trend, samples);
+            let err = (tcdp_under_source(&p, &sampled, 100.0, life) - exact).abs() / exact;
             assert!(err < prev * 1.5, "error should shrink: {err} vs {prev}");
             prev = err;
         }
@@ -1092,11 +1023,12 @@ mod tests {
         let spec = SourceMonteCarloSpec::new(128, 9);
         let exact = monte_carlo_source_tcdp(&p, &sources, &spec).unwrap();
         // Same draw stream, so the only difference is integration error.
-        let coarse = complete(McRun::source_sampled(&p, &sources, &spec, 16).unwrap(), 1);
-        let fine = complete(
-            McRun::source_sampled(&p, &sources, &spec, 4_096).unwrap(),
-            1,
-        );
+        let (coarse_coal, coarse_trend) = (Midpoint::new(&coal, 16), Midpoint::new(&trend, 16));
+        let coarse_sources: [&dyn CiIntegral; 2] = [&coarse_coal, &coarse_trend];
+        let coarse = complete(McRun::source(&p, &coarse_sources, &spec).unwrap(), 1);
+        let (fine_coal, fine_trend) = (Midpoint::new(&coal, 4_096), Midpoint::new(&trend, 4_096));
+        let fine_sources: [&dyn CiIntegral; 2] = [&fine_coal, &fine_trend];
+        let fine = complete(McRun::source(&p, &fine_sources, &spec).unwrap(), 1);
         let coarse_err = (coarse.mean - exact.mean).abs() / exact.mean;
         let fine_err = (fine.mean - exact.mean).abs() / exact.mean;
         assert!(fine_err <= coarse_err);
@@ -1116,7 +1048,7 @@ mod tests {
         let mut bad = SourceMonteCarloSpec::new(10, 1);
         bad.tasks_log10_hi = bad.tasks_log10_lo - 1.0;
         assert!(monte_carlo_source_tcdp(&p, &sources, &bad).is_err());
-        assert!(McRun::source_sampled(&p, &sources, &SourceMonteCarloSpec::new(10, 1), 0).is_err());
+        assert!(std::panic::catch_unwind(|| Midpoint::new(&coal, 0)).is_err());
     }
 
     #[test]
@@ -1163,8 +1095,10 @@ mod tests {
         let resumed = mc.advance(&Supervisor::unbounded(), 2).unwrap();
         assert_eq!(resumed, Some(exact));
         // Sampled-integration path, same shape.
-        let sampled = complete(McRun::source_sampled(&p, &sources, &spec, 16).unwrap(), 1);
-        let mut mc = McRun::source_sampled(&p, &sources, &spec, 16).unwrap();
+        let (sampled_coal, sampled_trend) = (Midpoint::new(&coal, 16), Midpoint::new(&trend, 16));
+        let sources: [&dyn CiIntegral; 2] = [&sampled_coal, &sampled_trend];
+        let sampled = complete(McRun::source(&p, &sources, &spec).unwrap(), 1);
+        let mut mc = McRun::source(&p, &sources, &spec).unwrap();
         assert!(mc
             .advance(&Supervisor::tripping_after(2), 1)
             .unwrap()
@@ -1193,13 +1127,11 @@ mod tests {
     #[derive(Debug)]
     struct PanickingSource;
 
-    impl CiSource for PanickingSource {
+    impl CiIntegral for PanickingSource {
         fn at(&self, _t: Seconds) -> CarbonIntensity {
             panic!("poisoned source");
         }
-    }
 
-    impl CiIntegral for PanickingSource {
         fn integral_over(
             &self,
             _t0: Seconds,

@@ -14,7 +14,7 @@ use cordoba_accel::params::TechTuning;
 use cordoba_accel::space::design_space;
 use cordoba_carbon::embodied::EmbodiedModel;
 use cordoba_carbon::prelude::{
-    grids, CarbonIntensity, CiSource, DiurnalCi, FallbackCi, SanitizePolicy, Seconds, TraceCi,
+    grids, CarbonIntensity, CiIntegral, DiurnalCi, FallbackCi, SanitizePolicy, Seconds, TraceCi,
 };
 use cordoba_robust::fault::FaultPlan;
 use cordoba_soc::prelude::{simulate_events, ActivityTrace, Segment, SocConfig, VrApp};
@@ -37,13 +37,31 @@ fn clean_trace() -> Vec<(Seconds, CarbonIntensity)> {
 }
 
 /// Probes a CI source at many offsets and asserts finite, non-negative
-/// intensity everywhere.
-fn assert_source_sane(source: &dyn CiSource, seed: u64) {
+/// intensity everywhere: the point value at each hour, and the integral and
+/// mean over each following hour window (what `tcdp_under_source` and
+/// `operational_carbon_exact` consume).
+fn assert_source_sane(source: &dyn CiIntegral, seed: u64) {
     for h in 0..96 {
         let ci = source.at(Seconds::from_hours(f64::from(h)));
         assert!(
             ci.value().is_finite() && ci.value() >= 0.0,
             "seed {seed}: intensity {ci:?} at hour {h}"
+        );
+    }
+    for h in 0..96 {
+        let (t0, t1) = (
+            Seconds::from_hours(f64::from(h)),
+            Seconds::from_hours(f64::from(h + 1)),
+        );
+        let integral = source.integral_over(t0, t1);
+        assert!(
+            integral.value().is_finite() && integral.value() >= 0.0,
+            "seed {seed}: integral {integral:?} over hour {h}"
+        );
+        let mean = source.mean_exact(t0, t1);
+        assert!(
+            mean.value().is_finite() && mean.value() >= 0.0,
+            "seed {seed}: mean {mean:?} over hour {h}"
         );
     }
 }
@@ -95,7 +113,10 @@ fn fallback_chain_yields_finite_intensity_under_corruption() {
         };
         assert_source_sane(&chain, seed);
         let health = chain.health();
-        assert_eq!(health.queries, 96, "seed {seed}");
+        // 96 point lookups, plus one query each for the 96 windows'
+        // `integral_over` and `mean_exact`: every trace-span edge is a whole
+        // hour, so no window is split at a tier boundary.
+        assert_eq!(health.queries, 3 * 96, "seed {seed}");
         assert_eq!(health.exhausted, 0, "seed {seed}: {health}");
     }
 }

@@ -14,7 +14,7 @@ use cordoba_accel::config::AcceleratorConfig;
 use cordoba_accel::params::TechTuning;
 use cordoba_accel::space::design_space;
 use cordoba_carbon::embodied::EmbodiedModel;
-use cordoba_carbon::integral::CiIntegral;
+use cordoba_carbon::integral::{CiIntegral, Midpoint};
 use cordoba_carbon::intensity::{ConstantCi, SeasonalCi, TrendCi};
 use cordoba_carbon::prelude::{grids, GramsCo2e, Joules, Seconds, SquareCentimeters};
 use cordoba_par::CostHint;
@@ -331,6 +331,9 @@ fn monte_carlo_runs_interrupted_at_seeded_points_resume_bit_identically() {
     let trend = TrendCi::new(grids::US_AVERAGE, 0.10).expect("valid trend");
     let seasonal = SeasonalCi::solar_rich();
     let sources: [&dyn CiIntegral; 3] = [&coal, &trend, &seasonal];
+    let midpoints = sources.map(|s| Midpoint::new(s, 8));
+    let sampled_sources: Vec<&dyn CiIntegral> =
+        midpoints.iter().map(|s| s as &dyn CiIntegral).collect();
     for seed in 0..60u64 {
         let plan = FaultPlan::new(seed);
         // 1,300 samples make 21 RNG blocks: enough for a two-worker split.
@@ -341,7 +344,7 @@ fn monte_carlo_runs_interrupted_at_seeded_points_resume_bit_identically() {
         let source = monte_carlo_source_tcdp(point, &sources, &source_spec).expect("valid spec");
         let regret = monte_carlo_regret(&pts, &spec).expect("valid spec");
         let mut sampled_run =
-            McRun::source_sampled(point, &sources, &source_spec, 8).expect("valid spec");
+            McRun::source(point, &sampled_sources, &source_spec).expect("valid spec");
         let sampled = sampled_run
             .advance(&Supervisor::unbounded(), 1)
             .expect("no block panics")
@@ -353,7 +356,7 @@ fn monte_carlo_runs_interrupted_at_seeded_points_resume_bit_identically() {
             let run = McRun::source(point, &sources, &source_spec).expect("valid spec");
             let resumed = interrupt_and_resume(run, &plan, seed, threads);
             assert_eq!(resumed, source, "seed {seed}, {threads} threads: source");
-            let run = McRun::source_sampled(point, &sources, &source_spec, 8).expect("valid spec");
+            let run = McRun::source(point, &sampled_sources, &source_spec).expect("valid spec");
             let resumed = interrupt_and_resume(run, &plan, seed, threads);
             assert_eq!(resumed, sampled, "seed {seed}, {threads} threads: sampled");
             let run = McRun::regret(&pts, &spec).expect("valid spec");

@@ -33,7 +33,7 @@ use cordoba_accel::config::{AcceleratorConfig, MemoryIntegration};
 use cordoba_accel::params::TechTuning;
 use cordoba_accel::space::design_space;
 use cordoba_carbon::embodied::EmbodiedModel;
-use cordoba_carbon::integral::CiIntegral;
+use cordoba_carbon::integral::{CiIntegral, Midpoint};
 use cordoba_carbon::intensity::{grids, ConstantCi, SeasonalCi, TrendCi};
 use cordoba_carbon::units::{Bytes, GramsCo2e, Hertz, Joules, Seconds, SquareCentimeters};
 use cordoba_par::Supervisor;
@@ -194,6 +194,9 @@ fn fingerprint(threads: Option<usize>) -> u64 {
     let trend = TrendCi::new(grids::US_AVERAGE, 0.10).unwrap();
     let seasonal = SeasonalCi::solar_rich();
     let sources: [&dyn CiIntegral; 3] = [&coal, &trend, &seasonal];
+    let midpoints = sources.map(|s| Midpoint::new(s, 16));
+    let sampled_sources: Vec<&dyn CiIntegral> =
+        midpoints.iter().map(|s| s as &dyn CiIntegral).collect();
     let t = threads.unwrap_or_else(cordoba_par::effective_threads);
     let mut fp = Fingerprint::new();
     for seed in SEEDS {
@@ -212,7 +215,7 @@ fn fingerprint(threads: Option<usize>) -> u64 {
             };
             fp.summary(&tcdp);
             fp.summary(&source);
-            let sampled = McRun::source_sampled(p, &sources, &source_spec, 16).unwrap();
+            let sampled = McRun::source(p, &sampled_sources, &source_spec).unwrap();
             fp.summary(&complete(sampled, t));
         }
         let regret = match threads {

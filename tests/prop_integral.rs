@@ -7,14 +7,15 @@
 //!    `TraceCi::at` must be *bit-identical* to the O(n) linear scan it
 //!    replaced, for every finite query (exact sample timestamps, interior
 //!    points, out-of-span points, and ±infinity).
-//! 2. **Convergence** — the sampled estimators (`CiSource::mean_over`,
-//!    `PowerProfile::energy_over`) are kept as executable specifications:
-//!    their error against the closed-form kernel must tighten as the sample
-//!    count grows, and vanish entirely for constant sources/profiles.
+//! 2. **Convergence** — the sampled reference (`Midpoint`, the midpoint rule
+//!    wrapped around a source or power profile) is the executable
+//!    specification: its error against the closed-form kernel must tighten
+//!    as the sample count grows, and vanish entirely for constant
+//!    sources/profiles.
 
-use cordoba_carbon::integral::{CiIntegral, PowerIntegral};
-use cordoba_carbon::intensity::{CiSource, ConstantCi, DiurnalCi, SeasonalCi, TraceCi, TrendCi};
-use cordoba_carbon::operational::{ConstantPower, DutyCycledPower, PowerProfile};
+use cordoba_carbon::integral::{CiIntegral, Midpoint, PowerIntegral};
+use cordoba_carbon::intensity::{ConstantCi, DiurnalCi, SeasonalCi, TraceCi, TrendCi};
+use cordoba_carbon::operational::{ConstantPower, DutyCycledPower};
 use cordoba_carbon::units::{CarbonIntensity, Seconds, Watts, SECONDS_PER_DAY, SECONDS_PER_HOUR};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -165,7 +166,9 @@ fn sampled_mean_converges_to_the_exact_kernel() {
         // by ~64x; demand at least 4x (down to floating-point noise).
         let mut prev = f64::INFINITY;
         for samples in [256_usize, 2_048, 16_384] {
-            let err = (source.mean_over(duration, samples).value() - exact).abs() / exact;
+            let sampled =
+                Midpoint::new(source.as_ref(), samples).mean_exact(Seconds::ZERO, duration);
+            let err = (sampled.value() - exact).abs() / exact;
             assert!(
                 err <= (prev / 4.0).max(1e-12),
                 "case {case}: {samples} samples error {err} after {prev}"
@@ -188,11 +191,13 @@ fn constant_ci_sampled_mean_is_exact() {
         // 1- and 2-sample midpoint means involve only exact float ops, so
         // the sampled spec matches bit-for-bit...
         for samples in [1_usize, 2] {
-            let sampled = source.mean_over(duration, samples);
+            let sampled = Midpoint::new(&source, samples).mean_exact(Seconds::ZERO, duration);
             assert_eq!(sampled.value().to_bits(), c.value().to_bits());
         }
         // ... and longer sums stay within accumulated rounding noise.
-        let sampled = source.mean_over(duration, 10_000).value();
+        let sampled = Midpoint::new(&source, 10_000)
+            .mean_exact(Seconds::ZERO, duration)
+            .value();
         assert!((sampled - c.value()).abs() <= 1e-12 * c.value());
     }
 }
@@ -205,7 +210,7 @@ fn constant_power_sampled_energy_is_exact() {
         let duration = Seconds::new(1e-3 + rng.gen::<f64>() * 1e9);
         let exact = p.energy_integral(Seconds::ZERO, duration);
         for samples in [1_usize, 2] {
-            let sampled = p.energy_over(duration, samples);
+            let sampled = Midpoint::new(&p, samples).energy_integral(Seconds::ZERO, duration);
             assert_eq!(sampled.value().to_bits(), exact.value().to_bits());
         }
     }
@@ -229,7 +234,9 @@ fn sampled_energy_converges_to_the_exact_integral() {
         let dp = (active.value() - idle.value()).abs();
         for steps in [256_usize, 2_048, 16_384] {
             let dt = duration.value() / steps as f64;
-            let sampled = p.energy_over(duration, steps).value();
+            let sampled = Midpoint::new(&p, steps)
+                .energy_integral(Seconds::ZERO, duration)
+                .value();
             let bound = jumps * dp * dt + 1e-9 * exact.abs();
             assert!(
                 (sampled - exact).abs() <= bound,

@@ -12,7 +12,7 @@ use cordoba_accel::config::{AcceleratorConfig, MemoryIntegration};
 use cordoba_accel::params::TechTuning;
 use cordoba_accel::space::design_space;
 use cordoba_carbon::embodied::EmbodiedModel;
-use cordoba_carbon::integral::CiIntegral;
+use cordoba_carbon::integral::{CiIntegral, Midpoint};
 use cordoba_carbon::intensity::grids;
 use cordoba_carbon::intensity::{ConstantCi, SeasonalCi, TrendCi};
 use cordoba_carbon::units::{Bytes, CarbonIntensity};
@@ -187,6 +187,9 @@ fn source_monte_carlo_is_bit_identical_across_thread_counts() {
     let trend = TrendCi::new(grids::COAL, 0.12).unwrap();
     let seasonal = SeasonalCi::solar_rich();
     let sources: [&dyn CiIntegral; 3] = [&flat, &trend, &seasonal];
+    let midpoints = sources.map(|s| Midpoint::new(s, 32));
+    let sampled_sources: Vec<&dyn CiIntegral> =
+        midpoints.iter().map(|s| s as &dyn CiIntegral).collect();
     for seed in 0..40u64 {
         let mut rng = StdRng::seed_from_u64(0x50C4 ^ seed);
         let samples = 1 + index(&mut rng, 300);
@@ -198,7 +201,7 @@ fn source_monte_carlo_is_bit_identical_across_thread_counts() {
             .map(Option::unwrap)
             .unwrap();
         assert_eq!(sequential.samples, samples);
-        let sampled_sequential = McRun::source_sampled(point, &sources, &spec, 32)
+        let sampled_sequential = McRun::source(point, &sampled_sources, &spec)
             .unwrap()
             .advance(&Supervisor::unbounded(), 1)
             .map(Option::unwrap)
@@ -210,7 +213,7 @@ fn source_monte_carlo_is_bit_identical_across_thread_counts() {
                 .map(Option::unwrap)
                 .unwrap();
             assert_eq!(sequential, parallel, "seed {seed}, {threads} threads");
-            let sampled_parallel = McRun::source_sampled(point, &sources, &spec, 32)
+            let sampled_parallel = McRun::source(point, &sampled_sources, &spec)
                 .unwrap()
                 .advance(&Supervisor::unbounded(), threads)
                 .map(Option::unwrap)
