@@ -567,13 +567,11 @@ fn main() {
         }),
     ));
 
-    // With the registry live, re-run the cache-sharing sweep and a β-solve
-    // so the recorded file carries the counters those paths emit.
+    // With the registry live, re-run the cache-sharing sweep so the
+    // recorded file carries the counters that path emits.
     cordoba_obs::set_metrics_enabled(true);
     let multi = evaluate_space_multi(&configs, std::slice::from_ref(&task), &model).unwrap();
     black_box(&multi);
-    let beta = BetaSweep::run(&points);
-    black_box(beta.solve_transitions(0.0, 1e4, 1e-3, 10_000).unwrap());
     for (name, value) in cordoba_obs::counter_snapshot() {
         results.push((format!("obs/counter/{name}"), u128::from(value)));
     }

@@ -6,10 +6,14 @@
 //! Pareto-optimal curve and can be eliminated without knowing `CI_use(t)`;
 //! the survivors are 3D_2K_4M and 3D_2K_8M, which are exactly the Fig. 11
 //! winners of the embodied- and operational-dominant cases respectively.
+//! The optimum hands from the first to the second at one exact β, printed
+//! with the US-grid task count it corresponds to.
 
 use cordoba::prelude::*;
 use cordoba_bench::stacking_study::StackingStudy;
 use cordoba_bench::{emit, heading};
+use cordoba_carbon::intensity::grids;
+use cordoba_carbon::units::JOULES_PER_KILOWATT_HOUR;
 
 fn main() {
     let study = StackingStudy::run().expect("static study inputs are valid");
@@ -64,4 +68,13 @@ fn main() {
         beta_op,
         name_for(beta_op)
     );
+    // The exact crossover read off the hull, and the task count that puts
+    // a constant US-grid deployment there (inverting `beta_for_context`).
+    for t in sweep.transitions() {
+        let tasks = t.beta * JOULES_PER_KILOWATT_HOUR / grids::US_AVERAGE.value();
+        println!(
+            "Transition: {} -> {} at beta = {:.4e} (N = {:.3e} tasks on the US grid)",
+            sweep.points[t.from_index].name, sweep.points[t.to_index].name, t.beta, tasks
+        );
+    }
 }

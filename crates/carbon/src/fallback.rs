@@ -326,12 +326,15 @@ impl CiIntegral for FallbackCi {
     /// producing invalid integrals are counted as rejected; a sub-interval
     /// no tier can serve contributes zero and counts as exhausted —
     /// mirroring [`CiIntegral::at`]'s accounting so [`FallbackCi::health`]
-    /// sees the integral path too.
+    /// sees the integral path too. Swapped bounds negate the result, as
+    /// the trait requires.
     fn integral_over(&self, t0: Seconds, t1: Seconds) -> CarbonIntensitySeconds {
-        // `partial_cmp` keeps the guard NaN-safe: a NaN bound is not
-        // `Greater`, so the interval is treated as empty.
-        if t1.value().partial_cmp(&t0.value()) != Some(std::cmp::Ordering::Greater) {
-            return CarbonIntensitySeconds::ZERO;
+        // `partial_cmp` keeps the guard NaN-safe: an interval with a NaN
+        // bound, like an empty one, integrates to zero.
+        match t1.value().partial_cmp(&t0.value()) {
+            Some(std::cmp::Ordering::Greater) => {}
+            Some(std::cmp::Ordering::Less) => return -self.integral_over(t1, t0),
+            _ => return CarbonIntensitySeconds::ZERO,
         }
         let mut cuts = vec![t0.value(), t1.value()];
         for tier in &self.tiers {
@@ -671,12 +674,30 @@ mod tests {
         // Fully inside the trace span: exact trapezoid of the linear ramp.
         let inside = chain.integral_over(Seconds::ZERO, Seconds::new(100.0));
         assert!((inside.value() - 150.0 * 100.0).abs() < 1e-9);
-        // Empty and inverted intervals serve zero without touching health.
+        // Empty and NaN-bounded intervals serve zero without touching
+        // health.
         let before = chain.health().queries;
-        assert_eq!(
-            chain.integral_over(Seconds::new(5.0), Seconds::new(5.0)),
-            CarbonIntensitySeconds::ZERO
-        );
+        for (t0, t1) in [(5.0, 5.0), (f64::NAN, 5.0), (5.0, f64::NAN)] {
+            assert_eq!(
+                chain.integral_over(Seconds::new(t0), Seconds::new(t1)),
+                CarbonIntensitySeconds::ZERO
+            );
+        }
         assert_eq!(chain.health().queries, before);
+    }
+
+    #[test]
+    fn swapped_bounds_negate_the_integral_through_the_chain() {
+        let chain = FallbackCi::standard(
+            short_trace(),
+            Some(DiurnalCi::new(CarbonIntensity::new(400.0), CarbonIntensity::new(100.0)).unwrap()),
+            grids::US_AVERAGE,
+        )
+        .unwrap();
+        // [50, 150] s crosses the trace's window edge, so both tiers serve.
+        let forward = chain.integral_over(Seconds::new(50.0), Seconds::new(150.0));
+        let backward = chain.integral_over(Seconds::new(150.0), Seconds::new(50.0));
+        assert!(forward.value() > 0.0);
+        assert_eq!(backward, -forward);
     }
 }

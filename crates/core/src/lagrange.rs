@@ -6,24 +6,18 @@
 //! Optimizing over all `β` yields the support set `X*`; every design
 //! outside `X*` is guaranteed sub-optimal for every possible `CI_use(t)`
 //! and can be eliminated.
+//!
+//! Because the objective is linear in β, the support set (the lower convex
+//! hull of the (`C_emb·D`, `E·D`) points) also says *where* each design
+//! wins: neighbouring hull vertices hand over at the β where their lines
+//! cross, so [`BetaSweep::transitions`] reads every transition straight
+//! off the hull, exactly and in O(|X*|).
 
 use crate::metrics::DesignPoint;
 use crate::pareto::{front_and_hull, pareto_indices_kd, Point2, PointK};
 use cordoba_carbon::embodied::EmbodiedBreakdown;
 use cordoba_carbon::units::CarbonIntensity;
-use cordoba_carbon::CarbonError;
-use cordoba_obs::{Counter, Event};
-use cordoba_par::{CostHint, SupervisedMap, Supervisor};
 use serde::{Deserialize, Serialize};
-
-/// Total argmin evaluations spent across all β-sweep solves.
-static BETA_EVALUATIONS: Counter = Counter::new("core/beta_evaluations");
-
-/// Estimated cost of one candidate in one argmin evaluation (a multiply-add
-/// and a compare), for the midpoint map's `CostHint`. It is taken to match
-/// one tCDP matrix cell: bench_smoke's `dse/op_time_sweep_121x29/threads=1`
-/// fills 3,509 cells in 11,947 ns (`BENCH_9.json`), 3.4 ns each.
-const ARGMIN_NS_PER_POINT: u64 = 4;
 
 /// The two Fig. 12 objectives for a design point.
 #[must_use]
@@ -96,7 +90,9 @@ impl BetaSweep {
         1.0 - self.pareto.len() as f64 / self.points.len() as f64
     }
 
-    /// The design index minimizing `C_emb·D + β·E·D` for a concrete β.
+    /// The design index minimizing `C_emb·D + β·E·D` for a concrete β, by
+    /// an O(n) scan over every candidate. Ties go to the lowest index under
+    /// [`f64::total_cmp`].
     ///
     /// Returns `None` for an empty candidate set.
     #[must_use]
@@ -108,187 +104,28 @@ impl BetaSweep {
         })
     }
 
-    /// Locates the β values where the tCDP argmin changes hands over
-    /// `[beta_lo, beta_hi]`, by budgeted interval bisection.
+    /// Every β at which the tCDP argmin changes hands, ascending.
     ///
     /// Each objective `C_emb·D + β·E·D` is linear in β, so the argmin
-    /// follows the lower envelope of lines and each design wins one
-    /// contiguous β interval; an interval whose endpoints agree therefore
-    /// contains no transition and is discarded, while a disagreeing
-    /// interval is bisected until narrower than `tol`. Every argmin
-    /// evaluation consumes one unit of `budget`; when the budget runs out
-    /// the solver stops and reports the transitions found so far as
-    /// [`BetaSolve::NotConverged`] instead of iterating silently.
-    ///
-    /// Refinement proceeds in waves (all still-disputed intervals bisect
-    /// together) and the midpoint argmins of one wave are evaluated in
-    /// parallel. Budget truncation is left-to-right within a wave, so the
-    /// outcome — transitions, evaluation count, convergence — is identical
-    /// at every thread count. This is
-    /// [`BetaSweep::solve_transitions_supervised`] under a supervisor that
-    /// never trips, at [`cordoba_par::effective_threads`] workers.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for an empty candidate set, non-finite or negative
-    /// `beta_lo`, `beta_hi <= beta_lo`, or a non-positive `tol`.
-    pub fn solve_transitions(
-        &self,
-        beta_lo: f64,
-        beta_hi: f64,
-        tol: f64,
-        budget: usize,
-    ) -> Result<BetaSolve, CarbonError> {
-        self.solve_transitions_supervised(
-            beta_lo,
-            beta_hi,
-            tol,
-            budget,
-            &Supervisor::unbounded(),
-            cordoba_par::effective_threads(),
-        )
-    }
-
-    /// [`BetaSweep::solve_transitions`] under a [`Supervisor`] with an
-    /// explicit worker-thread count (1 = fully sequential): the solver
-    /// checks for cancellation or deadline exhaustion at every wave
-    /// boundary and, when stopped, returns the transitions found so far as
-    /// [`BetaSolve::NotConverged`] — exactly the shape budget exhaustion
-    /// produces, so callers need no new handling. Each argmin evaluation
-    /// counts one unit of supervised progress.
-    ///
-    /// Results are identical at every thread count for a deterministic
-    /// supervisor (unbounded or count-tripped); a wall-clock deadline
-    /// stops at a hardware-dependent wave, but always on a wave boundary.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for an empty candidate set, non-finite or negative
-    /// `beta_lo`, `beta_hi <= beta_lo`, or a non-positive `tol`.
-    pub fn solve_transitions_supervised(
-        &self,
-        beta_lo: f64,
-        beta_hi: f64,
-        tol: f64,
-        budget: usize,
-        sup: &Supervisor,
-        threads: usize,
-    ) -> Result<BetaSolve, CarbonError> {
-        let _span = cordoba_obs::span_with(
-            "core/beta_solve",
-            "candidates",
-            u64::try_from(self.points.len()).unwrap_or(u64::MAX),
-        );
-        if self.points.is_empty() {
-            return Err(CarbonError::Empty {
-                what: "beta-sweep candidates",
-            });
-        }
-        CarbonError::require_in_range("beta_lo", beta_lo, 0.0, f64::MAX)?;
-        CarbonError::require_finite("beta_hi", beta_hi)?;
-        if beta_hi <= beta_lo {
-            return Err(CarbonError::out_of_range(
-                "beta_hi",
-                beta_hi,
-                beta_lo,
-                f64::MAX,
-            ));
-        }
-        CarbonError::require_positive("tol", tol)?;
-
-        let mut transitions: Vec<BetaTransition> = Vec::new();
-        // The argmin exists because `points` is non-empty (checked above),
-        // so the fallback index is never used.
-        let argmin = |beta: f64| self.optimal_for_beta(beta).unwrap_or(0);
-        let hint =
-            CostHint::per_item_ns(ARGMIN_NS_PER_POINT.saturating_mul(self.points.len() as u64));
-
-        let not_converged = |transitions: Vec<BetaTransition>, evaluations: usize| {
-            BETA_EVALUATIONS.add(u64::try_from(evaluations).unwrap_or(u64::MAX));
-            cordoba_obs::record(&Event::BetaNotConverged {
-                evaluations: u64::try_from(evaluations).unwrap_or(u64::MAX),
-            });
-            Ok(BetaSolve::NotConverged {
-                best_so_far: transitions,
-                evaluations,
+    /// walks the support set in order: `support[0]` wins from β = 0, and
+    /// consecutive vertices `a`, `b` of the lower hull swap places where
+    /// their lines cross, at exactly `β = (x_b − x_a) / (y_a − y_b)`. The
+    /// result has one entry per consecutive pair (`support.len() − 1` in
+    /// all), in support order, which is ascending β. A caller that wants
+    /// a β range filters the result.
+    #[must_use]
+    pub fn transitions(&self) -> Vec<BetaTransition> {
+        self.support
+            .windows(2)
+            .map(|pair| {
+                let (a, b) = (&self.points[pair[0]], &self.points[pair[1]]);
+                BetaTransition {
+                    beta: (b.x - a.x) / (a.y - b.y),
+                    from_index: pair[0],
+                    to_index: pair[1],
+                }
             })
-        };
-
-        if budget < 2 {
-            // The old sequential solver burned its whole budget on the
-            // endpoint argmins before giving up; preserve that count.
-            return not_converged(transitions, budget.min(1));
-        }
-        // Supervision: a stop observed at a wave boundary ends the solve
-        // with the transitions found so far, shaped exactly like budget
-        // exhaustion.
-        let stopped = || sup.should_stop().map(|reason| sup.record_stop(reason));
-        if stopped().is_some() {
-            return not_converged(transitions, 0);
-        }
-        let lo_arg = argmin(beta_lo);
-        let hi_arg = argmin(beta_hi);
-        let mut evaluations = 2usize;
-        sup.note_completed(2);
-
-        // Disputed intervals of the current wave, ascending in β.
-        let mut pending = vec![(beta_lo, lo_arg, beta_hi, hi_arg)];
-        while !pending.is_empty() {
-            if stopped().is_some() {
-                transitions.sort_by(|a, b| a.beta.total_cmp(&b.beta));
-                return not_converged(transitions, evaluations);
-            }
-            let mut bisect: Vec<(f64, usize, f64, usize)> = Vec::new();
-            for (lo, lo_arg, hi, hi_arg) in pending {
-                if lo_arg == hi_arg {
-                    continue;
-                }
-                if hi - lo <= tol {
-                    transitions.push(BetaTransition {
-                        beta: f64::midpoint(lo, hi),
-                        from_index: lo_arg,
-                        to_index: hi_arg,
-                    });
-                    continue;
-                }
-                bisect.push((lo, lo_arg, hi, hi_arg));
-            }
-            if bisect.is_empty() {
-                break;
-            }
-            // Left-to-right budget truncation: only the first `k` intervals
-            // of this wave get their midpoint evaluated.
-            let k = bisect.len().min(budget - evaluations);
-            let mids: Vec<f64> = bisect[..k]
-                .iter()
-                .map(|&(lo, _, hi, _)| f64::midpoint(lo, hi))
-                .collect();
-            // The solve stops only at wave boundaries, so the midpoints run
-            // under a supervisor that never trips; progress is noted below.
-            let mut mid_args = SupervisedMap::new(k);
-            mid_args.advance(threads, hint, &Supervisor::unbounded(), |i| argmin(mids[i]));
-            let mid_args = mid_args.into_values();
-            evaluations += k;
-            sup.note_completed(u64::try_from(k).unwrap_or(u64::MAX));
-            if k < bisect.len() {
-                transitions.sort_by(|a, b| a.beta.total_cmp(&b.beta));
-                return not_converged(transitions, evaluations);
-            }
-            pending = Vec::with_capacity(2 * k);
-            for ((lo, lo_arg, hi, hi_arg), (mid, mid_arg)) in
-                bisect.into_iter().zip(mids.into_iter().zip(mid_args))
-            {
-                pending.push((lo, lo_arg, mid, mid_arg));
-                pending.push((mid, mid_arg, hi, hi_arg));
-            }
-        }
-
-        transitions.sort_by(|a, b| a.beta.total_cmp(&b.beta));
-        BETA_EVALUATIONS.add(u64::try_from(evaluations).unwrap_or(u64::MAX));
-        Ok(BetaSolve::Converged {
-            transitions,
-            evaluations,
-        })
+            .collect()
     }
 }
 
@@ -302,52 +139,17 @@ fn survivor_mask(len: usize, survivors: &[usize]) -> Vec<bool> {
     mask
 }
 
-/// One change of the tCDP-optimal design along the β axis.
+/// One change of the tCDP-optimal design along the β axis: where the
+/// lines of two neighbouring support-set designs cross.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct BetaTransition {
-    /// The β at which the optimum changes hands (to within the solver
-    /// tolerance).
+    /// The β at which the optimum changes hands, exact up to the one
+    /// division that computes it.
     pub beta: f64,
     /// Candidate index optimal just below `beta`.
     pub from_index: usize,
     /// Candidate index optimal just above `beta`.
     pub to_index: usize,
-}
-
-/// Outcome of [`BetaSweep::solve_transitions`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum BetaSolve {
-    /// Every disputed interval was refined below tolerance.
-    Converged {
-        /// The located transitions, ascending in β.
-        transitions: Vec<BetaTransition>,
-        /// Argmin evaluations spent.
-        evaluations: usize,
-    },
-    /// The evaluation budget ran out first.
-    NotConverged {
-        /// Transitions already located when the budget ran out.
-        best_so_far: Vec<BetaTransition>,
-        /// Argmin evaluations spent (equals the budget).
-        evaluations: usize,
-    },
-}
-
-impl BetaSolve {
-    /// The located transitions, complete or partial.
-    #[must_use]
-    pub fn transitions(&self) -> &[BetaTransition] {
-        match self {
-            Self::Converged { transitions, .. } => transitions,
-            Self::NotConverged { best_so_far, .. } => best_so_far,
-        }
-    }
-
-    /// `true` when the solver finished within budget.
-    #[must_use]
-    pub fn converged(&self) -> bool {
-        matches!(self, Self::Converged { .. })
-    }
 }
 
 /// Two-factor elimination when **both** `CI_use(t)` and `CI_fab` are
@@ -439,8 +241,9 @@ impl TwoFactorSweep {
 }
 
 /// The concrete β that a constant `CI_use` and operational task count
-/// induce: `tCDP = C_emb·D + (N · CI · e) · D` where `E·D` carries the
-/// per-task energy, so `β = N · CI` in gCO2e per kWh-task units.
+/// induce: with `N` tasks of energy `E` joules at `CI` gCO2e/kWh,
+/// `tCDP = C_emb·D + (N · CI · E / 3.6e6) · D`, so `β = N · CI / 3.6e6`
+/// in gCO2e per joule (3.6e6 J per kWh).
 ///
 /// With this β, [`BetaSweep::optimal_for_beta`] reproduces the exact
 /// tCDP argmin — the bridge between the unknown-CI analysis and a
@@ -552,18 +355,16 @@ mod tests {
     }
 
     #[test]
-    fn solver_locates_the_balanced_to_frugal_transition() {
+    fn transitions_hand_balanced_to_frugal_at_exactly_fifty() {
         // Lines x + βy for candidates(): "balanced" (150 + 3β) wins at
         // β = 0 and hands over to "frugal" (200 + 2β) exactly at β = 50;
         // "fast" and "dominated" never win.
         let cands = candidates();
         let sweep = BetaSweep::run(&cands);
-        let solve = sweep.solve_transitions(0.0, 1e4, 1e-6, 10_000).unwrap();
-        assert!(solve.converged());
-        let transitions = solve.transitions();
+        let transitions = sweep.transitions();
         assert_eq!(transitions.len(), 1);
         let t = transitions[0];
-        assert!((t.beta - 50.0).abs() < 1e-3, "beta {}", t.beta);
+        assert_eq!(t.beta, 50.0);
         assert_eq!(cands[t.from_index].name, "balanced");
         assert_eq!(cands[t.to_index].name, "frugal");
         // Transition endpoints agree with direct argmin on either side.
@@ -572,65 +373,10 @@ mod tests {
     }
 
     #[test]
-    fn solver_respects_its_budget() {
-        let sweep = BetaSweep::run(&candidates());
-        let solve = sweep.solve_transitions(0.0, 1e4, 1e-9, 3).unwrap();
-        assert!(!solve.converged());
-        match solve {
-            BetaSolve::NotConverged { evaluations, .. } => assert!(evaluations <= 3),
-            BetaSolve::Converged { .. } => panic!("expected NotConverged"),
-        }
-        // Zero budget still yields a structured result, not a hang.
-        let none = sweep.solve_transitions(0.0, 1.0, 0.5, 0).unwrap();
-        assert!(!none.converged());
-        assert!(none.transitions().is_empty());
-    }
-
-    #[test]
-    fn supervised_solver_matches_unsupervised_when_unbounded() {
-        let sweep = BetaSweep::run(&candidates());
-        let direct = sweep.solve_transitions(0.0, 1e4, 1e-6, 10_000).unwrap();
-        let sup = Supervisor::unbounded();
-        let supervised = sweep
-            .solve_transitions_supervised(0.0, 1e4, 1e-6, 10_000, &sup, 2)
-            .unwrap();
-        assert_eq!(supervised, direct);
-        assert!(sup.progress().completed >= 2);
-    }
-
-    #[test]
-    fn supervised_solver_stops_at_wave_boundaries() {
-        let sweep = BetaSweep::run(&candidates());
-        // Cancelled before any evaluation: structured NotConverged, zero
-        // evaluations.
-        let sup = Supervisor::unbounded();
-        sup.cancel();
-        let stopped = sweep
-            .solve_transitions_supervised(0.0, 1e4, 1e-6, 10_000, &sup, 1)
-            .unwrap();
-        assert!(!stopped.converged());
-        assert!(stopped.transitions().is_empty());
-        // Tripped after the endpoint argmins: stops on the first wave
-        // boundary with the evaluations spent so far.
-        let trip = Supervisor::tripping_after(2);
-        let partial = sweep
-            .solve_transitions_supervised(0.0, 1e4, 1e-6, 10_000, &trip, 1)
-            .unwrap();
-        match partial {
-            BetaSolve::NotConverged { evaluations, .. } => assert_eq!(evaluations, 2),
-            BetaSolve::Converged { .. } => panic!("expected NotConverged"),
-        }
-    }
-
-    #[test]
-    fn solver_validates_parameters() {
-        let sweep = BetaSweep::run(&candidates());
-        assert!(sweep.solve_transitions(-1.0, 1.0, 0.1, 100).is_err());
-        assert!(sweep.solve_transitions(1.0, 1.0, 0.1, 100).is_err());
-        assert!(sweep.solve_transitions(0.0, f64::NAN, 0.1, 100).is_err());
-        assert!(sweep.solve_transitions(0.0, 1.0, 0.0, 100).is_err());
-        let empty = BetaSweep::run(&[]);
-        assert!(empty.solve_transitions(0.0, 1.0, 0.1, 100).is_err());
+    fn a_single_design_or_none_has_no_transitions() {
+        assert!(BetaSweep::run(&[]).transitions().is_empty());
+        let one = BetaSweep::run(&candidates()[..1]);
+        assert!(one.transitions().is_empty());
     }
 
     #[test]

@@ -88,9 +88,7 @@ pub mod prelude {
         OpTimeSweep, ResilientEval,
     };
     pub use crate::error::CoreError;
-    pub use crate::lagrange::{
-        beta_for_context, BetaSolve, BetaSweep, BetaTransition, TwoFactorSweep,
-    };
+    pub use crate::lagrange::{beta_for_context, BetaSweep, BetaTransition, TwoFactorSweep};
     pub use crate::metrics::{argmin, DesignPoint, MetricKind, OperationalContext};
     pub use crate::mix::LifetimeMix;
     pub use crate::optimize::{Constraints, OptimizationProblem, Solution};

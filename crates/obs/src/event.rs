@@ -16,7 +16,6 @@ static FALLBACK_TIER_SWITCH: Counter = Counter::new("events/fallback_tier_switch
 static FALLBACK_EXHAUSTED: Counter = Counter::new("events/fallback_exhausted");
 static SANITIZE_REJECTION: Counter = Counter::new("events/sanitize_rejection");
 static QUARANTINE: Counter = Counter::new("events/quarantine");
-static BETA_NOT_CONVERGED: Counter = Counter::new("events/beta_not_converged");
 static WATCHDOG_TRUNCATION: Counter = Counter::new("events/event_sim_truncated");
 static CACHE_HIT: Counter = Counter::new("events/embodied_cache_hit");
 static CACHE_MISS: Counter = Counter::new("events/embodied_cache_miss");
@@ -51,11 +50,6 @@ pub enum Event {
     },
     /// A configuration was quarantined during resilient space evaluation.
     Quarantine,
-    /// `BetaSweep::solve_transitions` exhausted its evaluation budget.
-    BetaNotConverged {
-        /// Objective evaluations spent before giving up.
-        evaluations: u64,
-    },
     /// The event-driven simulator's watchdog truncated a segment.
     WatchdogTruncation,
     /// An `EmbodiedCache` lookup was served from the cache.
@@ -108,10 +102,6 @@ impl Event {
                 [Some(("dropped", dropped)), Some(("repaired", repaired))],
             ),
             Self::Quarantine => (&QUARANTINE, [None, None]),
-            Self::BetaNotConverged { evaluations } => (
-                &BETA_NOT_CONVERGED,
-                [Some(("evaluations", evaluations)), None],
-            ),
             Self::WatchdogTruncation => (&WATCHDOG_TRUNCATION, [None, None]),
             Self::CacheHit => (&CACHE_HIT, [None, None]),
             Self::CacheMiss => (&CACHE_MISS, [None, None]),
@@ -172,11 +162,11 @@ mod tests {
         crate::set_tracing_enabled(true);
         crate::clear_trace();
         let hits_before = CACHE_HIT.value();
-        let beta_before = BETA_NOT_CONVERGED.value();
+        let written_before = CHECKPOINT_WRITTEN.value();
         record(&Event::CacheHit);
-        record(&Event::BetaNotConverged { evaluations: 17 });
+        record(&Event::CheckpointWritten { completed: 17 });
         assert_eq!(CACHE_HIT.value(), hits_before + 1);
-        assert_eq!(BETA_NOT_CONVERGED.value(), beta_before + 1);
+        assert_eq!(CHECKPOINT_WRITTEN.value(), written_before + 1);
         assert_eq!(crate::span::buffered_records(), 2);
         crate::set_tracing_enabled(false);
         crate::clear_trace();

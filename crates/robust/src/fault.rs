@@ -20,7 +20,6 @@ const DEFAULT_SPIKE_SCALE: f64 = 1.0e3;
 const SALT_TRACE: u64 = 0x0074_7261_6365;
 const SALT_VALUES: u64 = 0x7661_6c73_0000;
 const SALT_TUNING: u64 = 0x7475_6e65_0000;
-const SALT_BUDGET: u64 = 0x6275_6467_0000;
 const SALT_TRIP: u64 = 0x7472_6970_0000;
 
 /// Clamps a probability knob into `[0, 1]`, mapping non-finite input to 0
@@ -33,7 +32,8 @@ fn clamp_rate(p: f64) -> f64 {
     }
 }
 
-/// A seeded recipe for corrupting traces, configurations, and budgets.
+/// A seeded recipe for corrupting traces and configurations and for
+/// picking supervision trip points.
 ///
 /// Build one with [`FaultPlan::new`] (all faults off) or
 /// [`FaultPlan::chaos`] (every fault class enabled at moderate rates), then
@@ -265,16 +265,6 @@ impl FaultPlan {
         ]
     }
 
-    /// A starved iteration budget: a deterministic draw from
-    /// `[0, min(nominal, 3)]`, small enough that any bisection over a
-    /// non-trivial interval must report `NotConverged`.
-    #[must_use]
-    pub fn starved_budget(&self, nominal: usize) -> usize {
-        let mut rng = self.rng(SALT_BUDGET);
-        let cap = nominal.min(3);
-        rng.gen_range(0..=cap)
-    }
-
     /// A deterministic supervision trip point: a draw from `[0, total]`
     /// marking how many progress units a supervised pipeline completes
     /// before it is interrupted (feed it to `Supervisor::tripping_after`).
@@ -392,15 +382,5 @@ mod tests {
             hits.len() > 4,
             "64 seeds should spread trip points across [0, 10]"
         );
-    }
-
-    #[test]
-    fn starved_budget_is_tiny_and_bounded() {
-        for seed in 0..64 {
-            let plan = FaultPlan::new(seed);
-            assert!(plan.starved_budget(1_000_000) <= 3);
-            assert_eq!(plan.starved_budget(0), 0);
-            assert!(plan.starved_budget(1) <= 1);
-        }
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! Real carbon-intensity feeds drop samples, repeat timestamps, arrive out
 //! of order, and occasionally report garbage; configuration files get
-//! hand-edited into inconsistency; iterative solvers run under time
-//! budgets. CORDOBA's contract under all of these is *graceful
+//! hand-edited into inconsistency; long sweeps get cancelled or run out
+//! of time. CORDOBA's contract under all of these is *graceful
 //! degradation*: every subsystem returns a structured error or a
 //! degraded-but-finite result — never a panic, never a NaN.
 //!
@@ -19,8 +19,6 @@
 //!   fails characterization (quarantined by the quarantine finisher
 //!   `SupervisedEval::into_resilient` of the core crate's space-evaluation
 //!   runner);
-//! * **budget faults** — starve iteration budgets so solvers must report
-//!   `NotConverged` instead of spinning;
 //! * **supervision faults** — interrupt long-running pipelines mid-flight
 //!   at seeded trip points ([`fault::FaultPlan::trip_point`]) to prove
 //!   that checkpoint/resume reproduces the uninterrupted result bit for

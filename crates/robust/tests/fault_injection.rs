@@ -4,9 +4,8 @@
 //!
 //! The explicit seed loops below push well over a thousand distinct
 //! [`FaultPlan`] corruptions through the sanitizer, the fallback CI chain,
-//! the resilient design-space sweep, the budgeted β-transition solver, and
-//! the event-driven scheduler; the `proptest!` block adds randomized rate
-//! combinations on top.
+//! the resilient design-space sweep, and the event-driven scheduler; the
+//! `proptest!` block adds randomized rate combinations on top.
 
 use cordoba::prelude::*;
 use cordoba_accel::config::AcceleratorConfig;
@@ -193,40 +192,6 @@ fn nan_poisoned_config_is_quarantined_not_fatal() {
 }
 
 #[test]
-fn beta_solver_reports_not_converged_under_starved_budgets() {
-    let embodied = EmbodiedModel::default();
-    let configs: Vec<AcceleratorConfig> = design_space().into_iter().take(24).collect();
-    let points = evaluate_space(&configs, &Task::ai_5_kernels(), &embodied).expect("evaluates");
-    let sweep = BetaSweep::run(&points);
-    for seed in 0..200u64 {
-        let budget = FaultPlan::new(seed).starved_budget(10_000);
-        let solve = sweep
-            .solve_transitions(0.0, 1.0e6, 1.0e-9, budget)
-            .expect("parameters are valid");
-        match solve {
-            BetaSolve::Converged { .. } => {
-                // Only possible when a single candidate dominates the whole
-                // range; with a 1e-9 tolerance and <=3 evaluations, any
-                // bisection work at all would blow the budget.
-                assert!(
-                    budget >= 2 || sweep.surviving_names().len() <= 1,
-                    "seed {seed}"
-                );
-            }
-            BetaSolve::NotConverged {
-                best_so_far,
-                evaluations,
-            } => {
-                assert!(evaluations <= budget, "seed {seed}");
-                for t in &best_so_far {
-                    assert!(t.beta.is_finite(), "seed {seed}: {t:?}");
-                }
-            }
-        }
-    }
-}
-
-#[test]
 fn event_sim_stays_finite_under_hostile_demands() {
     let soc = SocConfig::quest2();
     for seed in 0..100u64 {
@@ -298,12 +263,5 @@ proptest! {
         for (x, y) in a.iter().zip(&b) {
             prop_assert_eq!(x.to_bits(), y.to_bits());
         }
-    }
-
-    /// Starved budgets are always within [0, min(nominal, 3)].
-    #[test]
-    fn prop_starved_budget_bounded(seed in 0u64..1_000_000, nominal in 0usize..100_000) {
-        let b = FaultPlan::new(seed).starved_budget(nominal);
-        prop_assert!(b <= nominal.min(3));
     }
 }

@@ -138,4 +138,19 @@ fn beta_bridge_recovers_both_fig11_winners() {
     };
     assert_eq!(name(&emb_ctx), "3D_2K_4M");
     assert_eq!(name(&op_ctx), "3D_2K_8M");
+    // Between the two cases the optimum changes hands exactly once, from
+    // 4M to 8M.
+    let (beta_emb, beta_op) = (beta_for_context(&emb_ctx), beta_for_context(&op_ctx));
+    let between: Vec<(&str, &str)> = sweep
+        .transitions()
+        .iter()
+        .filter(|t| t.beta > beta_emb && t.beta < beta_op)
+        .map(|t| {
+            (
+                sweep.points[t.from_index].name.as_str(),
+                sweep.points[t.to_index].name.as_str(),
+            )
+        })
+        .collect();
+    assert_eq!(between, [("3D_2K_4M", "3D_2K_8M")]);
 }

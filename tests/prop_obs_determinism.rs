@@ -136,12 +136,7 @@ fn run_case(seed: u64, threads: usize) -> CaseResult {
         .with_beta(&beta_sweep);
     report.check_against(&sweep).unwrap();
     let attribution = report.to_json();
-    let beta = format!(
-        "{:?}",
-        beta_sweep
-            .solve_transitions_supervised(0.0, 1e3, 1e-3, 4_000, &Supervisor::unbounded(), threads)
-            .unwrap()
-    );
+    let beta = format!("{:?}", beta_sweep.transitions());
 
     let spec = MonteCarloSpec::new(64, 0xDE7E ^ seed);
     let mc = McRun::tcdp(&resilient.points[0], &spec)
