@@ -217,16 +217,11 @@ impl EmbodiedCache {
     }
 }
 
-/// Content-address for one `(config shape, model)` embodied-carbon result.
-///
-/// Unlike the shape key — which keys the in-memory map of a cache already
-/// bound to one model — the persistent store outlives the process, so the
-/// model's own parameters (fab carbon intensity, yield model, packaging)
-/// must participate in the hash alongside the config shape. The display
-/// name stays excluded, and floats contribute raw IEEE-754 bits.
-#[must_use]
-pub fn store_key(config: &AcceleratorConfig, model: &EmbodiedModel) -> StoreKey {
-    let mut k = KeyBuilder::new(STORE_KIND);
+/// Feeds the embodied model's parameters into a key: the fab carbon
+/// intensity, the yield model's tag and parameters, and the packaging
+/// carbon per die. Shared by [`store_key`] and the space-evaluation keys in
+/// `cordoba::store`, so both encode a model the same way.
+pub fn push_embodied_model(k: &mut KeyBuilder, model: &EmbodiedModel) {
     k.push_f64(model.ci_fab().value());
     match model.yield_model() {
         YieldModel::Murphy => k.push_u64(0),
@@ -248,6 +243,19 @@ pub fn store_key(config: &AcceleratorConfig, model: &EmbodiedModel) -> StoreKey 
         }
     }
     k.push_f64(model.packaging_per_die().value());
+}
+
+/// Content-address for one `(config shape, model)` embodied-carbon result.
+///
+/// Unlike the shape key — which keys the in-memory map of a cache already
+/// bound to one model — the persistent store outlives the process, so the
+/// model's own parameters (fab carbon intensity, yield model, packaging)
+/// must participate in the hash alongside the config shape. The display
+/// name stays excluded, and floats contribute raw IEEE-754 bits.
+#[must_use]
+pub fn store_key(config: &AcceleratorConfig, model: &EmbodiedModel) -> StoreKey {
+    let mut k = KeyBuilder::new(STORE_KIND);
+    push_embodied_model(&mut k, model);
     k.push_u64(u64::from(config.mac_units()));
     k.push_f64(config.sram().value());
     match config.integration() {
@@ -396,10 +404,7 @@ mod tests {
 
     /// Current value of the global embodied-cache miss counter.
     fn miss_counter() -> u64 {
-        cordoba_obs::counter_snapshot()
-            .iter()
-            .find(|(name, _)| *name == "events/embodied_cache_miss")
-            .map_or(0, |&(_, v)| v)
+        cordoba_obs::registry_snapshot().counter("events/embodied_cache_miss")
     }
 
     #[test]

@@ -173,8 +173,6 @@ static OVERHEAD_PROBE: cordoba_obs::Counter = cordoba_obs::Counter::new("bench/o
 static LABELED_PROBE: cordoba_obs::LabeledCounter =
     cordoba_obs::LabeledCounter::new("bench/labeled_probe", "tier", &["a", "b"]);
 
-/// Disabled-overhead probe for the gauge update path.
-static GAUGE_PROBE: cordoba_obs::Gauge = cordoba_obs::Gauge::new("bench/gauge_probe");
 /// Counts loop iterations in the baseline arm so both arms do one atomic
 /// add per iteration and the probe isolates the enablement-check cost.
 static BASELINE_SINK: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
@@ -560,20 +558,19 @@ fn main() {
             LABELED_PROBE.incr(black_box(1));
         }),
     ));
-    results.push((
-        "obs/disabled_overhead/gauge".to_owned(),
-        per_call_ns(batch, || {
-            GAUGE_PROBE.set(black_box(1.0));
-        }),
-    ));
 
     // With the registry live, re-run the cache-sharing sweep so the
     // recorded file carries the counters that path emits.
     cordoba_obs::set_metrics_enabled(true);
     let multi = evaluate_space_multi(&configs, std::slice::from_ref(&task), &model).unwrap();
     black_box(&multi);
-    for (name, value) in cordoba_obs::counter_snapshot() {
-        results.push((format!("obs/counter/{name}"), u128::from(value)));
+    for counter in cordoba_obs::registry_snapshot().counters {
+        if counter.labels.is_empty() {
+            results.push((
+                format!("obs/counter/{}", counter.name),
+                u128::from(counter.value),
+            ));
+        }
     }
 
     // obs/prom_render — cost of rendering the now-populated registry in

@@ -33,15 +33,24 @@ use std::sync::atomic::{AtomicU64, Ordering};
 static FALLBACK_QUERIES: Counter = Counter::new("carbon/fallback/queries");
 static FALLBACK_REJECTED: Counter = Counter::new("carbon/fallback/rejected");
 
-/// Per-tier hit counts, labeled positionally after the [`FallbackCi::standard`]
-/// chain (trace → diurnal → constant); deeper tiers of a custom chain land
-/// in the trailing `other` cell. Exported as
+/// Per-tier hit counts, one cell per tier label of the
+/// [`FallbackCi::standard`] chain (`trace`, `diurnal`, `constant`); a tier
+/// with any other label counts in the trailing `other` cell. Exported as
 /// `carbon_fallback_tier_hits{tier="..."}` in the Prometheus rendering.
 static FALLBACK_TIER_HITS: LabeledCounter = LabeledCounter::new(
     "carbon/fallback/tier_hits",
     "tier",
     &["trace", "diurnal", "constant", "other"],
 );
+
+/// The [`FALLBACK_TIER_HITS`] cell for a tier labeled `label`.
+fn tier_hits_cell(label: &str) -> usize {
+    let values = FALLBACK_TIER_HITS.values();
+    values
+        .iter()
+        .position(|value| *value == label)
+        .unwrap_or(values.len() - 1)
+}
 
 /// The zero-based tier index as the `u64` payload of a tier-switch event.
 fn tier_index(index: usize) -> u64 {
@@ -53,6 +62,9 @@ fn tier_index(index: usize) -> u64 {
 struct Tier {
     /// Human-readable name used in health reports.
     label: String,
+    /// Its [`FALLBACK_TIER_HITS`] cell, resolved from `label` by
+    /// [`FallbackCiBuilder::build`].
+    hits_cell: usize,
     /// The underlying intensity source.
     source: Box<dyn CiIntegral>,
     /// Inclusive `[from, until]` validity window; `None` means always valid.
@@ -87,6 +99,7 @@ impl FallbackCiBuilder {
     pub fn tier(mut self, label: impl Into<String>, source: Box<dyn CiIntegral>) -> Self {
         self.tiers.push(Tier {
             label: label.into(),
+            hits_cell: 0,
             source,
             window: None,
             hits: AtomicU64::new(0),
@@ -106,6 +119,7 @@ impl FallbackCiBuilder {
     ) -> Self {
         self.tiers.push(Tier {
             label: label.into(),
+            hits_cell: 0,
             source,
             window: Some((from, until)),
             hits: AtomicU64::new(0),
@@ -121,13 +135,14 @@ impl FallbackCiBuilder {
     /// Returns [`CarbonError::Empty`] when no tier was added, and
     /// [`CarbonError::NotMonotonic`] when a tier's validity window is
     /// inverted (`from > until`) or non-finite.
-    pub fn build(self) -> Result<FallbackCi, CarbonError> {
+    pub fn build(mut self) -> Result<FallbackCi, CarbonError> {
         if self.tiers.is_empty() {
             return Err(CarbonError::Empty {
                 what: "fallback chain",
             });
         }
-        for tier in &self.tiers {
+        for tier in &mut self.tiers {
+            tier.hits_cell = tier_hits_cell(&tier.label);
             if let Some((from, until)) = tier.window {
                 if !from.is_finite() || !until.is_finite() || from.value() > until.value() {
                     return Err(CarbonError::NotMonotonic {
@@ -301,7 +316,7 @@ impl CiIntegral for FallbackCi {
             let value = tier.source.at(t);
             if value.is_finite() && value.value() >= 0.0 {
                 tier.hits.fetch_add(1, Ordering::Relaxed);
-                FALLBACK_TIER_HITS.incr(index);
+                FALLBACK_TIER_HITS.incr(tier.hits_cell);
                 if index > 0 {
                     cordoba_obs::record(&Event::FallbackTierSwitch {
                         tier: tier_index(index),
@@ -361,7 +376,7 @@ impl CiIntegral for FallbackCi {
                 let part = tier.source.integral_over(a, b);
                 if part.is_finite() && part.value() >= 0.0 {
                     tier.hits.fetch_add(1, Ordering::Relaxed);
-                    FALLBACK_TIER_HITS.incr(index);
+                    FALLBACK_TIER_HITS.incr(tier.hits_cell);
                     if index > 0 {
                         cordoba_obs::record(&Event::FallbackTierSwitch {
                             tier: tier_index(index),

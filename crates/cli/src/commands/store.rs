@@ -58,19 +58,13 @@ pub(super) fn cache(args: &Args<'_>) -> Result<String, CliError> {
                 total
             );
             if args.flag("metrics") {
-                let snapshot = cordoba_obs::counter_snapshot();
-                let value = |name: &str| {
-                    snapshot
-                        .iter()
-                        .find(|(n, _)| *n == name)
-                        .map_or(0, |&(_, v)| v)
-                };
+                let snapshot = cordoba_obs::registry_snapshot();
                 let _ = writeln!(
                     out,
                     "store ops this process: {} hits, {} misses, {} writes",
-                    value("events/store_hit"),
-                    value("events/store_miss"),
-                    value("events/store_write")
+                    snapshot.counter("events/store_hit"),
+                    snapshot.counter("events/store_miss"),
+                    snapshot.counter("events/store_write")
                 );
             }
         }

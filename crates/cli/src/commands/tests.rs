@@ -71,10 +71,7 @@ fn dse_runs_for_every_task_name() {
 
 /// Value of a named global counter (0 if it never registered).
 fn counter_value(name: &str) -> u64 {
-    cordoba_obs::counter_snapshot()
-        .iter()
-        .find(|(n, _)| *n == name)
-        .map_or(0, |&(_, v)| v)
+    cordoba_obs::registry_snapshot().counter(name)
 }
 
 #[test]

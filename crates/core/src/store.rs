@@ -37,10 +37,10 @@ use crate::dse::{evaluate_space, OpTimeSweep};
 use crate::error::CoreError;
 use crate::lagrange::BetaSweep;
 use crate::metrics::DesignPoint;
+use cordoba_accel::cache::push_embodied_model;
 use cordoba_accel::config::{AcceleratorConfig, MemoryIntegration};
 use cordoba_carbon::embodied::EmbodiedModel;
 use cordoba_carbon::units::{CarbonIntensity, GramsCo2e, Joules, Seconds, SquareCentimeters};
-use cordoba_carbon::yield_model::YieldModel;
 use cordoba_carbon::CarbonError;
 use cordoba_store::{parse_hex_f64_bytes, push_hex_f64, KeyBuilder, Store, StoreKey};
 use cordoba_workloads::task::Task;
@@ -99,31 +99,6 @@ fn push_task(k: &mut KeyBuilder, task: &Task) {
     }
 }
 
-/// Feeds the embodied model's parameters into a key.
-fn push_model(k: &mut KeyBuilder, model: &EmbodiedModel) {
-    k.push_f64(model.ci_fab().value());
-    match model.yield_model() {
-        YieldModel::Murphy => k.push_u64(0),
-        YieldModel::Poisson => k.push_u64(1),
-        YieldModel::Seeds => k.push_u64(2),
-        YieldModel::BoseEinstein { layers } => {
-            k.push_u64(3);
-            k.push_u64(u64::from(layers));
-        }
-        YieldModel::Fixed { fraction } => {
-            k.push_u64(4);
-            k.push_f64(fraction);
-        }
-        // `YieldModel` is non-exhaustive; key any future variant by its
-        // debug rendering so it cannot collide with the tags above.
-        other => {
-            k.push_u64(u64::MAX);
-            k.push_str(&format!("{other:?}"));
-        }
-    }
-    k.push_f64(model.packaging_per_die().value());
-}
-
 /// Feeds a design point's values into a key (for results computed *from*
 /// points, like [`OpTimeSweep`] and [`BetaSweep`]). The name is left out:
 /// those stages store receipts whose digests cover no names, and hashing
@@ -143,7 +118,7 @@ pub fn evaluate_space_key(
     embodied: &EmbodiedModel,
 ) -> StoreKey {
     let mut k = KeyBuilder::new(KIND_EVAL_SPACE);
-    push_model(&mut k, embodied);
+    push_embodied_model(&mut k, embodied);
     push_task(&mut k, task);
     k.push_u64(configs.len() as u64);
     for config in configs {
@@ -520,6 +495,22 @@ mod tests {
             op_time_sweep_key(&renamed, &counts, grids::US_AVERAGE)
         );
         assert_eq!(beta_sweep_key(&points), beta_sweep_key(&renamed));
+    }
+
+    /// Store keys are file names on disk and `replay` hashes: a change to
+    /// their encoding orphans every existing store directory.
+    #[test]
+    fn keys_are_pinned() {
+        let configs = design_space();
+        let model = EmbodiedModel::default();
+        assert_eq!(
+            cordoba_accel::cache::store_key(&configs[0], &model).to_hex(),
+            "d75aad647552c7bac828ad411be9a79b"
+        );
+        assert_eq!(
+            evaluate_space_key(&configs, &Task::ai_5_kernels(), &model).to_hex(),
+            "547c90bf712daa348c5754b2671f94f4"
+        );
     }
 
     #[test]

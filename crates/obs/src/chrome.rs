@@ -11,10 +11,10 @@
 //!
 //! [`validate_chrome_trace`] re-parses an exported document with the
 //! in-crate JSON parser and checks the schema; the CLI's `trace-check`
-//! command and the `obs-smoke` CI job are thin wrappers around it.
+//! command and the `prom-export` CI job are thin wrappers around it.
 
 use crate::json::{parse, Json};
-use crate::metrics::{counter_snapshot, histogram_snapshot};
+use crate::metrics::registry_snapshot;
 use crate::span::{snapshot_records, take_records, Record, RecordArgs};
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -132,26 +132,28 @@ fn render(mut records: Vec<Record>) -> String {
         }
         emit(line, &mut out);
     }
-    // Registered counters and histograms ride along as a final "C" sample
-    // each on the synthetic tid-0 track, so the trace is self-contained.
-    for (name, value) in counter_snapshot() {
+    // Registered plain counters and histograms ride along as a final "C"
+    // sample each on the synthetic tid-0 track, so the trace is
+    // self-contained.
+    let snapshot = registry_snapshot();
+    let ts = micros(counter_ts);
+    for counter in snapshot.counters.iter().filter(|c| c.labels.is_empty()) {
         emit(
             format!(
-                "{{\"name\":\"{}\",\"cat\":\"counter\",\"ph\":\"C\",\"ts\":{},\"pid\":1,\"tid\":0,\"args\":{{\"value\":{value}}}}}",
-                escape_json(name),
-                micros(counter_ts),
+                "{{\"name\":\"{}\",\"cat\":\"counter\",\"ph\":\"C\",\"ts\":{ts},\"pid\":1,\"tid\":0,\"args\":{{\"value\":{}}}}}",
+                escape_json(&counter.name),
+                counter.value,
             ),
             &mut out,
         );
     }
-    for histogram in histogram_snapshot() {
+    for histogram in &snapshot.histograms {
         emit(
             format!(
-                "{{\"name\":\"{}\",\"cat\":\"counter\",\"ph\":\"C\",\"ts\":{},\"pid\":1,\"tid\":0,\"args\":{{\"count\":{},\"sum\":{}}}}}",
-                escape_json(histogram.name()),
-                micros(counter_ts),
-                histogram.count(),
-                histogram.sum(),
+                "{{\"name\":\"{}\",\"cat\":\"counter\",\"ph\":\"C\",\"ts\":{ts},\"pid\":1,\"tid\":0,\"args\":{{\"count\":{},\"sum\":{}}}}}",
+                escape_json(&histogram.name),
+                histogram.count,
+                histogram.sum,
             ),
             &mut out,
         );

@@ -1,8 +1,8 @@
 //! Zero-dependency observability for CORDOBA's sweeps, solvers, and
 //! resilience machinery.
 //!
-//! The framework's hot paths — design-space characterization, β-transition
-//! solving, Monte Carlo sampling, fallback carbon-intensity chains — are
+//! The framework's hot paths — design-space characterization, op-time
+//! sweeps, Monte Carlo sampling, fallback carbon-intensity chains — are
 //! instrumented with three layers, all of which cost a few relaxed atomic
 //! loads when disabled so instrumented code stays bit-identical to (and
 //! within noise of) uninstrumented code:
@@ -11,14 +11,16 @@
 //!   collected into a thread-aware, order-stable buffer and exported as
 //!   Chrome trace-event JSON ([`export_chrome_trace`]) loadable in Perfetto
 //!   or `chrome://tracing`.
-//! * **Metrics** ([`Counter`], [`Histogram`]): named atomic counters and
-//!   fixed-bucket (log₂) histograms that self-register into a global
-//!   registry on first touch and dump as JSON lines
-//!   ([`dump_json_lines`]).
+//! * **Metrics** ([`Counter`], [`LabeledCounter`], [`Histogram`]): named
+//!   atomic counters and fixed-bucket (log₂) histograms that self-register
+//!   into one global registry on first touch. [`registry_snapshot`] is its
+//!   only reader, and every output renders from that snapshot: JSON lines
+//!   ([`dump_json_lines`]), the Chrome counter track, and the Prometheus
+//!   exposition ([`render_prometheus`]).
 //! * **Structured events** ([`Event`], [`record`]): typed records for the
 //!   interesting state transitions — a `FallbackCi` tier switch, a sanitize
-//!   rejection, a quarantined evaluation, a solver that ran out of budget, a
-//!   watchdog truncation, an embodied-carbon cache hit or miss.
+//!   rejection, a quarantined evaluation, a watchdog truncation, an
+//!   embodied-carbon cache hit or miss, a supervision or store outcome.
 //!
 //! Both layers are **opt-in at runtime**: nothing is recorded until
 //! [`set_metrics_enabled`] / [`set_tracing_enabled`] is called, or a
@@ -63,15 +65,14 @@ use std::sync::{Mutex, PoisonError};
 pub use chrome::{drain_chrome_trace, export_chrome_trace, validate_chrome_trace, TraceCheck};
 pub use event::{record, Event};
 pub use metrics::{
-    counter_snapshot, dump_json_lines, gauge_snapshot, labeled_counter_snapshot, Counter, Gauge,
-    Histogram, LabeledCounter, MAX_LABEL_CELLS,
+    dump_json_lines, registry_snapshot, Counter, CounterState, Histogram, HistogramState,
+    LabeledCounter, RegistrySnapshot, MAX_LABEL_CELLS,
 };
 pub use name::Name;
 pub use profile::{profile_chrome_trace, profile_report, ProfileEntry, ProfileReport};
 pub use prom::{
-    parse_prometheus_text, registry_snapshot, render_prometheus, render_snapshot,
-    validate_prometheus_text, CounterState, GaugeState, HistogramState, PromCheck, PromDoc,
-    PromSample, RegistrySnapshot,
+    parse_prometheus_text, render_prometheus, render_snapshot, validate_prometheus_text, PromCheck,
+    PromDoc, PromSample,
 };
 pub use span::{clear_trace, span, span_timed, span_with, SpanGuard, TraceSession};
 

@@ -11,7 +11,7 @@
 
 use crate::metrics_enabled;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Mutex, PoisonError};
 
 /// Number of histogram buckets: one per power of two of a `u64` value,
 /// plus a zero bucket.
@@ -21,24 +21,29 @@ pub const HISTOGRAM_BUCKETS: usize = 65;
 /// the cell array lives inline in the static with no allocation.
 pub const MAX_LABEL_CELLS: usize = 8;
 
-/// Registered counters, in first-touch order (sorted by name at dump time).
-static COUNTERS: Mutex<Vec<&'static Counter>> = Mutex::new(Vec::new());
+/// A registered metric; the registry holds one per static that has
+/// recorded while metrics were enabled.
+enum Metric {
+    Counter(&'static Counter),
+    Labeled(&'static LabeledCounter),
+    Histogram(&'static Histogram),
+}
 
-/// Registered histograms, in first-touch order.
-static HISTOGRAMS: Mutex<Vec<&'static Histogram>> = Mutex::new(Vec::new());
+/// The registry: every registered metric, in first-touch order. Only
+/// [`registry_snapshot`] reads it.
+static REGISTRY: Mutex<Vec<Metric>> = Mutex::new(Vec::new());
 
-/// Registered labeled counters, in first-touch order.
-static LABELED: Mutex<Vec<&'static LabeledCounter>> = Mutex::new(Vec::new());
-
-/// Registered gauges, in first-touch order.
-static GAUGES: Mutex<Vec<&'static Gauge>> = Mutex::new(Vec::new());
-
-/// Recovers the guard from a poisoned registry lock: the registry holds
-/// plain pointers, so a panic mid-push cannot leave it inconsistent.
-fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    match mutex.lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
+/// One-time registration of `metric`, guarded by its `registered` flag;
+/// the only metrics operation that allocates. A poisoned lock is
+/// recovered: the registry holds plain pointers, so a panic mid-push
+/// cannot leave it inconsistent.
+#[cold]
+fn register(registered: &AtomicBool, metric: Metric) {
+    if !registered.swap(true, Ordering::Relaxed) {
+        REGISTRY
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(metric);
     }
 }
 
@@ -88,7 +93,7 @@ impl Counter {
             return;
         }
         if !self.registered.load(Ordering::Relaxed) {
-            self.register();
+            register(&self.registered, Metric::Counter(self));
         }
         self.value.fetch_add(n, Ordering::Relaxed);
     }
@@ -103,16 +108,6 @@ impl Counter {
     #[must_use]
     pub fn value(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
-    }
-
-    /// One-time registration into the global registry; the only counter
-    /// operation that allocates.
-    #[cold]
-    fn register(&'static self) {
-        if self.registered.swap(true, Ordering::Relaxed) {
-            return;
-        }
-        lock(&COUNTERS).push(self);
     }
 }
 
@@ -195,7 +190,7 @@ impl LabeledCounter {
             return;
         }
         if !self.registered.load(Ordering::Relaxed) {
-            self.register();
+            register(&self.registered, Metric::Labeled(self));
         }
         let index = cell.min(self.values.len() - 1);
         self.cells[index].fetch_add(n, Ordering::Relaxed);
@@ -215,80 +210,6 @@ impl LabeledCounter {
         self.cells
             .get(cell)
             .map_or(0, |c| c.load(Ordering::Relaxed))
-    }
-
-    /// One-time registration into the global registry.
-    #[cold]
-    fn register(&'static self) {
-        if self.registered.swap(true, Ordering::Relaxed) {
-            return;
-        }
-        lock(&LABELED).push(self);
-    }
-}
-
-/// A named gauge holding one `f64` (stored as IEEE-754 bits in an
-/// `AtomicU64`), for last-observed values that can move both ways —
-/// e.g. a cache occupancy or the current β of an in-flight solve.
-///
-/// ```
-/// use cordoba_obs::Gauge;
-///
-/// static DEPTH: Gauge = Gauge::new("example/queue_depth");
-///
-/// cordoba_obs::set_metrics_enabled(true);
-/// DEPTH.set(3.0);
-/// assert_eq!(DEPTH.value(), 3.0);
-/// ```
-#[derive(Debug)]
-pub struct Gauge {
-    name: &'static str,
-    bits: AtomicU64,
-    registered: AtomicBool,
-}
-
-impl Gauge {
-    /// A new gauge named `name`, initially `0.0`.
-    #[must_use]
-    pub const fn new(name: &'static str) -> Self {
-        Self {
-            name,
-            bits: AtomicU64::new(0),
-            registered: AtomicBool::new(false),
-        }
-    }
-
-    /// The gauge's registry name.
-    #[must_use]
-    pub const fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// Sets the gauge; a no-op while metrics are disabled.
-    #[inline]
-    pub fn set(&'static self, value: f64) {
-        if !metrics_enabled() {
-            return;
-        }
-        if !self.registered.load(Ordering::Relaxed) {
-            self.register();
-        }
-        self.bits.store(value.to_bits(), Ordering::Relaxed);
-    }
-
-    /// The current value (readable even while metrics are disabled).
-    #[must_use]
-    pub fn value(&self) -> f64 {
-        f64::from_bits(self.bits.load(Ordering::Relaxed))
-    }
-
-    /// One-time registration into the global registry.
-    #[cold]
-    fn register(&'static self) {
-        if self.registered.swap(true, Ordering::Relaxed) {
-            return;
-        }
-        lock(&GAUGES).push(self);
     }
 }
 
@@ -333,7 +254,7 @@ impl Histogram {
             return;
         }
         if !self.registered.load(Ordering::Relaxed) {
-            self.register();
+            register(&self.registered, Metric::Histogram(self));
         }
         let index = (u64::BITS - value.leading_zeros()) as usize;
         self.buckets[index].fetch_add(1, Ordering::Relaxed);
@@ -375,145 +296,160 @@ impl Histogram {
         }
         out
     }
+}
 
-    /// Snapshot of the non-empty buckets as `(floor, count)` pairs.
+/// One counter sample in a [`RegistrySnapshot`]: registry name, static
+/// labels (empty for plain counters), and the cell value.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CounterState {
+    /// Registry name (pre-mangling, e.g. `carbon/fallback/queries`).
+    pub name: String,
+    /// Label key/value pairs (one pair for [`LabeledCounter`] cells).
+    pub labels: Vec<(String, String)>,
+    /// The counter value.
+    pub value: u64,
+}
+
+/// One histogram in a [`RegistrySnapshot`], with raw (non-cumulative)
+/// power-of-two bucket counts as produced by [`Histogram::bucket_counts`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct HistogramState {
+    /// Registry name.
+    pub name: String,
+    /// Number of samples.
+    pub count: u64,
+    /// Sum of samples.
+    pub sum: u64,
+    /// Per-bucket counts, `HISTOGRAM_BUCKETS` entries (missing trailing
+    /// entries are treated as zero).
+    pub buckets: Vec<u64>,
+}
+
+/// A point-in-time copy of the registry in renderer-independent form. Every
+/// output — [`dump_json_lines`], the Chrome counter track,
+/// [`crate::render_prometheus`] — renders from one, and tests can render
+/// synthetic states without touching the global registry.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct RegistrySnapshot {
+    /// Counter samples: plain counters sorted by name, then every
+    /// labeled-counter cell (families sorted by name, cells in declared
+    /// order).
+    pub counters: Vec<CounterState>,
+    /// Histograms, sorted by name.
+    pub histograms: Vec<HistogramState>,
+}
+
+impl RegistrySnapshot {
+    /// The value of the plain (unlabeled) counter `name`, or 0 when no such
+    /// counter has registered.
     #[must_use]
-    pub fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
-        self.buckets
+    pub fn counter(&self, name: &str) -> u64 {
+        self.counters
             .iter()
-            .enumerate()
-            .filter_map(|(i, bucket)| {
-                let n = bucket.load(Ordering::Relaxed);
-                (n > 0).then(|| (Self::bucket_floor(i), n))
-            })
-            .collect()
+            .find(|c| c.name == name && c.labels.is_empty())
+            .map_or(0, |c| c.value)
     }
+}
 
-    /// One-time registration into the global registry.
-    #[cold]
-    fn register(&'static self) {
-        if self.registered.swap(true, Ordering::Relaxed) {
-            return;
+/// Captures the live registry as a [`RegistrySnapshot`]; the only reader
+/// of the registry.
+#[must_use]
+pub fn registry_snapshot() -> RegistrySnapshot {
+    let mut snapshot = RegistrySnapshot::default();
+    for metric in REGISTRY
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .iter()
+    {
+        match *metric {
+            Metric::Counter(counter) => snapshot.counters.push(CounterState {
+                name: counter.name.to_owned(),
+                labels: Vec::new(),
+                value: counter.value(),
+            }),
+            Metric::Labeled(family) => {
+                for (i, value) in family.values.iter().enumerate() {
+                    snapshot.counters.push(CounterState {
+                        name: family.name.to_owned(),
+                        labels: vec![(family.label.to_owned(), (*value).to_owned())],
+                        value: family.cell_value(i),
+                    });
+                }
+            }
+            Metric::Histogram(histogram) => snapshot.histograms.push(HistogramState {
+                name: histogram.name.to_owned(),
+                count: histogram.count(),
+                sum: histogram.sum(),
+                buckets: histogram.bucket_counts().to_vec(),
+            }),
         }
-        lock(&HISTOGRAMS).push(self);
     }
+    // Stable sorts: a labeled family's cells keep their declared order.
+    snapshot
+        .counters
+        .sort_by(|a, b| (!a.labels.is_empty(), &a.name).cmp(&(!b.labels.is_empty(), &b.name)));
+    snapshot.histograms.sort_by(|a, b| a.name.cmp(&b.name));
+    snapshot
 }
 
-/// Snapshot of every registered counter as `(name, value)`, sorted by name.
-#[must_use]
-pub fn counter_snapshot() -> Vec<(&'static str, u64)> {
-    let mut out: Vec<(&'static str, u64)> = lock(&COUNTERS)
-        .iter()
-        .map(|c| (c.name, c.value()))
-        .collect();
-    out.sort_unstable_by_key(|(name, _)| *name);
-    out
-}
-
-/// Snapshot of every registered histogram, sorted by name.
-#[must_use]
-pub(crate) fn histogram_snapshot() -> Vec<&'static Histogram> {
-    let mut out: Vec<&'static Histogram> = lock(&HISTOGRAMS).iter().copied().collect();
-    out.sort_unstable_by_key(|h| h.name);
-    out
-}
-
-/// Snapshot of every registered labeled-counter cell as
-/// `(family name, label key, label value, count)`, sorted by family name
-/// with cells in declared order.
-#[must_use]
-pub fn labeled_counter_snapshot() -> Vec<(&'static str, &'static str, &'static str, u64)> {
-    let mut families: Vec<&'static LabeledCounter> = lock(&LABELED).iter().copied().collect();
-    families.sort_unstable_by_key(|c| c.name);
-    families
-        .iter()
-        .flat_map(|family| {
-            family
-                .values
-                .iter()
-                .enumerate()
-                .map(|(i, value)| (family.name, family.label, *value, family.cell_value(i)))
-        })
-        .collect()
-}
-
-/// Snapshot of every registered gauge as `(name, value)`, sorted by name.
-#[must_use]
-pub fn gauge_snapshot() -> Vec<(&'static str, f64)> {
-    let mut out: Vec<(&'static str, f64)> =
-        lock(&GAUGES).iter().map(|g| (g.name, g.value())).collect();
-    out.sort_unstable_by_key(|(name, _)| *name);
-    out
-}
-
-/// Dumps the registry as JSON lines — one object per registered counter,
-/// labeled-counter cell, gauge, and histogram, sorted by name within each
-/// kind. Histogram buckets carry their power-of-two floors first-class, so
-/// consumers never re-derive the boundaries:
+/// Dumps the registry as JSON lines — one object per counter sample and
+/// histogram, in [`RegistrySnapshot`] order. Histogram buckets carry their
+/// power-of-two floors first-class, so consumers never re-derive the
+/// boundaries:
 ///
 /// ```text
 /// {"type":"counter","name":"carbon/fallback/queries","value":12}
-/// {"type":"counter","name":"core/store/ops","labels":{"op":"hit"},"value":3}
-/// {"type":"gauge","name":"accel/embodied_cache/entries","value":121}
+/// {"type":"counter","name":"store/ops","labels":{"op":"hit"},"value":3}
 /// {"type":"histogram","name":"core/evaluate_space_ns","count":3,"sum":41872,"buckets":[{"bucket_floor":8192,"count":2},{"bucket_floor":16384,"count":1}]}
 /// ```
 #[must_use]
 pub fn dump_json_lines() -> String {
+    use crate::chrome::escape_json;
     use std::fmt::Write as _;
+    let snapshot = registry_snapshot();
     let mut out = String::new();
-    for (name, value) in counter_snapshot() {
-        let _ = writeln!(
+    for counter in &snapshot.counters {
+        let _ = write!(
             out,
-            "{{\"type\":\"counter\",\"name\":\"{}\",\"value\":{value}}}",
-            crate::chrome::escape_json(name)
+            "{{\"type\":\"counter\",\"name\":\"{}\"",
+            escape_json(&counter.name)
         );
+        for (i, (key, value)) in counter.labels.iter().enumerate() {
+            let open = if i == 0 { ",\"labels\":{" } else { "," };
+            let _ = write!(
+                out,
+                "{open}\"{}\":\"{}\"",
+                escape_json(key),
+                escape_json(value)
+            );
+        }
+        let close = if counter.labels.is_empty() { "" } else { "}" };
+        let _ = writeln!(out, "{close},\"value\":{}}}", counter.value);
     }
-    for (name, label, label_value, value) in labeled_counter_snapshot() {
-        let _ = writeln!(
-            out,
-            "{{\"type\":\"counter\",\"name\":\"{}\",\"labels\":{{\"{}\":\"{}\"}},\"value\":{value}}}",
-            crate::chrome::escape_json(name),
-            crate::chrome::escape_json(label),
-            crate::chrome::escape_json(label_value)
-        );
-    }
-    for (name, value) in gauge_snapshot() {
-        let _ = writeln!(
-            out,
-            "{{\"type\":\"gauge\",\"name\":\"{}\",\"value\":{}}}",
-            crate::chrome::escape_json(name),
-            json_f64(value)
-        );
-    }
-    for histogram in histogram_snapshot() {
+    for histogram in &snapshot.histograms {
         let _ = write!(
             out,
             "{{\"type\":\"histogram\",\"name\":\"{}\",\"count\":{},\"sum\":{},\"buckets\":[",
-            crate::chrome::escape_json(histogram.name),
-            histogram.count(),
-            histogram.sum()
+            escape_json(&histogram.name),
+            histogram.count,
+            histogram.sum
         );
-        for (i, (floor, n)) in histogram.nonzero_buckets().into_iter().enumerate() {
+        let nonzero = histogram
+            .buckets
+            .iter()
+            .enumerate()
+            .filter(|(_, n)| **n > 0);
+        for (i, (index, n)) in nonzero.enumerate() {
             let _ = write!(
                 out,
-                "{}{{\"bucket_floor\":{floor},\"count\":{n}}}",
-                if i > 0 { "," } else { "" }
+                "{}{{\"bucket_floor\":{},\"count\":{n}}}",
+                if i > 0 { "," } else { "" },
+                Histogram::bucket_floor(index)
             );
         }
         out.push_str("]}\n");
     }
     out
-}
-
-/// Renders an `f64` as a JSON value: finite values round-trip through the
-/// shortest decimal form, non-finite ones become `null` (JSON has no
-/// Inf/NaN literals).
-pub(crate) fn json_f64(value: f64) -> String {
-    if value.is_finite() {
-        format!("{value}")
-    } else {
-        "null".to_owned()
-    }
 }
 
 #[cfg(test)]
@@ -537,9 +473,7 @@ mod tests {
         ENABLED.incr();
         ENABLED.add(4);
         assert_eq!(ENABLED.value(), 5);
-        assert!(counter_snapshot()
-            .iter()
-            .any(|(name, value)| *name == "test/metrics/enabled" && *value == 5));
+        assert_eq!(registry_snapshot().counter("test/metrics/enabled"), 5);
         let dump = dump_json_lines();
         assert!(dump.contains("\"name\":\"test/metrics/enabled\",\"value\":5"));
     }
@@ -555,11 +489,12 @@ mod tests {
         HIST.record(1000);
         assert_eq!(HIST.count(), 4);
         assert_eq!(HIST.sum(), 1002);
-        let buckets = HIST.nonzero_buckets();
-        assert!(buckets.contains(&(0, 1)), "zero bucket: {buckets:?}");
-        assert!(buckets.contains(&(1, 2)), "ones bucket: {buckets:?}");
+        let buckets = HIST.bucket_counts();
+        assert_eq!(buckets[0], 1, "zero bucket: {buckets:?}");
+        assert_eq!(buckets[1], 2, "ones bucket: {buckets:?}");
         // 1000 lands in [512, 1024).
-        assert!(buckets.contains(&(512, 1)), "512 bucket: {buckets:?}");
+        assert_eq!(Histogram::bucket_floor(10), 512);
+        assert_eq!(buckets[10], 1, "512 bucket: {buckets:?}");
         assert!(dump_json_lines().contains("\"name\":\"test/metrics/hist\""));
     }
 
@@ -580,9 +515,14 @@ mod tests {
         assert_eq!(TIERS.cell_value(1), 2);
         assert_eq!(TIERS.cell_value(2), 1);
         assert_eq!(TIERS.cell_value(99), 0);
-        let cells = labeled_counter_snapshot();
-        assert!(cells.contains(&("test/metrics/tiers", "tier", "trace", 1)));
-        assert!(cells.contains(&("test/metrics/tiers", "tier", "other", 1)));
+        let cell = |value: &str, count| CounterState {
+            name: "test/metrics/tiers".to_owned(),
+            labels: vec![("tier".to_owned(), value.to_owned())],
+            value: count,
+        };
+        let cells = registry_snapshot().counters;
+        assert!(cells.contains(&cell("trace", 1)));
+        assert!(cells.contains(&cell("other", 1)));
         let dump = dump_json_lines();
         assert!(dump.contains(
             "\"name\":\"test/metrics/tiers\",\"labels\":{\"tier\":\"constant\"},\"value\":2"
@@ -590,23 +530,6 @@ mod tests {
         crate::set_metrics_enabled(false);
         TIERS.incr(0);
         assert_eq!(TIERS.cell_value(0), 1, "disabled updates must not record");
-    }
-
-    #[test]
-    fn gauge_holds_last_set_value() {
-        static LEVEL: Gauge = Gauge::new("test/metrics/level");
-        let _guard = crate::test_lock();
-        crate::set_metrics_enabled(false);
-        LEVEL.set(9.0);
-        assert_eq!(LEVEL.value(), 0.0, "disabled sets must not record");
-        crate::set_metrics_enabled(true);
-        LEVEL.set(1.5);
-        LEVEL.set(-2.25);
-        assert_eq!(LEVEL.value(), -2.25);
-        assert!(gauge_snapshot().contains(&("test/metrics/level", -2.25)));
-        assert!(dump_json_lines()
-            .contains("{\"type\":\"gauge\",\"name\":\"test/metrics/level\",\"value\":-2.25}"));
-        crate::set_metrics_enabled(false);
     }
 
     #[test]

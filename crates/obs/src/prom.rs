@@ -1,13 +1,15 @@
 //! Prometheus text exposition (format v0.0.4) for the metrics registry.
 //!
 //! [`render_prometheus`] renders the live registry — counters, labeled
-//! counters, gauges, and the 65-bucket power-of-two histograms — in the
+//! counters, and the 65-bucket power-of-two histograms — in the
 //! Prometheus text format a `/metrics` endpoint serves: `# TYPE` headers,
 //! cumulative `le`-bucketed histograms with `_sum`/`_count`, slash names
 //! mangled to legal metric names, and label values escaped. Because the
 //! workspace is dependency-free by policy, the crate also ships its own
 //! parser/validator ([`validate_prometheus_text`], mirroring
 //! [`crate::validate_chrome_trace`]) so round-trips are testable offline.
+//! The validator also accepts `gauge` families, which other exporters
+//! write.
 //!
 //! ## Name mangling and collisions
 //!
@@ -16,8 +18,8 @@
 //! becomes `_`. Mangling can collide (`a/b` and `a_b` both become `a_b`);
 //! colliding same-kind sources are merged into one family whose samples are
 //! disambiguated by a `name="<original>"` label, which keeps the exposition
-//! valid and lossless. Cross-kind collisions get a kind suffix
-//! (`_gauge` / `_histogram`) on the later-rendered family.
+//! valid and lossless. A histogram whose name clashes with a counter
+//! family takes a `_histogram` suffix.
 //!
 //! ## Histogram mapping
 //!
@@ -27,101 +29,12 @@
 //! cumulatively up to the last non-empty one, followed by the mandatory
 //! `+Inf` bucket equal to `_count`.
 
-use crate::metrics::{
-    counter_snapshot, gauge_snapshot, histogram_snapshot, labeled_counter_snapshot,
-    HISTOGRAM_BUCKETS,
-};
+use crate::metrics::{registry_snapshot, HistogramState, RegistrySnapshot, HISTOGRAM_BUCKETS};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
-/// One counter sample in a [`RegistrySnapshot`]: registry name, static
-/// labels (empty for plain counters), and the cell value.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CounterState {
-    /// Registry name (pre-mangling, e.g. `carbon/fallback/queries`).
-    pub name: String,
-    /// Label key/value pairs (one pair for [`crate::LabeledCounter`] cells).
-    pub labels: Vec<(String, String)>,
-    /// The counter value.
-    pub value: u64,
-}
-
-/// One gauge in a [`RegistrySnapshot`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct GaugeState {
-    /// Registry name.
-    pub name: String,
-    /// Last-set value.
-    pub value: f64,
-}
-
-/// One histogram in a [`RegistrySnapshot`], with raw (non-cumulative)
-/// power-of-two bucket counts as produced by
-/// [`crate::metrics::Histogram::bucket_counts`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HistogramState {
-    /// Registry name.
-    pub name: String,
-    /// Number of samples.
-    pub count: u64,
-    /// Sum of samples.
-    pub sum: u64,
-    /// Per-bucket counts, `HISTOGRAM_BUCKETS` entries (missing trailing
-    /// entries are treated as zero).
-    pub buckets: Vec<u64>,
-}
-
-/// A point-in-time copy of the registry in renderer-independent form; the
-/// unit of [`render_snapshot`], so tests can render synthetic states
-/// without touching the global registry.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct RegistrySnapshot {
-    /// Counter samples (plain and labeled).
-    pub counters: Vec<CounterState>,
-    /// Gauges.
-    pub gauges: Vec<GaugeState>,
-    /// Histograms.
-    pub histograms: Vec<HistogramState>,
-}
-
-/// Captures the live registry as a [`RegistrySnapshot`].
-#[must_use]
-pub fn registry_snapshot() -> RegistrySnapshot {
-    let mut counters: Vec<CounterState> = counter_snapshot()
-        .into_iter()
-        .map(|(name, value)| CounterState {
-            name: name.to_owned(),
-            labels: Vec::new(),
-            value,
-        })
-        .collect();
-    counters.extend(labeled_counter_snapshot().into_iter().map(
-        |(name, label, label_value, value)| CounterState {
-            name: name.to_owned(),
-            labels: vec![(label.to_owned(), label_value.to_owned())],
-            value,
-        },
-    ));
-    RegistrySnapshot {
-        counters,
-        gauges: gauge_snapshot()
-            .into_iter()
-            .map(|(name, value)| GaugeState {
-                name: name.to_owned(),
-                value,
-            })
-            .collect(),
-        histograms: histogram_snapshot()
-            .into_iter()
-            .map(|h| HistogramState {
-                name: h.name().to_owned(),
-                count: h.count(),
-                sum: h.sum(),
-                buckets: h.bucket_counts().to_vec(),
-            })
-            .collect(),
-    }
-}
+/// A label set: `(key, value)` pairs in rendering order.
+type Labels = [(String, String)];
 
 /// Renders the live registry in Prometheus text exposition format v0.0.4.
 #[must_use]
@@ -167,22 +80,8 @@ fn escape_label_value(value: &str) -> String {
     out
 }
 
-/// A float in exposition syntax: finite values via the shortest
-/// round-tripping decimal, plus `+Inf`/`-Inf`/`NaN`.
-fn prom_f64(value: f64) -> String {
-    if value.is_nan() {
-        "NaN".to_owned()
-    } else if value == f64::INFINITY {
-        "+Inf".to_owned()
-    } else if value == f64::NEG_INFINITY {
-        "-Inf".to_owned()
-    } else {
-        format!("{value}")
-    }
-}
-
 /// Renders a label set as `{k="v",...}`, or nothing when empty.
-fn render_labels(labels: &[(String, String)]) -> String {
+fn render_labels(labels: &Labels) -> String {
     if labels.is_empty() {
         return String::new();
     }
@@ -204,16 +103,11 @@ fn bucket_upper_inclusive(index: usize) -> u64 {
     }
 }
 
-/// One family ready to emit: mangled name, exposition type, and fully
-/// rendered sample lines (without the name prefix).
+/// One family ready to emit: name, exposition type, and its sample lines.
 struct Family {
     name: String,
     kind: &'static str,
-    /// `(label block, value text)` for counter/gauge; histograms render
-    /// their own suffixed sample names in `raw_lines` instead.
-    samples: Vec<(String, String)>,
-    /// Fully formed sample lines (histograms only).
-    raw_lines: Vec<String>,
+    lines: String,
 }
 
 /// Renders a snapshot in Prometheus text exposition format v0.0.4. Output
@@ -221,180 +115,108 @@ struct Family {
 /// name then labels.
 #[must_use]
 pub fn render_snapshot(snapshot: &RegistrySnapshot) -> String {
-    let mut families: Vec<Family> = Vec::new();
-    let mut taken: BTreeSet<String> = BTreeSet::new();
-
-    // Counters first: they keep their mangled names; same-name collisions
-    // merge into one family with `name="<original>"` disambiguation.
-    let mut counter_groups: BTreeMap<String, Vec<&CounterState>> = BTreeMap::new();
+    // Exact duplicates (same source name and labels) sum into one sample
+    // so the exposition never carries duplicate series.
+    let mut counters: BTreeMap<(&str, &Labels), u64> = BTreeMap::new();
     for counter in &snapshot.counters {
-        counter_groups
-            .entry(mangle_metric_name(&counter.name))
-            .or_default()
-            .push(counter);
+        *counters
+            .entry((&counter.name, &counter.labels))
+            .or_insert(0) += counter.value;
     }
-    for (mangled, mut group) in counter_groups {
-        group.sort_by(|a, b| (&a.name, &a.labels).cmp(&(&b.name, &b.labels)));
-        let distinct: BTreeSet<&str> = group.iter().map(|c| c.name.as_str()).collect();
-        let disambiguate = distinct.len() > 1;
-        // Exact duplicates (same source name and labels) sum into one
-        // sample so the exposition never carries duplicate series.
-        let mut merged: BTreeMap<(String, Vec<(String, String)>), u64> = BTreeMap::new();
-        for counter in group {
-            let mut labels = counter.labels.clone();
-            if disambiguate {
-                labels.push(("name".to_owned(), counter.name.clone()));
-            }
-            *merged.entry((counter.name.clone(), labels)).or_insert(0) += counter.value;
-        }
-        let samples = merged
+    let mut families = Vec::new();
+    // Counters first: they keep their mangled names, and a histogram
+    // family that clashes with one is renamed.
+    push_families(
+        &mut families,
+        "counter",
+        counters
             .into_iter()
-            .map(|((_, labels), value)| (render_labels(&labels), format!("{value}")))
-            .collect();
-        taken.insert(mangled.clone());
-        families.push(Family {
-            name: mangled,
-            kind: "counter",
-            samples,
-            raw_lines: Vec::new(),
-        });
-    }
-
-    // Gauges: same-kind collisions disambiguate like counters; a clash
-    // with a counter family gets a `_gauge` suffix.
-    let mut gauge_groups: BTreeMap<String, Vec<&GaugeState>> = BTreeMap::new();
-    for gauge in &snapshot.gauges {
-        gauge_groups
-            .entry(mangle_metric_name(&gauge.name))
-            .or_default()
-            .push(gauge);
-    }
-    for (mangled, mut group) in gauge_groups {
-        let mangled = free_name(mangled, "_gauge", &taken);
-        group.sort_by(|a, b| a.name.cmp(&b.name));
-        let disambiguate = group
+            .map(|((name, labels), value)| (name, labels, value)),
+        |out, family, labels, value| {
+            let _ = writeln!(out, "{family}{} {value}", render_labels(labels));
+        },
+    );
+    push_families(
+        &mut families,
+        "histogram",
+        snapshot
+            .histograms
             .iter()
-            .map(|g| g.name.as_str())
-            .collect::<BTreeSet<_>>()
-            .len()
-            > 1;
-        let samples = group
-            .iter()
-            .map(|gauge| {
-                let labels = if disambiguate {
-                    vec![("name".to_owned(), gauge.name.clone())]
-                } else {
-                    Vec::new()
-                };
-                (render_labels(&labels), prom_f64(gauge.value))
-            })
-            .collect();
-        taken.insert(mangled.clone());
-        families.push(Family {
-            name: mangled,
-            kind: "gauge",
-            samples,
-            raw_lines: Vec::new(),
-        });
-    }
-
-    // Histograms: same-kind collisions disambiguate with the `name` label
-    // on every suffixed sample; cross-kind clashes take `_histogram`.
-    let mut histogram_groups: BTreeMap<String, Vec<&HistogramState>> = BTreeMap::new();
-    for histogram in &snapshot.histograms {
-        histogram_groups
-            .entry(mangle_metric_name(&histogram.name))
-            .or_default()
-            .push(histogram);
-    }
-    for (mangled, mut group) in histogram_groups {
-        let mangled = free_name(mangled, "_histogram", &taken);
-        group.sort_by(|a, b| a.name.cmp(&b.name));
-        let disambiguate = group
-            .iter()
-            .map(|h| h.name.as_str())
-            .collect::<BTreeSet<_>>()
-            .len()
-            > 1;
-        let mut raw_lines = Vec::new();
-        for histogram in group {
-            let base_labels: Vec<(String, String)> = if disambiguate {
-                vec![("name".to_owned(), histogram.name.clone())]
-            } else {
-                Vec::new()
-            };
-            let counts: Vec<u64> = (0..HISTOGRAM_BUCKETS)
-                .map(|i| histogram.buckets.get(i).copied().unwrap_or(0))
-                .collect();
-            let last_nonzero = counts.iter().rposition(|&n| n > 0);
-            let mut cumulative = 0u64;
-            if let Some(last) = last_nonzero {
-                for (i, &n) in counts.iter().enumerate().take(last + 1) {
-                    cumulative += n;
-                    let mut labels = base_labels.clone();
-                    labels.push(("le".to_owned(), format!("{}", bucket_upper_inclusive(i))));
-                    raw_lines.push(format!(
-                        "{}_bucket{} {cumulative}",
-                        mangled,
-                        render_labels(&labels)
-                    ));
-                }
-            }
-            let mut inf_labels = base_labels.clone();
-            inf_labels.push(("le".to_owned(), "+Inf".to_owned()));
-            raw_lines.push(format!(
-                "{}_bucket{} {}",
-                mangled,
-                render_labels(&inf_labels),
-                histogram.count
-            ));
-            raw_lines.push(format!(
-                "{}_sum{} {}",
-                mangled,
-                render_labels(&base_labels),
-                histogram.sum
-            ));
-            raw_lines.push(format!(
-                "{}_count{} {}",
-                mangled,
-                render_labels(&base_labels),
-                histogram.count
-            ));
-        }
-        taken.insert(mangled.clone());
-        families.push(Family {
-            name: mangled,
-            kind: "histogram",
-            samples: Vec::new(),
-            raw_lines,
-        });
-    }
-
+            .map(|histogram| (histogram.name.as_str(), &[][..], histogram)),
+        render_histogram,
+    );
     families.sort_by(|a, b| a.name.cmp(&b.name));
     let mut out = String::new();
     for family in &families {
         let _ = writeln!(out, "# TYPE {} {}", family.name, family.kind);
-        for (labels, value) in &family.samples {
-            let _ = writeln!(out, "{}{} {}", family.name, labels, value);
-        }
-        for line in &family.raw_lines {
-            let _ = writeln!(out, "{line}");
-        }
+        out.push_str(&family.lines);
     }
     out
 }
 
-/// `candidate` if unused, otherwise `candidate + suffix` (with underscores
-/// appended until free) — the cross-kind collision escape hatch.
-fn free_name(candidate: String, suffix: &str, taken: &BTreeSet<String>) -> String {
-    if !taken.contains(&candidate) {
-        return candidate;
+/// Groups `sources` — `(registry name, labels, value)` — by mangled name
+/// into families of `kind`, rendering each source's samples with `render`.
+/// When different registry names mangle alike, every sample of the family
+/// carries a `name="<original>"` label; a family name another family
+/// already took gets a `_<kind>` suffix (underscores appended until free).
+fn push_families<'a, T>(
+    families: &mut Vec<Family>,
+    kind: &'static str,
+    sources: impl Iterator<Item = (&'a str, &'a Labels, T)>,
+    render: impl Fn(&mut String, &str, &Labels, T),
+) {
+    type Source<'a, T> = (&'a str, Vec<(String, String)>, T);
+    let mut groups: BTreeMap<String, Vec<Source<'a, T>>> = BTreeMap::new();
+    for (name, labels, value) in sources {
+        groups
+            .entry(mangle_metric_name(name))
+            .or_default()
+            .push((name, labels.to_vec(), value));
     }
-    let mut renamed = format!("{candidate}{suffix}");
-    while taken.contains(&renamed) {
-        renamed.push('_');
+    for (mut name, mut group) in groups {
+        let taken = |name: &str| families.iter().any(|f| f.name == name);
+        if taken(&name) {
+            name = format!("{name}_{kind}");
+            while taken(&name) {
+                name.push('_');
+            }
+        }
+        if group.iter().any(|(source, ..)| *source != group[0].0) {
+            for (source, labels, _) in &mut group {
+                labels.push(("name".to_owned(), (*source).to_owned()));
+            }
+        }
+        group.sort_by(|a, b| (a.0, &a.1).cmp(&(b.0, &b.1)));
+        let mut lines = String::new();
+        for (_, labels, value) in group {
+            render(&mut lines, &name, &labels, value);
+        }
+        families.push(Family { name, kind, lines });
     }
-    renamed
+}
+
+/// Renders one histogram's cumulative `_bucket` series, `_sum` and
+/// `_count` under `family`, each with `labels`.
+fn render_histogram(out: &mut String, family: &str, labels: &Labels, histogram: &HistogramState) {
+    let mut bucket = |le: String, value: u64| {
+        let mut with_le = labels.to_vec();
+        with_le.push(("le".to_owned(), le));
+        let _ = writeln!(out, "{family}_bucket{} {value}", render_labels(&with_le));
+    };
+    let counts = &histogram.buckets[..histogram.buckets.len().min(HISTOGRAM_BUCKETS)];
+    let used = counts
+        .iter()
+        .rposition(|&n| n > 0)
+        .map_or(0, |last| last + 1);
+    let mut cumulative = 0u64;
+    for (i, &n) in counts[..used].iter().enumerate() {
+        cumulative += n;
+        bucket(bucket_upper_inclusive(i).to_string(), cumulative);
+    }
+    bucket("+Inf".to_owned(), histogram.count);
+    let labels = render_labels(labels);
+    let _ = writeln!(out, "{family}_sum{labels} {}", histogram.sum);
+    let _ = writeln!(out, "{family}_count{labels} {}", histogram.count);
 }
 
 // ---------------------------------------------------------------------------
@@ -533,14 +355,17 @@ fn parse_labels(rest: &str, lineno: usize) -> Result<(Vec<(String, String)>, usi
     }
 }
 
-/// Parses `text` as an exposition document (syntax only; semantic checks
-/// live in [`validate_prometheus_text`]).
-///
-/// # Errors
-///
-/// Returns a message locating the first malformed line.
-pub fn parse_prometheus_text(text: &str) -> Result<PromDoc, String> {
-    let mut doc = PromDoc::default();
+/// One meaningful line of an exposition document.
+enum Line {
+    /// A `# TYPE <family> <kind>` declaration.
+    Type(String, String),
+    /// A sample line.
+    Sample(PromSample),
+}
+
+/// Parses `text` into its `# TYPE` and sample lines, in document order.
+fn parse_lines(text: &str) -> Result<Vec<Line>, String> {
+    let mut lines = Vec::new();
     for (i, raw) in text.lines().enumerate() {
         let lineno = i + 1;
         let line = raw.trim_end_matches('\r');
@@ -558,7 +383,7 @@ pub fn parse_prometheus_text(text: &str) -> Result<PromDoc, String> {
                 if !is_metric_name(name) {
                     return Err(format!("line {lineno}: bad family name `{name}`"));
                 }
-                doc.types.push((name.to_owned(), kind.to_owned()));
+                lines.push(Line::Type(name.to_owned(), kind.to_owned()));
             }
             // `# HELP` and free-form comments are legal and ignored.
             continue;
@@ -594,11 +419,28 @@ pub fn parse_prometheus_text(text: &str) -> Result<PromDoc, String> {
         if tokens.next().is_some() {
             return Err(format!("line {lineno}: trailing tokens after sample"));
         }
-        doc.samples.push(PromSample {
+        lines.push(Line::Sample(PromSample {
             name: name.to_owned(),
             labels,
             value,
-        });
+        }));
+    }
+    Ok(lines)
+}
+
+/// Parses `text` as an exposition document (syntax only; semantic checks
+/// live in [`validate_prometheus_text`]).
+///
+/// # Errors
+///
+/// Returns a message locating the first malformed line.
+pub fn parse_prometheus_text(text: &str) -> Result<PromDoc, String> {
+    let mut doc = PromDoc::default();
+    for line in parse_lines(text)? {
+        match line {
+            Line::Type(name, kind) => doc.types.push((name, kind)),
+            Line::Sample(sample) => doc.samples.push(sample),
+        }
     }
     Ok(doc)
 }
@@ -616,6 +458,16 @@ fn family_of<'a>(name: &'a str, types: &BTreeMap<&str, &str>) -> &'a str {
     name
 }
 
+/// One histogram series (a family's samples sharing every label but `le`)
+/// as collected by [`validate_prometheus_text`].
+#[derive(Default)]
+struct HistogramSeries {
+    /// `(le bound, cumulative count)` in document order.
+    buckets: Vec<(f64, f64)>,
+    sum: Option<f64>,
+    count: Option<f64>,
+}
+
 /// Validates `text` as a self-consistent exposition document: syntax, one
 /// `# TYPE` per family (declared before its samples, kind one of
 /// `counter`/`gauge`/`histogram`), every sample attributable to a declared
@@ -628,9 +480,12 @@ fn family_of<'a>(name: &'a str, types: &BTreeMap<&str, &str>) -> &'a str {
 ///
 /// Returns a message describing the first violation.
 pub fn validate_prometheus_text(text: &str) -> Result<PromCheck, String> {
-    let doc = parse_prometheus_text(text)?;
+    let lines = parse_lines(text)?;
     let mut types: BTreeMap<&str, &str> = BTreeMap::new();
-    for (name, kind) in &doc.types {
+    for line in &lines {
+        let Line::Type(name, kind) = line else {
+            continue;
+        };
         if !matches!(kind.as_str(), "counter" | "gauge" | "histogram") {
             return Err(format!("family `{name}`: unsupported type `{kind}`"));
         }
@@ -638,67 +493,43 @@ pub fn validate_prometheus_text(text: &str) -> Result<PromCheck, String> {
             return Err(format!("family `{name}`: duplicate `# TYPE` declaration"));
         }
     }
-    // Declaration order: every family's TYPE line must precede its samples.
-    // Re-walk the raw document order by replaying types as they appear.
-    {
-        let mut declared: BTreeSet<&str> = BTreeSet::new();
-        let mut type_iter = doc.types.iter();
-        let mut pending = type_iter.next();
-        // `parse_prometheus_text` preserves the relative order of samples
-        // but not their interleaving with TYPE lines; recover it cheaply by
-        // re-scanning the text for line kinds.
-        let mut sample_index = 0usize;
-        for raw in text.lines() {
-            let line = raw.trim_end_matches('\r');
-            if line.trim().is_empty() {
-                continue;
-            }
-            if line.starts_with('#') {
-                if line
-                    .trim_start_matches('#')
-                    .trim_start()
-                    .starts_with("TYPE ")
-                {
-                    if let Some((name, _)) = pending {
-                        declared.insert(name);
-                        pending = type_iter.next();
-                    }
-                }
-                continue;
-            }
-            let Some(sample) = doc.samples.get(sample_index) else {
-                break;
-            };
-            sample_index += 1;
-            let family = family_of(&sample.name, &types);
-            if types.contains_key(family) && !declared.contains(family) {
-                return Err(format!(
-                    "family `{family}`: sample appears before its `# TYPE` declaration"
-                ));
-            }
-        }
-    }
 
-    let mut seen_series: BTreeSet<(String, Vec<(String, String)>)> = BTreeSet::new();
-    for sample in &doc.samples {
+    // One walk in document order: each sample is checked against the
+    // families declared so far, and histogram samples are gathered per
+    // series (labels minus `le`) for the checks below.
+    let mut declared: BTreeSet<&str> = BTreeSet::new();
+    // A series: sample or family name plus its sorted labels.
+    type Series<'a> = (&'a str, Vec<&'a (String, String)>);
+    let mut seen_series: BTreeSet<Series> = BTreeSet::new();
+    let mut series: BTreeMap<Series, HistogramSeries> = BTreeMap::new();
+    let mut samples = 0;
+    for line in &lines {
+        let sample = match line {
+            Line::Type(name, _) => {
+                declared.insert(name);
+                continue;
+            }
+            Line::Sample(sample) => sample,
+        };
+        samples += 1;
         let family = family_of(&sample.name, &types);
-        let Some(kind) = types.get(family) else {
+        let Some(&kind) = types.get(family) else {
             return Err(format!(
                 "sample `{}`: no `# TYPE` declaration for its family",
                 sample.name
             ));
         };
-        for (key, _) in &sample.labels {
-            if !is_label_key(key) {
-                return Err(format!("sample `{}`: bad label key `{key}`", sample.name));
-            }
+        if !declared.contains(family) {
+            return Err(format!(
+                "family `{family}`: sample appears before its `# TYPE` declaration"
+            ));
         }
-        let mut series_labels = sample.labels.clone();
+        let mut series_labels: Vec<&(String, String)> = sample.labels.iter().collect();
         series_labels.sort();
-        if !seen_series.insert((sample.name.clone(), series_labels)) {
+        if !seen_series.insert((&sample.name, series_labels)) {
             return Err(format!("sample `{}`: duplicate series", sample.name));
         }
-        match *kind {
+        match kind {
             "counter" if !sample.value.is_finite() || sample.value < 0.0 => {
                 return Err(format!(
                     "counter `{}`: value must be finite and non-negative",
@@ -716,49 +547,30 @@ pub fn validate_prometheus_text(text: &str) -> Result<PromCheck, String> {
                         "histogram `{family}`: sample values must be finite and non-negative"
                     ));
                 }
+                let mut group: Vec<&(String, String)> =
+                    sample.labels.iter().filter(|(k, _)| k != "le").collect();
+                group.sort();
+                let entry = series.entry((family, group)).or_default();
+                if sample.name.ends_with("_bucket") {
+                    let Some((_, le)) = sample.labels.iter().find(|(k, _)| k == "le") else {
+                        return Err(format!("histogram `{family}`: _bucket without `le` label"));
+                    };
+                    let Some(bound) = parse_value(le) else {
+                        return Err(format!("histogram `{family}`: bad `le` bound `{le}`"));
+                    };
+                    entry.buckets.push((bound, sample.value));
+                } else if sample.name.ends_with("_sum") {
+                    entry.sum = Some(sample.value);
+                } else {
+                    entry.count = Some(sample.value);
+                }
             }
             _ => {}
         }
     }
 
-    // Histogram series-group checks: buckets cumulative and +Inf-terminated,
-    // `_count` equal to the +Inf bucket, `_sum` present — per label group
-    // (labels minus `le`).
-    type Group = Vec<(String, String)>;
-    #[derive(Default)]
-    struct HistogramSeries {
-        buckets: Vec<(f64, f64)>,
-        sum: Option<f64>,
-        count: Option<f64>,
-    }
-    let mut series: BTreeMap<(String, Group), HistogramSeries> = BTreeMap::new();
-    for sample in &doc.samples {
-        let family = family_of(&sample.name, &types);
-        if types.get(family) != Some(&"histogram") {
-            continue;
-        }
-        let mut group: Group = sample
-            .labels
-            .iter()
-            .filter(|(k, _)| k != "le")
-            .cloned()
-            .collect();
-        group.sort();
-        let entry = series.entry((family.to_owned(), group)).or_default();
-        if sample.name.ends_with("_bucket") {
-            let Some((_, le)) = sample.labels.iter().find(|(k, _)| k == "le") else {
-                return Err(format!("histogram `{family}`: _bucket without `le` label"));
-            };
-            let Some(bound) = parse_value(le) else {
-                return Err(format!("histogram `{family}`: bad `le` bound `{le}`"));
-            };
-            entry.buckets.push((bound, sample.value));
-        } else if sample.name.ends_with("_sum") {
-            entry.sum = Some(sample.value);
-        } else {
-            entry.count = Some(sample.value);
-        }
-    }
+    // Histogram series checks: buckets cumulative and +Inf-terminated,
+    // `_count` equal to the +Inf bucket, `_sum` present.
     for ((family, _), data) in &series {
         if data.buckets.is_empty() {
             return Err(format!("histogram `{family}`: series has no buckets"));
@@ -801,18 +613,20 @@ pub fn validate_prometheus_text(text: &str) -> Result<PromCheck, String> {
         }
     }
 
+    let count = |kind: &str| types.values().filter(|&&k| k == kind).count();
     Ok(PromCheck {
-        families: doc.types.len(),
-        counters: doc.types.iter().filter(|(_, k)| k == "counter").count(),
-        gauges: doc.types.iter().filter(|(_, k)| k == "gauge").count(),
-        histograms: doc.types.iter().filter(|(_, k)| k == "histogram").count(),
-        samples: doc.samples.len(),
+        families: types.len(),
+        counters: count("counter"),
+        gauges: count("gauge"),
+        histograms: count("histogram"),
+        samples,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::CounterState;
 
     fn state(counters: &[(&str, u64)]) -> RegistrySnapshot {
         RegistrySnapshot {
@@ -858,15 +672,37 @@ mod tests {
     #[test]
     fn cross_kind_collision_takes_a_suffix() {
         let mut snapshot = state(&[("depth", 1)]);
-        snapshot.gauges.push(GaugeState {
+        snapshot.histograms.push(HistogramState {
             name: "depth".to_owned(),
-            value: 2.5,
+            count: 2,
+            sum: 5,
+            buckets: vec![0, 0, 1, 1],
         });
         let text = render_snapshot(&snapshot);
-        assert!(text.contains("# TYPE depth counter"));
-        assert!(text.contains("# TYPE depth_gauge gauge"));
-        assert!(text.contains("depth_gauge 2.5"));
+        assert!(text.contains("# TYPE depth counter\ndepth 1\n"));
+        assert!(text.contains("# TYPE depth_histogram histogram"));
+        assert!(text.contains("depth_histogram_bucket{le=\"+Inf\"} 2"));
+        assert!(text.contains("depth_histogram_count 2"));
         validate_prometheus_text(&text).unwrap();
+    }
+
+    #[test]
+    fn hand_written_gauge_families_validate() {
+        let text = "# HELP queue_depth Jobs waiting.\n# TYPE queue_depth gauge\n\
+                    queue_depth{queue=\"a\"} -2.5\nqueue_depth{queue=\"b\"} NaN\n\
+                    # TYPE jobs counter\njobs 3\n";
+        let check = validate_prometheus_text(text).unwrap();
+        assert_eq!(
+            check,
+            PromCheck {
+                families: 2,
+                counters: 1,
+                gauges: 1,
+                histograms: 0,
+                samples: 3,
+            }
+        );
+        assert!(validate_prometheus_text("queue_depth 1\n# TYPE queue_depth gauge\n").is_err());
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! is process-global, so a concurrently running test would make the
 //! before/after comparison meaningless.
 
-use cordoba_obs::{Counter, Gauge, Histogram, LabeledCounter};
+use cordoba_obs::{Counter, Histogram, LabeledCounter};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -42,7 +42,6 @@ static COUNTER: Counter = Counter::new("test/no_alloc/counter");
 static HISTOGRAM: Histogram = Histogram::new("test/no_alloc/histogram");
 static LABELED: LabeledCounter =
     LabeledCounter::new("test/no_alloc/labeled", "tier", &["hot", "cold", "other"]);
-static GAUGE: Gauge = Gauge::new("test/no_alloc/gauge");
 
 /// Runs `work` and returns how many allocations it performed.
 fn allocations_during(work: impl FnOnce()) -> u64 {
@@ -60,7 +59,6 @@ fn metric_updates_do_not_allocate_after_registration() {
             COUNTER.add(i);
             HISTOGRAM.record(i);
             LABELED.incr((i % 5) as usize);
-            GAUGE.set(i as f64);
         }
     });
     assert_eq!(disabled, 0, "disabled metric updates allocated");
@@ -71,7 +69,6 @@ fn metric_updates_do_not_allocate_after_registration() {
     COUNTER.incr();
     HISTOGRAM.record(1);
     LABELED.incr(0);
-    GAUGE.set(0.0);
 
     let enabled = allocations_during(|| {
         for i in 0..100_000u64 {
@@ -80,7 +77,6 @@ fn metric_updates_do_not_allocate_after_registration() {
             // Out-of-range cells clamp to the trailing catch-all; the
             // clamp path must be allocation-free too.
             LABELED.incr((i % 5) as usize);
-            GAUGE.set(i as f64);
         }
     });
     assert_eq!(enabled, 0, "registered metric updates allocated");
@@ -91,5 +87,4 @@ fn metric_updates_do_not_allocate_after_registration() {
     assert_eq!(LABELED.cell_value(0), 20_001);
     assert_eq!(LABELED.cell_value(1), 20_000);
     assert_eq!(LABELED.cell_value(2), 60_000);
-    assert_eq!(GAUGE.value(), 99_999.0);
 }

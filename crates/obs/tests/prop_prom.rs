@@ -9,8 +9,8 @@
 
 use cordoba_obs::metrics::HISTOGRAM_BUCKETS;
 use cordoba_obs::{
-    parse_prometheus_text, render_snapshot, validate_prometheus_text, CounterState, GaugeState,
-    HistogramState, PromDoc, RegistrySnapshot,
+    parse_prometheus_text, render_snapshot, validate_prometheus_text, CounterState, HistogramState,
+    PromDoc, RegistrySnapshot,
 };
 
 /// Deterministic splitmix64 stream.
@@ -83,24 +83,14 @@ fn random_counters(rng: &mut Rng) -> Vec<CounterState> {
 }
 
 /// Keeps the first state per source name: the live registry is keyed by
-/// name, so duplicate gauge/histogram states cannot occur in practice and
-/// the renderer is not required to merge them.
+/// name, so duplicate histogram states cannot occur in practice and the
+/// renderer is not required to merge them.
 fn dedup_by_name<T>(items: Vec<T>, name: impl Fn(&T) -> &str) -> Vec<T> {
     let mut seen = std::collections::BTreeSet::new();
     items
         .into_iter()
         .filter(|item| seen.insert(name(item).to_owned()))
         .collect()
-}
-
-fn random_gauges(rng: &mut Rng) -> Vec<GaugeState> {
-    let raw = (0..rng.below(4))
-        .map(|_| GaugeState {
-            name: random_name(rng),
-            value: (rng.next() % 2_000_000) as f64 / 128.0 - 7_000.0,
-        })
-        .collect();
-    dedup_by_name(raw, |g| &g.name)
 }
 
 /// A histogram state consistent the way the live registry guarantees:
@@ -124,7 +114,6 @@ fn random_histogram(rng: &mut Rng) -> HistogramState {
 fn random_snapshot(rng: &mut Rng) -> RegistrySnapshot {
     RegistrySnapshot {
         counters: random_counters(rng),
-        gauges: random_gauges(rng),
         histograms: dedup_by_name(
             (0..rng.below(4)).map(|_| random_histogram(rng)).collect(),
             |h| &h.name,
@@ -182,14 +171,6 @@ fn seeded_snapshots_render_validate_and_reconcile() {
             "seed {seed}: counter mass changed: {rendered_total} vs {counter_total}"
         );
 
-        // Gauges never merge — one sample each survives.
-        let gauge_samples = doc
-            .samples
-            .iter()
-            .filter(|s| doc.types.iter().any(|(n, k)| k == "gauge" && *n == s.name))
-            .count();
-        assert_eq!(gauge_samples, snapshot.gauges.len(), "seed {seed}");
-
         // Histogram observation mass is conserved in `_count` and `_sum`.
         let hist_count: u64 = snapshot.histograms.iter().map(|h| h.count).sum();
         let hist_sum: u64 = snapshot.histograms.iter().map(|h| h.sum).sum();
@@ -231,10 +212,6 @@ fn collision_free_snapshots_round_trip_exact_values() {
         let histogram = random_histogram(&mut rng);
         let snapshot = RegistrySnapshot {
             counters: counters.clone(),
-            gauges: vec![GaugeState {
-                name: "unique_gauge".to_owned(),
-                value: 1.5,
-            }],
             histograms: vec![HistogramState {
                 name: "unique_histogram".to_owned(),
                 ..histogram

@@ -1,8 +1,8 @@
 //! Deterministic data parallelism for CORDOBA's analytical sweeps.
 //!
 //! Every hot loop in the framework — design-space characterization, tCDP
-//! grids over operational time, β-transition solving, Monte Carlo
-//! uncertainty sampling, the core-count provisioning study — is a pure map
+//! grids over operational time, Monte Carlo uncertainty sampling, the
+//! core-count provisioning study — is a pure map
 //! over independent items. This crate parallelizes exactly that shape with
 //! **zero external dependencies** (`std::thread::scope` +
 //! `std::thread::available_parallelism`) through one map,

@@ -213,11 +213,9 @@ fn obs_on_is_bit_identical_to_obs_off_at_every_thread_count() {
         }
         cordoba_obs::clear_trace();
     }
-    let counters = cordoba_obs::counter_snapshot();
+    let snapshot = cordoba_obs::registry_snapshot();
     assert!(
-        counters
-            .iter()
-            .any(|(name, value)| *name == "events/quarantine" && *value > 0),
-        "quarantine events were not counted: {counters:?}"
+        snapshot.counter("events/quarantine") > 0,
+        "quarantine events were not counted: {snapshot:?}"
     );
 }
