@@ -32,7 +32,6 @@ use cordoba_carbon::embodied::EmbodiedModel;
 use cordoba_carbon::integral::{CiIntegral, Midpoint};
 use cordoba_carbon::intensity::{grids, ConstantCi, SeasonalCi, TraceCi, TrendCi};
 use cordoba_carbon::units::{CarbonIntensity, GramsCo2e, Joules, Seconds, SquareCentimeters};
-use cordoba_par::supervise::Supervisor;
 use cordoba_soc::prelude::{schedule, ActivityTrace, SocConfig, VrApp};
 use cordoba_workloads::task::Task;
 use rand::rngs::StdRng;
@@ -493,9 +492,9 @@ fn main() {
 
     // uncertainty/source_mc_256 — 256 Monte Carlo draws over time-varying
     // sources: the exact kernel's O(1) lifetime means vs `Midpoint` sources
-    // taking 10,000 lookups per draw. Both rows run `McRun::source` and so
-    // carry its per-draw `CostHint`, which keeps the sampled row's 4 blocks
-    // on one worker.
+    // taking 10,000 lookups per draw. Both rows run `monte_carlo_source_tcdp`
+    // and so carry its per-draw `CostHint`, which keeps the sampled row's 4
+    // blocks on one worker.
     let point = DesignPoint::new(
         "bench",
         Seconds::new(1e-3),
@@ -524,10 +523,8 @@ fn main() {
             format!("uncertainty/source_mc_256/sampled_10000/{label}"),
             median_ns(heavy_iters, || {
                 black_box(
-                    McRun::source(black_box(&point), &sampled_sources, &spec)
-                        .expect("valid sampled spec")
-                        .advance(&Supervisor::unbounded(), cordoba_par::effective_threads())
-                        .expect("no block panics"),
+                    monte_carlo_source_tcdp(black_box(&point), &sampled_sources, &spec)
+                        .expect("valid sampled spec"),
                 );
             }),
         ));
@@ -693,15 +690,16 @@ fn main() {
     }
 }
 
-/// `configs` evaluated for `task` on the space-evaluation runner at
-/// `threads` workers (what `evaluate_space` runs at the default count).
+/// `configs` evaluated for `task` by `evaluate_space` with the process
+/// worker count set to `threads`, restored to the default afterwards.
 fn evaluate_at(
     configs: &[AcceleratorConfig],
     task: &Task,
     model: &EmbodiedModel,
     threads: usize,
 ) -> Vec<DesignPoint> {
-    let mut run = SupervisedEval::new(configs, task, model);
-    run.advance(&Supervisor::unbounded(), threads);
-    run.into_points().expect("bench configurations evaluate")
+    cordoba_par::set_threads(NonZeroUsize::new(threads));
+    let points = evaluate_space(configs, task, model).expect("bench configurations evaluate");
+    cordoba_par::set_threads(None);
+    points
 }

@@ -178,7 +178,7 @@ pub fn operational_carbon_exact(
 ///
 /// It implements the same trait as what it wraps, so the consumers of the
 /// exact kernels ([`operational_carbon_exact`], the core crate's
-/// `tcdp_under_source` and `McRun::source`) also run the sampled reference.
+/// `tcdp_under_source` and `monte_carlo_source_tcdp`) also run the sampled reference.
 /// Over `[0, d]` its mean is `Σ at((i + ½)·d/n) / n`, summed in step order.
 ///
 /// # Examples

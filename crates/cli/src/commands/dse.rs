@@ -154,7 +154,7 @@ fn evaluate_lenient(
     out: &mut String,
 ) -> Result<(Vec<DesignPoint>, Vec<EvalFailure>), CliError> {
     let configs = design_space();
-    let eval = SupervisedEval::new(&configs, task, &EmbodiedModel::default()).into_resilient();
+    let eval = ResilientEval::evaluate(&configs, task, &EmbodiedModel::default());
     if eval.degraded() {
         let _ = writeln!(
             out,

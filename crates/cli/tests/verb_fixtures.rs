@@ -1,0 +1,144 @@
+//! The stdout, stderr and exit code of `provision`, a lenient `dse` with
+//! an attribution ledger, and a deadline-checkpointed `dse` followed by
+//! its `--resume`, compared byte for byte with committed fixtures at
+//! `--threads 1` and `2`; the checkpoint file's bytes are compared too.
+//!
+//! Each command runs in a fresh `cordoba` process inside its own temporary
+//! working directory, so the relative checkpoint path lands there. The
+//! fixtures under `tests/fixtures/verbs/` record each command as
+//!
+//! ```text
+//! exit: <code>
+//! --- stdout
+//! <stdout bytes>--- stderr
+//! <stderr bytes>
+//! ```
+//!
+//! None of these outputs carries a timing, so nothing is normalized away;
+//! a deliberate change to a verb's output edits its fixture in the same
+//! change.
+
+use std::path::{Path, PathBuf};
+use std::process::Command;
+
+/// The contents of `tests/fixtures/verbs/<name>`.
+fn read_fixture(name: &str) -> String {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures/verbs")
+        .join(name);
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()))
+}
+
+/// A fresh, empty working directory for one test at one thread count.
+fn work_dir(tag: &str, threads: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!(
+        "cordoba-verb-fixtures-{tag}-{threads}-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temporary directory is writable");
+    dir
+}
+
+/// Runs `cordoba <args> --threads <threads>` in `dir` and checks its
+/// transcript against `fixtures/verbs/<fixture>`.
+fn check(dir: &Path, args: &[&str], threads: &str, fixture: &str) {
+    let output = Command::new(env!("CARGO_BIN_EXE_cordoba"))
+        .current_dir(dir)
+        .args(args)
+        .args(["--threads", threads])
+        .output()
+        .expect("the cordoba binary runs");
+    let actual = format!(
+        "exit: {}\n--- stdout\n{}--- stderr\n{}",
+        output
+            .status
+            .code()
+            .map_or_else(|| "signal".to_string(), |code| code.to_string()),
+        String::from_utf8_lossy(&output.stdout),
+        String::from_utf8_lossy(&output.stderr),
+    );
+    let expected = read_fixture(fixture);
+    assert!(
+        actual == expected,
+        "{args:?} --threads {threads} differs from {fixture}\n--- expected\n{expected}--- actual\n{actual}"
+    );
+}
+
+#[test]
+fn provision_all_matches_its_fixture() {
+    for threads in ["1", "2"] {
+        let dir = work_dir("provision", threads);
+        check(
+            &dir,
+            &["provision", "--app", "all"],
+            threads,
+            "provision_all.expected",
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn lenient_dse_with_attribution_matches_its_fixture() {
+    for threads in ["1", "2"] {
+        let dir = work_dir("lenient", threads);
+        check(
+            &dir,
+            &[
+                "dse",
+                "--task",
+                "xr5",
+                "--lo",
+                "5",
+                "--hi",
+                "7",
+                "--lenient",
+                "--attribution",
+                "-",
+            ],
+            threads,
+            "dse_lenient_attribution.expected",
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn deadline_checkpoint_and_resume_match_their_fixtures() {
+    for threads in ["1", "2"] {
+        let dir = work_dir("checkpoint", threads);
+        check(
+            &dir,
+            &[
+                "dse",
+                "--task",
+                "xr5",
+                "--lo",
+                "5",
+                "--hi",
+                "7",
+                "--deadline",
+                "0s",
+                "--checkpoint",
+                "sweep.ckpt",
+            ],
+            threads,
+            "dse_deadline_checkpoint.expected",
+        );
+        let written = std::fs::read_to_string(dir.join("sweep.ckpt"))
+            .expect("the deadline run writes its checkpoint");
+        let expected = read_fixture("sweep.ckpt");
+        assert!(
+            written == expected,
+            "--threads {threads}: sweep.ckpt differs from its fixture\n--- expected\n{expected}--- actual\n{written}"
+        );
+        check(
+            &dir,
+            &["dse", "--resume", "sweep.ckpt"],
+            threads,
+            "dse_resume.expected",
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}

@@ -10,7 +10,7 @@
 
 use crate::error::CoreError;
 use crate::metrics::DesignPoint;
-use crate::supervise::{SupervisedEval, SweepCheckpoint};
+use crate::supervise::SweepCheckpoint;
 use cordoba_accel::cache::EmbodiedCache;
 use cordoba_accel::config::AcceleratorConfig;
 use cordoba_accel::sim::{full_cost_table, ConfigBatch, KernelSlab, SlabCosts, TaskPlan};
@@ -18,8 +18,8 @@ use cordoba_carbon::embodied::EmbodiedModel;
 use cordoba_carbon::integral::CiIntegral;
 use cordoba_carbon::units::{CarbonIntensity, Seconds};
 use cordoba_carbon::CarbonError;
-use cordoba_obs::Name;
-use cordoba_par::{CostHint, SupervisedMap, Supervisor};
+use cordoba_obs::{Event, Histogram, Name};
+use cordoba_par::{CostHint, Outcome, SupervisedMap, Supervisor};
 use cordoba_workloads::task::Task;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
@@ -30,7 +30,11 @@ use std::ops::Range;
 /// pipeline (roofline + task equations + memoized embodied carbon). Feeds
 /// the [`CostHint`] chunk sizing: the seed 121-config space stays on the
 /// calling thread while thousand-config spaces fan out.
-pub(crate) const EVAL_NS_PER_CONFIG: u64 = 1_200;
+const EVAL_NS_PER_CONFIG: u64 = 1_200;
+
+/// Wall-clock distribution of single-task space evaluations
+/// ([`evaluate_space`] and [`ResilientEval::evaluate`]).
+static EVALUATE_SPACE_NS: Histogram = Histogram::new("core/evaluate_space_ns");
 
 /// The batch-evaluation state shared by every configuration of one space
 /// evaluation: the SoA simulator inputs, each task resolved to slab
@@ -41,7 +45,7 @@ pub(crate) const EVAL_NS_PER_CONFIG: u64 = 1_200;
 /// results bit-identical to [`accel_design_point`], including the error
 /// for an invalid configuration; [`EvalBatch::chunk`] (a range of
 /// configurations, every task) produces the same points stage by stage.
-pub(crate) struct EvalBatch<'a> {
+struct EvalBatch<'a> {
     configs: &'a [AcceleratorConfig],
     batch: ConfigBatch,
     slab: KernelSlab,
@@ -50,11 +54,7 @@ pub(crate) struct EvalBatch<'a> {
 }
 
 impl<'a> EvalBatch<'a> {
-    pub(crate) fn new(
-        configs: &'a [AcceleratorConfig],
-        tasks: &[Task],
-        embodied: &EmbodiedModel,
-    ) -> Self {
+    fn new(configs: &'a [AcceleratorConfig], tasks: &[Task], embodied: &EmbodiedModel) -> Self {
         // One slab over the union of the tasks' kernels (not all fifteen):
         // per-kernel simulations are independent, so skipping unused
         // kernels cannot change the bits of the ones a task sums. Each task
@@ -74,14 +74,9 @@ impl<'a> EvalBatch<'a> {
         }
     }
 
-    /// The configurations this batch evaluates.
-    pub(crate) fn configs(&self) -> &'a [AcceleratorConfig] {
-        self.configs
-    }
-
-    /// Configuration `idx` characterized for the batch's first task (the
-    /// supervised runner builds its batch for exactly one).
-    pub(crate) fn design_point(&self, idx: usize) -> Result<DesignPoint, CoreError> {
+    /// Configuration `idx` characterized for the batch's first task
+    /// ([`evaluate_each`] builds its batch for exactly one).
+    fn design_point(&self, idx: usize) -> Result<DesignPoint, CoreError> {
         let config = &self.configs[idx];
         let costs = self.batch.slab_costs(idx, &self.slab);
         let (delay, energy) = self.batch.task_cost(idx, &costs, &self.plans[0]);
@@ -165,27 +160,56 @@ pub fn accel_design_point(
     )?)
 }
 
+/// Characterizes every configuration for `task` through one batch, under
+/// one unbounded map at [`cordoba_par::effective_threads`]: one outcome per
+/// configuration, in input order. A configuration that returns an error or
+/// panics is recorded in its own slot (the map isolates the panic) and the
+/// rest of the space is still evaluated.
+fn evaluate_each(
+    configs: &[AcceleratorConfig],
+    task: &Task,
+    embodied: &EmbodiedModel,
+) -> SupervisedMap<Result<DesignPoint, CoreError>> {
+    let batch = EvalBatch::new(configs, std::slice::from_ref(task), embodied);
+    let _span = cordoba_obs::span_timed("core/evaluate_space", &EVALUATE_SPACE_NS);
+    let mut slots = SupervisedMap::new(configs.len());
+    slots.advance(
+        cordoba_par::effective_threads(),
+        CostHint::per_item_ns(EVAL_NS_PER_CONFIG),
+        &Supervisor::unbounded(),
+        |idx| batch.design_point(idx),
+    );
+    slots
+}
+
 /// Characterizes a whole configuration list for a task, aborting on the
-/// first invalid configuration: [`SupervisedEval`]'s strict finisher under
-/// a supervisor that never trips.
+/// first invalid configuration.
 ///
 /// Configurations are evaluated in parallel (see [`cordoba_par`]) but the
 /// returned points are in input order and bit-identical to a sequential
 /// `configs.iter().map(..).collect()` at any thread count.
 ///
 /// For sweeps over untrusted or generated spaces, prefer
-/// [`SupervisedEval::into_resilient`], which quarantines failures instead.
+/// [`ResilientEval::evaluate`], which quarantines failures instead.
 ///
 /// # Errors
 ///
 /// Propagates the error of the first (in input order) invalid
 /// configuration (see [`accel_design_point`]).
+///
+/// # Panics
+///
+/// Re-raises the first (in input order) panicking configuration's panic
+/// on the caller.
 pub fn evaluate_space(
     configs: &[AcceleratorConfig],
     task: &Task,
     embodied: &EmbodiedModel,
 ) -> Result<Vec<DesignPoint>, CoreError> {
-    SupervisedEval::new(configs, task, embodied).into_points()
+    evaluate_each(configs, task, embodied)
+        .into_values()
+        .into_iter()
+        .collect()
 }
 
 /// Characterizes a configuration list for *several* tasks at once, sharing
@@ -266,8 +290,8 @@ impl fmt::Display for EvalFailure {
     }
 }
 
-/// Outcome of [`SupervisedEval::into_resilient`]: the points that
-/// evaluated cleanly plus a quarantine report for those that did not.
+/// Outcome of [`ResilientEval::evaluate`]: the points that evaluated
+/// cleanly plus a quarantine report for those that did not.
 ///
 /// A poisoned configuration (corrupted tuning, unpriceable kernel, or a
 /// *panicking* evaluation — panics are isolated per configuration by the
@@ -283,6 +307,39 @@ pub struct ResilientEval {
 }
 
 impl ResilientEval {
+    /// Characterizes a configuration list for a task like
+    /// [`evaluate_space`], but quarantines instead of aborting: the points
+    /// that evaluated cleanly plus one [`EvalFailure`] per failed or
+    /// panicked configuration (a panic reported as
+    /// [`CoreError::Panicked`]), both in input order, recording one
+    /// quarantine event per failure.
+    #[must_use]
+    pub fn evaluate(configs: &[AcceleratorConfig], task: &Task, embodied: &EmbodiedModel) -> Self {
+        let mut result = Self {
+            points: Vec::with_capacity(configs.len()),
+            failures: Vec::new(),
+        };
+        let outcomes = evaluate_each(configs, task, embodied).into_outcomes();
+        for (config, slot) in configs.iter().zip(outcomes) {
+            let error = match slot {
+                Outcome::Done(Ok(point)) => {
+                    result.points.push(point);
+                    continue;
+                }
+                Outcome::Done(Err(error)) => error,
+                Outcome::Panicked(message) => CoreError::Panicked(message),
+                // An unbounded map attempts every slot.
+                Outcome::Skipped => continue,
+            };
+            cordoba_obs::record(&Event::Quarantine);
+            result.failures.push(EvalFailure {
+                name: config.shared_name().clone(),
+                error,
+            });
+        }
+        result
+    }
+
     /// `true` when at least one configuration was quarantined.
     #[must_use]
     pub fn degraded(&self) -> bool {
@@ -695,8 +752,7 @@ mod tests {
         let configs = design_space();
         let task = Task::ai_5_kernels();
         let strict = evaluate_space(&configs, &task, &EmbodiedModel::default()).unwrap();
-        let resilient =
-            SupervisedEval::new(&configs, &task, &EmbodiedModel::default()).into_resilient();
+        let resilient = ResilientEval::evaluate(&configs, &task, &EmbodiedModel::default());
         assert!(!resilient.degraded());
         assert!(resilient.failures.is_empty());
         assert_eq!(resilient.points, strict);
@@ -728,8 +784,7 @@ mod tests {
         // Strict evaluation aborts the whole sweep...
         assert!(evaluate_space(&configs, &task, &EmbodiedModel::default()).is_err());
         // ...resilient evaluation quarantines the one bad config.
-        let result =
-            SupervisedEval::new(&configs, &task, &EmbodiedModel::default()).into_resilient();
+        let result = ResilientEval::evaluate(&configs, &task, &EmbodiedModel::default());
         assert!(result.degraded());
         assert_eq!(result.points.len(), healthy);
         assert_eq!(result.failures.len(), 1);

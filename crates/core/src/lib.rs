@@ -32,8 +32,8 @@
 //! * [`attrib`] — the carbon attribution ledger: embodied vs operational
 //!   vs quarantined-loss decomposition of a sweep's tCDP, reconciled
 //!   bit-for-bit against the sweep matrix;
-//! * [`supervise`] — deadlines, cancellation, panic isolation, and
-//!   checkpoint/resume for the long-running pipelines above;
+//! * [`supervise`] — deadlines, cancellation, and checkpoint/resume for
+//!   the operational-time sweep, the one pipeline a user interrupts;
 //! * [`uncertainty`] — Fig. 6 domain studies, robustness and regret;
 //! * [`stats`] / [`report`] — analysis and reporting helpers.
 //!
@@ -76,6 +76,21 @@ pub mod uncertainty;
 
 pub use error::CoreError;
 
+/// Runs `f` with the process-wide worker count set to `threads`, then
+/// restores the default. One lock serializes the unit tests that set the
+/// count, so each really runs at the count it asks for.
+#[cfg(test)]
+pub(crate) fn at_threads<T>(threads: usize, f: impl FnOnce() -> T) -> T {
+    static THREADS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    let _serial = THREADS
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    cordoba_par::set_threads(std::num::NonZeroUsize::new(threads));
+    let out = f();
+    cordoba_par::set_threads(None);
+    out
+}
+
 /// Convenience re-exports of the most commonly used items.
 pub mod prelude {
     pub use crate::attrib::{
@@ -99,11 +114,11 @@ pub mod prelude {
     pub use crate::report::{fmt_num, fmt_ratio, Table};
     pub use crate::store::{beta_sweep_stored, evaluate_space_stored, op_time_sweep_stored};
     pub use crate::supervise::{
-        op_time_sweep_supervised, PartialSweep, SupervisedEval, SupervisedSweep, SweepCheckpoint,
+        op_time_sweep_supervised, PartialSweep, SupervisedSweep, SweepCheckpoint,
     };
     pub use crate::uncertainty::{
         context_for_embodied_share, domain_analysis, monte_carlo_regret, monte_carlo_source_tcdp,
-        monte_carlo_tcdp, scenario_regret, tcdp_under_source, DomainAnalysis, DomainClass, McRun,
+        monte_carlo_tcdp, scenario_regret, tcdp_under_source, DomainAnalysis, DomainClass,
         MonteCarloSpec, MonteCarloSummary, SourceMonteCarloSpec,
     };
     pub use cordoba_obs::Name;

@@ -176,22 +176,30 @@ fn parse_cell(cell: &[u8]) -> Option<f64> {
     parse_hex_f64_bytes(digits.try_into().ok()?)
 }
 
-/// Renders a point line: `'p'`, one cell per value, `' '`, then `name`.
-fn point_line(values: &[f64], name: &str) -> String {
-    let mut line = String::with_capacity(2 + CELL * values.len() + name.len());
+/// Renders a design point's line: `'p'`, one cell each for its delay,
+/// energy, embodied carbon and area, `' '`, then its name. Store entries
+/// and sweep checkpoints write their points through this one line.
+pub(crate) fn point_line(p: &DesignPoint) -> String {
+    let values = [
+        p.delay.value(),
+        p.energy.value(),
+        p.embodied.value(),
+        p.area.value(),
+    ];
+    let mut line = String::with_capacity(2 + CELL * values.len() + p.name.len());
     line.push('p');
-    for &value in values {
+    for value in values {
         push_cell(&mut line, value);
     }
     line.push(' ');
-    line.push_str(name);
+    line.push_str(&p.name);
     line
 }
 
 /// Parses a [`point_line`]: `N` cells at a fixed stride after `'p'`, then
 /// the verbatim rest of the line (after one `' '`) as the name, which may
 /// itself hold spaces.
-fn parse_point_line<const N: usize>(line: &str) -> Option<([f64; N], &str)> {
+pub(crate) fn parse_point_line<const N: usize>(line: &str) -> Option<([f64; N], &str)> {
     let body = line.strip_prefix('p')?;
     let cells = body.as_bytes().get(..CELL * N)?;
     let mut values = [0.0; N];
@@ -206,13 +214,7 @@ fn encode_points(points: &[DesignPoint]) -> Vec<String> {
     let mut lines = Vec::with_capacity(points.len() + 1);
     lines.push(format!("points {}", points.len()));
     for p in points {
-        let values = [
-            p.delay.value(),
-            p.energy.value(),
-            p.embodied.value(),
-            p.area.value(),
-        ];
-        lines.push(point_line(&values, &p.name));
+        lines.push(point_line(p));
     }
     lines
 }

@@ -1,56 +1,43 @@
-//! The supervised runners behind design-space evaluation and the
-//! operational-time sweep.
+//! The one supervised pipeline: the operational-time sweep and its
+//! checkpoint.
 //!
 //! The framework-layer face of the execution-supervision substrate in
-//! [`cordoba_par::supervise`]: each pipeline has exactly one engine, which
-//! accepts a [`Supervisor`] and a worker-thread count and, instead of
-//! running all-or-nothing, keeps a *partial result keyed by input index*
-//! when the supervisor stops it — plus enough state to resume later and
-//! land on the exact bits an uninterrupted run would have produced. The
-//! plain entry points ([`evaluate_space`](crate::dse::evaluate_space),
-//! [`OpTimeSweep::new`]) are these runners under
-//! [`Supervisor::unbounded`] at [`cordoba_par::effective_threads`].
-//!
-//! * [`SupervisedEval`] — design-space characterization with
-//!   per-configuration outcomes (done / failed / pending), advanced in
-//!   place by [`SupervisedEval::advance`]; the caller picks the failure
-//!   policy by its finisher: [`SupervisedEval::into_points`] (strict) or
-//!   [`SupervisedEval::into_resilient`] (quarantine);
-//! * [`SweepCheckpoint`] — the Fig. 8 tCDP grid with row-level
-//!   checkpointing: [`SweepCheckpoint::resume`] computes the pending rows,
-//!   and an interrupted sweep yields a [`PartialSweep`] whose checkpoint
-//!   serializes to a deterministic text format
-//!   ([`SweepCheckpoint::to_text`]) the CLI writes to disk and resumes
-//!   from (`dse --deadline … --checkpoint …` / `dse --resume …`).
+//! [`cordoba_par::supervise`]. The Fig. 8 tCDP grid is the pipeline a user
+//! interrupts and resumes (`dse --deadline … --checkpoint …` /
+//! `dse --resume …`), so it is the one runner that accepts a
+//! [`Supervisor`] and a worker-thread count: instead of running
+//! all-or-nothing, [`SweepCheckpoint::resume`] keeps every computed row
+//! keyed by row index when the supervisor stops it, and an interrupted
+//! sweep yields a [`PartialSweep`] whose checkpoint serializes to a
+//! deterministic text format ([`SweepCheckpoint::to_text`]). The plain
+//! [`OpTimeSweep::new`] is this runner under [`Supervisor::unbounded`] at
+//! [`cordoba_par::effective_threads`]. Every other pipeline (space
+//! evaluation, Monte Carlo, provisioning) is a plain function over one
+//! unbounded map.
 //!
 //! # Determinism argument
 //!
-//! Every work unit (one configuration, one sweep row) is a pure function
-//! of its input index; supervision only decides *whether* a unit runs now,
-//! later, or never — never *how*. Completed units are stored by index and
-//! merged in index order, and `f64`s cross the checkpoint boundary as
-//! exact bit patterns (`f64::to_bits` hex), so
+//! Every sweep row is a pure function of its row index; supervision only
+//! decides *whether* a row runs now, later, or never — never *how*.
+//! Completed rows are stored by index and merged in index order, and
+//! `f64`s cross the checkpoint boundary as exact bit patterns
+//! (`f64::to_bits` hex), so
 //! `interrupt-at-any-point + resume == uninterrupted` bit-for-bit at any
 //! thread count. The property suite in `crates/robust` pins this.
 
-use crate::dse::{EvalBatch, EvalFailure, OpTimeSweep, ResilientEval, EVAL_NS_PER_CONFIG};
+use crate::dse::OpTimeSweep;
 use crate::error::CoreError;
 use crate::metrics::{DesignPoint, OperationalContext};
-use cordoba_accel::config::AcceleratorConfig;
-use cordoba_carbon::embodied::EmbodiedModel;
-use cordoba_carbon::units::{CarbonIntensity, Seconds};
+use crate::store::{parse_point_line, point_line};
+use cordoba_carbon::units::{CarbonIntensity, GramsCo2e, Joules, Seconds, SquareCentimeters};
 use cordoba_carbon::CarbonError;
 use cordoba_obs::{Event, Histogram};
-use cordoba_par::supervise::{Outcome, StopReason, SupervisedMap, Supervisor};
+use cordoba_par::supervise::{StopReason, SupervisedMap, Supervisor};
 use cordoba_par::CostHint;
 use cordoba_store::{parse_hex_f64, push_hex_f64};
-use cordoba_workloads::task::Task;
-use std::fmt;
 use std::fmt::Write as _;
 use std::sync::{Mutex, PoisonError};
 
-/// Wall-clock distribution of [`SupervisedEval::advance`] calls.
-static EVALUATE_SPACE_NS: Histogram = Histogram::new("core/evaluate_space_ns");
 /// Wall-clock distribution of sweep-engine runs ([`SweepCheckpoint::resume`]
 /// and [`OpTimeSweep::new`]).
 static OP_TIME_SWEEP_NS: Histogram = Histogram::new("core/op_time_sweep_ns");
@@ -61,159 +48,6 @@ static OP_TIME_SWEEP_NS: Histogram = Histogram::new("core/op_time_sweep_ns");
 /// 12,937–16,347 ns (three runs on a shared 2-vCPU x86-64 host, median
 /// 15,162), 3.7–4.7 ns each, cloning the points included.
 const TCDP_NS_PER_POINT: u64 = 4;
-
-/// A design-space evaluation in flight: one slot per configuration, filled
-/// under a [`Supervisor`] by [`advance`](Self::advance), which both starts
-/// and resumes the run.
-///
-/// The run borrows its configurations when it is built and prepares the
-/// batch state (SoA simulator inputs, task plan, embodied-carbon memo)
-/// once, so an advance cannot mix configurations of different spaces,
-/// tasks, or carbon models. A configuration that returns an error or
-/// panics is recorded as failed; the supervised map isolates the panic and
-/// the rest of the space is still evaluated. A failed configuration is not
-/// retried by a later advance.
-///
-/// The two consuming finishers complete any pending configurations under
-/// [`Supervisor::unbounded`] at [`cordoba_par::effective_threads`] and
-/// apply a failure policy: [`into_points`](Self::into_points) is strict,
-/// [`into_resilient`](Self::into_resilient) quarantines.
-pub struct SupervisedEval<'a> {
-    batch: EvalBatch<'a>,
-    /// One outcome per configuration, [`Outcome::Skipped`] while pending.
-    slots: SupervisedMap<Result<DesignPoint, CoreError>>,
-}
-
-impl fmt::Debug for SupervisedEval<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SupervisedEval")
-            .field("attempted", &self.attempted())
-            .field("total", &self.total())
-            .field("stop", &self.stop())
-            .finish_non_exhaustive()
-    }
-}
-
-impl<'a> SupervisedEval<'a> {
-    /// An evaluation of `configs` for `task` with nothing attempted yet.
-    #[must_use]
-    pub fn new(configs: &'a [AcceleratorConfig], task: &Task, embodied: &EmbodiedModel) -> Self {
-        Self {
-            batch: EvalBatch::new(configs, std::slice::from_ref(task), embodied),
-            slots: SupervisedMap::new(configs.len()),
-        }
-    }
-
-    /// Attempts the pending configurations under `sup` with `threads`
-    /// workers (1 = the exact sequential path), checking the stop flag
-    /// before every configuration and merging by input index. Completed
-    /// slots are bit-identical at every thread count, so any sequence of
-    /// interrupted advances ends on an uninterrupted run's bits.
-    pub fn advance(&mut self, sup: &Supervisor, threads: usize) {
-        let _span = cordoba_obs::span_timed("core/evaluate_space", &EVALUATE_SPACE_NS);
-        let batch = &self.batch;
-        self.slots.advance(
-            threads,
-            CostHint::per_item_ns(EVAL_NS_PER_CONFIG),
-            sup,
-            |idx| batch.design_point(idx),
-        );
-    }
-
-    /// Why the last advance stopped early, or `None` if it was not
-    /// interrupted.
-    #[must_use]
-    pub fn stop(&self) -> Option<StopReason> {
-        self.slots.stop()
-    }
-
-    /// `true` when every configuration was attempted (done or failed).
-    #[must_use]
-    pub fn is_complete(&self) -> bool {
-        self.slots.is_complete()
-    }
-
-    /// Indices of configurations not yet attempted, ascending.
-    #[must_use]
-    pub fn pending_indices(&self) -> Vec<usize> {
-        self.slots.pending_indices()
-    }
-
-    /// Configurations attempted so far (done + failed).
-    #[must_use]
-    pub fn attempted(&self) -> usize {
-        self.slots.attempted()
-    }
-
-    /// Total configurations in the evaluation.
-    #[must_use]
-    pub fn total(&self) -> usize {
-        self.batch.configs().len()
-    }
-
-    /// Attempted fraction in `[0, 1]` (1.0 for an empty space).
-    #[must_use]
-    pub fn coverage(&self) -> f64 {
-        if self.total() == 0 {
-            return 1.0;
-        }
-        self.attempted() as f64 / self.total() as f64
-    }
-
-    /// Strict finisher: every design point in input order.
-    ///
-    /// # Errors
-    ///
-    /// Returns the error of the first (in input order) invalid
-    /// configuration (see [`accel_design_point`](crate::dse::accel_design_point)).
-    ///
-    /// # Panics
-    ///
-    /// Re-raises the first (in input order) panicking configuration's
-    /// panic on the caller ([`SupervisedMap::into_values`]).
-    pub fn into_points(mut self) -> Result<Vec<DesignPoint>, CoreError> {
-        self.complete();
-        self.slots.into_values().into_iter().collect()
-    }
-
-    /// Quarantine finisher: the points that evaluated cleanly plus one
-    /// [`EvalFailure`] per failed or panicked configuration, both in input
-    /// order, recording a quarantine event per failure.
-    #[must_use]
-    pub fn into_resilient(mut self) -> ResilientEval {
-        self.complete();
-        let mut result = ResilientEval {
-            points: Vec::with_capacity(self.total()),
-            failures: Vec::new(),
-        };
-        for (config, slot) in self.batch.configs().iter().zip(self.slots.into_outcomes()) {
-            let error = match slot {
-                Outcome::Done(Ok(point)) => {
-                    result.points.push(point);
-                    continue;
-                }
-                Outcome::Done(Err(error)) => error,
-                Outcome::Panicked(message) => CoreError::Panicked(message),
-                // A completed run has no pending slot.
-                Outcome::Skipped => continue,
-            };
-            cordoba_obs::record(&Event::Quarantine);
-            result.failures.push(EvalFailure {
-                name: config.shared_name().clone(),
-                error,
-            });
-        }
-        result
-    }
-
-    /// Attempts whatever is still pending under a supervisor that never
-    /// trips.
-    fn complete(&mut self) {
-        if !self.is_complete() {
-            self.advance(&Supervisor::unbounded(), cordoba_par::effective_threads());
-        }
-    }
-}
 
 /// Outcome of a supervised operational-time sweep.
 #[derive(Debug, Clone, PartialEq)]
@@ -502,17 +336,8 @@ impl SweepCheckpoint {
         }
         let _ = writeln!(out, "points {}", self.points.len());
         for p in &self.points {
-            out.push('p');
-            for v in [
-                p.delay.value(),
-                p.energy.value(),
-                p.embodied.value(),
-                p.area.value(),
-            ] {
-                out.push(' ');
-                push_hex_f64(&mut out, v);
-            }
-            let _ = writeln!(out, " {}", p.name);
+            out.push_str(&point_line(p));
+            out.push('\n');
         }
         let _ = writeln!(out, "rows {}", self.completed_rows());
         let rows = self
@@ -599,26 +424,14 @@ impl SweepCheckpoint {
         let mut points = Vec::with_capacity(m);
         for _ in 0..m {
             let line = next("design point")?;
-            // `p <delay> <energy> <embodied> <area> <name…>`; the name is
-            // the verbatim rest of the line, so it may contain spaces.
-            let mut tokens = line.splitn(6, ' ');
-            let tag = tokens.next();
-            let (Some("p"), Some(d), Some(e), Some(emb), Some(area), Some(name)) = (
-                tag,
-                tokens.next(),
-                tokens.next(),
-                tokens.next(),
-                tokens.next(),
-                tokens.next(),
-            ) else {
-                return Err(bad(format!("bad point line `{line}`")));
-            };
+            let ([delay, energy, embodied, area], name) =
+                parse_point_line(line).ok_or_else(|| bad(format!("bad point line `{line}`")))?;
             points.push(DesignPoint::new(
                 name,
-                Seconds::new(parse_hex(d, "delay")?),
-                cordoba_carbon::units::Joules::new(parse_hex(e, "energy")?),
-                cordoba_carbon::units::GramsCo2e::new(parse_hex(emb, "embodied")?),
-                cordoba_carbon::units::SquareCentimeters::new(parse_hex(area, "area")?),
+                Seconds::new(delay),
+                Joules::new(energy),
+                GramsCo2e::new(embodied),
+                SquareCentimeters::new(area),
             )?);
         }
 
@@ -692,7 +505,9 @@ mod tests {
     use super::*;
     use crate::dse::{evaluate_space, log_sweep};
     use cordoba_accel::space::design_space;
+    use cordoba_carbon::embodied::EmbodiedModel;
     use cordoba_carbon::intensity::grids;
+    use cordoba_workloads::task::Task;
 
     fn supervised(
         points: Vec<DesignPoint>,
@@ -706,40 +521,6 @@ mod tests {
     fn points() -> Vec<DesignPoint> {
         let configs = design_space();
         evaluate_space(&configs, &Task::ai_5_kernels(), &EmbodiedModel::default()).unwrap()
-    }
-
-    #[test]
-    fn supervised_eval_matches_resilient_when_unbounded() {
-        let configs = design_space();
-        let task = Task::xr_5_kernels();
-        let embodied = EmbodiedModel::default();
-        let strict = evaluate_space(&configs, &task, &embodied).unwrap();
-        for threads in [1, 2] {
-            let mut eval = SupervisedEval::new(&configs, &task, &embodied);
-            eval.advance(&Supervisor::unbounded(), threads);
-            assert!(eval.is_complete());
-            assert!((eval.coverage() - 1.0).abs() < 1e-12);
-            let resilient = eval.into_resilient();
-            assert!(resilient.failures.is_empty());
-            assert_eq!(resilient.points, strict);
-        }
-    }
-
-    #[test]
-    fn interrupted_eval_resumes_to_identical_bits() {
-        let configs = design_space();
-        let task = Task::ai_5_kernels();
-        let embodied = EmbodiedModel::default();
-        let full = evaluate_space(&configs, &task, &embodied).unwrap();
-        for trip in [0u64, 1, 40, 120] {
-            let mut eval = SupervisedEval::new(&configs, &task, &embodied);
-            eval.advance(&Supervisor::tripping_after(trip), 1);
-            assert_eq!(eval.stop(), Some(StopReason::Cancelled), "trip {trip}");
-            assert_eq!(eval.attempted(), trip as usize, "trip {trip}");
-            eval.advance(&Supervisor::unbounded(), 2);
-            assert!(eval.is_complete());
-            assert_eq!(eval.into_points().unwrap(), full);
-        }
     }
 
     #[test]
@@ -852,6 +633,12 @@ mod tests {
             let count_line = text.lines().find(|l| l.starts_with("c ")).unwrap();
             let damaged = text.replacen(count_line, &format!("c {token}"), 1);
             assert!(SweepCheckpoint::from_text(&damaged).is_err(), "{token}");
+            // A point's cells go through the store's point-line codec.
+            let point_line = text.lines().find(|l| l.starts_with("p ")).unwrap();
+            let (_, rest) = point_line.split_at("p ".len() + 16);
+            let damaged = text.replacen(point_line, &format!("p {token}{rest}"), 1);
+            let err = SweepCheckpoint::from_text(&damaged).unwrap_err();
+            assert!(err.to_string().contains("bad point line"), "{token}: {err}");
         }
     }
 

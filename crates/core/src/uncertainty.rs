@@ -1,7 +1,6 @@
 //! Uncertainty analyses: domain studies (Fig. 6) and robustness to
 //! unknown usage and grid intensity (§VI-C).
 
-use crate::error::CoreError;
 use crate::metrics::{DesignPoint, OperationalContext};
 use crate::stats::log_pearson;
 use cordoba_carbon::integral::CiIntegral;
@@ -9,12 +8,11 @@ use cordoba_carbon::intensity::grids;
 use cordoba_carbon::units::{CarbonIntensity, Seconds};
 use cordoba_carbon::CarbonError;
 use cordoba_obs::Name;
-use cordoba_par::supervise::{Outcome, StopReason, SupervisedMap, Supervisor};
+use cordoba_par::supervise::{SupervisedMap, Supervisor};
 use cordoba_par::CostHint;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::fmt;
 
 /// The computing domains of Fig. 6, distinguished by how much of their
 /// total carbon is embodied.
@@ -360,12 +358,35 @@ fn moments(values: impl Iterator<Item = f64>) -> Vec<f64> {
     vec![sum, sum_sq, min, max]
 }
 
-/// The per-block partials of a Monte Carlo run, in block order.
-type Partials<'p> = &'p mut dyn Iterator<Item = &'p Vec<f64>>;
+/// Runs `block` once per RNG block of a `samples`-long experiment under
+/// one unbounded map at [`cordoba_par::effective_threads`], inside the
+/// experiment's `span`, and returns the per-block partials in block order.
+/// `ns_per_draw` sizes the map's [`CostHint`] (one block is `MC_BLOCK`
+/// draws).
+///
+/// # Panics
+///
+/// Re-raises the first (in block order) panicking block on the caller.
+fn block_partials(
+    span: &'static str,
+    samples: usize,
+    ns_per_draw: u64,
+    block: impl Fn(u64) -> Vec<f64> + Sync,
+) -> Vec<Vec<f64>> {
+    let _span = cordoba_obs::span_with(span, "samples", u64::try_from(samples).unwrap_or(u64::MAX));
+    let mut partials = SupervisedMap::new(samples.div_ceil(MC_BLOCK));
+    partials.advance(
+        cordoba_par::effective_threads(),
+        CostHint::per_item_ns(ns_per_draw.saturating_mul(MC_BLOCK as u64)),
+        &Supervisor::unbounded(),
+        |b| block(b as u64),
+    );
+    partials.into_values()
+}
 
 /// Folds per-block [`moments`] sequentially in block order, so the final
 /// statistics are bit-identical at every thread count.
-fn fold_summary(partials: Partials<'_>, samples: usize) -> MonteCarloSummary {
+fn fold_summary(partials: &[Vec<f64>], samples: usize) -> MonteCarloSummary {
     let (mut sum, mut sum_sq) = (0.0f64, 0.0f64);
     let (mut min, mut max) = (f64::INFINITY, f64::NEG_INFINITY);
     for p in partials {
@@ -387,9 +408,8 @@ fn fold_summary(partials: Partials<'_>, samples: usize) -> MonteCarloSummary {
 }
 
 /// Folds per-block regret sums in block order into per-design means.
-fn fold_regret(partials: Partials<'_>, samples: usize) -> Vec<f64> {
-    let mut partials = partials.peekable();
-    let mut totals = vec![0.0f64; partials.peek().map_or(0, |sums| sums.len())];
+fn fold_regret(partials: &[Vec<f64>], samples: usize) -> Vec<f64> {
+    let mut totals = vec![0.0f64; partials.first().map_or(0, Vec::len)];
     for sums in partials {
         for (total, sum) in totals.iter_mut().zip(sums) {
             *total += sum;
@@ -414,7 +434,20 @@ pub fn monte_carlo_tcdp(
     point: &DesignPoint,
     spec: &MonteCarloSpec,
 ) -> Result<MonteCarloSummary, CarbonError> {
-    Ok(McRun::tcdp(point, spec)?.finish())
+    spec.validate()?;
+    let partials = block_partials(
+        "core/monte_carlo_tcdp",
+        spec.samples,
+        MC_TCDP_NS_PER_DRAW,
+        |block| {
+            moments(
+                spec.block_scenarios(block)
+                    .iter()
+                    .map(|ctx| point.tcdp(ctx).value()),
+            )
+        },
+    );
+    Ok(fold_summary(&partials, spec.samples))
 }
 
 /// A reproducible Monte Carlo experiment over *time-varying* intensity
@@ -506,8 +539,9 @@ impl SourceMonteCarloSpec {
 }
 
 /// Samples the tCDP distribution of one design across time-varying
-/// intensity sources, using the exact integration kernel for every draw's
-/// lifetime mean.
+/// intensity sources, each draw's lifetime mean from the source's
+/// [`CiIntegral::mean_exact`] (the exact kernel, or a midpoint sum for a
+/// [`cordoba_carbon::integral::Midpoint`] source).
 ///
 /// # Errors
 ///
@@ -522,7 +556,20 @@ pub fn monte_carlo_source_tcdp(
     sources: &[&dyn CiIntegral],
     spec: &SourceMonteCarloSpec,
 ) -> Result<MonteCarloSummary, CarbonError> {
-    Ok(McRun::source(point, sources, spec)?.finish())
+    spec.validate(sources.len())?;
+    let partials = block_partials(
+        "core/monte_carlo_source_tcdp",
+        spec.samples,
+        MC_SOURCE_NS_PER_DRAW,
+        |block| {
+            moments(
+                spec.block_draws(block, sources.len())
+                    .into_iter()
+                    .map(|(idx, tasks, life)| tcdp_under_source(point, sources[idx], tasks, life)),
+            )
+        },
+    );
+    Ok(fold_summary(&partials, spec.samples))
 }
 
 /// Mean tCDP regret of each design across sampled scenarios:
@@ -545,231 +592,37 @@ pub fn monte_carlo_regret(
     points: &[DesignPoint],
     spec: &MonteCarloSpec,
 ) -> Result<Vec<f64>, CarbonError> {
-    Ok(McRun::regret(points, spec)?.finish())
-}
-
-/// A Monte Carlo experiment in flight: per-RNG-block partials keyed by
-/// block index, computed under a [`Supervisor`] by [`McRun::advance`],
-/// which both starts and resumes the run. `O` is the folded result:
-/// [`MonteCarloSummary`] for the tCDP experiments, per-design mean regrets
-/// for [`McRun::regret`].
-///
-/// Blocks are the experiment's unit of supervision *and* of determinism
-/// (each block's scenarios are a pure function of `(seed, block)`), so a
-/// run interrupted at any block boundary and advanced again — even at a
-/// different thread count — folds to the same bits as an uninterrupted
-/// run. The run borrows its inputs at construction, so an advance cannot
-/// mix blocks of different designs, sources, specs, or experiments.
-///
-/// The plain functions ([`monte_carlo_tcdp`], [`monte_carlo_source_tcdp`],
-/// [`monte_carlo_regret`]) are this run advanced once under a supervisor
-/// that never trips.
-pub struct McRun<'a, O> {
-    span: &'static str,
-    samples: usize,
-    hint: CostHint,
-    block: Box<dyn Fn(u64) -> Vec<f64> + Sync + 'a>,
-    fold: fn(Partials<'_>, usize) -> O,
-    partials: SupervisedMap<Vec<f64>>,
-}
-
-impl<O> fmt::Debug for McRun<'_, O> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("McRun")
-            .field("span", &self.span)
-            .field("samples", &self.samples)
-            .field("completed_blocks", &self.completed_blocks())
-            .field("total_blocks", &self.total_blocks())
-            .field("stop", &self.stop())
-            .finish_non_exhaustive()
+    if points.is_empty() {
+        return Err(CarbonError::Empty {
+            what: "design points",
+        });
     }
-}
-
-impl<'a> McRun<'a, MonteCarloSummary> {
-    /// The tCDP distribution of `point` across the spec's constant-CI
-    /// scenarios.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for a zero-sample spec or invalid scenario bounds.
-    pub fn tcdp(point: &'a DesignPoint, spec: &MonteCarloSpec) -> Result<Self, CarbonError> {
-        spec.validate()?;
-        let spec = *spec;
-        Ok(Self::new(
-            "core/monte_carlo_tcdp",
-            spec.samples,
-            MC_TCDP_NS_PER_DRAW,
-            fold_summary,
-            move |block| {
-                moments(
-                    spec.block_scenarios(block)
-                        .iter()
-                        .map(|ctx| point.tcdp(ctx).value()),
-                )
-            },
-        ))
-    }
-
-    /// The tCDP distribution of `point` across time-varying `sources`,
-    /// each draw's lifetime mean from the source's
-    /// [`CiIntegral::mean_exact`] (the exact kernel, or a midpoint sum for
-    /// a [`cordoba_carbon::integral::Midpoint`] source).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for a zero-sample spec, an empty source set, or
-    /// invalid scenario bounds.
-    pub fn source(
-        point: &'a DesignPoint,
-        sources: &'a [&'a dyn CiIntegral],
-        spec: &SourceMonteCarloSpec,
-    ) -> Result<Self, CarbonError> {
-        spec.validate(sources.len())?;
-        let spec = *spec;
-        Ok(Self::new(
-            "core/monte_carlo_source_tcdp",
-            spec.samples,
-            MC_SOURCE_NS_PER_DRAW,
-            fold_summary,
-            move |block| {
-                moments(
-                    spec.block_draws(block, sources.len())
-                        .into_iter()
-                        .map(|(idx, tasks, life)| {
-                            tcdp_under_source(point, sources[idx], tasks, life)
-                        }),
-                )
-            },
-        ))
-    }
-}
-
-impl<'a> McRun<'a, Vec<f64>> {
-    /// The mean tCDP regret of each of `points` across the spec's
-    /// scenarios (see [`monte_carlo_regret`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for an empty point list, a zero-sample spec, or
-    /// invalid scenario bounds.
-    pub fn regret(points: &'a [DesignPoint], spec: &MonteCarloSpec) -> Result<Self, CarbonError> {
-        if points.is_empty() {
-            return Err(CarbonError::Empty {
-                what: "design points",
-            });
-        }
-        spec.validate()?;
-        let spec = *spec;
-        Ok(Self::new(
-            "core/monte_carlo_regret",
-            spec.samples,
-            MC_REGRET_NS_PER_DRAW_AND_POINT.saturating_mul(points.len() as u64),
-            fold_regret,
-            move |block| {
-                let mut regret_sums = vec![0.0f64; points.len()];
-                let mut tcdps = Vec::with_capacity(points.len());
-                for ctx in spec.block_scenarios(block) {
-                    tcdps.clear();
-                    tcdps.extend(points.iter().map(|p| p.tcdp(&ctx).value()));
-                    let best = tcdps.iter().copied().fold(f64::INFINITY, f64::min);
-                    for (sum, tcdp) in regret_sums.iter_mut().zip(&tcdps) {
-                        *sum += tcdp / best;
-                    }
+    spec.validate()?;
+    let partials = block_partials(
+        "core/monte_carlo_regret",
+        spec.samples,
+        MC_REGRET_NS_PER_DRAW_AND_POINT.saturating_mul(points.len() as u64),
+        |block| {
+            let mut regret_sums = vec![0.0f64; points.len()];
+            let mut tcdps = Vec::with_capacity(points.len());
+            for ctx in spec.block_scenarios(block) {
+                tcdps.clear();
+                tcdps.extend(points.iter().map(|p| p.tcdp(&ctx).value()));
+                let best = tcdps.iter().copied().fold(f64::INFINITY, f64::min);
+                for (sum, tcdp) in regret_sums.iter_mut().zip(&tcdps) {
+                    *sum += tcdp / best;
                 }
-                regret_sums
-            },
-        ))
-    }
-}
-
-impl<'a, O> McRun<'a, O> {
-    fn new(
-        span: &'static str,
-        samples: usize,
-        ns_per_draw: u64,
-        fold: fn(Partials<'_>, usize) -> O,
-        block: impl Fn(u64) -> Vec<f64> + Sync + 'a,
-    ) -> Self {
-        Self {
-            span,
-            samples,
-            hint: CostHint::per_item_ns(ns_per_draw.saturating_mul(MC_BLOCK as u64)),
-            block: Box::new(block),
-            fold,
-            partials: SupervisedMap::new(samples.div_ceil(MC_BLOCK)),
-        }
-    }
-
-    /// Computes the still-pending RNG blocks under `sup` and returns the
-    /// folded result once every block is done (`None` while the run is
-    /// interrupted). Completed blocks are bit-identical at every thread
-    /// count (1 = fully sequential).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Panicked`] with the first (in block order)
-    /// panicking block's message. A panicked block is final: a later
-    /// advance does not re-run it and reports the same error.
-    pub fn advance(&mut self, sup: &Supervisor, threads: usize) -> Result<Option<O>, CoreError> {
-        self.run_pending(sup, threads);
-        if let Some(message) = self.partials.first_panic() {
-            return Err(CoreError::Panicked(message.to_owned()));
-        }
-        Ok(self.partials.is_complete().then(|| {
-            let mut blocks = self.partials.outcomes().iter().filter_map(Outcome::done);
-            (self.fold)(&mut blocks, self.samples)
-        }))
-    }
-
-    /// Why the last advance stopped early, or `None` if it was not
-    /// interrupted.
-    #[must_use]
-    pub fn stop(&self) -> Option<StopReason> {
-        self.partials.stop()
-    }
-
-    /// RNG blocks computed so far.
-    #[must_use]
-    pub fn completed_blocks(&self) -> usize {
-        self.partials
-            .outcomes()
-            .iter()
-            .filter(|p| p.done().is_some())
-            .count()
-    }
-
-    /// Total RNG blocks in the experiment.
-    #[must_use]
-    pub fn total_blocks(&self) -> usize {
-        self.partials.outcomes().len()
-    }
-
-    /// Runs every block under a supervisor that never trips at
-    /// [`cordoba_par::effective_threads`]; a panicking block re-raises on
-    /// the caller ([`SupervisedMap::into_values`]).
-    fn finish(mut self) -> O {
-        self.run_pending(&Supervisor::unbounded(), cordoba_par::effective_threads());
-        let blocks = self.partials.into_values();
-        (self.fold)(&mut blocks.iter(), self.samples)
-    }
-
-    /// Computes the pending blocks under `sup`, filling slots by block
-    /// index.
-    fn run_pending(&mut self, sup: &Supervisor, threads: usize) {
-        let _span = cordoba_obs::span_with(
-            self.span,
-            "samples",
-            u64::try_from(self.samples).unwrap_or(u64::MAX),
-        );
-        let block = &self.block;
-        self.partials
-            .advance(threads, self.hint, sup, |b| block(b as u64));
-    }
+            }
+            regret_sums
+        },
+    );
+    Ok(fold_regret(&partials, spec.samples))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::at_threads;
     use cordoba_carbon::integral::Midpoint;
     use cordoba_carbon::intensity::{ConstantCi, TrendCi};
     use cordoba_carbon::units::{GramsCo2e, Joules, SquareCentimeters, JOULES_PER_KILOWATT_HOUR};
@@ -889,22 +742,15 @@ mod tests {
         );
     }
 
-    /// Advances `run` to completion under a supervisor that never trips.
-    fn complete<O>(mut run: McRun<'_, O>, threads: usize) -> O {
-        run.advance(&Supervisor::unbounded(), threads)
-            .unwrap()
-            .expect("an unbounded supervisor completes the run")
-    }
-
     #[test]
     fn monte_carlo_is_bit_identical_across_thread_counts() {
         let p = point("x", 1.0, 2.0, 500.0);
         // 1,300 samples span 21 RNG blocks, past the parallel cutoff, so
         // multi-thread runs really do split the work.
         let spec = MonteCarloSpec::new(1_300, 42);
-        let base = complete(McRun::tcdp(&p, &spec).unwrap(), 1);
+        let base = at_threads(1, || monte_carlo_tcdp(&p, &spec).unwrap());
         for threads in [2, 4, 16] {
-            let par = complete(McRun::tcdp(&p, &spec).unwrap(), threads);
+            let par = at_threads(threads, || monte_carlo_tcdp(&p, &spec).unwrap());
             assert_eq!(base, par, "threads = {threads}");
         }
         assert_eq!(base.samples, 1_300);
@@ -940,7 +786,7 @@ mod tests {
         let best = regret.iter().copied().fold(f64::INFINITY, f64::min);
         assert!(regret[4] > best, "huge should not be the robust choice");
         // And parallel evaluation changes nothing.
-        let seq = complete(McRun::regret(&pts, &spec).unwrap(), 1);
+        let seq = at_threads(1, || monte_carlo_regret(&pts, &spec).unwrap());
         assert_eq!(regret, seq);
     }
 
@@ -989,10 +835,10 @@ mod tests {
         let sources: [&dyn CiIntegral; 2] = [&coal, &trend];
         // 1,300 samples span 21 RNG blocks.
         let spec = SourceMonteCarloSpec::new(1_300, 42);
-        let base = complete(McRun::source(&p, &sources, &spec).unwrap(), 1);
+        let run = || monte_carlo_source_tcdp(&p, &sources, &spec).unwrap();
+        let base = at_threads(1, run);
         for threads in [2, 4, 16] {
-            let par = complete(McRun::source(&p, &sources, &spec).unwrap(), threads);
-            assert_eq!(base, par, "threads = {threads}");
+            assert_eq!(base, at_threads(threads, run), "threads = {threads}");
         }
         assert_eq!(base.samples, 1_300);
         assert!(base.min > 0.0);
@@ -1025,10 +871,10 @@ mod tests {
         // Same draw stream, so the only difference is integration error.
         let (coarse_coal, coarse_trend) = (Midpoint::new(&coal, 16), Midpoint::new(&trend, 16));
         let coarse_sources: [&dyn CiIntegral; 2] = [&coarse_coal, &coarse_trend];
-        let coarse = complete(McRun::source(&p, &coarse_sources, &spec).unwrap(), 1);
+        let coarse = monte_carlo_source_tcdp(&p, &coarse_sources, &spec).unwrap();
         let (fine_coal, fine_trend) = (Midpoint::new(&coal, 4_096), Midpoint::new(&trend, 4_096));
         let fine_sources: [&dyn CiIntegral; 2] = [&fine_coal, &fine_trend];
-        let fine = complete(McRun::source(&p, &fine_sources, &spec).unwrap(), 1);
+        let fine = monte_carlo_source_tcdp(&p, &fine_sources, &spec).unwrap();
         let coarse_err = (coarse.mean - exact.mean).abs() / exact.mean;
         let fine_err = (fine.mean - exact.mean).abs() / exact.mean;
         assert!(fine_err <= coarse_err);
@@ -1051,77 +897,6 @@ mod tests {
         assert!(std::panic::catch_unwind(|| Midpoint::new(&coal, 0)).is_err());
     }
 
-    #[test]
-    fn supervised_monte_carlo_matches_unsupervised_when_unbounded() {
-        let p = point("x", 1.0, 2.0, 500.0);
-        let spec = MonteCarloSpec::new(300, 11);
-        let direct = monte_carlo_tcdp(&p, &spec).unwrap();
-        let mut run = McRun::tcdp(&p, &spec).unwrap();
-        let summary = run.advance(&Supervisor::unbounded(), 2).unwrap();
-        assert_eq!(run.stop(), None);
-        assert_eq!(summary, Some(direct));
-    }
-
-    #[test]
-    fn interrupted_monte_carlo_resumes_to_identical_bits() {
-        let p = point("x", 1.0, 2.0, 500.0);
-        // 300 samples = 5 blocks of 64 (last short).
-        let spec = MonteCarloSpec::new(300, 11);
-        let direct = monte_carlo_tcdp(&p, &spec).unwrap();
-        for trip in [0u64, 1, 3] {
-            let mut mc = McRun::tcdp(&p, &spec).unwrap();
-            let partial = mc.advance(&Supervisor::tripping_after(trip), 1).unwrap();
-            assert_eq!(mc.stop(), Some(StopReason::Cancelled), "trip {trip}");
-            assert_eq!(mc.completed_blocks(), trip as usize);
-            assert!(partial.is_none());
-            let resumed = mc.advance(&Supervisor::unbounded(), 2).unwrap();
-            assert_eq!(mc.stop(), None);
-            assert_eq!(resumed, Some(direct), "trip {trip}");
-        }
-    }
-
-    #[test]
-    fn supervised_source_monte_carlo_resumes_exactly() {
-        let p = point("x", 1.0, 2.0, 500.0);
-        let (coal, trend) = source_set();
-        let sources: [&dyn CiIntegral; 2] = [&coal, &trend];
-        let spec = SourceMonteCarloSpec::new(200, 7);
-        let exact = monte_carlo_source_tcdp(&p, &sources, &spec).unwrap();
-        let mut mc = McRun::source(&p, &sources, &spec).unwrap();
-        assert!(mc
-            .advance(&Supervisor::tripping_after(1), 1)
-            .unwrap()
-            .is_none());
-        let resumed = mc.advance(&Supervisor::unbounded(), 2).unwrap();
-        assert_eq!(resumed, Some(exact));
-        // Sampled-integration path, same shape.
-        let (sampled_coal, sampled_trend) = (Midpoint::new(&coal, 16), Midpoint::new(&trend, 16));
-        let sources: [&dyn CiIntegral; 2] = [&sampled_coal, &sampled_trend];
-        let sampled = complete(McRun::source(&p, &sources, &spec).unwrap(), 1);
-        let mut mc = McRun::source(&p, &sources, &spec).unwrap();
-        assert!(mc
-            .advance(&Supervisor::tripping_after(2), 1)
-            .unwrap()
-            .is_none());
-        let resumed = mc.advance(&Supervisor::unbounded(), 1).unwrap();
-        assert_eq!(resumed, Some(sampled));
-    }
-
-    #[test]
-    fn supervised_regret_resumes_exactly() {
-        let pts = space();
-        let spec = MonteCarloSpec::new(256, 3);
-        let direct = monte_carlo_regret(&pts, &spec).unwrap();
-        let mut regret = McRun::regret(&pts, &spec).unwrap();
-        let partial = regret.advance(&Supervisor::tripping_after(2), 1).unwrap();
-        assert_eq!(regret.stop(), Some(StopReason::Cancelled));
-        assert_eq!(regret.completed_blocks(), 2);
-        assert_eq!(regret.total_blocks(), 4);
-        assert!(partial.is_none());
-        let resumed = regret.advance(&Supervisor::unbounded(), 2).unwrap();
-        assert_eq!(resumed, Some(direct));
-    }
-
     /// A source whose every lookup panics, standing in for a faulty
     /// integration kernel.
     #[derive(Debug)]
@@ -1141,28 +916,24 @@ mod tests {
         }
     }
 
+    /// A panicking block re-raises on the caller, whether the source is
+    /// integrated exactly or through its midpoint reference.
     #[test]
     fn panicking_block_reaches_the_caller_of_either_form() {
         let p = point("x", 1.0, 2.0, 500.0);
         let poisoned = PanickingSource;
-        let sources: [&dyn CiIntegral; 1] = [&poisoned];
+        let sampled = Midpoint::new(&poisoned, 8);
         // One block, so each form reports one panic.
         let spec = SourceMonteCarloSpec::new(64, 7);
-        // The plain form re-raises the panic on the caller.
-        let raised = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            monte_carlo_source_tcdp(&p, &sources, &spec)
-        }));
-        let payload = raised.expect_err("a panicking block must panic the caller");
-        assert_eq!(
-            payload.downcast_ref::<String>().map(String::as_str),
-            Some("poisoned source")
-        );
-        // The supervised form isolates it into an error.
-        let mut run = McRun::source(&p, &sources, &spec).unwrap();
-        match run.advance(&Supervisor::unbounded(), 2) {
-            Err(CoreError::Panicked(message)) => assert_eq!(message, "poisoned source"),
-            other => panic!("expected a quarantined panic, got {:?}", other.map(|_| ())),
+        for source in [&poisoned as &dyn CiIntegral, &sampled] {
+            let raised = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                monte_carlo_source_tcdp(&p, &[source], &spec)
+            }));
+            let payload = raised.expect_err("a panicking block must panic the caller");
+            assert_eq!(
+                payload.downcast_ref::<String>().map(String::as_str),
+                Some("poisoned source")
+            );
         }
-        assert_eq!(run.completed_blocks(), 0);
     }
 }

@@ -19,7 +19,9 @@
 //! colliding same-kind sources are merged into one family whose samples are
 //! disambiguated by a `name="<original>"` label, which keeps the exposition
 //! valid and lossless. A histogram whose name clashes with a counter
-//! family takes a `_histogram` suffix.
+//! family takes a `_histogram` suffix. Exact duplicates — counters with the
+//! same name and labels, histogram states with the same name — are summed
+//! into one series.
 //!
 //! ## Histogram mapping
 //!
@@ -123,6 +125,24 @@ pub fn render_snapshot(snapshot: &RegistrySnapshot) -> String {
             .entry((&counter.name, &counter.labels))
             .or_insert(0) += counter.value;
     }
+    // Histogram states with the same name merge the same way: bucket by
+    // bucket, plus `sum` and `count`.
+    let mut histograms: BTreeMap<&str, HistogramState> = BTreeMap::new();
+    for histogram in &snapshot.histograms {
+        let merged = histograms
+            .entry(&histogram.name)
+            .or_insert_with(|| HistogramState {
+                name: histogram.name.clone(),
+                count: 0,
+                sum: 0,
+                buckets: vec![0; HISTOGRAM_BUCKETS],
+            });
+        merged.count += histogram.count;
+        merged.sum += histogram.sum;
+        for (total, n) in merged.buckets.iter_mut().zip(&histogram.buckets) {
+            *total += n;
+        }
+    }
     let mut families = Vec::new();
     // Counters first: they keep their mangled names, and a histogram
     // family that clashes with one is renamed.
@@ -139,9 +159,8 @@ pub fn render_snapshot(snapshot: &RegistrySnapshot) -> String {
     push_families(
         &mut families,
         "histogram",
-        snapshot
-            .histograms
-            .iter()
+        histograms
+            .values()
             .map(|histogram| (histogram.name.as_str(), &[][..], histogram)),
         render_histogram,
     );

@@ -1,8 +1,9 @@
 //! Property suite for the Prometheus text exposition: seeded pseudo-random
 //! registry states must render to documents that pass the in-crate
 //! validator and parse back to the snapshot's values — including hostile
-//! metric names (mangling collisions), label values needing escapes, and
-//! zero-count histograms.
+//! metric names (mangling collisions), label values needing escapes,
+//! duplicate histogram states (merged into one series), and zero-count
+//! histograms.
 //!
 //! The generator is a hand-rolled splitmix64 so the obs crate stays
 //! dependency-free even in its tests.
@@ -82,17 +83,6 @@ fn random_counters(rng: &mut Rng) -> Vec<CounterState> {
         .collect()
 }
 
-/// Keeps the first state per source name: the live registry is keyed by
-/// name, so duplicate histogram states cannot occur in practice and the
-/// renderer is not required to merge them.
-fn dedup_by_name<T>(items: Vec<T>, name: impl Fn(&T) -> &str) -> Vec<T> {
-    let mut seen = std::collections::BTreeSet::new();
-    items
-        .into_iter()
-        .filter(|item| seen.insert(name(item).to_owned()))
-        .collect()
-}
-
 /// A histogram state consistent the way the live registry guarantees:
 /// `count` is exactly the sum of the bucket counts.
 fn random_histogram(rng: &mut Rng) -> HistogramState {
@@ -114,10 +104,7 @@ fn random_histogram(rng: &mut Rng) -> HistogramState {
 fn random_snapshot(rng: &mut Rng) -> RegistrySnapshot {
     RegistrySnapshot {
         counters: random_counters(rng),
-        histograms: dedup_by_name(
-            (0..rng.below(4)).map(|_| random_histogram(rng)).collect(),
-            |h| &h.name,
-        ),
+        histograms: (0..rng.below(4)).map(|_| random_histogram(rng)).collect(),
     }
 }
 

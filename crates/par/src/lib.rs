@@ -18,8 +18,10 @@
 //! * **Supervisable and resumable**: [`SupervisedMap::advance`] checks a
 //!   [`Supervisor`] (cooperative cancellation + deadline budget) before
 //!   every item, isolates each item's panic, and attempts only the slots
-//!   no earlier advance attempted — the substrate for the workspace's
-//!   checkpoint/resume pipelines (see [`supervise`]).
+//!   no earlier advance attempted — the substrate for the workspace's one
+//!   checkpoint/resume pipeline, the operational-time sweep (see
+//!   [`supervise`]). Every other pipeline runs one advance under
+//!   [`Supervisor::unbounded`] at [`effective_threads`].
 //! * **Panics reach the caller**: [`SupervisedMap::into_values`] re-raises
 //!   the first (in input order) panicked item, as a sequential loop would.
 //!   Fallible work returns `Result` inside the value, and collecting the

@@ -1,8 +1,9 @@
 //! Execution supervision for long-running parallel work.
 //!
 //! A [`Supervisor`] is a cheap, cloneable handle combining three concerns
-//! that every long-running CORDOBA pipeline (design-space sweeps, β-solves,
-//! Monte Carlo runs, event simulation) needs:
+//! a long-running pipeline needs to be stopped and resumed — in CORDOBA,
+//! the operational-time sweep behind `dse --deadline/--checkpoint/--resume`;
+//! every other pipeline runs under [`Supervisor::unbounded`]:
 //!
 //! * **cooperative cancellation** — [`Supervisor::cancel`] requests a stop;
 //!   workers observe it at the next item boundary via

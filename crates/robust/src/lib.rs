@@ -16,16 +16,16 @@
 //!   (absorbed by `TraceCi::sanitize` and `FallbackCi` in
 //!   `cordoba-carbon`);
 //! * **config faults** — poison `TechTuning` parameters so a design point
-//!   fails characterization (quarantined by the quarantine finisher
-//!   `SupervisedEval::into_resilient` of the core crate's space-evaluation
-//!   runner);
-//! * **supervision faults** — interrupt long-running pipelines mid-flight
-//!   at seeded trip points ([`fault::FaultPlan::trip_point`]) to prove
-//!   that checkpoint/resume reproduces the uninterrupted result bit for
-//!   bit (the [`supervise`] module, re-exported from `cordoba-par`,
-//!   provides the [`supervise::Supervisor`] handle and
-//!   [`supervise::SupervisedMap`], the one parallel map whose slots every
-//!   interrupted pipeline resumes from).
+//!   fails characterization (quarantined by the core crate's
+//!   `ResilientEval::evaluate`);
+//! * **supervision faults** — interrupt the operational-time sweep, the
+//!   one resumable pipeline, mid-flight at seeded trip points
+//!   ([`fault::FaultPlan::trip_point`]) to prove that checkpoint/resume
+//!   reproduces the uninterrupted result bit for bit, and panic work units
+//!   at seeded positions to prove they are quarantined in input order (the
+//!   [`supervise`] module, re-exported from `cordoba-par`, provides the
+//!   [`supervise::Supervisor`] handle and [`supervise::SupervisedMap`],
+//!   the one parallel map whose slots an interrupted sweep resumes from).
 //!
 //! Everything is derived from a single `u64` seed, so any failure found by
 //! the suite reproduces exactly from its seed alone.

@@ -140,7 +140,7 @@ fn resilient_sweep_is_total_under_config_corruption() {
         .expect("poisoned tuning still constructs");
         configs.push(poisoned);
 
-        let eval = SupervisedEval::new(&configs, &task, &embodied).into_resilient();
+        let eval = ResilientEval::evaluate(&configs, &task, &embodied);
         // Totality: every configuration lands in exactly one bucket, and
         // everything that survives is finite.
         assert_eq!(
@@ -184,7 +184,7 @@ fn nan_poisoned_config_is_quarantined_not_fatal() {
         )
         .expect("constructs"),
     );
-    let eval = SupervisedEval::new(&configs, &task, &embodied).into_resilient();
+    let eval = ResilientEval::evaluate(&configs, &task, &embodied);
     assert!(eval.degraded());
     assert_eq!(eval.failures.len(), 1);
     assert_eq!(eval.failures[0].name, "nan-poison");

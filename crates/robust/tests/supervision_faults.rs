@@ -1,8 +1,8 @@
-//! Supervision fault injection: interrupt long-running pipelines at
+//! Supervision fault injection: interrupt the operational-time sweep at
 //! seeded trip points and prove the workspace's checkpoint/resume
-//! invariant — a run interrupted at *any* point and resumed is
+//! invariant — a sweep interrupted at *any* point and resumed is
 //! bit-identical to an uninterrupted run at any thread count — plus the
-//! panic-isolation contract (a panicking work unit is quarantined in
+//! quarantine contract (a failing or panicking work unit is quarantined in
 //! input order; the process survives).
 //!
 //! Every interruption point is derived from a `FaultPlan` seed
@@ -14,16 +14,18 @@ use cordoba_accel::config::AcceleratorConfig;
 use cordoba_accel::params::TechTuning;
 use cordoba_accel::space::design_space;
 use cordoba_carbon::embodied::EmbodiedModel;
-use cordoba_carbon::integral::{CiIntegral, Midpoint};
-use cordoba_carbon::intensity::{ConstantCi, SeasonalCi, TrendCi};
 use cordoba_carbon::prelude::{grids, GramsCo2e, Joules, Seconds, SquareCentimeters};
 use cordoba_par::CostHint;
 use cordoba_robust::prelude::*;
 use cordoba_robust::supervise::{Outcome, SupervisedMap};
-use cordoba_soc::apps::VrApp;
-use cordoba_soc::provisioning::{sweep, sweep_supervised, Deployment};
 use cordoba_workloads::task::Task;
+use std::num::NonZeroUsize;
+use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
+
+/// Serializes the tests that set the process-wide worker count, so each
+/// really runs at the count it asks for.
+static THREADS: Mutex<()> = Mutex::new(());
 
 /// Marker that tells the filtering panic hook to swallow the report;
 /// intentional panics in these tests would otherwise spam the log.
@@ -169,12 +171,11 @@ fn zero_deadline_interrupts_sweep_and_checkpoint_resumes() {
     }
 }
 
-/// Space evaluation under combined faults: one seeded-poisoned
-/// configuration in the space *and* a seeded mid-run interruption. After
-/// resume, the points and the quarantine list (order included) must match
-/// the uninterrupted resilient evaluation exactly.
+/// Space evaluation of a space holding one seeded-poisoned configuration:
+/// the points and the quarantine list (order included) are identical at 1,
+/// 2, and auto threads.
 #[test]
-fn interrupted_eval_with_poisoned_configs_resumes_and_quarantines_in_order() {
+fn poisoned_configs_are_quarantined_in_input_order_at_1_2_and_auto_threads() {
     let task = Task::ai_5_kernels();
     let embodied = EmbodiedModel::default();
     for seed in 0..40u64 {
@@ -189,35 +190,34 @@ fn interrupted_eval_with_poisoned_configs_resumes_and_quarantines_in_order() {
             plan.poison_tuning(&TechTuning::n7()),
         )
         .expect("poisoned tuning still constructs");
-        let baseline = SupervisedEval::new(&configs, &task, &embodied).into_resilient();
-        let trip = plan.trip_point(configs.len() as u64);
-        let mut eval = SupervisedEval::new(&configs, &task, &embodied);
-        eval.advance(&Supervisor::tripping_after(trip), 1);
-        if trip < configs.len() as u64 {
-            assert_eq!(eval.stop(), Some(StopReason::Cancelled), "seed {seed}");
-            assert_eq!(eval.attempted() as u64, trip, "seed {seed}");
+        let names = |eval: &ResilientEval| -> Vec<String> {
+            eval.failures.iter().map(|f| f.name.to_string()).collect()
+        };
+        let at = |threads: Option<usize>| {
+            let _serial = THREADS.lock().unwrap_or_else(PoisonError::into_inner);
+            cordoba_par::set_threads(threads.and_then(NonZeroUsize::new));
+            let eval = ResilientEval::evaluate(&configs, &task, &embodied);
+            cordoba_par::set_threads(None);
+            eval
+        };
+        let baseline = at(Some(1));
+        assert_eq!(
+            baseline.points.len() + baseline.failures.len(),
+            configs.len(),
+            "seed {seed}: every configuration is accounted for"
+        );
+        for threads in [Some(2), None] {
+            let eval = at(threads);
+            assert_eq!(
+                eval.points, baseline.points,
+                "seed {seed}, threads {threads:?}: points diverged"
+            );
+            assert_eq!(
+                names(&eval),
+                names(&baseline),
+                "seed {seed}, threads {threads:?}: quarantine order diverged"
+            );
         }
-        let resume_threads = 1 + (seed as usize % 3);
-        eval.advance(&Supervisor::unbounded(), resume_threads);
-        assert!(eval.is_complete(), "seed {seed}");
-        let resumed = eval.into_resilient();
-        assert_eq!(
-            resumed.points, baseline.points,
-            "seed {seed}: points diverged"
-        );
-        assert_eq!(
-            resumed
-                .failures
-                .iter()
-                .map(|f| f.name.as_str())
-                .collect::<Vec<_>>(),
-            baseline
-                .failures
-                .iter()
-                .map(|f| f.name.as_str())
-                .collect::<Vec<_>>(),
-            "seed {seed}: quarantine order diverged"
-        );
     }
 }
 
@@ -276,129 +276,5 @@ fn seeded_panic_faults_are_quarantined_in_input_order_at_any_thread_count() {
             classify(cordoba_par::effective_threads()),
             "seed {seed}: auto-thread run diverged"
         );
-    }
-}
-
-/// The resume thread counts every interrupted run is finished at: the
-/// exact sequential path, two workers, and the process default.
-fn resume_thread_counts() -> [usize; 3] {
-    [1, 2, cordoba_par::effective_threads()]
-}
-
-/// Interrupts `run` at a seeded block count, resumes it at `resume_threads`,
-/// and returns the folded result. Even seeds interrupt on the exact
-/// sequential path (the trip point is then exact); odd seeds interrupt
-/// mid-parallel, where workers that checked the trip count before it was
-/// reached may finish more blocks, up to the whole run.
-fn interrupt_and_resume<O>(
-    mut run: McRun<'_, O>,
-    plan: &FaultPlan,
-    seed: u64,
-    resume_threads: usize,
-) -> O {
-    let blocks = run.total_blocks() as u64;
-    let trip = plan.trip_point(blocks);
-    let interrupt_threads = if seed.is_multiple_of(2) { 1 } else { 2 };
-    let partial = run
-        .advance(&Supervisor::tripping_after(trip), interrupt_threads)
-        .expect("no block panics");
-    match partial {
-        None => assert_eq!(run.stop(), Some(StopReason::Cancelled), "seed {seed}"),
-        Some(_) => assert!(
-            interrupt_threads > 1 || trip >= blocks,
-            "seed {seed}: completed despite trip {trip}"
-        ),
-    }
-    if interrupt_threads == 1 {
-        assert_eq!(
-            run.completed_blocks() as u64,
-            trip.min(blocks),
-            "seed {seed}: sequential trip point should be exact"
-        );
-    }
-    run.advance(&Supervisor::unbounded(), resume_threads)
-        .expect("no block panics")
-        .expect("a fresh unbounded supervisor completes the run")
-}
-
-/// Every Monte Carlo experiment (constant-CI, exact-source, sampled-source
-/// tCDP and mean regret), interrupted at a seeded block and resumed at 1,
-/// 2, and auto threads, lands on the bits of the uninterrupted run.
-#[test]
-fn monte_carlo_runs_interrupted_at_seeded_points_resume_bit_identically() {
-    let pts = synthetic_points();
-    let coal = ConstantCi::new(grids::COAL);
-    let trend = TrendCi::new(grids::US_AVERAGE, 0.10).expect("valid trend");
-    let seasonal = SeasonalCi::solar_rich();
-    let sources: [&dyn CiIntegral; 3] = [&coal, &trend, &seasonal];
-    let midpoints = sources.map(|s| Midpoint::new(s, 8));
-    let sampled_sources: Vec<&dyn CiIntegral> =
-        midpoints.iter().map(|s| s as &dyn CiIntegral).collect();
-    for seed in 0..60u64 {
-        let plan = FaultPlan::new(seed);
-        // 1,300 samples make 21 RNG blocks: enough for a two-worker split.
-        let spec = MonteCarloSpec::new(1_300, seed);
-        let source_spec = SourceMonteCarloSpec::new(1_300, seed);
-        let point = &pts[seed as usize % pts.len()];
-        let tcdp = monte_carlo_tcdp(point, &spec).expect("valid spec");
-        let source = monte_carlo_source_tcdp(point, &sources, &source_spec).expect("valid spec");
-        let regret = monte_carlo_regret(&pts, &spec).expect("valid spec");
-        let mut sampled_run =
-            McRun::source(point, &sampled_sources, &source_spec).expect("valid spec");
-        let sampled = sampled_run
-            .advance(&Supervisor::unbounded(), 1)
-            .expect("no block panics")
-            .expect("an unbounded supervisor completes the run");
-        for threads in resume_thread_counts() {
-            let run = McRun::tcdp(point, &spec).expect("valid spec");
-            let resumed = interrupt_and_resume(run, &plan, seed, threads);
-            assert_eq!(resumed, tcdp, "seed {seed}, {threads} threads: tcdp");
-            let run = McRun::source(point, &sources, &source_spec).expect("valid spec");
-            let resumed = interrupt_and_resume(run, &plan, seed, threads);
-            assert_eq!(resumed, source, "seed {seed}, {threads} threads: source");
-            let run = McRun::source(point, &sampled_sources, &source_spec).expect("valid spec");
-            let resumed = interrupt_and_resume(run, &plan, seed, threads);
-            assert_eq!(resumed, sampled, "seed {seed}, {threads} threads: sampled");
-            let run = McRun::regret(&pts, &spec).expect("valid spec");
-            let resumed = interrupt_and_resume(run, &plan, seed, threads);
-            assert_eq!(resumed, regret, "seed {seed}, {threads} threads: regret");
-        }
-    }
-}
-
-/// The provisioning sweep, interrupted before a seeded core count and
-/// resumed at 1, 2, and auto threads, returns the rows of the
-/// uninterrupted sweep.
-#[test]
-fn provisioning_sweep_interrupted_at_seeded_points_resumes_bit_identically() {
-    let apps = VrApp::studied_tasks();
-    let deployment = Deployment::default();
-    let baselines: Vec<_> = apps
-        .iter()
-        .map(|app| sweep(app, &deployment).expect("default deployment sweeps"))
-        .collect();
-    for seed in 0..40u64 {
-        let plan = FaultPlan::new(seed);
-        let pick = seed as usize % apps.len();
-        let app = &apps[pick];
-        for threads in resume_thread_counts() {
-            let total = 5u64;
-            let trip = plan.trip_point(total);
-            let sup = Supervisor::tripping_after(trip);
-            let mut run = sweep_supervised(app, &deployment, &sup, 1).expect("valid deployment");
-            assert_eq!(run.total() as u64, total);
-            if trip < total {
-                assert_eq!(run.stop(), Some(StopReason::Cancelled), "seed {seed}");
-                assert_eq!(run.completed() as u64, trip, "seed {seed}: exact trip");
-                assert!(run.rows().is_none(), "seed {seed}");
-            }
-            run.resume(&Supervisor::unbounded(), threads)
-                .expect("valid deployment");
-            assert_eq!(
-                run.rows(),
-                Some(baselines[pick].clone()),
-                "seed {seed}, {threads} threads: rows diverged"
-            );
-        }
     }
 }

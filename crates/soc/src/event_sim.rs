@@ -12,7 +12,6 @@ use crate::apps::VrApp;
 use crate::soc::SocConfig;
 use crate::traces::ActivityTrace;
 use cordoba_carbon::units::{Joules, Seconds, Watts};
-use cordoba_par::supervise::{StopReason, Supervisor};
 use serde::{Deserialize, Serialize};
 
 /// Fraction of a tick lost to a preemption (matches the analytic model's
@@ -52,21 +51,7 @@ impl EventSimResult {
     }
 }
 
-/// An [`EventSimResult`] produced under supervision: the simulated prefix
-/// plus why (and whether) the run was stopped early.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SupervisedSimResult {
-    /// The simulation result. When `stop` is `Some`, `duration`/`energy`
-    /// cover only the segments and ticks simulated before the stop and
-    /// `truncated` is `true`.
-    pub result: EventSimResult,
-    /// Why the supervisor stopped the run, or `None` when it ran to
-    /// completion.
-    pub stop: Option<StopReason>,
-}
-
-/// Replays `trace` on `soc` with a time-stepped scheduler:
-/// [`simulate_events_supervised`] under a supervisor that never trips.
+/// Replays `trace` on `soc` with a time-stepped scheduler.
 ///
 /// `ticks_per_segment` controls fidelity (the tests use 200+).
 ///
@@ -80,26 +65,6 @@ pub fn simulate_events(
     soc: &SocConfig,
     ticks_per_segment: u32,
 ) -> EventSimResult {
-    simulate_events_supervised(trace, app, soc, ticks_per_segment, &Supervisor::unbounded()).result
-}
-
-/// [`simulate_events`] under a [`Supervisor`]: cancellation and deadline
-/// are checked at every simulated tick, so even a single pathological
-/// segment cannot hold the simulation past its budget. A stopped run
-/// returns the simulated prefix with `truncated = true` and the stop
-/// reason; each completed segment counts one unit of supervised progress.
-///
-/// # Panics
-///
-/// Panics if `ticks_per_segment` is zero.
-#[must_use]
-pub fn simulate_events_supervised(
-    trace: &ActivityTrace,
-    app: &VrApp,
-    soc: &SocConfig,
-    ticks_per_segment: u32,
-    sup: &Supervisor,
-) -> SupervisedSimResult {
     assert!(ticks_per_segment > 0, "ticks_per_segment must be > 0");
     let _span = cordoba_obs::span_with(
         "soc/event_sim",
@@ -116,20 +81,13 @@ pub fn simulate_events_supervised(
     let mut core_busy = vec![Seconds::ZERO; m];
     let mut preemptions = 0u64;
     let mut truncated = false;
-    let mut stop = None;
 
-    'segments: for segment in trace.segments() {
-        if let Some(reason) = sup.should_stop() {
-            stop = Some(sup.record_stop(reason));
-            truncated = true;
-            break 'segments;
-        }
+    for segment in trace.segments() {
         let demands = app.thread_demands(segment.threads);
         let k = demands.len();
         if k == 0 {
             duration += segment.duration;
             energy += leakage * segment.duration;
-            sup.note_completed(1);
             continue;
         }
         // Work each thread must complete in this segment
@@ -157,15 +115,6 @@ pub fn simulate_events_supervised(
         // result carries a `truncated` marker instead of asserting.
         let max_time = segment.duration.value() * 50.0;
         while remaining.iter().any(|&w| w > 1e-12) && t < max_time {
-            // Tick-level supervision: a deadline or cancellation lands
-            // mid-segment, not only at segment boundaries, so one runaway
-            // segment cannot blow through the budget.
-            if let Some(reason) = sup.should_stop() {
-                stop = Some(sup.record_stop(reason));
-                truncated = true;
-                duration += Seconds::new(t);
-                break 'segments;
-            }
             // Greedy assignment: most-loaded runnable threads onto the
             // fastest cores, round-robin when oversubscribed.
             let mut order: Vec<usize> = (0..k).filter(|&i| remaining[i] > 1e-12).collect();
@@ -203,18 +152,14 @@ pub fn simulate_events_supervised(
             cordoba_obs::record(&cordoba_obs::Event::WatchdogTruncation);
         }
         duration += Seconds::new(t);
-        sup.note_completed(1);
     }
 
-    SupervisedSimResult {
-        result: EventSimResult {
-            duration,
-            energy,
-            core_busy,
-            preemptions,
-            truncated,
-        },
-        stop,
+    EventSimResult {
+        duration,
+        energy,
+        core_busy,
+        preemptions,
+        truncated,
     }
 }
 
@@ -319,45 +264,6 @@ mod tests {
         assert!(r.duration.is_finite() && r.energy.is_finite());
         // Bounded by the watchdog: at most 50x the segment duration.
         assert!(r.duration.value() <= 50.0 + 1e-6);
-    }
-
-    #[test]
-    fn supervised_sim_matches_unsupervised_when_unbounded() {
-        let app = VrApp::m1();
-        let trace = ActivityTrace::deterministic(&app);
-        let soc = SocConfig::quest2();
-        let direct = simulate_events(&trace, &app, &soc, 200);
-        let sup = Supervisor::unbounded();
-        let supervised = simulate_events_supervised(&trace, &app, &soc, 200, &sup);
-        assert_eq!(supervised.stop, None);
-        assert_eq!(supervised.result, direct);
-        assert_eq!(
-            sup.progress().completed,
-            trace.segments().len() as u64,
-            "one progress unit per segment"
-        );
-    }
-
-    #[test]
-    fn cancelled_sim_returns_truncated_prefix() {
-        let app = VrApp::m1();
-        let trace = ActivityTrace::deterministic(&app);
-        let soc = SocConfig::quest2();
-        let full = simulate_events(&trace, &app, &soc, 200);
-        // Cancelled before the first segment: empty truncated prefix.
-        let sup = Supervisor::unbounded();
-        sup.cancel();
-        let r = simulate_events_supervised(&trace, &app, &soc, 200, &sup);
-        assert_eq!(r.stop, Some(StopReason::Cancelled));
-        assert!(r.result.truncated);
-        assert_eq!(r.result.duration, Seconds::ZERO);
-        // Tripped after one segment: a strict prefix of the full run.
-        let trip = Supervisor::tripping_after(1);
-        let r = simulate_events_supervised(&trace, &app, &soc, 200, &trip);
-        assert_eq!(r.stop, Some(StopReason::Cancelled));
-        assert!(r.result.truncated);
-        assert!(r.result.duration < full.duration);
-        assert!(r.result.duration.value() > 0.0);
     }
 
     #[test]

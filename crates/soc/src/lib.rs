@@ -36,12 +36,9 @@ pub mod traces;
 pub mod prelude {
     pub use crate::apps::{AppCategory, VrApp};
     pub use crate::cores::CoreKind;
-    pub use crate::event_sim::{
-        simulate_events, simulate_events_supervised, EventSimResult, SupervisedSimResult,
-    };
+    pub use crate::event_sim::{simulate_events, EventSimResult};
     pub use crate::provisioning::{
-        improvement_over_8core, optimal_cores, sweep, sweep_supervised, Deployment,
-        ProvisioningRow, SupervisedProvisioning,
+        improvement_over_8core, optimal_cores, sweep, Deployment, ProvisioningRow,
     };
     pub use crate::scheduler::{schedule, schedule_app, ScheduleResult};
     pub use crate::soc::SocConfig;

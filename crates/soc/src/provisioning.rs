@@ -13,7 +13,7 @@ use cordoba_carbon::lifetime::UsageProfile;
 use cordoba_carbon::operational::operational_carbon;
 use cordoba_carbon::units::{CarbonIntensity, GramSecondsCo2e, GramsCo2e, Joules, Seconds};
 use cordoba_carbon::CarbonError;
-use cordoba_par::supervise::{Outcome, StopReason, SupervisedMap, Supervisor};
+use cordoba_par::supervise::{SupervisedMap, Supervisor};
 use cordoba_par::CostHint;
 use serde::{Deserialize, Serialize};
 
@@ -89,11 +89,11 @@ const PROVISION_NS_PER_CORE_COUNT: u64 = 900;
 
 /// Sweeps core counts 4..=8 for `app` under `deployment`.
 ///
-/// Each core count is an independent trace replay, evaluated through
-/// [`cordoba_par::SupervisedMap`]; the returned list is in ascending core
-/// order and identical to the sequential sweep at every thread count. This
-/// is [`sweep_supervised`] under a supervisor that never trips, at
-/// [`cordoba_par::effective_threads`] workers.
+/// Each core count is an independent trace replay, evaluated through one
+/// unbounded [`cordoba_par::SupervisedMap`] at
+/// [`cordoba_par::effective_threads`] workers; the returned list is in
+/// ascending core order and identical to the sequential sweep at every
+/// thread count.
 ///
 /// # Errors
 ///
@@ -104,114 +104,17 @@ const PROVISION_NS_PER_CORE_COUNT: u64 = 900;
 ///
 /// Re-raises a panicking trace replay on the caller.
 pub fn sweep(app: &VrApp, deployment: &Deployment) -> Result<Vec<ProvisioningRow>, CarbonError> {
-    let mut run = SupervisedProvisioning::new(app, deployment);
-    run.resume(&Supervisor::unbounded(), cordoba_par::effective_threads())?;
-    run.rows.into_values().into_iter().collect()
-}
-
-/// A supervised provisioning sweep in flight: one slot per core count,
-/// resumable until every configuration is attempted. The sweep borrows its
-/// app and deployment, so a resume cannot mix rows of different inputs.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SupervisedProvisioning<'a> {
-    app: &'a VrApp,
-    deployment: &'a Deployment,
-    rows: SupervisedMap<Result<ProvisioningRow, CarbonError>>,
-}
-
-impl<'a> SupervisedProvisioning<'a> {
-    fn new(app: &'a VrApp, deployment: &'a Deployment) -> Self {
-        Self {
-            app,
-            deployment,
-            rows: SupervisedMap::new(CORE_COUNTS.len()),
-        }
-    }
-
-    /// Why the last run/resume stopped early, or `None` when it attempted
-    /// every pending core count.
-    #[must_use]
-    pub fn stop(&self) -> Option<StopReason> {
-        self.rows.stop()
-    }
-
-    /// `true` when every core count has been attempted.
-    #[must_use]
-    pub fn is_complete(&self) -> bool {
-        self.rows.is_complete()
-    }
-
-    /// Core counts evaluated to a row so far.
-    #[must_use]
-    pub fn completed(&self) -> usize {
-        self.rows
-            .outcomes()
-            .iter()
-            .filter(|o| matches!(o, Outcome::Done(Ok(_))))
-            .count()
-    }
-
-    /// Total core counts in the sweep.
-    #[must_use]
-    pub fn total(&self) -> usize {
-        CORE_COUNTS.len()
-    }
-
-    /// Core counts whose trace replay panicked, with the isolated panic
-    /// messages, in ascending core order. The process survives; a
-    /// panicked core count is final, and a resume does not retry it.
-    #[must_use]
-    pub fn panicked(&self) -> Vec<(u32, String)> {
-        CORE_COUNTS
-            .iter()
-            .zip(self.rows.outcomes())
-            .filter_map(|(&cores, o)| match o {
-                Outcome::Panicked(message) => Some((cores, message.clone())),
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// The finished rows in ascending core order, or `None` while a core
-    /// count is pending, failed or panicked.
-    #[must_use]
-    pub fn rows(&self) -> Option<Vec<ProvisioningRow>> {
-        self.rows
-            .outcomes()
-            .iter()
-            .map(|o| o.done()?.as_ref().ok().cloned())
-            .collect()
-    }
-
-    /// Evaluates the still-pending core counts under `sup` with `threads`
-    /// workers (1 = the exact sequential path, where a count-tripped
-    /// supervisor stops at an exact configuration), merging by core-count
-    /// index. A fresh unbounded supervisor completes the sweep with rows
-    /// bit-identical to [`sweep`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates model-construction errors: the deployment's, or the
-    /// first (lowest) failing core count's.
-    pub fn resume(&mut self, sup: &Supervisor, threads: usize) -> Result<(), CarbonError> {
-        let _span = cordoba_obs::span("soc/provisioning_sweep");
-        let (app, deployment) = (self.app, self.deployment);
-        let usage = UsageProfile::from_daily_hours(deployment.lifetime_years, app.daily_hours)?;
-        let sessions = usage.operational_time().value() / app.session.value();
-        let hint = CostHint::per_item_ns(PROVISION_NS_PER_CORE_COUNT);
-        self.rows.advance(threads, hint, sup, |idx| {
-            provision_row(CORE_COUNTS[idx], app, deployment, sessions)
-        });
-        match self
-            .rows
-            .outcomes()
-            .iter()
-            .find_map(|o| o.done()?.as_ref().err())
-        {
-            Some(error) => Err(error.clone()),
-            None => Ok(()),
-        }
-    }
+    let _span = cordoba_obs::span("soc/provisioning_sweep");
+    let usage = UsageProfile::from_daily_hours(deployment.lifetime_years, app.daily_hours)?;
+    let sessions = usage.operational_time().value() / app.session.value();
+    let mut rows = SupervisedMap::new(CORE_COUNTS.len());
+    rows.advance(
+        cordoba_par::effective_threads(),
+        CostHint::per_item_ns(PROVISION_NS_PER_CORE_COUNT),
+        &Supervisor::unbounded(),
+        |idx| provision_row(CORE_COUNTS[idx], app, deployment, sessions),
+    );
+    rows.into_values().into_iter().collect()
 }
 
 /// One provisioning row for a single core count.
@@ -241,28 +144,6 @@ fn provision_row(
         tcdp: total * duration,
         edp: energy.value() * duration.value(),
     })
-}
-
-/// [`sweep`] under a [`Supervisor`] with `threads` workers (1 = the exact
-/// sequential path): cancellation and deadline are checked before each
-/// core count's trace replay, a panicking replay is isolated into
-/// [`SupervisedProvisioning::panicked`] instead of aborting, and an
-/// interrupted sweep resumes in place via [`SupervisedProvisioning::resume`].
-/// Completed rows are bit-identical at every thread count.
-///
-/// # Errors
-///
-/// Propagates model-construction errors (cannot occur for the default
-/// deployment).
-pub fn sweep_supervised<'a>(
-    app: &'a VrApp,
-    deployment: &'a Deployment,
-    sup: &Supervisor,
-    threads: usize,
-) -> Result<SupervisedProvisioning<'a>, CarbonError> {
-    let mut sweep = SupervisedProvisioning::new(app, deployment);
-    sweep.resume(sup, threads)?;
-    Ok(sweep)
 }
 
 /// The core count with the lowest tCDP in `rows`.
@@ -340,37 +221,6 @@ mod tests {
             (1.02..1.25).contains(&improvement),
             "All-tasks improvement {improvement}"
         );
-    }
-
-    #[test]
-    fn supervised_sweep_matches_unsupervised_when_unbounded() {
-        let direct = sweep(&VrApp::m1(), &Deployment::default()).unwrap();
-        let (app, deployment) = (VrApp::m1(), Deployment::default());
-        let supervised = sweep_supervised(&app, &deployment, &Supervisor::unbounded(), 2).unwrap();
-        assert!(supervised.is_complete());
-        assert!(supervised.panicked().is_empty());
-        assert_eq!(supervised.rows().unwrap(), direct);
-    }
-
-    #[test]
-    fn interrupted_provisioning_resumes_to_identical_rows() {
-        let (app, deployment) = (VrApp::b1(), Deployment::default());
-        let direct = sweep(&app, &deployment).unwrap();
-        for trip in [0u64, 2, 4] {
-            let sup = Supervisor::tripping_after(trip);
-            let mut supervised = sweep_supervised(&app, &deployment, &sup, 1).unwrap();
-            assert_eq!(
-                supervised.stop(),
-                Some(StopReason::Cancelled),
-                "trip {trip}"
-            );
-            assert!(supervised.rows().is_none());
-            assert_eq!(supervised.completed(), trip as usize);
-            supervised.resume(&Supervisor::unbounded(), 2).unwrap();
-            assert!(supervised.is_complete());
-            assert_eq!(supervised.completed(), supervised.total());
-            assert_eq!(supervised.rows().unwrap(), direct, "trip {trip}");
-        }
     }
 
     #[test]

@@ -22,11 +22,9 @@ use cordoba::dse::{evaluate_space, evaluate_space_multi, log_sweep, OpTimeSweep,
 use cordoba::lagrange::BetaSweep;
 use cordoba::metrics::DesignPoint;
 use cordoba::pareto::{lower_hull_indices, pareto_indices, pareto_indices_naive, Point2};
-use cordoba::supervise::{
-    op_time_sweep_supervised, SupervisedEval, SupervisedSweep, SweepCheckpoint,
-};
+use cordoba::supervise::{op_time_sweep_supervised, SupervisedSweep, SweepCheckpoint};
 use cordoba::uncertainty::{
-    monte_carlo_regret, monte_carlo_source_tcdp, monte_carlo_tcdp, McRun, MonteCarloSpec,
+    monte_carlo_regret, monte_carlo_source_tcdp, monte_carlo_tcdp, MonteCarloSpec,
     MonteCarloSummary, SourceMonteCarloSpec,
 };
 use cordoba_accel::config::{AcceleratorConfig, MemoryIntegration};
@@ -40,10 +38,25 @@ use cordoba_carbon::intensity::{grids, ConstantCi, SeasonalCi, TrendCi};
 use cordoba_carbon::units::{Bytes, GramsCo2e, Hertz, Joules, Seconds, SquareCentimeters};
 use cordoba_par::Supervisor;
 use cordoba_soc::apps::VrApp;
-use cordoba_soc::provisioning::{sweep, sweep_supervised, Deployment, ProvisioningRow};
+use cordoba_soc::provisioning::{sweep, Deployment, ProvisioningRow};
 use cordoba_workloads::kernel::KernelId;
 use cordoba_workloads::task::Task;
 use std::num::NonZeroUsize;
+use std::sync::{Mutex, PoisonError};
+
+/// Serializes the fingerprints, each of which sets the process-wide worker
+/// count, so each really runs at the count it asks for.
+static THREADS: Mutex<()> = Mutex::new(());
+
+/// Runs `f` with the process worker count set to `threads` (`None` = the
+/// default), under [`THREADS`], then restores the default.
+fn at_threads<T>(threads: Option<usize>, f: impl FnOnce() -> T) -> T {
+    let _serial = THREADS.lock().unwrap_or_else(PoisonError::into_inner);
+    cordoba_par::set_threads(threads.and_then(NonZeroUsize::new));
+    let out = f();
+    cordoba_par::set_threads(None);
+    out
+}
 
 /// The Monte Carlo / provisioning fingerprint recorded before those
 /// pipelines were rebuilt on their runners (with the words of the removed
@@ -170,62 +183,34 @@ fn points() -> Vec<DesignPoint> {
     .collect()
 }
 
-/// Advances `run` to completion under a supervisor that never trips.
-fn complete<O>(mut run: McRun<'_, O>, threads: usize) -> O {
-    run.advance(&Supervisor::unbounded(), threads)
-        .unwrap()
-        .expect("an unbounded supervisor completes the run")
-}
-
-/// Fingerprint of every pipeline at `threads` workers (`None` = the plain
-/// entry points at the process default).
+/// Fingerprint of every pipeline with the process worker count set to
+/// `threads` (`None` = the default).
 fn fingerprint(threads: Option<usize>) -> u64 {
-    let pts = points();
-    let coal = ConstantCi::new(grids::COAL);
-    let trend = TrendCi::new(grids::US_AVERAGE, 0.10).unwrap();
-    let seasonal = SeasonalCi::solar_rich();
-    let sources: [&dyn CiIntegral; 3] = [&coal, &trend, &seasonal];
-    let midpoints = sources.map(|s| Midpoint::new(s, 16));
-    let sampled_sources: Vec<&dyn CiIntegral> =
-        midpoints.iter().map(|s| s as &dyn CiIntegral).collect();
-    let t = threads.unwrap_or_else(cordoba_par::effective_threads);
-    let mut fp = Fingerprint::new();
-    for seed in SEEDS {
-        let spec = MonteCarloSpec::new(SAMPLES, seed);
-        let source_spec = SourceMonteCarloSpec::new(SAMPLES, seed);
-        for p in &pts {
-            let (tcdp, source) = match threads {
-                Some(t) => (
-                    complete(McRun::tcdp(p, &spec).unwrap(), t),
-                    complete(McRun::source(p, &sources, &source_spec).unwrap(), t),
-                ),
-                None => (
-                    monte_carlo_tcdp(p, &spec).unwrap(),
-                    monte_carlo_source_tcdp(p, &sources, &source_spec).unwrap(),
-                ),
-            };
-            fp.summary(&tcdp);
-            fp.summary(&source);
-            let sampled = McRun::source(p, &sampled_sources, &source_spec).unwrap();
-            fp.summary(&complete(sampled, t));
+    at_threads(threads, || {
+        let pts = points();
+        let coal = ConstantCi::new(grids::COAL);
+        let trend = TrendCi::new(grids::US_AVERAGE, 0.10).unwrap();
+        let seasonal = SeasonalCi::solar_rich();
+        let sources: [&dyn CiIntegral; 3] = [&coal, &trend, &seasonal];
+        let midpoints = sources.map(|s| Midpoint::new(s, 16));
+        let sampled_sources: Vec<&dyn CiIntegral> =
+            midpoints.iter().map(|s| s as &dyn CiIntegral).collect();
+        let mut fp = Fingerprint::new();
+        for seed in SEEDS {
+            let spec = MonteCarloSpec::new(SAMPLES, seed);
+            let source_spec = SourceMonteCarloSpec::new(SAMPLES, seed);
+            for p in &pts {
+                fp.summary(&monte_carlo_tcdp(p, &spec).unwrap());
+                fp.summary(&monte_carlo_source_tcdp(p, &sources, &source_spec).unwrap());
+                fp.summary(&monte_carlo_source_tcdp(p, &sampled_sources, &source_spec).unwrap());
+            }
+            fp.floats(&monte_carlo_regret(&pts, &spec).unwrap());
         }
-        let regret = match threads {
-            Some(t) => complete(McRun::regret(&pts, &spec).unwrap(), t),
-            None => monte_carlo_regret(&pts, &spec).unwrap(),
-        };
-        fp.floats(&regret);
-    }
-    for app in VrApp::studied_tasks() {
-        let rows = match threads {
-            Some(t) => sweep_supervised(&app, &Deployment::default(), &Supervisor::unbounded(), t)
-                .unwrap()
-                .rows()
-                .unwrap(),
-            None => sweep(&app, &Deployment::default()).unwrap(),
-        };
-        fp.rows(&rows);
-    }
-    fp.0
+        for app in VrApp::studied_tasks() {
+            fp.rows(&sweep(&app, &Deployment::default()).unwrap());
+        }
+        fp.0
+    })
 }
 
 /// The seed space twice over with three poisoned configurations spread
@@ -258,83 +243,46 @@ fn poisoned_space() -> Vec<AcceleratorConfig> {
     configs
 }
 
-/// `configs` evaluated at `threads` workers under a supervisor that never
-/// trips.
-fn advanced<'a>(
-    configs: &'a [AcceleratorConfig],
-    task: &Task,
-    embodied: &EmbodiedModel,
-    threads: usize,
-) -> SupervisedEval<'a> {
-    let mut run = SupervisedEval::new(configs, task, embodied);
-    run.advance(&Supervisor::unbounded(), threads);
-    run
-}
-
-/// Fingerprint of space evaluation and the operational-time sweep at
-/// `threads` workers (`None` = the plain entry points at the process
-/// default).
+/// Fingerprint of space evaluation and the operational-time sweep with the
+/// process worker count set to `threads` (`None` = the default).
 fn dse_fingerprint(threads: Option<usize>) -> u64 {
-    let embodied = EmbodiedModel::default();
-    let space = design_space();
-    let mut fp = Fingerprint::new();
-    let mut xr = Vec::new();
-    for task in [Task::xr_5_kernels(), Task::ai_5_kernels()] {
-        let points = match threads {
-            Some(t) => advanced(&space, &task, &embodied, t).into_points(),
-            None => evaluate_space(&space, &task, &embodied),
+    at_threads(threads, || {
+        let embodied = EmbodiedModel::default();
+        let space = design_space();
+        let mut fp = Fingerprint::new();
+        let mut xr = Vec::new();
+        for task in [Task::xr_5_kernels(), Task::ai_5_kernels()] {
+            let points = evaluate_space(&space, &task, &embodied).unwrap();
+            fp.points(&points);
+            if xr.is_empty() {
+                xr = points;
+            }
         }
-        .unwrap();
-        fp.points(&points);
-        if xr.is_empty() {
-            xr = points;
-        }
-    }
-    let poisoned = poisoned_space();
-    let task = Task::ai_5_kernels();
-    let quarantined = match threads {
-        Some(t) => advanced(&poisoned, &task, &embodied, t).into_resilient(),
-        None => SupervisedEval::new(&poisoned, &task, &embodied).into_resilient(),
-    };
-    assert_eq!(quarantined.failures.len(), 3);
-    fp.resilient(&quarantined);
+        let quarantined =
+            ResilientEval::evaluate(&poisoned_space(), &Task::ai_5_kernels(), &embodied);
+        assert_eq!(quarantined.failures.len(), 3);
+        fp.resilient(&quarantined);
 
-    // 81 rows of 121 points: enough estimated work for two workers.
-    let counts = log_sweep(2, 12, 8);
-    let sweep = match threads {
-        Some(t) => SweepCheckpoint::new(xr.clone(), counts.clone(), grids::US_AVERAGE)
-            .unwrap()
-            .resume(&Supervisor::unbounded(), t)
-            .unwrap()
-            .complete()
-            .unwrap(),
-        None => OpTimeSweep::new(xr.clone(), counts.clone(), grids::US_AVERAGE).unwrap(),
-    };
-    fp.sweep(&sweep);
-    for trip in [0u64, 5, 40] {
-        let sup = Supervisor::tripping_after(trip);
-        let run = match threads {
-            Some(t) => SweepCheckpoint::new(xr.clone(), counts.clone(), grids::US_AVERAGE)
+        // 81 rows of 121 points: enough estimated work for two workers.
+        let counts = log_sweep(2, 12, 8);
+        let sweep = OpTimeSweep::new(xr.clone(), counts.clone(), grids::US_AVERAGE).unwrap();
+        fp.sweep(&sweep);
+        for trip in [0u64, 5, 40] {
+            let sup = Supervisor::tripping_after(trip);
+            let run = op_time_sweep_supervised(xr.clone(), counts.clone(), grids::US_AVERAGE, &sup);
+            let Ok(SupervisedSweep::Partial(partial)) = run else {
+                panic!("trip {trip} must interrupt the sweep");
+            };
+            let restored = SweepCheckpoint::from_text(&partial.checkpoint.to_text()).unwrap();
+            let resumed = restored
+                .resume(&Supervisor::unbounded(), cordoba_par::effective_threads())
                 .unwrap()
-                .resume(&sup, t),
-            None => op_time_sweep_supervised(xr.clone(), counts.clone(), grids::US_AVERAGE, &sup),
-        };
-        let Ok(SupervisedSweep::Partial(partial)) = run else {
-            panic!("trip {trip} must interrupt the sweep");
-        };
-        let restored = SweepCheckpoint::from_text(&partial.checkpoint.to_text()).unwrap();
-        let fresh = Supervisor::unbounded();
-        let resumed = restored
-            .resume(
-                &fresh,
-                threads.unwrap_or_else(cordoba_par::effective_threads),
-            )
-            .unwrap()
-            .complete()
-            .unwrap();
-        fp.sweep(&resumed);
-    }
-    fp.0
+                .complete()
+                .unwrap();
+            fp.sweep(&resumed);
+        }
+        fp.0
+    })
 }
 
 /// Deterministic xorshift64 stream for the generated inputs below.
@@ -443,11 +391,11 @@ fn adversarial_clouds() -> Vec<Vec<Point2>> {
 /// Fingerprint of multi-task evaluation and elimination with the process
 /// worker count set to `threads` (`None` = the default).
 fn elim_fingerprint(threads: Option<usize>) -> u64 {
-    cordoba_par::set_threads(threads.and_then(NonZeroUsize::new));
     let space = mixed_space();
     let tasks = Task::evaluation_suite();
-    let per_task = evaluate_space_multi(&space, &tasks, &EmbodiedModel::default()).unwrap();
-    cordoba_par::set_threads(None);
+    let per_task = at_threads(threads, || {
+        evaluate_space_multi(&space, &tasks, &EmbodiedModel::default()).unwrap()
+    });
     let mut fp = Fingerprint::new();
     for points in &per_task {
         fp.points(points);

@@ -1,8 +1,7 @@
 //! Equivalence contract of the batch (SoA) evaluation pipeline: every
 //! batch entry point must return results *bit-identical* to the retained
 //! scalar path (`simulate` / `full_cost_table` / `accel_design_point`),
-//! including quarantine ordering under failures and supervised
-//! interrupt/resume, at every thread count.
+//! including quarantine ordering under failures, at every thread count.
 //!
 //! Like `prop_parallel`, these are hand-rolled seeded generators driving
 //! explicit case loops through `StdRng` streams.
@@ -147,17 +146,14 @@ fn batch_task_costs_match_scalar_cost_table_queries() {
     }
 }
 
-/// `configs` evaluated at `threads` workers under a supervisor that never
-/// trips.
-fn evaluated<'a>(
-    configs: &'a [AcceleratorConfig],
-    task: &Task,
-    model: &EmbodiedModel,
-    threads: usize,
-) -> SupervisedEval<'a> {
-    let mut run = SupervisedEval::new(configs, task, model);
-    run.advance(&Supervisor::unbounded(), threads);
-    run
+/// Runs `f` with the process worker count set to `threads`, under
+/// [`THREADS`], then restores the default.
+fn at_threads<T>(threads: usize, f: impl FnOnce() -> T) -> T {
+    let _serial = THREADS.lock().unwrap_or_else(PoisonError::into_inner);
+    cordoba_par::set_threads(NonZeroUsize::new(threads));
+    let out = f();
+    cordoba_par::set_threads(None);
+    out
 }
 
 /// The sweep computed at `threads` workers under a supervisor that never
@@ -191,9 +187,7 @@ fn evaluate_space_matches_the_retained_scalar_path() {
         let auto = evaluate_space(&configs, &task, &model).unwrap();
         assert_eq!(scalar, auto, "seed {seed}, auto threads");
         for threads in [1, 2, 4, 16] {
-            let batch = evaluated(&configs, &task, &model, threads)
-                .into_points()
-                .unwrap();
+            let batch = at_threads(threads, || evaluate_space(&configs, &task, &model).unwrap());
             assert_eq!(scalar, batch, "seed {seed}, {threads} threads");
         }
     }
@@ -218,20 +212,6 @@ fn evaluate_space_multi_matches_per_task_scalar_runs() {
             assert_eq!(scalar, multi[t], "seed {seed}, task {t}");
         }
     }
-}
-
-/// `evaluate_space_multi` with the process worker count set to `threads`.
-fn multi_at(
-    configs: &[AcceleratorConfig],
-    tasks: &[Task],
-    model: &EmbodiedModel,
-    threads: usize,
-) -> Result<Vec<Vec<DesignPoint>>, CoreError> {
-    let _serial = THREADS.lock().unwrap_or_else(PoisonError::into_inner);
-    cordoba_par::set_threads(NonZeroUsize::new(threads));
-    let out = evaluate_space_multi(configs, tasks, model);
-    cordoba_par::set_threads(None);
-    out
 }
 
 /// Poisoned configuration `p`, in one of three ways: a negative MAC area
@@ -269,13 +249,14 @@ fn evaluate_space_multi_is_identical_at_1_2_and_16_threads() {
         let tasks: Vec<Task> = (0..1 + index(&mut rng, 5))
             .map(|_| random_task(&mut rng))
             .collect();
-        let reference = multi_at(&configs, &tasks, &model, 1).unwrap();
+        let reference = at_threads(1, || evaluate_space_multi(&configs, &tasks, &model)).unwrap();
         for (t, task) in tasks.iter().enumerate() {
-            let single = evaluated(&configs, task, &model, 1).into_points().unwrap();
+            let single = at_threads(1, || evaluate_space(&configs, task, &model).unwrap());
             assert_eq!(single, reference[t], "seed {seed}, task {t}");
         }
         for threads in [2, 16] {
-            let multi = multi_at(&configs, &tasks, &model, threads).unwrap();
+            let multi =
+                at_threads(threads, || evaluate_space_multi(&configs, &tasks, &model)).unwrap();
             assert_eq!(reference, multi, "seed {seed}, {threads} threads");
         }
     }
@@ -307,7 +288,8 @@ fn evaluate_space_multi_reports_the_first_failing_config_at_every_thread_count()
             })
             .expect("at least one config is poisoned");
         for threads in [1, 2, 16] {
-            let err = multi_at(&configs, &tasks, &model, threads).unwrap_err();
+            let err =
+                at_threads(threads, || evaluate_space_multi(&configs, &tasks, &model)).unwrap_err();
             // Error payloads carry NaN (self-unequal), so compare the
             // rendered messages.
             assert_eq!(
@@ -341,7 +323,7 @@ fn resilient_quarantine_matches_the_scalar_path_under_failures() {
             }
         }
         for threads in [1, 2, 16] {
-            let batch = evaluated(&configs, &task, &model, threads).into_resilient();
+            let batch = at_threads(threads, || ResilientEval::evaluate(&configs, &task, &model));
             assert_eq!(
                 scalar_points, batch.points,
                 "seed {seed}, {threads} threads"
@@ -359,42 +341,13 @@ fn resilient_quarantine_matches_the_scalar_path_under_failures() {
 }
 
 #[test]
-fn supervised_interrupt_and_resume_match_an_uninterrupted_run() {
-    let model = EmbodiedModel::default();
-    for seed in 0..15u64 {
-        let mut rng = StdRng::seed_from_u64(0x15FE ^ seed);
-        let mut configs = random_configs(&mut rng);
-        let task = random_task(&mut rng);
-        for p in 0..1 + index(&mut rng, 3) {
-            let at = index(&mut rng, configs.len() + 1);
-            configs.insert(at, poisoned_config(&format!("poison{p}")));
-        }
-        let direct = evaluated(&configs, &task, &model, 1).into_resilient();
-        let trip = index(&mut rng, configs.len() + 1) as u64;
-        let threads = [1, 2, 16][index(&mut rng, 3)];
-        let mut eval = SupervisedEval::new(&configs, &task, &model);
-        eval.advance(&Supervisor::tripping_after(trip), threads);
-        if !eval.is_complete() {
-            eval.advance(&Supervisor::unbounded(), threads);
-        }
-        assert!(eval.is_complete(), "seed {seed}");
-        let merged = eval.into_resilient();
-        assert_eq!(direct.points, merged.points, "seed {seed}");
-        let render = |r: &ResilientEval| -> Vec<String> {
-            r.failures.iter().map(ToString::to_string).collect()
-        };
-        assert_eq!(render(&direct), render(&merged), "seed {seed}");
-    }
-}
-
-#[test]
 fn op_time_sweep_rows_match_manual_scalar_rows() {
     let model = EmbodiedModel::default();
     for seed in 0..20u64 {
         let mut rng = StdRng::seed_from_u64(0x0775 ^ seed);
         let configs = random_configs(&mut rng);
         let task = random_task(&mut rng);
-        let points = evaluated(&configs, &task, &model, 1).into_points().unwrap();
+        let points = evaluate_space(&configs, &task, &model).unwrap();
         let counts: Vec<f64> = (0..1 + index(&mut rng, 24))
             .map(|_| 10f64.powf(1.0 + 8.0 * rng.gen::<f64>()))
             .collect();

@@ -14,11 +14,16 @@ use cordoba_accel::params::TechTuning;
 use cordoba_accel::space::design_space;
 use cordoba_carbon::embodied::EmbodiedModel;
 use cordoba_carbon::intensity::grids;
-use cordoba_carbon::units::{Bytes, CarbonIntensity};
-use cordoba_par::Supervisor;
+use cordoba_carbon::units::Bytes;
 use cordoba_workloads::task::Task;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::num::NonZeroUsize;
+use std::sync::{Mutex, PoisonError};
+
+/// Held while a case sets the process-wide worker count, so the case
+/// really runs at the count it asks for.
+static THREADS: Mutex<()> = Mutex::new(());
 
 /// 1, an oversubscribed explicit count, and the auto (0 = `effective_threads`)
 /// path all have to agree with the obs-off baseline.
@@ -73,36 +78,17 @@ struct CaseResult {
     mc_stddev_bits: u64,
 }
 
-/// `configs` evaluated at `threads` workers under a supervisor that never
-/// trips.
-fn evaluated<'a>(
-    configs: &'a [AcceleratorConfig],
-    task: &Task,
-    model: &EmbodiedModel,
-    threads: usize,
-) -> SupervisedEval<'a> {
-    let mut run = SupervisedEval::new(configs, task, model);
-    run.advance(&Supervisor::unbounded(), threads);
-    run
-}
-
-/// The sweep computed at `threads` workers under a supervisor that never
-/// trips.
-fn swept(
-    points: Vec<DesignPoint>,
-    counts: Vec<f64>,
-    ci: CarbonIntensity,
-    threads: usize,
-) -> OpTimeSweep {
-    SweepCheckpoint::new(points, counts, ci)
-        .unwrap()
-        .resume(&Supervisor::unbounded(), threads)
-        .unwrap()
-        .complete()
-        .unwrap()
-}
-
+/// One case at the process worker count set to `threads` (0 = the
+/// default), restored to the default afterwards.
 fn run_case(seed: u64, threads: usize) -> CaseResult {
+    let _serial = THREADS.lock().unwrap_or_else(PoisonError::into_inner);
+    cordoba_par::set_threads(NonZeroUsize::new(threads));
+    let case = case(seed);
+    cordoba_par::set_threads(None);
+    case
+}
+
+fn case(seed: u64) -> CaseResult {
     let model = EmbodiedModel::default();
     let mut rng = StdRng::seed_from_u64(0x0B5D ^ seed);
     let mut configs = random_configs(&mut rng);
@@ -113,7 +99,7 @@ fn run_case(seed: u64, threads: usize) -> CaseResult {
         configs.insert(at, poisoned_config(&format!("poison{p}")));
     }
 
-    let resilient = evaluated(&configs, &task, &model, threads).into_resilient();
+    let resilient = ResilientEval::evaluate(&configs, &task, &model);
     let quarantined = resilient
         .failures
         .iter()
@@ -123,7 +109,7 @@ fn run_case(seed: u64, threads: usize) -> CaseResult {
     let counts: Vec<f64> = (0..1 + index(&mut rng, 10))
         .map(|_| 10f64.powf(1.0 + 8.0 * rng.gen::<f64>()))
         .collect();
-    let sweep = swept(resilient.points.clone(), counts, grids::US_AVERAGE, threads);
+    let sweep = OpTimeSweep::new(resilient.points.clone(), counts, grids::US_AVERAGE).unwrap();
 
     let beta_sweep = BetaSweep::run(&resilient.points);
 
@@ -139,11 +125,7 @@ fn run_case(seed: u64, threads: usize) -> CaseResult {
     let beta = format!("{:?}", beta_sweep.transitions());
 
     let spec = MonteCarloSpec::new(64, 0xDE7E ^ seed);
-    let mc = McRun::tcdp(&resilient.points[0], &spec)
-        .unwrap()
-        .advance(&Supervisor::unbounded(), threads)
-        .map(Option::unwrap)
-        .unwrap();
+    let mc = monte_carlo_tcdp(&resilient.points[0], &spec).unwrap();
 
     CaseResult {
         points: resilient.points,

@@ -20,8 +20,24 @@ use cordoba_par::Supervisor;
 use cordoba_workloads::task::Task;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::num::NonZeroUsize;
+use std::sync::{Mutex, PoisonError};
 
 const THREAD_COUNTS: [usize; 3] = [2, 4, 16];
+
+/// Serializes the tests that set the process-wide worker count, so each
+/// really runs at the count it asks for.
+static THREADS: Mutex<()> = Mutex::new(());
+
+/// Runs `f` with the process worker count set to `threads`, under
+/// [`THREADS`], then restores the default.
+fn at_threads<T>(threads: usize, f: impl FnOnce() -> T) -> T {
+    let _serial = THREADS.lock().unwrap_or_else(PoisonError::into_inner);
+    cordoba_par::set_threads(NonZeroUsize::new(threads));
+    let out = f();
+    cordoba_par::set_threads(None);
+    out
+}
 
 /// A uniformly random index in `0..n`.
 fn index(rng: &mut StdRng, n: usize) -> usize {
@@ -66,19 +82,6 @@ fn poisoned_config(name: &str) -> AcceleratorConfig {
     .unwrap()
 }
 
-/// `configs` evaluated at `threads` workers under a supervisor that never
-/// trips.
-fn evaluated<'a>(
-    configs: &'a [AcceleratorConfig],
-    task: &Task,
-    model: &EmbodiedModel,
-    threads: usize,
-) -> SupervisedEval<'a> {
-    let mut run = SupervisedEval::new(configs, task, model);
-    run.advance(&Supervisor::unbounded(), threads);
-    run
-}
-
 /// The sweep computed at `threads` workers under a supervisor that never
 /// trips.
 fn swept(
@@ -102,11 +105,10 @@ fn evaluate_space_is_bit_identical_across_thread_counts() {
         let mut rng = StdRng::seed_from_u64(0xE5A1 ^ seed);
         let configs = random_configs(&mut rng);
         let task = random_task(&mut rng);
-        let sequential = evaluated(&configs, &task, &model, 1).into_points().unwrap();
+        let run = || evaluate_space(&configs, &task, &model).unwrap();
+        let sequential = at_threads(1, run);
         for threads in THREAD_COUNTS {
-            let parallel = evaluated(&configs, &task, &model, threads)
-                .into_points()
-                .unwrap();
+            let parallel = at_threads(threads, run);
             assert_eq!(sequential, parallel, "seed {seed}, {threads} threads");
         }
     }
@@ -119,7 +121,7 @@ fn op_time_sweep_is_bit_identical_across_thread_counts() {
         let mut rng = StdRng::seed_from_u64(0x0F5E ^ seed);
         let configs = random_configs(&mut rng);
         let task = random_task(&mut rng);
-        let points = evaluated(&configs, &task, &model, 1).into_points().unwrap();
+        let points = evaluate_space(&configs, &task, &model).unwrap();
         let counts: Vec<f64> = (0..1 + index(&mut rng, 40))
             .map(|_| 10f64.powf(1.0 + 8.0 * rng.gen::<f64>()))
             .collect();
@@ -136,39 +138,25 @@ fn monte_carlo_is_bit_identical_across_thread_counts() {
     let model = EmbodiedModel::default();
     let space = design_space();
     let task = Task::xr_5_kernels();
-    let points = evaluated(&space, &task, &model, 1).into_points().unwrap();
+    let points = evaluate_space(&space, &task, &model).unwrap();
     for seed in 0..40u64 {
         let mut rng = StdRng::seed_from_u64(0x3CA0 ^ seed);
         let samples = 1 + index(&mut rng, 300);
         let spec = MonteCarloSpec::new(samples, rng.gen::<u64>());
         let point = &points[index(&mut rng, points.len())];
-        let sequential = McRun::tcdp(point, &spec)
-            .unwrap()
-            .advance(&Supervisor::unbounded(), 1)
-            .map(Option::unwrap)
-            .unwrap();
+        let tcdp = || monte_carlo_tcdp(point, &spec).unwrap();
+        let sequential = at_threads(1, tcdp);
         assert_eq!(sequential.samples, samples);
         // A handful of candidates for the regret study, sequential baseline.
         let candidates: Vec<DesignPoint> = (0..2 + index(&mut rng, 6))
             .map(|_| points[index(&mut rng, points.len())].clone())
             .collect();
-        let regret_sequential = McRun::regret(&candidates, &spec)
-            .unwrap()
-            .advance(&Supervisor::unbounded(), 1)
-            .map(Option::unwrap)
-            .unwrap();
+        let regret = || monte_carlo_regret(&candidates, &spec).unwrap();
+        let regret_sequential = at_threads(1, regret);
         for threads in THREAD_COUNTS {
-            let parallel = McRun::tcdp(point, &spec)
-                .unwrap()
-                .advance(&Supervisor::unbounded(), threads)
-                .map(Option::unwrap)
-                .unwrap();
+            let parallel = at_threads(threads, tcdp);
             assert_eq!(sequential, parallel, "seed {seed}, {threads} threads");
-            let regret_parallel = McRun::regret(&candidates, &spec)
-                .unwrap()
-                .advance(&Supervisor::unbounded(), threads)
-                .map(Option::unwrap)
-                .unwrap();
+            let regret_parallel = at_threads(threads, regret);
             assert_eq!(
                 regret_sequential, regret_parallel,
                 "regret: seed {seed}, {threads} threads"
@@ -182,7 +170,7 @@ fn source_monte_carlo_is_bit_identical_across_thread_counts() {
     let model = EmbodiedModel::default();
     let space = design_space();
     let task = Task::ai_5_kernels();
-    let points = evaluated(&space, &task, &model, 1).into_points().unwrap();
+    let points = evaluate_space(&space, &task, &model).unwrap();
     let flat = ConstantCi::new(grids::US_AVERAGE);
     let trend = TrendCi::new(grids::COAL, 0.12).unwrap();
     let seasonal = SeasonalCi::solar_rich();
@@ -195,29 +183,15 @@ fn source_monte_carlo_is_bit_identical_across_thread_counts() {
         let samples = 1 + index(&mut rng, 300);
         let spec = SourceMonteCarloSpec::new(samples, rng.gen::<u64>());
         let point = &points[index(&mut rng, points.len())];
-        let sequential = McRun::source(point, &sources, &spec)
-            .unwrap()
-            .advance(&Supervisor::unbounded(), 1)
-            .map(Option::unwrap)
-            .unwrap();
+        let exact = || monte_carlo_source_tcdp(point, &sources, &spec).unwrap();
+        let sequential = at_threads(1, exact);
         assert_eq!(sequential.samples, samples);
-        let sampled_sequential = McRun::source(point, &sampled_sources, &spec)
-            .unwrap()
-            .advance(&Supervisor::unbounded(), 1)
-            .map(Option::unwrap)
-            .unwrap();
+        let sampled = || monte_carlo_source_tcdp(point, &sampled_sources, &spec).unwrap();
+        let sampled_sequential = at_threads(1, sampled);
         for threads in THREAD_COUNTS {
-            let parallel = McRun::source(point, &sources, &spec)
-                .unwrap()
-                .advance(&Supervisor::unbounded(), threads)
-                .map(Option::unwrap)
-                .unwrap();
+            let parallel = at_threads(threads, exact);
             assert_eq!(sequential, parallel, "seed {seed}, {threads} threads");
-            let sampled_parallel = McRun::source(point, &sampled_sources, &spec)
-                .unwrap()
-                .advance(&Supervisor::unbounded(), threads)
-                .map(Option::unwrap)
-                .unwrap();
+            let sampled_parallel = at_threads(threads, sampled);
             assert_eq!(
                 sampled_sequential, sampled_parallel,
                 "sampled: seed {seed}, {threads} threads"
@@ -239,11 +213,12 @@ fn resilient_evaluation_preserves_failure_ordering() {
             let at = index(&mut rng, configs.len() + 1);
             configs.insert(at, poisoned_config(&format!("poison{p}")));
         }
-        let sequential = evaluated(&configs, &task, &model, 1).into_resilient();
+        let run = || ResilientEval::evaluate(&configs, &task, &model);
+        let sequential = at_threads(1, run);
         assert_eq!(sequential.points.len(), healthy, "seed {seed}");
         assert_eq!(sequential.failures.len(), poisons, "seed {seed}");
         for threads in THREAD_COUNTS {
-            let parallel = evaluated(&configs, &task, &model, threads).into_resilient();
+            let parallel = at_threads(threads, run);
             assert_eq!(
                 sequential.points, parallel.points,
                 "seed {seed}, {threads} threads"

@@ -20,7 +20,13 @@ use cordoba_store::Store;
 use cordoba_workloads::task::Task;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::num::NonZeroUsize;
 use std::path::PathBuf;
+use std::sync::{Mutex, PoisonError};
+
+/// Serializes the tests that set the process-wide worker count, so each
+/// really runs at the count it asks for.
+static THREADS: Mutex<()> = Mutex::new(());
 
 /// A fresh, test-unique store directory (removed by the caller).
 fn store_dir(tag: &str) -> PathBuf {
@@ -107,9 +113,13 @@ fn warm_start_is_bit_identical_to_fresh_compute_at_every_thread_count() {
         let warm = evaluate_space_stored(&configs, &task, &model, &store).unwrap();
         assert_eq!(warm, fresh, "case {case}: warm hit must restore exact bits");
         for threads in [1, 2] {
-            let mut run = SupervisedEval::new(&configs, &task, &model);
-            run.advance(&Supervisor::unbounded(), threads);
-            let threaded = run.into_points().unwrap();
+            let threaded = {
+                let _serial = THREADS.lock().unwrap_or_else(PoisonError::into_inner);
+                cordoba_par::set_threads(NonZeroUsize::new(threads));
+                let points = evaluate_space(&configs, &task, &model).unwrap();
+                cordoba_par::set_threads(None);
+                points
+            };
             assert_eq!(warm, threaded, "case {case}: threads={threads}");
         }
         // Sweep: the restored tCDP matrix must equal the computed one.

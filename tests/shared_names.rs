@@ -14,11 +14,15 @@ use cordoba_accel::space::design_space;
 use cordoba_carbon::embodied::EmbodiedModel;
 use cordoba_carbon::intensity::grids;
 use cordoba_carbon::units::Bytes;
-use cordoba_par::Supervisor;
 use cordoba_store::Store;
 use cordoba_workloads::task::Task;
 use std::num::NonZeroUsize;
 use std::path::PathBuf;
+use std::sync::{Mutex, PoisonError};
+
+/// Serializes the tests that set the process-wide worker count, so each
+/// really runs at the count it asks for.
+static THREADS: Mutex<()> = Mutex::new(());
 
 /// The `eval_space` entry for the seed space and the XR-5 task under the
 /// default embodied model, as written before names were shared.
@@ -69,6 +73,7 @@ fn evaluated_points_share_their_configuration_names() {
     let configs = large_space();
     let tasks = Task::evaluation_suite();
     let model = EmbodiedModel::default();
+    let _serial = THREADS.lock().unwrap_or_else(PoisonError::into_inner);
     for threads in [1, 2] {
         cordoba_par::set_threads(NonZeroUsize::new(threads));
         let per_task = evaluate_space_multi(&configs, &tasks, &model).unwrap();
@@ -98,13 +103,11 @@ fn elimination_sweep_ledger_and_quarantine_share_the_names() {
     let configs = design_space();
     let mut with_poison = configs.clone();
     with_poison.push(poison);
-    let mut run = SupervisedEval::new(
+    let ResilientEval { points, failures } = ResilientEval::evaluate(
         &with_poison,
         &Task::xr_5_kernels(),
         &EmbodiedModel::default(),
     );
-    run.advance(&Supervisor::unbounded(), 1);
-    let ResilientEval { points, failures } = run.into_resilient();
     assert_shared("resilient points", &configs, points.iter().map(|p| &p.name));
     assert_shared(
         "failures",
