@@ -3,7 +3,6 @@
 use super::eliminate::for_each_csv_row;
 use super::*;
 use cordoba_accel::cache::EmbodiedCache;
-use cordoba_par::supervise::{Outcome, SupervisedMap};
 use cordoba_par::CostHint;
 
 pub(super) fn doctor(args: &Args<'_>) -> Result<String, CliError> {
@@ -215,17 +214,16 @@ fn doctor_supervision(out: &mut String) -> Result<(), CliError> {
     // Panic isolation: a deliberately panicking work unit must land as a
     // quarantined outcome with the process intact and its peers computed.
     install_panic_probe_filter();
-    let mut run = SupervisedMap::new(3);
-    run.advance(1, CostHint::per_item_ns(1), &Supervisor::unbounded(), |x| {
-        if x == 1 {
-            // Deliberate: this probe exists to prove panics are isolated.
-            panic!("{PANIC_PROBE} deliberate probe panic"); // cordoba-lint: allow(no-panic)
-        }
-        x * 2
+    let run = cordoba_par::map(3, 1, CostHint::per_item_ns(1), |x| {
+        cordoba_par::isolate(|| {
+            if x == 1 {
+                // Deliberate: this probe exists to prove panics are isolated.
+                panic!("{PANIC_PROBE} deliberate probe panic"); // cordoba-lint: allow(no-panic)
+            }
+            x * 2
+        })
     });
-    let isolation_ok = run.is_complete()
-        && matches!(run.outcomes().get(1), Some(Outcome::Panicked(_)))
-        && run.outcomes().iter().filter(|o| o.done().is_some()).count() == 2;
+    let isolation_ok = run.len() == 3 && run[1].is_err() && run.iter().flatten().count() == 2;
     let _ = writeln!(
         out,
         "  panic isolation: {}",

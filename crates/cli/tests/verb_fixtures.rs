@@ -1,11 +1,13 @@
 //! The stdout, stderr and exit code of `provision`, a lenient `dse` with
-//! an attribution ledger, and a deadline-checkpointed `dse` followed by
-//! its `--resume`, compared byte for byte with committed fixtures at
-//! `--threads 1` and `2`; the checkpoint file's bytes are compared too.
+//! an attribution ledger, a deadline-checkpointed `dse` followed by its
+//! `--resume`, a cold and a warm `dse --store` followed by `replay` and
+//! `cache inspect`, and three `dse` usage errors, compared byte for byte
+//! with committed fixtures at `--threads 1` and `2`; the checkpoint file's
+//! bytes are compared too.
 //!
 //! Each command runs in a fresh `cordoba` process inside its own temporary
-//! working directory, so the relative checkpoint path lands there. The
-//! fixtures under `tests/fixtures/verbs/` record each command as
+//! working directory, so the relative checkpoint and store paths land
+//! there. The fixtures under `tests/fixtures/verbs/` record each command as
 //!
 //! ```text
 //! exit: <code>
@@ -14,7 +16,8 @@
 //! <stderr bytes>
 //! ```
 //!
-//! None of these outputs carries a timing, so nothing is normalized away;
+//! None of these outputs carries a timing, and two runs of one binary
+//! printed the same bytes, so nothing is normalized away;
 //! a deliberate change to a verb's output edits its fixture in the same
 //! change.
 
@@ -139,6 +142,67 @@ fn deadline_checkpoint_and_resume_match_their_fixtures() {
             threads,
             "dse_resume.expected",
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// A cold `dse --store` fills the store and a warm one reads it back with
+/// the same transcript; `replay` of the run hash it prints renders that
+/// transcript again, and `cache inspect` lists the three entries the cold
+/// run wrote and the warm run did not add to.
+#[test]
+fn store_cold_warm_replay_and_inspect_match_their_fixtures() {
+    let dse = [
+        "dse", "--task", "xr5", "--lo", "5", "--hi", "7", "--store", "st",
+    ];
+    for threads in ["1", "2"] {
+        let dir = work_dir("store", threads);
+        check(&dir, &dse, threads, "dse_store.expected");
+        check(&dir, &dse, threads, "dse_store.expected");
+        check(
+            &dir,
+            &[
+                "replay",
+                "761f42abb2aa2daf0eccfc1c19c88398",
+                "--store",
+                "st",
+            ],
+            threads,
+            "replay_store.expected",
+        );
+        check(
+            &dir,
+            &["cache", "inspect", "--store", "st"],
+            threads,
+            "cache_inspect_store.expected",
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// A valued option given bare, `--resume` with `--lenient`, and
+/// `--checkpoint` without `--deadline` each exit 2 with a naming error.
+#[test]
+fn dse_usage_errors_match_their_fixtures() {
+    let cases: [(&[&str], &str); 3] = [
+        (
+            &["dse", "--task", "xr5", "--store"],
+            "dse_store_missing_value.expected",
+        ),
+        (
+            &["dse", "--resume", "c", "--lenient"],
+            "dse_resume_lenient.expected",
+        ),
+        (
+            &["dse", "--checkpoint", "c"],
+            "dse_checkpoint_without_deadline.expected",
+        ),
+    ];
+    for threads in ["1", "2"] {
+        let dir = work_dir("usage", threads);
+        for (args, fixture) in cases {
+            check(&dir, args, threads, fixture);
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

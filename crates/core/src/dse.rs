@@ -19,7 +19,7 @@ use cordoba_carbon::integral::CiIntegral;
 use cordoba_carbon::units::{CarbonIntensity, Seconds};
 use cordoba_carbon::CarbonError;
 use cordoba_obs::{Event, Histogram, Name};
-use cordoba_par::{CostHint, Outcome, SupervisedMap, Supervisor};
+use cordoba_par::CostHint;
 use cordoba_workloads::task::Task;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
@@ -160,26 +160,24 @@ pub fn accel_design_point(
     )?)
 }
 
-/// Characterizes every configuration for `task` through one batch, under
-/// one unbounded map at [`cordoba_par::effective_threads`]: one outcome per
-/// configuration, in input order. A configuration that returns an error or
-/// panics is recorded in its own slot (the map isolates the panic) and the
-/// rest of the space is still evaluated.
-fn evaluate_each(
+/// Characterizes every configuration for `task` through one batch, as
+/// `each(batch, idx)` under one [`cordoba_par::map`] at
+/// [`cordoba_par::effective_threads`]: one value per configuration, in
+/// input order.
+fn evaluate_each<R: Send>(
     configs: &[AcceleratorConfig],
     task: &Task,
     embodied: &EmbodiedModel,
-) -> SupervisedMap<Result<DesignPoint, CoreError>> {
+    each: impl Fn(&EvalBatch<'_>, usize) -> R + Sync,
+) -> Vec<R> {
     let batch = EvalBatch::new(configs, std::slice::from_ref(task), embodied);
     let _span = cordoba_obs::span_timed("core/evaluate_space", &EVALUATE_SPACE_NS);
-    let mut slots = SupervisedMap::new(configs.len());
-    slots.advance(
+    cordoba_par::map(
+        configs.len(),
         cordoba_par::effective_threads(),
         CostHint::per_item_ns(EVAL_NS_PER_CONFIG),
-        &Supervisor::unbounded(),
-        |idx| batch.design_point(idx),
-    );
-    slots
+        |idx| each(&batch, idx),
+    )
 }
 
 /// Characterizes a whole configuration list for a task, aborting on the
@@ -206,10 +204,11 @@ pub fn evaluate_space(
     task: &Task,
     embodied: &EmbodiedModel,
 ) -> Result<Vec<DesignPoint>, CoreError> {
-    evaluate_each(configs, task, embodied)
-        .into_values()
-        .into_iter()
-        .collect()
+    evaluate_each(configs, task, embodied, |batch, idx| {
+        batch.design_point(idx)
+    })
+    .into_iter()
+    .collect()
 }
 
 /// Characterizes a configuration list for *several* tasks at once, sharing
@@ -255,14 +254,11 @@ pub fn evaluate_space_multi(
         .map(|start| start..configs.len().min(start + chunk_len))
         .collect();
     let hint = CostHint::per_item_ns(ns_per_config.saturating_mul(chunk_len as u64));
-    let mut map = SupervisedMap::new(chunks.len());
-    map.advance(workers, hint, &Supervisor::unbounded(), |c| {
+    let mut parts = cordoba_par::map(chunks.len(), workers, hint, |c| {
         batch.chunk(chunks[c].clone())
-    });
-    let mut parts = map
-        .into_values()
-        .into_iter()
-        .collect::<Result<Vec<_>, _>>()?;
+    })
+    .into_iter()
+    .collect::<Result<Vec<_>, _>>()?;
     if parts.len() == 1 {
         return Ok(parts.swap_remove(0));
     }
@@ -294,10 +290,10 @@ impl fmt::Display for EvalFailure {
 /// cleanly plus a quarantine report for those that did not.
 ///
 /// A poisoned configuration (corrupted tuning, unpriceable kernel, or a
-/// *panicking* evaluation — panics are isolated per configuration by the
-/// supervised map) lands in `failures` with its structured error; every
-/// healthy configuration is still evaluated. On a clean space `points` are
-/// exactly those of [`evaluate_space`].
+/// *panicking* evaluation — panics are isolated per configuration by
+/// [`cordoba_par::isolate`]) lands in `failures` with its structured
+/// error; every healthy configuration is still evaluated. On a clean
+/// space `points` are exactly those of [`evaluate_space`].
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ResilientEval {
     /// Successfully characterized design points, in input order.
@@ -319,17 +315,17 @@ impl ResilientEval {
             points: Vec::with_capacity(configs.len()),
             failures: Vec::new(),
         };
-        let outcomes = evaluate_each(configs, task, embodied).into_outcomes();
-        for (config, slot) in configs.iter().zip(outcomes) {
-            let error = match slot {
-                Outcome::Done(Ok(point)) => {
+        let outcomes = evaluate_each(configs, task, embodied, |batch, idx| {
+            cordoba_par::isolate(|| batch.design_point(idx))
+        });
+        for (config, outcome) in configs.iter().zip(outcomes) {
+            let error = match outcome {
+                Ok(Ok(point)) => {
                     result.points.push(point);
                     continue;
                 }
-                Outcome::Done(Err(error)) => error,
-                Outcome::Panicked(message) => CoreError::Panicked(message),
-                // An unbounded map attempts every slot.
-                Outcome::Skipped => continue,
+                Ok(Err(error)) => error,
+                Err(message) => CoreError::Panicked(message),
             };
             cordoba_obs::record(&Event::Quarantine);
             result.failures.push(EvalFailure {

@@ -1,19 +1,20 @@
 //! The one supervised pipeline: the operational-time sweep and its
 //! checkpoint.
 //!
-//! The framework-layer face of the execution-supervision substrate in
-//! [`cordoba_par::supervise`]. The Fig. 8 tCDP grid is the pipeline a user
-//! interrupts and resumes (`dse --deadline … --checkpoint …` /
-//! `dse --resume …`), so it is the one runner that accepts a
-//! [`Supervisor`] and a worker-thread count: instead of running
-//! all-or-nothing, [`SweepCheckpoint::resume`] keeps every computed row
-//! keyed by row index when the supervisor stops it, and an interrupted
-//! sweep yields a [`PartialSweep`] whose checkpoint serializes to a
+//! The Fig. 8 tCDP grid is the pipeline a user interrupts and resumes
+//! (`dse --deadline … --checkpoint …` / `dse --resume …`), so it is the one
+//! runner that accepts a [`Supervisor`] (from [`cordoba_par::supervise`])
+//! and a worker-thread count. It owns its resume state: a
+//! [`SweepCheckpoint`] marks each row done or pending, and
+//! [`SweepCheckpoint::resume`] maps [`cordoba_par::map`] over the pending
+//! rows only. Each row checks the supervisor before it runs, so a stop
+//! keeps every computed row keyed by row index, and an interrupted sweep
+//! yields a [`PartialSweep`] whose checkpoint serializes to a
 //! deterministic text format ([`SweepCheckpoint::to_text`]). The plain
 //! [`OpTimeSweep::new`] is this runner under [`Supervisor::unbounded`] at
 //! [`cordoba_par::effective_threads`]. Every other pipeline (space
 //! evaluation, Monte Carlo, provisioning) is a plain function over one
-//! unbounded map.
+//! [`cordoba_par::map`].
 //!
 //! # Determinism argument
 //!
@@ -32,7 +33,7 @@ use crate::store::{parse_point_line, point_line};
 use cordoba_carbon::units::{CarbonIntensity, GramsCo2e, Joules, Seconds, SquareCentimeters};
 use cordoba_carbon::CarbonError;
 use cordoba_obs::{Event, Histogram};
-use cordoba_par::supervise::{StopReason, SupervisedMap, Supervisor};
+use cordoba_par::supervise::{StopReason, Supervisor};
 use cordoba_par::CostHint;
 use cordoba_store::{parse_hex_f64, push_hex_f64};
 use std::fmt::Write as _;
@@ -119,12 +120,11 @@ pub struct SweepCheckpoint {
     ci_use: CarbonIntensity,
     /// `contexts[n]` is the validated context of `task_counts[n]`.
     contexts: Vec<OperationalContext>,
-    /// Flat row-major tCDP matrix; row `n` holds results once row `n` of
-    /// `rows` is done and zeros before.
+    /// Flat row-major tCDP matrix; row `n` holds results once `done[n]`
+    /// and zeros before.
     tcdp: Vec<f64>,
-    /// One slot per row; the rows themselves are written in place into
-    /// `tcdp`.
-    rows: SupervisedMap<()>,
+    /// `done[n]` once row `n` of `tcdp` is computed.
+    done: Vec<bool>,
     /// Why the originating run stopped.
     reason: StopReason,
 }
@@ -170,7 +170,7 @@ impl SweepCheckpoint {
             .collect::<Result<Vec<_>, _>>()?;
         Ok(Self {
             tcdp: vec![0.0; points.len() * task_counts.len()],
-            rows: SupervisedMap::new(task_counts.len()),
+            done: vec![false; task_counts.len()],
             points,
             task_counts,
             ci_use,
@@ -206,7 +206,7 @@ impl SweepCheckpoint {
     /// Rows already computed.
     #[must_use]
     pub fn completed_rows(&self) -> usize {
-        self.rows.attempted()
+        self.done.iter().filter(|&&done| done).count()
     }
 
     /// Total rows in the sweep.
@@ -224,7 +224,7 @@ impl SweepCheckpoint {
     /// Indices of rows still pending, ascending.
     #[must_use]
     pub fn pending_rows(&self) -> Vec<usize> {
-        self.rows.pending_indices()
+        (0..self.done.len()).filter(|&n| !self.done[n]).collect()
     }
 
     /// A one-paragraph human-readable coverage report.
@@ -248,27 +248,27 @@ impl SweepCheckpoint {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::Panicked`] with the first (in row order)
-    /// panicking row's message.
+    /// None: [`SweepCheckpoint::new`] validated every input, so no row can
+    /// fail.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises the first (in row order) panicking row on the caller.
     pub fn resume(
         mut self,
         sup: &Supervisor,
         threads: usize,
     ) -> Result<SupervisedSweep, CoreError> {
-        self.fill(sup, threads);
-        if let Some(message) = self.rows.first_panic() {
-            return Err(CoreError::Panicked(message.to_owned()));
-        }
-        match self.rows.stop() {
-            None => Ok(SupervisedSweep::Complete(self.into_sweep())),
+        Ok(match self.fill(sup, threads) {
+            None => SupervisedSweep::Complete(self.into_sweep()),
             Some(reason) => {
                 self.reason = reason;
-                Ok(SupervisedSweep::Partial(PartialSweep {
+                SupervisedSweep::Partial(PartialSweep {
                     checkpoint: self,
                     reason,
-                }))
+                })
             }
-        }
+        })
     }
 
     /// Completes the sweep under a supervisor that never trips at
@@ -279,35 +279,53 @@ impl SweepCheckpoint {
         self.into_sweep()
     }
 
-    /// The sweep engine: writes every pending row in place into the flat
-    /// matrix (no per-row allocation and no merge copy, sequential or
-    /// parallel) under the supervised map's stop checks and per-row panic
-    /// isolation.
-    fn fill(&mut self, sup: &Supervisor, threads: usize) {
+    /// The sweep engine: maps over the pending rows, each of which checks
+    /// `sup` before it runs, writes itself in place into the flat matrix
+    /// (no per-row allocation and no merge copy, sequential or parallel)
+    /// and counts itself completed. Returns why `sup` stopped the run
+    /// (recorded once as a supervision event) when a row is left pending.
+    fn fill(&mut self, sup: &Supervisor, threads: usize) -> Option<StopReason> {
         let _span = cordoba_obs::span_timed("core/op_time_sweep", &OP_TIME_SWEEP_NS);
         let (points, contexts) = (&self.points, &self.contexts);
-        // Each row is handed out once, behind its own uncontended lock, so
-        // workers write disjoint rows through a shared slice. A row is
-        // locked at most once, so no lock is ever seen poisoned.
-        let matrix: Vec<Mutex<&mut [f64]>> = self
-            .tcdp
-            .chunks_exact_mut(points.len())
-            .map(Mutex::new)
-            .collect();
+        // Each pending row is handed out once, with its index, behind its
+        // own uncontended lock, so workers write disjoint rows through a
+        // shared slice. A row is locked at most once, so no lock is ever
+        // seen poisoned.
+        let mut pending = Vec::with_capacity(self.done.len());
+        let rows = self.tcdp.chunks_exact_mut(points.len()).zip(&self.done);
+        for (n, (row, &done)) in rows.enumerate() {
+            if !done {
+                pending.push((n, Mutex::new(row)));
+            }
+        }
         let hint = CostHint::per_item_ns(TCDP_NS_PER_POINT.saturating_mul(points.len() as u64));
-        self.rows.advance(threads, hint, sup, |n| {
-            let ctx = &contexts[n];
-            let mut row = matrix[n].lock().unwrap_or_else(PoisonError::into_inner);
+        let ran = cordoba_par::map(pending.len(), threads, hint, |k| {
+            // A stop is sticky, so once one row sees it every later row of
+            // its run does too: a run stops at its first positive check.
+            if sup.should_stop().is_some() {
+                return false;
+            }
+            let (n, row) = &pending[k];
+            let ctx = &contexts[*n];
+            let mut row = row.lock().unwrap_or_else(PoisonError::into_inner);
             for (cell, p) in row.iter_mut().zip(points) {
                 *cell = p.tcdp(ctx).value();
             }
+            sup.note_completed(1);
+            true
         });
+        for ((n, _), ran) in pending.into_iter().zip(ran) {
+            self.done[n] = ran;
+        }
+        // A row left pending implies a latched cancel, a tripped threshold
+        // or an elapsed deadline, all sticky, so this re-check agrees with
+        // what the row saw. The fallback cannot fire but keeps this total.
+        (!self.done.iter().all(|&done| done))
+            .then(|| sup.record_stop(sup.should_stop().unwrap_or(StopReason::Cancelled)))
     }
 
-    /// The completed sweep; callers have filled every row. Re-raises the
-    /// first panicked row on the caller.
+    /// The completed sweep; callers have filled every row.
     fn into_sweep(self) -> OpTimeSweep {
-        let _: Vec<()> = self.rows.into_values();
         OpTimeSweep {
             points: self.points,
             task_counts: self.task_counts,
@@ -340,14 +358,8 @@ impl SweepCheckpoint {
             out.push('\n');
         }
         let _ = writeln!(out, "rows {}", self.completed_rows());
-        let rows = self
-            .tcdp
-            .chunks_exact(self.points.len())
-            .zip(self.rows.outcomes());
-        for (idx, (values, _)) in rows
-            .enumerate()
-            .filter(|(_, (_, row))| row.done().is_some())
-        {
+        let rows = self.tcdp.chunks_exact(self.points.len()).zip(&self.done);
+        for (idx, (values, _)) in rows.enumerate().filter(|(_, (_, &done))| done) {
             let _ = write!(out, "r {idx}");
             for v in values {
                 out.push(' ');
@@ -455,7 +467,7 @@ impl SweepCheckpoint {
             if idx >= n {
                 return Err(bad(format!("row index {idx} out of range (rows: {n})")));
             }
-            if checkpoint.rows.outcomes()[idx].done().is_some() {
+            if checkpoint.done[idx] {
                 return Err(bad(format!("duplicate row index {idx}")));
             }
             let values = tokens
@@ -468,7 +480,7 @@ impl SweepCheckpoint {
                 )));
             }
             checkpoint.tcdp[idx * m..(idx + 1) * m].copy_from_slice(&values);
-            checkpoint.rows.restore(idx, ());
+            checkpoint.done[idx] = true;
         }
         if next("end")? != "end" {
             return Err(bad("missing end marker".to_string()));
@@ -489,8 +501,11 @@ impl SweepCheckpoint {
 ///
 /// # Errors
 ///
-/// Same input validation as [`OpTimeSweep::new`], plus
-/// [`CoreError::Panicked`] when a row computation panics.
+/// Same input validation as [`OpTimeSweep::new`].
+///
+/// # Panics
+///
+/// Re-raises the first (in row order) panicking row on the caller.
 pub fn op_time_sweep_supervised(
     points: Vec<DesignPoint>,
     task_counts: Vec<f64>,

@@ -8,7 +8,6 @@ use cordoba_carbon::intensity::grids;
 use cordoba_carbon::units::{CarbonIntensity, Seconds};
 use cordoba_carbon::CarbonError;
 use cordoba_obs::Name;
-use cordoba_par::supervise::{SupervisedMap, Supervisor};
 use cordoba_par::CostHint;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -359,7 +358,7 @@ fn moments(values: impl Iterator<Item = f64>) -> Vec<f64> {
 }
 
 /// Runs `block` once per RNG block of a `samples`-long experiment under
-/// one unbounded map at [`cordoba_par::effective_threads`], inside the
+/// one [`cordoba_par::map`] at [`cordoba_par::effective_threads`], inside the
 /// experiment's `span`, and returns the per-block partials in block order.
 /// `ns_per_draw` sizes the map's [`CostHint`] (one block is `MC_BLOCK`
 /// draws).
@@ -374,14 +373,12 @@ fn block_partials(
     block: impl Fn(u64) -> Vec<f64> + Sync,
 ) -> Vec<Vec<f64>> {
     let _span = cordoba_obs::span_with(span, "samples", u64::try_from(samples).unwrap_or(u64::MAX));
-    let mut partials = SupervisedMap::new(samples.div_ceil(MC_BLOCK));
-    partials.advance(
+    cordoba_par::map(
+        samples.div_ceil(MC_BLOCK),
         cordoba_par::effective_threads(),
         CostHint::per_item_ns(ns_per_draw.saturating_mul(MC_BLOCK as u64)),
-        &Supervisor::unbounded(),
         |b| block(b as u64),
-    );
-    partials.into_values()
+    )
 }
 
 /// Folds per-block [`moments`] sequentially in block order, so the final

@@ -5,9 +5,9 @@
 //! concurrency through `cordoba_par`'s deterministic, order-preserving
 //! map. A stray `thread::spawn` or `mpsc::channel` reintroduces
 //! scheduling-order dependence that no property suite can exhaustively
-//! test. Library code must express parallelism as a
-//! `cordoba_par::SupervisedMap` advance over a pure closure; only the
-//! `par` crate itself may touch the std primitives.
+//! test. Library code must express parallelism as a `cordoba_par::map`
+//! over a pure closure; only the `par` crate itself may touch the std
+//! primitives.
 
 use crate::diagnostics::Diagnostic;
 use crate::rules::determinism::{in_scope, path_ending_at};
@@ -29,7 +29,7 @@ impl Rule for RawThread {
     }
 
     fn description(&self) -> &'static str {
-        "std::thread spawn/scope or mpsc channels outside cordoba-par — use cordoba_par::SupervisedMap"
+        "std::thread spawn/scope or mpsc channels outside cordoba-par — use cordoba_par::map"
     }
 
     fn check(&self, inputs: &RuleInputs<'_>) -> Vec<Diagnostic> {
@@ -66,7 +66,7 @@ impl Rule for RawThread {
                     format!(
                         "`{}` creates raw threads/channels whose scheduling order is \
                          nondeterministic; route parallelism through \
-                         `cordoba_par::SupervisedMap::advance` (only crates/par may use \
+                         `cordoba_par::map` (only crates/par may use \
                          std::thread directly)",
                         resolved.join("::"),
                     ),

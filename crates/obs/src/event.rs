@@ -67,8 +67,8 @@ pub enum Event {
         /// Work units completed before the cancellation was observed.
         completed: u64,
     },
-    /// An item panicked inside a `SupervisedMap` advance; the item was
-    /// quarantined instead of aborting the process.
+    /// An item panicked inside `cordoba_par::isolate`; its panic was
+    /// quarantined as a message instead of unwinding the caller.
     ChunkPanic,
     /// A sweep checkpoint was serialized for later resumption.
     CheckpointWritten {

@@ -5,31 +5,29 @@
 //! core-count provisioning study — is a pure map
 //! over independent items. This crate parallelizes exactly that shape with
 //! **zero external dependencies** (`std::thread::scope` +
-//! `std::thread::available_parallelism`) through one map,
-//! [`SupervisedMap`], under a strict determinism contract:
+//! `std::thread::available_parallelism`) through one function, [`map`],
+//! under a strict determinism contract:
 //!
 //! * **Order-preserving**: results are stored by input index, so for a
-//!   pure closure [`SupervisedMap::into_values`] is *byte-identical* to
+//!   pure closure [`map`] is *byte-identical* to
 //!   `(0..len).map(f).collect()` at every thread count.
 //! * **One worker rule**: a [`CostHint`] (estimated nanoseconds per item)
-//!   decides how many workers the pending work pays for; below
+//!   decides how many workers the work pays for; below
 //!   [`CostHint::MIN_PARALLEL_WORK_NS`] of estimated work, or at a thread
 //!   count of 1, the map runs inline on the calling thread.
-//! * **Supervisable and resumable**: [`SupervisedMap::advance`] checks a
-//!   [`Supervisor`] (cooperative cancellation + deadline budget) before
-//!   every item, isolates each item's panic, and attempts only the slots
-//!   no earlier advance attempted — the substrate for the workspace's one
-//!   checkpoint/resume pipeline, the operational-time sweep (see
-//!   [`supervise`]). Every other pipeline runs one advance under
-//!   [`Supervisor::unbounded`] at [`effective_threads`].
-//! * **Panics reach the caller**: [`SupervisedMap::into_values`] re-raises
-//!   the first (in input order) panicked item, as a sequential loop would.
-//!   Fallible work returns `Result` inside the value, and collecting the
-//!   values keeps the sequential "first error in input order" contract.
+//! * **Panics reach the caller**: [`map`] re-raises the panic of the
+//!   lowest panicking index, as a sequential loop would. Fallible work
+//!   returns `Result` inside the value, and collecting the values keeps
+//!   the sequential "first error in input order" contract. A caller that
+//!   must carry on past a panicking item wraps the item in [`isolate`].
+//!
+//! The one pipeline a user stops and resumes, the operational-time sweep,
+//! checks a [`Supervisor`] inside its own rows (see [`supervise`]); the
+//! map itself knows nothing of stopping.
 //!
 //! # Thread-count resolution
 //!
-//! Every advance takes its thread count explicitly. Pipelines pass
+//! Every map takes its thread count explicitly. Pipelines pass
 //! [`effective_threads`]: the process-wide setting ([`set_threads`], wired
 //! to the CLI's `--threads N`), falling back to
 //! [`std::thread::available_parallelism`]. A count of 1 is exactly the
@@ -38,26 +36,28 @@
 //! # Examples
 //!
 //! ```
-//! use cordoba_par::{CostHint, SupervisedMap, Supervisor};
+//! use cordoba_par::CostHint;
 //!
 //! let inputs = ["1", "2", "x"];
-//! let mut map = SupervisedMap::new(inputs.len());
-//! map.advance(2, CostHint::per_item_ns(1), &Supervisor::unbounded(), |i| {
-//!     inputs[i].parse::<i32>()
-//! });
-//! let parsed: Result<Vec<i32>, _> = map.into_values().into_iter().collect();
+//! let parsed: Result<Vec<i32>, _> =
+//!     cordoba_par::map(inputs.len(), 2, CostHint::per_item_ns(1), |i| {
+//!         inputs[i].parse::<i32>()
+//!     })
+//!     .into_iter()
+//!     .collect();
 //! assert!(parsed.is_err());
 //! ```
 
 pub mod supervise;
 
-pub use supervise::{Outcome, StopReason, SupervisedMap, Supervisor};
+pub use supervise::{StopReason, Supervisor};
 
 use std::num::NonZeroUsize;
+use std::ops::Range;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Caller-supplied per-item cost estimate: the worker rule of
-/// [`SupervisedMap::advance`].
+/// Caller-supplied per-item cost estimate: the worker rule of [`map`].
 ///
 /// Item count alone cannot tell a 121-item sweep of microsecond work
 /// (where spawning threads *loses* time) from 121 items of millisecond work
@@ -169,6 +169,131 @@ pub fn effective_threads() -> usize {
     }
 }
 
+/// `f(i)` for every `i` in `0..len`, in input order, with as many workers
+/// (at most `threads`, 1 = the calling thread) as `hint` says the work
+/// pays for.
+///
+/// Each worker walks one contiguous run of indices front to back; a single
+/// worker runs inline on the caller. For a pure `f` the result is
+/// bit-identical to `(0..len).map(f).collect()` at every thread count.
+///
+/// ```
+/// use cordoba_par::CostHint;
+///
+/// let items = [1u64, 2, 3, 4];
+/// let squares = cordoba_par::map(items.len(), 2, CostHint::per_item_ns(1), |i| {
+///     items[i] * items[i]
+/// });
+/// assert_eq!(squares, vec![1, 4, 9, 16]);
+/// ```
+///
+/// # Panics
+///
+/// A panic ends only its own run. Once every worker has joined, the panic
+/// of the lowest panicking index is re-raised on the caller with its
+/// message as a `String` payload, as a sequential loop would have raised
+/// it.
+pub fn map<R, F>(len: usize, threads: usize, hint: CostHint, f: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(usize) -> R + Sync,
+{
+    let workers = hint.workers(len, threads);
+    let runs = if workers <= 1 {
+        vec![run(0..len, &f)]
+    } else {
+        let per_worker = len.div_ceil(workers);
+        let f = &f;
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..len)
+                .step_by(per_worker)
+                .map(|start| {
+                    let indices = start..len.min(start + per_worker);
+                    scope.spawn(move || {
+                        // Observability side channel only: the span never
+                        // touches the mapped values.
+                        let _span = cordoba_obs::span_with(
+                            "par/chunk",
+                            "items",
+                            u64::try_from(indices.len()).unwrap_or(u64::MAX),
+                        );
+                        run(indices, f)
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                // Each run catches the panics of `f`, so a join failure is
+                // a panic outside `f` (say, in obs plumbing): re-raise it.
+                .map(|h| h.join().unwrap_or_else(|p| resume_unwind(p)))
+                .collect::<Vec<_>>()
+        })
+    };
+    let mut values = Vec::new();
+    for run in runs {
+        // Runs are in index order and each ends at its first panic, so the
+        // first failed run holds the lowest panicking index.
+        let run = run.unwrap_or_else(|message| resume_unwind(Box::new(message)));
+        if values.is_empty() {
+            // The first run's buffer becomes the result, so an inline map
+            // allocates nothing beyond its own values.
+            values = run;
+            values.reserve_exact(len - values.len());
+        } else {
+            values.extend(run);
+        }
+    }
+    values
+}
+
+/// `f` over one contiguous run of indices, under one `catch_unwind` for
+/// the whole run.
+fn run<R>(indices: Range<usize>, f: &impl Fn(usize) -> R) -> Result<Vec<R>, String> {
+    catch(|| indices.map(f).collect())
+}
+
+/// Runs `f`, quarantining its panic: the panic's message, and one
+/// `ChunkPanic` supervision event, instead of an unwinding caller.
+///
+/// This is per-item panic isolation for the callers that carry on past a
+/// failing item; [`map`] itself re-raises. Wrap the item, not the map:
+/// `map(len, threads, hint, |i| isolate(|| f(i)))` quarantines exactly the
+/// panicking indices at every thread count.
+///
+/// ```
+/// let quiet = std::panic::take_hook();
+/// std::panic::set_hook(Box::new(|_| {}));
+/// let result = cordoba_par::isolate(|| -> u32 { panic!("bad item") });
+/// std::panic::set_hook(quiet);
+/// assert_eq!(result, Err("bad item".to_string()));
+/// assert_eq!(cordoba_par::isolate(|| 7), Ok(7));
+/// ```
+///
+/// # Errors
+///
+/// Returns the panic's message when `f` panics.
+pub fn isolate<R>(f: impl FnOnce() -> R) -> Result<R, String> {
+    catch(f).inspect_err(|_| cordoba_obs::record(&cordoba_obs::Event::ChunkPanic))
+}
+
+/// `f`'s value, or its panic's message. `AssertUnwindSafe` is sound
+/// because a panicked call contributes nothing but its message: no state
+/// `f` touched is read afterwards by the map or its callers.
+fn catch<R>(f: impl FnOnce() -> R) -> Result<R, String> {
+    catch_unwind(AssertUnwindSafe(f)).map_err(|payload| panic_message(payload.as_ref()))
+}
+
+/// Renders a panic payload into a stable, storable message.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "panic payload of unknown type".to_string()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -176,29 +301,17 @@ mod tests {
     /// A hint heavy enough that every requested thread count fans out.
     const HEAVY: CostHint = CostHint::per_item_ns(1_000_000);
 
-    /// `f` over `0..len` through one unbounded advance.
-    fn map_values<R: Send>(
-        len: usize,
-        threads: usize,
-        hint: CostHint,
-        f: impl Fn(usize) -> R + Sync,
-    ) -> Vec<R> {
-        let mut map = SupervisedMap::new(len);
-        map.advance(threads, hint, &Supervisor::unbounded(), f);
-        map.into_values()
-    }
-
     #[test]
     fn preserves_order_and_values_at_every_thread_count() {
         let items: Vec<u64> = (0..1000).collect();
         let expected: Vec<u64> = items.iter().map(|x| x.wrapping_mul(31) ^ 7).collect();
         for threads in [1, 2, 3, 4, 7, 64, 1000, 5000] {
-            let got = map_values(items.len(), threads, HEAVY, |i| {
+            let got = map(items.len(), threads, HEAVY, |i| {
                 Ok::<_, ()>(items[i].wrapping_mul(31) ^ 7)
             });
             let got: Result<Vec<u64>, ()> = got.into_iter().collect();
             assert_eq!(got, Ok(expected.clone()), "threads = {threads}");
-            let got = map_values(items.len(), threads, HEAVY, |i| {
+            let got = map(items.len(), threads, HEAVY, |i| {
                 items[i].wrapping_mul(31) ^ 7
             });
             assert_eq!(got, expected, "threads = {threads}");
@@ -208,11 +321,11 @@ mod tests {
     #[test]
     fn empty_and_tiny_inputs() {
         let cheap = CostHint::per_item_ns(1);
-        assert!(map_values(0, 8, HEAVY, |i| i).is_empty());
-        assert_eq!(map_values(1, 8, HEAVY, |i| i + 6), vec![6]);
+        assert!(map(0, 8, HEAVY, |i| i).is_empty());
+        assert_eq!(map(1, 8, HEAVY, |i| i + 6), vec![6]);
         // Below the work threshold the calling thread does all the work.
         let caller = std::thread::current().id();
-        let ids = map_values(3, 8, cheap, |_| std::thread::current().id());
+        let ids = map(3, 8, cheap, |_| std::thread::current().id());
         assert!(ids.iter().all(|id| *id == caller));
     }
 
@@ -222,7 +335,7 @@ mod tests {
         let work = |x: &f64| (x.sin() * x.exp()).ln_1p() / (x + 1.0);
         let seq: Vec<u64> = items.iter().map(|x| work(x).to_bits()).collect();
         for threads in [2, 3, 8] {
-            let par: Vec<u64> = map_values(items.len(), threads, HEAVY, |i| work(&items[i]))
+            let par: Vec<u64> = map(items.len(), threads, HEAVY, |i| work(&items[i]))
                 .into_iter()
                 .map(f64::to_bits)
                 .collect();
@@ -241,33 +354,122 @@ mod tests {
         };
         for threads in [1, 2, 4, 16] {
             // 13 and 84 and 155 fail; 13 is first in input order.
-            let got: Result<Vec<i64>, i64> = map_values(200, threads, HEAVY, |i| f(i as i64))
+            let got: Result<Vec<i64>, i64> = map(200, threads, HEAVY, |i| f(i as i64))
                 .into_iter()
                 .collect();
             assert_eq!(got, Err(13));
         }
-        let ok: Result<Vec<i64>, ()> = map_values(100, 4, HEAVY, |i| Ok(i as i64 + 1))
+        let ok: Result<Vec<i64>, ()> = map(100, 4, HEAVY, |i| Ok(i as i64 + 1))
             .into_iter()
             .collect();
         assert_eq!(ok.unwrap(), (1..=100).collect::<Vec<i64>>());
     }
 
+    /// Silences the default panic-hook chatter for payloads carrying this
+    /// marker; intentional panics in these tests would otherwise spam the
+    /// test log.
+    const QUIET: &str = "[quiet-test-panic]";
+
+    fn install_quiet_hook() {
+        static ONCE: std::sync::Once = std::sync::Once::new();
+        ONCE.call_once(|| {
+            let default = std::panic::take_hook();
+            std::panic::set_hook(Box::new(move |info| {
+                let quiet = info
+                    .payload()
+                    .downcast_ref::<String>()
+                    .is_some_and(|s| s.contains(QUIET))
+                    || info
+                        .payload()
+                        .downcast_ref::<&str>()
+                        .is_some_and(|s| s.contains(QUIET));
+                if !quiet {
+                    default(info);
+                }
+            }));
+        });
+    }
+
+    /// The map's panic contract: with items panicking at several indices,
+    /// some with a `&str` payload and some with a `String` one, the caller
+    /// receives a `String` payload carrying the lowest panicking index's
+    /// message, at every thread count.
     #[test]
-    fn worker_panic_propagates_to_caller() {
-        let result = std::panic::catch_unwind(|| {
-            map_values(100, 4, HEAVY, |x| {
-                assert!(x != 57, "boom");
-                x
-            })
-        });
-        assert!(result.is_err());
-        let result = std::panic::catch_unwind(|| {
-            map_values(100, 4, HEAVY, |x| {
-                assert!(x != 57, "boom");
-                Ok::<_, ()>(x)
-            })
-        });
-        assert!(result.is_err());
+    fn lowest_index_panic_reaches_the_caller_as_a_string() {
+        install_quiet_hook();
+        // 150 and 400 panic with `&str`, 37 and 263 with `String`.
+        let f = |i: usize| match i {
+            150 => panic!("[quiet-test-panic] str item"),
+            400 => panic!("[quiet-test-panic] late str item"),
+            37 | 263 => panic!("{QUIET} string item {i}"),
+            _ => i,
+        };
+        let lowest = |from: usize| -> Option<String> {
+            [37, 150, 263, 400]
+                .into_iter()
+                .find(|&i| i >= from)
+                .map(|i| match i {
+                    150 => "[quiet-test-panic] str item".to_string(),
+                    400 => "[quiet-test-panic] late str item".to_string(),
+                    _ => format!("{QUIET} string item {i}"),
+                })
+        };
+        for threads in [1, 2, 3, 8] {
+            // Shifting the start moves the lowest panic across payload
+            // kinds and run boundaries.
+            for from in [0, 38, 151, 264] {
+                let raised =
+                    std::panic::catch_unwind(|| map(500 - from, threads, HEAVY, |i| f(i + from)))
+                        .expect_err("a panicking item panics the caller");
+                assert_eq!(
+                    raised.downcast_ref::<String>(),
+                    lowest(from).as_ref(),
+                    "threads {threads}, from {from}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn every_index_runs_exactly_once() {
+        let len = 777;
+        for threads in [1, 2, 3, 8] {
+            let calls: Vec<AtomicUsize> = (0..len).map(|_| AtomicUsize::new(0)).collect();
+            let got = map(len, threads, HEAVY, |i| {
+                calls[i].fetch_add(1, Ordering::Relaxed);
+                i
+            });
+            assert_eq!(got, (0..len).collect::<Vec<_>>(), "threads {threads}");
+            assert!(
+                calls.iter().all(|c| c.load(Ordering::Relaxed) == 1),
+                "threads {threads}"
+            );
+        }
+    }
+
+    /// `isolate` inside the map quarantines exactly the panicking items,
+    /// in input order, at every thread count, and passes values through.
+    #[test]
+    fn panics_are_quarantined_per_item_in_input_order() {
+        install_quiet_hook();
+        assert_eq!(isolate(|| 5), Ok(5));
+        for threads in [1, 3, 8] {
+            let got = map(200, threads, HEAVY, |x| {
+                isolate(|| {
+                    assert!(x % 61 != 13, "{QUIET} poisoned item {x}");
+                    x * 3
+                })
+            });
+            for (i, outcome) in got.iter().enumerate() {
+                if i % 61 == 13 {
+                    assert_eq!(outcome, &Err(format!("{QUIET} poisoned item {i}")));
+                } else {
+                    assert_eq!(outcome, &Ok(i * 3), "index {i}");
+                }
+            }
+            // 13, 74, 135, 196
+            assert_eq!(got.iter().filter(|o| o.is_err()).count(), 4);
+        }
     }
 
     #[test]
@@ -307,7 +509,7 @@ mod tests {
         for threads in [1, 2, 8] {
             for hint_ns in [1, 1_000, 10_000_000] {
                 let hint = CostHint::per_item_ns(hint_ns);
-                let got = map_values(items.len(), threads, hint, |i| {
+                let got = map(items.len(), threads, hint, |i| {
                     Ok::<_, ()>(work(&items[i]).to_bits())
                 });
                 assert_eq!(
@@ -331,7 +533,7 @@ mod tests {
         };
         for hint_ns in [1, 100_000] {
             let hint = CostHint::per_item_ns(hint_ns);
-            let got: Result<Vec<i64>, i64> = map_values(200, 4, hint, f).into_iter().collect();
+            let got: Result<Vec<i64>, i64> = map(200, 4, hint, f).into_iter().collect();
             assert_eq!(got, Err(13));
         }
     }
@@ -340,7 +542,7 @@ mod tests {
     fn hinted_map_stays_on_caller_below_work_threshold() {
         let caller = std::thread::current().id();
         // 100 items x 1 ns is far below the threshold.
-        let ids = map_values(100, 8, CostHint::per_item_ns(1), |_| {
+        let ids = map(100, 8, CostHint::per_item_ns(1), |_| {
             std::thread::current().id()
         });
         assert!(ids.iter().all(|id| *id == caller));
@@ -349,7 +551,7 @@ mod tests {
     #[test]
     fn uses_multiple_threads_for_large_inputs() {
         use std::collections::HashSet;
-        let ids = map_values(256, 4, HEAVY, |_| {
+        let ids = map(256, 4, HEAVY, |_| {
             // A short stall so chunks overlap in time rather than one
             // worker finishing before the next spawns.
             std::thread::sleep(std::time::Duration::from_millis(1));

@@ -22,10 +22,10 @@
 //!   one resumable pipeline, mid-flight at seeded trip points
 //!   ([`fault::FaultPlan::trip_point`]) to prove that checkpoint/resume
 //!   reproduces the uninterrupted result bit for bit, and panic work units
-//!   at seeded positions to prove they are quarantined in input order (the
-//!   [`supervise`] module, re-exported from `cordoba-par`, provides the
-//!   [`supervise::Supervisor`] handle and [`supervise::SupervisedMap`],
-//!   the one parallel map whose slots an interrupted sweep resumes from).
+//!   at seeded positions to prove `cordoba_par::isolate` quarantines them
+//!   in input order (the [`supervise`] module, re-exported from
+//!   `cordoba-par`, provides the [`supervise::Supervisor`] handle the
+//!   sweep checks once per row).
 //!
 //! Everything is derived from a single `u64` seed, so any failure found by
 //! the suite reproduces exactly from its seed alone.

@@ -17,7 +17,6 @@ use cordoba_carbon::embodied::EmbodiedModel;
 use cordoba_carbon::prelude::{grids, GramsCo2e, Joules, Seconds, SquareCentimeters};
 use cordoba_par::CostHint;
 use cordoba_robust::prelude::*;
-use cordoba_robust::supervise::{Outcome, SupervisedMap};
 use cordoba_workloads::task::Task;
 use std::num::NonZeroUsize;
 use std::sync::{Mutex, PoisonError};
@@ -222,8 +221,9 @@ fn poisoned_configs_are_quarantined_in_input_order_at_1_2_and_auto_threads() {
 }
 
 /// Panic isolation: work units that panic at seeded positions are
-/// quarantined as `Outcome::Panicked` at exactly those input indices, and
-/// the quarantine set is identical at 1, 2, and auto threads.
+/// quarantined by `cordoba_par::isolate` inside `cordoba_par::map` at
+/// exactly those input indices, and the quarantine set is identical at 1,
+/// 2, and auto threads.
 #[test]
 fn seeded_panic_faults_are_quarantined_in_input_order_at_any_thread_count() {
     install_quiet_hook();
@@ -233,27 +233,30 @@ fn seeded_panic_faults_are_quarantined_in_input_order_at_any_thread_count() {
         let modulus = 5 + plan.trip_point(20); // panic stride in [5, 25]
         let phase = seed % modulus;
         let classify = |threads: usize| -> Vec<Option<u64>> {
-            let sup = Supervisor::unbounded();
-            let mut run = SupervisedMap::new(items.len());
-            run.advance(threads, CostHint::per_item_ns(1_000_000), &sup, |i| {
-                let x = items[i];
-                assert!(x % modulus != phase, "{QUIET} poisoned item {x}");
-                x.wrapping_mul(31) ^ seed
-            });
-            assert!(run.is_complete(), "seed {seed}: no unit skipped");
-            run.into_outcomes()
-                .into_iter()
+            let run = cordoba_par::map(
+                items.len(),
+                threads,
+                CostHint::per_item_ns(1_000_000),
+                |i| {
+                    cordoba_par::isolate(|| {
+                        let x = items[i];
+                        assert!(x % modulus != phase, "{QUIET} poisoned item {x}");
+                        x.wrapping_mul(31) ^ seed
+                    })
+                },
+            );
+            assert_eq!(run.len(), items.len(), "seed {seed}: no unit skipped");
+            run.into_iter()
                 .enumerate()
                 .map(|(i, outcome)| match outcome {
-                    Outcome::Done(v) => Some(v),
-                    Outcome::Panicked(msg) => {
+                    Ok(v) => Some(v),
+                    Err(msg) => {
                         assert!(
                             msg.contains(&format!("poisoned item {i}")),
                             "seed {seed}: panic message lost its origin"
                         );
                         None
                     }
-                    Outcome::Skipped => panic!("seed {seed}: unexpected skip at {i}"),
                 })
                 .collect()
         };

@@ -13,7 +13,6 @@ use cordoba_carbon::lifetime::UsageProfile;
 use cordoba_carbon::operational::operational_carbon;
 use cordoba_carbon::units::{CarbonIntensity, GramSecondsCo2e, GramsCo2e, Joules, Seconds};
 use cordoba_carbon::CarbonError;
-use cordoba_par::supervise::{SupervisedMap, Supervisor};
 use cordoba_par::CostHint;
 use serde::{Deserialize, Serialize};
 
@@ -90,10 +89,9 @@ const PROVISION_NS_PER_CORE_COUNT: u64 = 900;
 /// Sweeps core counts 4..=8 for `app` under `deployment`.
 ///
 /// Each core count is an independent trace replay, evaluated through one
-/// unbounded [`cordoba_par::SupervisedMap`] at
-/// [`cordoba_par::effective_threads`] workers; the returned list is in
-/// ascending core order and identical to the sequential sweep at every
-/// thread count.
+/// [`cordoba_par::map`] at [`cordoba_par::effective_threads`] workers;
+/// the returned list is in ascending core order and identical to the
+/// sequential sweep at every thread count.
 ///
 /// # Errors
 ///
@@ -107,14 +105,14 @@ pub fn sweep(app: &VrApp, deployment: &Deployment) -> Result<Vec<ProvisioningRow
     let _span = cordoba_obs::span("soc/provisioning_sweep");
     let usage = UsageProfile::from_daily_hours(deployment.lifetime_years, app.daily_hours)?;
     let sessions = usage.operational_time().value() / app.session.value();
-    let mut rows = SupervisedMap::new(CORE_COUNTS.len());
-    rows.advance(
+    cordoba_par::map(
+        CORE_COUNTS.len(),
         cordoba_par::effective_threads(),
         CostHint::per_item_ns(PROVISION_NS_PER_CORE_COUNT),
-        &Supervisor::unbounded(),
         |idx| provision_row(CORE_COUNTS[idx], app, deployment, sessions),
-    );
-    rows.into_values().into_iter().collect()
+    )
+    .into_iter()
+    .collect()
 }
 
 /// One provisioning row for a single core count.
