@@ -51,22 +51,19 @@ use cordoba_carbon::embodied::EmbodiedModel;
 use cordoba_carbon::units::GramsCo2e;
 use cordoba_carbon::yield_model::YieldModel;
 use cordoba_carbon::CarbonError;
-use cordoba_store::{hex_f64, parse_hex_f64, KeyBuilder, Store, StoreKey};
+use cordoba_store::KeyBuilder;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// Store entry kind for persisted embodied-carbon values.
-const STORE_KIND: &str = "embodied";
-
 /// Process-wide lookup accounting by serving tier, exported as
-/// `accel_embodied_cache_lookups{tier="..."}`: `memory` and `persistent`
-/// are the two hit tiers, `compute` is a miss that ran the model.
+/// `accel_embodied_cache_lookups{tier="..."}`: `memory` is a hit,
+/// `compute` is a miss that ran the model.
 static CACHE_LOOKUPS: cordoba_obs::LabeledCounter = cordoba_obs::LabeledCounter::new(
     "accel/embodied_cache/lookups",
     "tier",
-    &["memory", "persistent", "compute"],
+    &["memory", "compute"],
 );
 
 /// Hit/miss counters for an [`EmbodiedCache`].
@@ -93,7 +90,6 @@ impl CacheStats {
 pub struct EmbodiedCache {
     model: EmbodiedModel,
     entries: Mutex<ShapeMap>,
-    store: Option<Store>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -105,22 +101,9 @@ impl EmbodiedCache {
         Self {
             model,
             entries: Mutex::new(ShapeMap::default()),
-            store: None,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
-    }
-
-    /// Creates a cache whose in-memory map is backed by a persistent
-    /// [`Store`] tier: lookups that miss in memory consult the store
-    /// (model *and* config shape participate in the content hash), and
-    /// freshly computed values are written behind so the next process
-    /// starts warm.
-    #[must_use]
-    pub fn with_store(model: EmbodiedModel, store: Store) -> Self {
-        let mut cache = Self::new(model);
-        cache.store = Some(store);
-        cache
     }
 
     /// The model whose results this cache memoizes.
@@ -145,45 +128,15 @@ impl EmbodiedCache {
             cordoba_obs::record(&cordoba_obs::Event::CacheHit);
             return Ok(cached);
         }
-        if let Some(persisted) = self.persistent_lookup(config) {
-            self.lock().insert(key, persisted);
-            // The persistent tier served without running the model, so this
-            // still counts as a cache hit.
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            CACHE_LOOKUPS.incr(1);
-            cordoba_obs::record(&cordoba_obs::Event::CacheHit);
-            return Ok(persisted);
-        }
         // Compute outside the lock so concurrent sweep workers are not
         // serialized on the yield/wafer math; a racing duplicate insert is
         // harmless because both workers compute the identical value.
         let value = config.embodied_carbon(&self.model)?;
         self.lock().insert(key, value);
-        self.persistent_write(config, value);
         self.misses.fetch_add(1, Ordering::Relaxed);
-        CACHE_LOOKUPS.incr(2);
+        CACHE_LOOKUPS.incr(1);
         cordoba_obs::record(&cordoba_obs::Event::CacheMiss);
         Ok(value)
-    }
-
-    /// Consults the persistent tier, if attached; any damage is a miss.
-    fn persistent_lookup(&self, config: &AcceleratorConfig) -> Option<GramsCo2e> {
-        let store = self.store.as_ref()?;
-        let lines = store.get(STORE_KIND, store_key(config, &self.model))?;
-        let [line] = lines.as_slice() else {
-            return None;
-        };
-        parse_hex_f64(line).map(GramsCo2e::new)
-    }
-
-    /// Writes a freshly computed value behind into the persistent tier.
-    /// Write failures are swallowed: the store is an accelerant, never a
-    /// correctness dependency.
-    fn persistent_write(&self, config: &AcceleratorConfig, value: GramsCo2e) {
-        if let Some(store) = self.store.as_ref() {
-            let key = store_key(config, &self.model);
-            let _ = store.put(STORE_KIND, key, &[hex_f64(value.value())]);
-        }
     }
 
     /// Hit/miss counters accumulated since construction.
@@ -219,8 +172,8 @@ impl EmbodiedCache {
 
 /// Feeds the embodied model's parameters into a key: the fab carbon
 /// intensity, the yield model's tag and parameters, and the packaging
-/// carbon per die. Shared by [`store_key`] and the space-evaluation keys in
-/// `cordoba::store`, so both encode a model the same way.
+/// carbon per die. The space-evaluation keys in `cordoba::store` encode a
+/// model through it.
 pub fn push_embodied_model(k: &mut KeyBuilder, model: &EmbodiedModel) {
     k.push_f64(model.ci_fab().value());
     match model.yield_model() {
@@ -243,34 +196,6 @@ pub fn push_embodied_model(k: &mut KeyBuilder, model: &EmbodiedModel) {
         }
     }
     k.push_f64(model.packaging_per_die().value());
-}
-
-/// Content-address for one `(config shape, model)` embodied-carbon result.
-///
-/// Unlike the shape key — which keys the in-memory map of a cache already
-/// bound to one model — the persistent store outlives the process, so the
-/// model's own parameters (fab carbon intensity, yield model, packaging)
-/// must participate in the hash alongside the config shape. The display
-/// name stays excluded, and floats contribute raw IEEE-754 bits.
-#[must_use]
-pub fn store_key(config: &AcceleratorConfig, model: &EmbodiedModel) -> StoreKey {
-    let mut k = KeyBuilder::new(STORE_KIND);
-    push_embodied_model(&mut k, model);
-    k.push_u64(u64::from(config.mac_units()));
-    k.push_f64(config.sram().value());
-    match config.integration() {
-        MemoryIntegration::OnDie => k.push_u64(0),
-        MemoryIntegration::Stacked3d { dies } => {
-            k.push_u64(1);
-            k.push_u64(u64::from(dies));
-        }
-    }
-    let tuning = config.tuning();
-    k.push_u64(u64::from(tuning.node.nanometers()));
-    k.push_f64(tuning.mac_unit_area_mm2);
-    k.push_f64(tuning.sram_area_mm2_per_mib);
-    k.push_f64(tuning.base_area_mm2);
-    k.finish()
 }
 
 /// The in-memory memo: exact shape keys, hashed word by word.
@@ -504,53 +429,6 @@ mod tests {
         let n5_carbon = cache.embodied(&n5).unwrap();
         assert_eq!(cache.stats().misses, 3);
         assert!((n5_carbon.value() - flat.value()).abs() > f64::EPSILON);
-    }
-
-    #[test]
-    fn persistent_tier_serves_second_process_without_recompute() {
-        let dir = std::env::temp_dir().join("cordoba-accel-cache-persist");
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = cordoba_store::Store::open(&dir).unwrap();
-        let model = EmbodiedModel::default();
-        let configs: Vec<AcceleratorConfig> = (1..=9).map(|u| cfg("c", u, f64::from(u))).collect();
-
-        // "Process one": cold memory, cold disk — every lookup computes
-        // and writes behind.
-        let cold = EmbodiedCache::with_store(model.clone(), store.clone());
-        let expected: Vec<GramsCo2e> = configs.iter().map(|c| cold.embodied(c).unwrap()).collect();
-        assert_eq!(cold.stats().misses, 9);
-
-        // "Process two": cold memory, warm disk — zero model runs, and the
-        // served values are bit-identical to the fresh computation.
-        let warm = EmbodiedCache::with_store(model.clone(), store.clone());
-        for (c, want) in configs.iter().zip(&expected) {
-            let got = warm.embodied(c).unwrap();
-            assert_eq!(got.value().to_bits(), want.value().to_bits());
-        }
-        assert_eq!(warm.stats().misses, 0);
-        assert_eq!(warm.stats().hits, 9);
-
-        // A different code-version salt invalidates everything: back to
-        // computing (and re-writing) rather than serving stale entries.
-        let resalted = EmbodiedCache::with_store(
-            model,
-            cordoba_store::Store::open_with_salt(&dir, "different-code").unwrap(),
-        );
-        let _ = resalted.embodied(&configs[0]).unwrap();
-        assert_eq!(resalted.stats().misses, 1);
-    }
-
-    #[test]
-    fn store_key_separates_models_and_shapes() {
-        let base = EmbodiedModel::default();
-        let hot = base.clone().with_ci_fab(base.ci_fab() * 2.0);
-        let a = cfg("a", 16, 8.0);
-        let b = cfg("b", 16, 8.0);
-        let c = cfg("c", 17, 8.0);
-        // Name excluded; shape and model included.
-        assert_eq!(store_key(&a, &base), store_key(&b, &base));
-        assert_ne!(store_key(&a, &base), store_key(&c, &base));
-        assert_ne!(store_key(&a, &base), store_key(&a, &hot));
     }
 
     #[test]

@@ -163,9 +163,9 @@ fn doctor_supervision(out: &mut String) -> Result<(), CliError> {
     let fresh = SweepCheckpoint::new(points.clone(), counts.clone(), grids::US_AVERAGE)?;
     let deadline_ok = fresh
         .clone()
-        .resume(&Supervisor::with_deadline(Duration::ZERO), 1)?
+        .resume(&Supervisor::with_deadline(Duration::ZERO), 1)
         .partial()
-        .is_some_and(|p| p.checkpoint.completed_rows() == 0);
+        .is_some_and(|c| c.completed_rows() == 0);
     let _ = writeln!(
         out,
         "  deadline-bounded sweep: {}",
@@ -183,15 +183,13 @@ fn doctor_supervision(out: &mut String) -> Result<(), CliError> {
         .resume(
             &Supervisor::tripping_after(u64::try_from(rows / 2).unwrap_or(1)),
             1,
-        )?
+        )
         .partial();
     let (roundtrip_ok, resume_ok) = match partial {
-        Some(p) => {
-            let restored = SweepCheckpoint::from_text(&p.checkpoint.to_text()).ok();
-            let roundtrip = restored.as_ref() == Some(&p.checkpoint);
-            let resumed = restored
-                .and_then(|c| c.resume(&Supervisor::unbounded(), 1).ok())
-                .and_then(SupervisedSweep::complete);
+        Some(checkpoint) => {
+            let restored = SweepCheckpoint::from_text(&checkpoint.to_text()).ok();
+            let roundtrip = restored.as_ref() == Some(&checkpoint);
+            let resumed = restored.and_then(|c| c.resume(&Supervisor::unbounded(), 1).complete());
             (roundtrip, resumed.as_ref() == Some(&direct))
         }
         None => (false, false),

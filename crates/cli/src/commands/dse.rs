@@ -140,8 +140,8 @@ pub(super) fn dse(args: &Args<'_>) -> Result<String, CliError> {
         }
         // An interrupted sweep has no complete tCDP matrix to attribute;
         // the checkpoint carries the progress instead.
-        SupervisedSweep::Partial(partial) => {
-            save_checkpoint(partial, args.get("checkpoint"), "written to", out)
+        SupervisedSweep::Partial(checkpoint) => {
+            save_checkpoint(&checkpoint, args.get("checkpoint"), "written to", out)
         }
     }
 }
@@ -293,18 +293,18 @@ fn dse_stored(
 /// one — progress would be lost silently) and reports coverage plus the
 /// resume command; `written` says how the file was touched.
 fn save_checkpoint(
-    partial: PartialSweep,
+    checkpoint: &SweepCheckpoint,
     path: Option<&str>,
     written: &str,
     mut out: String,
 ) -> Result<String, CliError> {
-    let report = partial.coverage_report();
+    let report = checkpoint.coverage_report();
     let Some(path) = path else {
         return Err(CliError::Usage(format!(
             "{report}; re-run with --checkpoint <file> to save progress"
         )));
     };
-    write_file(path, &partial.checkpoint.to_text())?;
+    write_file(path, &checkpoint.to_text())?;
     let _ = writeln!(out, "{report}");
     let _ = writeln!(
         out,
@@ -329,16 +329,16 @@ fn dse_resume(args: &Args<'_>, path: &str, deadline: Option<Duration>) -> Result
         checkpoint.ci_use()
     );
     let sup = deadline.map_or_else(Supervisor::unbounded, Supervisor::with_deadline);
-    match checkpoint.resume(&sup, cordoba_par::effective_threads())? {
+    match checkpoint.resume(&sup, cordoba_par::effective_threads()) {
         SupervisedSweep::Complete(sweep) => {
             render_sweep(&sweep, &mut out)?;
             Ok(out)
         }
         // Interrupted again: save to --checkpoint if given, else back to
         // the file being resumed (progress is monotone either way).
-        SupervisedSweep::Partial(partial) => match args.get("checkpoint") {
-            Some(dest) => save_checkpoint(partial, Some(dest), "written to", out),
-            None => save_checkpoint(partial, Some(path), "updated at", out),
+        SupervisedSweep::Partial(checkpoint) => match args.get("checkpoint") {
+            Some(dest) => save_checkpoint(&checkpoint, Some(dest), "written to", out),
+            None => save_checkpoint(&checkpoint, Some(path), "updated at", out),
         },
     }
 }

@@ -1,9 +1,10 @@
 //! The stdout, stderr and exit code of `provision`, a lenient `dse` with
 //! an attribution ledger, a deadline-checkpointed `dse` followed by its
-//! `--resume`, a cold and a warm `dse --store` followed by `replay` and
-//! `cache inspect`, and three `dse` usage errors, compared byte for byte
-//! with committed fixtures at `--threads 1` and `2`; the checkpoint file's
-//! bytes are compared too.
+//! `--resume`, a `--resume` of a checkpoint with a damaged count header, a
+//! cold and a warm `dse --store` followed by `replay` and `cache inspect`,
+//! three `dse` usage errors, the table verbs, a `metrics` design point and
+//! four more usage errors, compared byte for byte with committed fixtures
+//! at `--threads 1` and `2`; the checkpoint file's bytes are compared too.
 //!
 //! Each command runs in a fresh `cordoba` process inside its own temporary
 //! working directory, so the relative checkpoint and store paths land
@@ -180,6 +181,27 @@ fn store_cold_warm_replay_and_inspect_match_their_fixtures() {
     }
 }
 
+/// A checkpoint whose task-count header exceeds any file is refused with
+/// exit 2, as a truncated one is, rather than sized from the header.
+#[test]
+fn resume_of_a_damaged_count_header_matches_its_fixture() {
+    let checkpoint = "cordoba-sweep-checkpoint v1\n\
+        reason deadline-exceeded\n\
+        ci_use 4077c00000000000\n\
+        task_counts 18446744073709551615\n";
+    for threads in ["1", "2"] {
+        let dir = work_dir("damaged", threads);
+        std::fs::write(dir.join("huge.ckpt"), checkpoint).expect("work dir is writable");
+        check(
+            &dir,
+            &["dse", "--resume", "huge.ckpt"],
+            threads,
+            "dse_resume_damaged_count.expected",
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
 /// A valued option given bare, `--resume` with `--lenient`, and
 /// `--checkpoint` without `--deadline` each exit 2 with a naming error.
 #[test]
@@ -200,6 +222,62 @@ fn dse_usage_errors_match_their_fixtures() {
     ];
     for threads in ["1", "2"] {
         let dir = work_dir("usage", threads);
+        for (args, fixture) in cases {
+            check(&dir, args, threads, fixture);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// The table verbs and a `metrics` design point, which read no file and
+/// print no timing.
+#[test]
+fn small_verbs_match_their_fixtures() {
+    let cases: [(&[&str], &str); 5] = [
+        (&["stacking"], "stacking.expected"),
+        (&["kernels"], "kernels.expected"),
+        (&["tasks"], "tasks.expected"),
+        (&["grids"], "grids.expected"),
+        (
+            &[
+                "metrics",
+                "--delay",
+                "1",
+                "--energy",
+                "40",
+                "--embodied",
+                "8000",
+            ],
+            "metrics.expected",
+        ),
+    ];
+    for threads in ["1", "2"] {
+        let dir = work_dir("small", threads);
+        for (args, fixture) in cases {
+            check(&dir, args, threads, fixture);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// A missing required option, an unknown app, `eliminate` without its
+/// CSV and an unknown command each exit 2 with a naming error.
+#[test]
+fn small_verb_usage_errors_match_their_fixtures() {
+    let cases: [(&[&str], &str); 4] = [
+        (
+            &["metrics", "--energy", "40"],
+            "metrics_missing_delay.expected",
+        ),
+        (
+            &["provision", "--app", "bogus"],
+            "provision_bogus_app.expected",
+        ),
+        (&["eliminate"], "eliminate_without_csv.expected"),
+        (&["bogus"], "unknown_command.expected"),
+    ];
+    for threads in ["1", "2"] {
+        let dir = work_dir("small-usage", threads);
         for (args, fixture) in cases {
             check(&dir, args, threads, fixture);
         }

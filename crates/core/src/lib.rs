@@ -113,9 +113,7 @@ pub mod prelude {
     };
     pub use crate::report::{fmt_num, fmt_ratio, Table};
     pub use crate::store::{beta_sweep_stored, evaluate_space_stored, op_time_sweep_stored};
-    pub use crate::supervise::{
-        op_time_sweep_supervised, PartialSweep, SupervisedSweep, SweepCheckpoint,
-    };
+    pub use crate::supervise::{op_time_sweep_supervised, SupervisedSweep, SweepCheckpoint};
     pub use crate::uncertainty::{
         context_for_embodied_share, domain_analysis, monte_carlo_regret, monte_carlo_source_tcdp,
         monte_carlo_tcdp, scenario_regret, tcdp_under_source, DomainAnalysis, DomainClass,

@@ -506,10 +506,6 @@ mod tests {
         let configs = design_space();
         let model = EmbodiedModel::default();
         assert_eq!(
-            cordoba_accel::cache::store_key(&configs[0], &model).to_hex(),
-            "d75aad647552c7bac828ad411be9a79b"
-        );
-        assert_eq!(
             evaluate_space_key(&configs, &Task::ai_5_kernels(), &model).to_hex(),
             "547c90bf712daa348c5754b2671f94f4"
         );

@@ -9,8 +9,9 @@
 //! [`SweepCheckpoint::resume`] maps [`cordoba_par::map`] over the pending
 //! rows only. Each row checks the supervisor before it runs, so a stop
 //! keeps every computed row keyed by row index, and an interrupted sweep
-//! yields a [`PartialSweep`] whose checkpoint serializes to a
-//! deterministic text format ([`SweepCheckpoint::to_text`]). The plain
+//! is its checkpoint ([`SupervisedSweep::Partial`]), which records why it
+//! stopped and serializes to a deterministic text format
+//! ([`SweepCheckpoint::to_text`]). The plain
 //! [`OpTimeSweep::new`] is this runner under [`Supervisor::unbounded`] at
 //! [`cordoba_par::effective_threads`]. Every other pipeline (space
 //! evaluation, Monte Carlo, provisioning) is a plain function over one
@@ -56,9 +57,9 @@ pub enum SupervisedSweep {
     /// Every row was computed; the sweep is bit-identical to
     /// [`OpTimeSweep::new`] on the same inputs.
     Complete(OpTimeSweep),
-    /// The supervisor stopped the sweep; the partial result can be
-    /// serialized and resumed.
-    Partial(PartialSweep),
+    /// The supervisor stopped the sweep; the checkpoint holds every
+    /// computed row and the stop reason, and can be serialized and resumed.
+    Partial(SweepCheckpoint),
 }
 
 impl SupervisedSweep {
@@ -71,32 +72,13 @@ impl SupervisedSweep {
         }
     }
 
-    /// The partial result, if the run was interrupted.
+    /// The checkpoint, if the run was interrupted.
     #[must_use]
-    pub fn partial(self) -> Option<PartialSweep> {
+    pub fn partial(self) -> Option<SweepCheckpoint> {
         match self {
             Self::Complete(_) => None,
-            Self::Partial(partial) => Some(partial),
+            Self::Partial(checkpoint) => Some(checkpoint),
         }
-    }
-}
-
-/// An interrupted sweep: the checkpoint holding every computed row plus
-/// the reason the run stopped.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PartialSweep {
-    /// Resumable sweep state (serialize with [`SweepCheckpoint::to_text`]).
-    pub checkpoint: SweepCheckpoint,
-    /// Why the sweep stopped.
-    pub reason: StopReason,
-}
-
-impl PartialSweep {
-    /// A one-paragraph human-readable coverage report for CLI output and
-    /// logs.
-    #[must_use]
-    pub fn coverage_report(&self) -> String {
-        self.checkpoint.coverage_report()
     }
 }
 
@@ -185,12 +167,6 @@ impl SweepCheckpoint {
         &self.points
     }
 
-    /// The operational-time axis.
-    #[must_use]
-    pub fn task_counts(&self) -> &[f64] {
-        &self.task_counts
-    }
-
     /// The use-phase carbon intensity.
     #[must_use]
     pub fn ci_use(&self) -> CarbonIntensity {
@@ -221,12 +197,6 @@ impl SweepCheckpoint {
         self.completed_rows() as f64 / self.total_rows() as f64
     }
 
-    /// Indices of rows still pending, ascending.
-    #[must_use]
-    pub fn pending_rows(&self) -> Vec<usize> {
-        (0..self.done.len()).filter(|&n| !self.done[n]).collect()
-    }
-
     /// A one-paragraph human-readable coverage report.
     #[must_use]
     pub fn coverage_report(&self) -> String {
@@ -244,31 +214,21 @@ impl SweepCheckpoint {
     /// the exact sequential path) and merges by row index. With a
     /// supervisor that never trips this always completes, and the
     /// [`OpTimeSweep`] is bit-identical to an uninterrupted run at any
-    /// thread count; an interrupted run returns the checkpoint to resume.
-    ///
-    /// # Errors
-    ///
-    /// None: [`SweepCheckpoint::new`] validated every input, so no row can
-    /// fail.
+    /// thread count; an interrupted run returns the checkpoint to resume,
+    /// with its [`reason`](Self::reason) set to why `sup` stopped it.
+    /// [`SweepCheckpoint::new`] validated every input, so no row can fail.
     ///
     /// # Panics
     ///
     /// Re-raises the first (in row order) panicking row on the caller.
-    pub fn resume(
-        mut self,
-        sup: &Supervisor,
-        threads: usize,
-    ) -> Result<SupervisedSweep, CoreError> {
-        Ok(match self.fill(sup, threads) {
+    pub fn resume(mut self, sup: &Supervisor, threads: usize) -> SupervisedSweep {
+        match self.fill(sup, threads) {
             None => SupervisedSweep::Complete(self.into_sweep()),
             Some(reason) => {
                 self.reason = reason;
-                SupervisedSweep::Partial(PartialSweep {
-                    checkpoint: self,
-                    reason,
-                })
+                SupervisedSweep::Partial(self)
             }
-        })
+        }
     }
 
     /// Completes the sweep under a supervisor that never trips at
@@ -317,9 +277,9 @@ impl SweepCheckpoint {
         for ((n, _), ran) in pending.into_iter().zip(ran) {
             self.done[n] = ran;
         }
-        // A row left pending implies a latched cancel, a tripped threshold
-        // or an elapsed deadline, all sticky, so this re-check agrees with
-        // what the row saw. The fallback cannot fire but keeps this total.
+        // A row left pending implies a reached trip count or an elapsed
+        // deadline, both sticky, so this re-check agrees with what the row
+        // saw. The fallback cannot fire but keeps this total.
         (!self.done.iter().all(|&done| done))
             .then(|| sup.record_stop(sup.should_stop().unwrap_or(StopReason::Cancelled)))
     }
@@ -416,7 +376,9 @@ impl SweepCheckpoint {
         if n == 0 {
             return Err(bad("empty task-count axis".to_string()));
         }
-        let mut task_counts = Vec::with_capacity(n);
+        // Each count takes a line, so the text bounds a valid reservation
+        // and a damaged header cannot overflow it.
+        let mut task_counts = Vec::with_capacity(n.min(text.len()));
         for _ in 0..n {
             let line = next("task count")?;
             let hex = line
@@ -433,7 +395,7 @@ impl SweepCheckpoint {
         if m == 0 {
             return Err(bad("empty design-point list".to_string()));
         }
-        let mut points = Vec::with_capacity(m);
+        let mut points = Vec::with_capacity(m.min(text.len()));
         for _ in 0..m {
             let line = next("design point")?;
             let ([delay, energy, embodied, area], name) =
@@ -496,8 +458,8 @@ impl SweepCheckpoint {
 /// [`cordoba_par::effective_threads`]: [`SweepCheckpoint::new`] followed by
 /// [`SweepCheckpoint::resume`]. A completed run returns
 /// [`SupervisedSweep::Complete`] with a sweep bit-identical to
-/// [`OpTimeSweep::new`]; an interrupted run returns a resumable
-/// [`PartialSweep`].
+/// [`OpTimeSweep::new`]; an interrupted run returns
+/// [`SupervisedSweep::Partial`] with a resumable checkpoint.
 ///
 /// # Errors
 ///
@@ -512,7 +474,8 @@ pub fn op_time_sweep_supervised(
     ci_use: CarbonIntensity,
     sup: &Supervisor,
 ) -> Result<SupervisedSweep, CoreError> {
-    SweepCheckpoint::new(points, task_counts, ci_use)?.resume(sup, cordoba_par::effective_threads())
+    Ok(SweepCheckpoint::new(points, task_counts, ci_use)?
+        .resume(sup, cordoba_par::effective_threads()))
 }
 
 #[cfg(test)]
@@ -529,8 +492,8 @@ mod tests {
         task_counts: Vec<f64>,
         sup: &Supervisor,
         threads: usize,
-    ) -> Result<SupervisedSweep, CoreError> {
-        SweepCheckpoint::new(points, task_counts, grids::US_AVERAGE)?.resume(sup, threads)
+    ) -> Result<SupervisedSweep, CarbonError> {
+        Ok(SweepCheckpoint::new(points, task_counts, grids::US_AVERAGE)?.resume(sup, threads))
     }
 
     fn points() -> Vec<DesignPoint> {
@@ -558,18 +521,18 @@ mod tests {
         let direct = OpTimeSweep::new(pts.clone(), counts.clone(), grids::US_AVERAGE).unwrap();
         for trip in [0u64, 1, 5, 10] {
             let sup = Supervisor::tripping_after(trip);
-            let partial = supervised(pts.clone(), counts.clone(), &sup, 1)
+            let checkpoint = supervised(pts.clone(), counts.clone(), &sup, 1)
                 .unwrap()
                 .partial()
                 .unwrap();
-            assert_eq!(partial.checkpoint.completed_rows(), trip as usize);
-            assert!(partial.coverage_report().contains("rows complete"));
-            let text = partial.checkpoint.to_text();
+            assert_eq!(checkpoint.completed_rows(), trip as usize);
+            assert_eq!(checkpoint.reason(), StopReason::Cancelled);
+            assert!(checkpoint.coverage_report().contains("rows complete"));
+            let text = checkpoint.to_text();
             let restored = SweepCheckpoint::from_text(&text).unwrap();
-            assert_eq!(restored, partial.checkpoint);
+            assert_eq!(restored, checkpoint);
             let resumed = restored
                 .resume(&Supervisor::unbounded(), 2)
-                .unwrap()
                 .complete()
                 .unwrap();
             assert_eq!(resumed, direct, "trip {trip}");
@@ -600,11 +563,11 @@ mod tests {
     fn checkpoint_rejects_corruption() {
         let pts = points();
         let sup = Supervisor::tripping_after(2);
-        let partial = supervised(pts, log_sweep(4, 8, 2), &sup, 1)
+        let checkpoint = supervised(pts, log_sweep(4, 8, 2), &sup, 1)
             .unwrap()
             .partial()
             .unwrap();
-        let text = partial.checkpoint.to_text();
+        let text = checkpoint.to_text();
         assert!(SweepCheckpoint::from_text("").is_err());
         assert!(SweepCheckpoint::from_text("garbage\n").is_err());
         // Truncation mid-file.
@@ -615,6 +578,17 @@ mod tests {
         if broken != text {
             assert!(SweepCheckpoint::from_text(&broken).is_err());
         }
+        // A count larger than any file is an error, not an allocation.
+        for header in ["task_counts", "points"] {
+            let line = text.lines().find(|l| l.starts_with(header)).unwrap();
+            for count in [usize::MAX, 1 << 61] {
+                let damaged = text.replacen(line, &format!("{header} {count}"), 1);
+                assert!(
+                    SweepCheckpoint::from_text(&damaged).is_err(),
+                    "{header} {count}"
+                );
+            }
+        }
     }
 
     /// Values must be exactly 16 hex digits: the signed and short forms
@@ -622,7 +596,7 @@ mod tests {
     /// parser round trip stays the identity.
     #[test]
     fn checkpoint_values_must_be_sixteen_hex_digits() {
-        let partial = supervised(
+        let checkpoint = supervised(
             points(),
             log_sweep(4, 8, 2),
             &Supervisor::tripping_after(2),
@@ -631,9 +605,9 @@ mod tests {
         .unwrap()
         .partial()
         .unwrap();
-        let text = partial.checkpoint.to_text();
+        let text = checkpoint.to_text();
         let restored = SweepCheckpoint::from_text(&text).unwrap();
-        assert_eq!(restored, partial.checkpoint);
+        assert_eq!(restored, checkpoint);
         assert_eq!(restored.to_text(), text);
 
         let ci_line = text.lines().nth(2).unwrap();
@@ -662,15 +636,14 @@ mod tests {
         let pts = points();
         let counts = log_sweep(4, 8, 1);
         let sup = Supervisor::tripping_after(0);
-        let partial = supervised(pts.clone(), counts.clone(), &sup, 1)
+        let checkpoint = supervised(pts.clone(), counts.clone(), &sup, 1)
             .unwrap()
             .partial()
             .unwrap();
-        assert_eq!(partial.checkpoint.completed_rows(), 0);
-        assert_eq!(partial.checkpoint.total_rows(), counts.len());
-        assert_eq!(partial.checkpoint.points().len(), pts.len());
-        assert_eq!(partial.checkpoint.pending_rows().len(), counts.len());
-        assert!(partial.checkpoint.coverage() < 1e-12);
+        assert_eq!(checkpoint.completed_rows(), 0);
+        assert_eq!(checkpoint.total_rows(), counts.len());
+        assert_eq!(checkpoint.points().len(), pts.len());
+        assert!(checkpoint.coverage() < 1e-12);
     }
 
     #[test]

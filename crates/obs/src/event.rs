@@ -62,9 +62,10 @@ pub enum Event {
         /// Work units completed before the deadline fired.
         completed: u64,
     },
-    /// A supervised run observed a cooperative cancellation request.
+    /// A supervised run reached its trip count
+    /// (`cordoba_par::Supervisor::tripping_after`).
     Cancelled {
-        /// Work units completed before the cancellation was observed.
+        /// Work units completed before the stop was observed.
         completed: u64,
     },
     /// An item panicked inside `cordoba_par::isolate`; its panic was

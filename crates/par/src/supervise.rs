@@ -1,19 +1,18 @@
 //! Execution supervision for the one pipeline a user stops and resumes.
 //!
-//! A [`Supervisor`] is a cheap, cloneable handle combining three concerns
-//! a long-running pipeline needs to be stopped and resumed — in CORDOBA,
-//! the operational-time sweep behind `dse --deadline/--checkpoint/--resume`,
-//! which checks it once per row:
+//! A [`Supervisor`] is the stop rule of the operational-time sweep behind
+//! `dse --deadline/--checkpoint/--resume`, which checks it once per row
+//! through [`Supervisor::should_stop`]. It holds two limits and a tally:
 //!
-//! * **cooperative cancellation** — [`Supervisor::cancel`] requests a stop;
-//!   the sweep observes it at the next row boundary via
-//!   [`Supervisor::should_stop`];
 //! * **deadline budget** — [`Supervisor::with_deadline`] arms a monotonic
-//!   wall-clock budget checked at the same boundaries;
+//!   wall-clock budget;
+//! * **trip count** — [`Supervisor::tripping_after`] stops after a fixed
+//!   number of completed units instead of after elapsed time, which is
+//!   what the fault-injection suite uses to interrupt runs at seed-chosen
+//!   points reproducibly;
 //! * **progress accounting** — a completed-unit counter
-//!   ([`Supervisor::note_completed`]) that drives
-//!   [`Supervisor::tripping_after`] and is attached to the supervision
-//!   events recorded through `cordoba-obs`.
+//!   ([`Supervisor::note_completed`]) that drives the trip count and is
+//!   attached to the supervision events recorded through `cordoba-obs`.
 //!
 //! # Determinism contract
 //!
@@ -24,26 +23,22 @@
 //! rows and a later resume computes only the others, so any sequence of
 //! interrupted runs ends on the uninterrupted output bit for bit at any
 //! thread count — the invariant the `cordoba-robust` property suite pins.
-//!
-//! [`Supervisor::tripping_after`] stops after a fixed number of completed
-//! units instead of after elapsed time, which is what the fault-injection
-//! suite uses to interrupt runs at seed-chosen points reproducibly.
 //
-// cordoba-lint: allow-file(atomic-ordering) — the supervisor's cells are a
-// sticky cancellation flag and a monotonic progress tally; no data is
-// published through them (results travel through the scoped-join), so
-// Relaxed is sufficient and cannot affect mapped values.
+// cordoba-lint: allow-file(atomic-ordering) — the supervisor's one cell is
+// a monotonic progress tally; no data is published through it (results
+// travel through the scoped-join), so Relaxed is sufficient and cannot
+// affect mapped values.
 
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 /// Why a supervised run stopped early.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StopReason {
-    /// [`Supervisor::cancel`] was called (or a [`Supervisor::tripping_after`]
-    /// threshold was reached).
+    /// A [`Supervisor::tripping_after`] threshold was reached. The name and
+    /// its `cancelled` token predate the trip count and are kept so
+    /// existing checkpoints still parse.
     Cancelled,
     /// The monotonic deadline budget was exhausted.
     DeadlineExceeded,
@@ -76,12 +71,23 @@ impl fmt::Display for StopReason {
     }
 }
 
-/// Shared state behind the cloneable handle.
+/// Trip count + deadline budget + progress accounting.
+///
+/// Each constructor arms at most one limit, and both limits are sticky on
+/// their own: the completed count only grows and the monotonic clock only
+/// advances. So once [`should_stop`](Self::should_stop) reports a reason,
+/// every later check of the run reports the same one.
+///
+/// ```
+/// use cordoba_par::supervise::{StopReason, Supervisor};
+///
+/// let sup = Supervisor::tripping_after(1);
+/// assert_eq!(sup.should_stop(), None);
+/// sup.note_completed(1);
+/// assert_eq!(sup.should_stop(), Some(StopReason::Cancelled));
+/// ```
 #[derive(Debug)]
-struct Shared {
-    /// Sticky cancellation flag; set by [`Supervisor::cancel`] and latched
-    /// when a trip threshold fires so the reason stays stable.
-    cancelled: AtomicBool,
+pub struct Supervisor {
     /// Stop after this many completed units; `u64::MAX` disables the trip.
     trip_at: u64,
     /// Deadline armed at construction; `None` means unbounded.
@@ -90,46 +96,17 @@ struct Shared {
     completed: AtomicU64,
 }
 
-/// Cooperative cancellation token + deadline budget + progress accounting.
-///
-/// Cloning is cheap and shares all state, so the same handle can be held by
-/// the caller (to cancel) and threaded through nested pipelines (to observe
-/// the stop and account progress).
-///
-/// ```
-/// use cordoba_par::supervise::{StopReason, Supervisor};
-///
-/// let sup = Supervisor::unbounded();
-/// assert_eq!(sup.should_stop(), None);
-/// sup.cancel();
-/// assert_eq!(sup.should_stop(), Some(StopReason::Cancelled));
-/// ```
-#[derive(Debug, Clone)]
-pub struct Supervisor {
-    shared: Arc<Shared>,
-}
-
-impl Default for Supervisor {
-    fn default() -> Self {
-        Self::unbounded()
-    }
-}
-
 impl Supervisor {
     fn with_limits(trip_at: u64, deadline: Option<(Instant, Duration)>) -> Self {
         Self {
-            shared: Arc::new(Shared {
-                cancelled: AtomicBool::new(false),
-                trip_at,
-                deadline,
-                completed: AtomicU64::new(0),
-            }),
+            trip_at,
+            deadline,
+            completed: AtomicU64::new(0),
         }
     }
 
-    /// A supervisor that never stops a run unless [`cancel`](Self::cancel)
-    /// is called. The no-deadline overhead is one relaxed flag load per
-    /// check.
+    /// A supervisor that never stops a run. A check costs two compares and
+    /// no memory load.
     #[must_use]
     pub fn unbounded() -> Self {
         Self::with_limits(u64::MAX, None)
@@ -147,39 +124,25 @@ impl Supervisor {
         Self::with_limits(u64::MAX, Some((Instant::now(), budget)))
     }
 
-    /// A supervisor that auto-cancels once `units` work units have
-    /// completed. This is the deterministic interruption mechanism used by
-    /// the fault-injection suite: unlike a wall-clock deadline it fires at
-    /// a reproducible point (exactly reproducible at one thread; at a
+    /// A supervisor that stops once `units` work units have completed.
+    /// This is the deterministic interruption mechanism used by the
+    /// fault-injection suite: unlike a wall-clock deadline it fires at a
+    /// reproducible point (exactly reproducible at one thread; at a
     /// seed-independent *count* of completed units otherwise).
     #[must_use]
     pub fn tripping_after(units: u64) -> Self {
         Self::with_limits(units, None)
     }
 
-    /// Requests a cooperative stop; sticky.
-    pub fn cancel(&self) {
-        self.shared.cancelled.store(true, Ordering::Relaxed);
-    }
-
-    /// The reason this run should stop now, if any. Cancellation (explicit
-    /// or tripped) takes precedence over the deadline so the reported
-    /// reason is stable once latched.
+    /// The reason this run should stop now, if any.
     #[must_use]
     pub fn should_stop(&self) -> Option<StopReason> {
-        if self.shared.cancelled.load(Ordering::Relaxed) {
-            return Some(StopReason::Cancelled);
-        }
         // `u64::MAX` disables the trip; skip the progress-counter load
-        // entirely so untripped supervision costs one flag load.
-        if self.shared.trip_at != u64::MAX
-            && self.shared.completed.load(Ordering::Relaxed) >= self.shared.trip_at
-        {
-            // Latch so the reason survives later progress and clones.
-            self.cancel();
+        // entirely so untripped supervision loads nothing.
+        if self.trip_at != u64::MAX && self.completed.load(Ordering::Relaxed) >= self.trip_at {
             return Some(StopReason::Cancelled);
         }
-        if let Some((start, budget)) = self.shared.deadline {
+        if let Some((start, budget)) = self.deadline {
             if start.elapsed() >= budget {
                 return Some(StopReason::DeadlineExceeded);
             }
@@ -189,7 +152,7 @@ impl Supervisor {
 
     /// Accounts `n` successfully completed work units.
     pub fn note_completed(&self, n: u64) {
-        self.shared.completed.fetch_add(n, Ordering::Relaxed);
+        self.completed.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Records the stop as a typed `cordoba-obs` event (with the completed
@@ -197,7 +160,7 @@ impl Supervisor {
     /// per interrupted pipeline stage.
     #[must_use]
     pub fn record_stop(&self, reason: StopReason) -> StopReason {
-        let completed = self.shared.completed.load(Ordering::Relaxed);
+        let completed = self.completed.load(Ordering::Relaxed);
         let event = match reason {
             StopReason::Cancelled => cordoba_obs::Event::Cancelled { completed },
             StopReason::DeadlineExceeded => cordoba_obs::Event::DeadlineExceeded { completed },
@@ -241,22 +204,11 @@ mod tests {
     }
 
     #[test]
-    fn cancellation_skips_remaining_items() {
-        let sup = Supervisor::unbounded();
-        let observer = sup.clone();
-        sup.cancel();
-        assert_eq!(observer.should_stop(), Some(StopReason::Cancelled));
-        assert_eq!(supervised_items(100, 4, &observer), vec![false; 100]);
-    }
-
-    #[test]
     fn trip_after_stops_at_exact_point_sequentially() {
         let sup = Supervisor::tripping_after(17);
         let ran = supervised_items(50, 1, &sup);
         assert_eq!(ran, (0..50).map(|i| i < 17).collect::<Vec<_>>());
         assert_eq!(sup.should_stop(), Some(StopReason::Cancelled));
-        // Latched: the reason survives in clones made after the trip.
-        assert_eq!(sup.clone().should_stop(), Some(StopReason::Cancelled));
         assert_eq!(
             Supervisor::tripping_after(0).should_stop(),
             Some(StopReason::Cancelled)
@@ -268,9 +220,6 @@ mod tests {
         let sup = Supervisor::with_deadline(Duration::ZERO);
         assert_eq!(supervised_items(40, 4, &sup), vec![false; 40]);
         assert_eq!(sup.should_stop(), Some(StopReason::DeadlineExceeded));
-        // Cancellation takes precedence over the deadline.
-        sup.cancel();
-        assert_eq!(sup.should_stop(), Some(StopReason::Cancelled));
         let roomy = Supervisor::with_deadline(Duration::from_secs(3600));
         assert_eq!(roomy.should_stop(), None);
     }

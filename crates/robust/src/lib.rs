@@ -2,8 +2,8 @@
 //!
 //! Real carbon-intensity feeds drop samples, repeat timestamps, arrive out
 //! of order, and occasionally report garbage; configuration files get
-//! hand-edited into inconsistency; long sweeps get cancelled or run out
-//! of time. CORDOBA's contract under all of these is *graceful
+//! hand-edited into inconsistency; long sweeps get interrupted or run
+//! out of time. CORDOBA's contract under all of these is *graceful
 //! degradation*: every subsystem returns a structured error or a
 //! degraded-but-finite result — never a panic, never a NaN.
 //!
@@ -23,9 +23,9 @@
 //!   ([`fault::FaultPlan::trip_point`]) to prove that checkpoint/resume
 //!   reproduces the uninterrupted result bit for bit, and panic work units
 //!   at seeded positions to prove `cordoba_par::isolate` quarantines them
-//!   in input order (the [`supervise`] module, re-exported from
-//!   `cordoba-par`, provides the [`supervise::Supervisor`] handle the
-//!   sweep checks once per row).
+//!   in input order (the trip point feeds
+//!   `cordoba_par::Supervisor::tripping_after`, the stop rule the sweep
+//!   checks once per row).
 //!
 //! Everything is derived from a single `u64` seed, so any failure found by
 //! the suite reproduces exactly from its seed alone.
@@ -46,10 +46,7 @@
 
 pub mod fault;
 
-pub use cordoba_par::supervise;
-
 /// Convenience re-exports of the most commonly used items.
 pub mod prelude {
     pub use crate::fault::FaultPlan;
-    pub use cordoba_par::supervise::{StopReason, Supervisor};
 }

@@ -181,7 +181,9 @@ impl Store {
             return None;
         }
         let count: usize = lines.next()?.strip_prefix("lines ")?.parse().ok()?;
-        let mut payload = Vec::with_capacity(count);
+        // Each payload line takes a line of the file, so the text bounds a
+        // valid reservation and a damaged header cannot overflow it.
+        let mut payload = Vec::with_capacity(count.min(text.len()));
         for _ in 0..count {
             payload.push(lines.next()?.to_string());
         }
@@ -354,6 +356,13 @@ mod tests {
         // Trailing junk after `end` invalidates the entry.
         fs::write(&path, format!("{full}trailing\n")).expect("suffix");
         assert_eq!(store.get("sweep", key), None);
+        // A line count larger than any file is a miss, not an allocation.
+        for count in [usize::MAX, 1 << 61] {
+            let damaged = full.replacen("lines 2\n", &format!("lines {count}\n"), 1);
+            assert_ne!(damaged, full);
+            fs::write(&path, damaged).expect("damage the header");
+            assert_eq!(store.get("sweep", key), None, "lines {count}");
+        }
         // Restoring the exact bytes restores the hit.
         fs::write(&path, &full).expect("restore");
         assert_eq!(store.get("sweep", key), Some(lines));

@@ -270,13 +270,12 @@ fn dse_fingerprint(threads: Option<usize>) -> u64 {
         for trip in [0u64, 5, 40] {
             let sup = Supervisor::tripping_after(trip);
             let run = op_time_sweep_supervised(xr.clone(), counts.clone(), grids::US_AVERAGE, &sup);
-            let Ok(SupervisedSweep::Partial(partial)) = run else {
+            let Ok(SupervisedSweep::Partial(checkpoint)) = run else {
                 panic!("trip {trip} must interrupt the sweep");
             };
-            let restored = SweepCheckpoint::from_text(&partial.checkpoint.to_text()).unwrap();
+            let restored = SweepCheckpoint::from_text(&checkpoint.to_text()).unwrap();
             let resumed = restored
                 .resume(&Supervisor::unbounded(), cordoba_par::effective_threads())
-                .unwrap()
                 .complete()
                 .unwrap();
             fp.sweep(&resumed);

@@ -167,7 +167,6 @@ fn swept(
     SweepCheckpoint::new(points, counts, ci)
         .unwrap()
         .resume(&Supervisor::unbounded(), threads)
-        .unwrap()
         .complete()
         .unwrap()
 }

@@ -93,7 +93,6 @@ fn swept(
     SweepCheckpoint::new(points, counts, ci)
         .unwrap()
         .resume(&Supervisor::unbounded(), threads)
-        .unwrap()
         .complete()
         .unwrap()
 }

@@ -130,7 +130,6 @@ fn warm_start_is_bit_identical_to_fresh_compute_at_every_thread_count() {
             let direct = SweepCheckpoint::new(fresh.clone(), counts.clone(), ci)
                 .unwrap()
                 .resume(&Supervisor::unbounded(), threads)
-                .unwrap()
                 .complete()
                 .unwrap();
             assert_eq!(cold_sweep, direct, "case {case}: sweep threads={threads}");
